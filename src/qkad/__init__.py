@@ -13,12 +13,10 @@ __version__ = "0.1.0"
 from .statevec import (  # noqa: F401
     FeatureMapConfig,
     LocalHaarSetting,
-    OutcomeHistogram,
     Statevector,
     apply_local,
     encode_iqp,
     inner_product,
-    measure,
     sample_haar_setting,
 )
 from .kernel import (  # noqa: F401
@@ -31,16 +29,9 @@ from .kernel import (  # noqa: F401
     build_gram_train,
     clip_gram_psd,
     collect_signature,
-    exact_fidelity,
-    hamming,
-    inversion_test,
     load_signature_cache,
-    mitigate,
-    rbf_entry,
-    rm_kernel_entry,
     rm_purity,
     save_signature_cache,
-    swap_test,
 )
 from .ocsvm import OCSVMModel, SolverConfig, decision_scores, fit, predict  # noqa: F401
 from .ensemble import (  # noqa: F401

@@ -408,7 +408,7 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
             continue
         if "-" in part[1:]:  # allow negative single values, not negative ranges
             lo, hi = part.split("-", 1) if not part.startswith("-") else (part, "")
-            if hi == "":
+            if hi == "" or int(hi) < int(lo):
                 raise ValueError(f"bad seed range {part!r}")
             seeds.extend(range(int(lo), int(hi) + 1))
         else:

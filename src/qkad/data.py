@@ -26,11 +26,7 @@ __all__ = [
     "generate_synthetic",
     "load_fraud_csv",
     "make_split",
-    "save_dataset",
-    "load_dataset",
 ]
-
-_DATASET_CACHE_VERSION = 1
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +49,7 @@ class MissingColumnError(ValueError):
 
 
 class NonNumericCellError(ValueError):
-    """A CSV cell could not be parsed as a number."""
+    """A CSV feature cell is not a finite number."""
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,8 @@ def load_fraud_csv(path: str | Path) -> Dataset:
         class_pos = header.index("Class")
 
         features: list[list[float]] = []
-        labels: list[int] = []
+        labels: list[float] = []
+        row_nums: list[int] = []
         for row_num, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -195,18 +192,32 @@ def load_fraud_csv(path: str | Path) -> Dataset:
                     ) from None
             cell = row[class_pos].strip().strip('"')
             try:
-                label = int(float(cell))
+                label = float(cell)
             except ValueError:
                 raise NonNumericCellError(
                     f"{path}: row {row_num}, column Class: cannot parse {cell!r}"
                 ) from None
+            if label != 0.0 and label != 1.0:
+                raise ValueError(
+                    f"{path}: row {row_num}, column Class: label must be 0 or 1, got {cell!r}"
+                )
             features.append(values)
             labels.append(label)
+            row_nums.append(row_num)
 
     if not features:
         raise EmptyFileError(f"{path}: no data rows")
+    matrix = np.array(features)
+    # float() accepts nan and inf; one pass over the parsed table finds them
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NonNumericCellError(
+            f"{path}: row {row_nums[i]}, column {FRAUD_FEATURE_COLUMNS[j]}: "
+            f"value {float(matrix[i, j])!r} is not finite"
+        )
     dataset = Dataset(
-        features=np.array(features),
+        features=matrix,
         labels=np.array(labels, dtype=np.int64),
         name="fraud",
         seed=0,
@@ -219,34 +230,6 @@ def load_fraud_csv(path: str | Path) -> Dataset:
         dataset.n_features,
     )
     return dataset
-
-
-def save_dataset(path: str | Path, data: Dataset) -> None:
-    """Write a dataset to a versioned binary cache (bit-exact round trip)."""
-    np.savez(
-        path,
-        format_version=np.int64(_DATASET_CACHE_VERSION),
-        features=data.features,
-        labels=data.labels,
-        name=np.str_(data.name),
-        seed=np.int64(data.seed),
-    )
-
-
-def load_dataset(path: str | Path) -> Dataset:
-    """Read a dataset written by :func:`save_dataset`."""
-    with np.load(path) as blob:
-        version = int(blob["format_version"])
-        if version != _DATASET_CACHE_VERSION:
-            raise ValueError(
-                f"unsupported dataset cache version {version}, expected {_DATASET_CACHE_VERSION}"
-            )
-        return Dataset(
-            features=np.array(blob["features"]),
-            labels=np.array(blob["labels"]),
-            name=str(blob["name"]),
-            seed=int(blob["seed"]),
-        )
 
 
 def make_split(

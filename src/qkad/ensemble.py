@@ -24,9 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ocsvm
-from .kernel import GramMatrix, KernelConfig, SignatureCache, build_gram_cross, build_gram_train
+from .kernel import KernelConfig, SignatureCache, build_gram_cross, build_gram_train, eval_count
 from .ocsvm import OCSVMModel, SolverConfig
-from .statevec import FeatureMapConfig
 
 __all__ = [
     "VSConfig",
@@ -195,7 +194,7 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
             gram_time += t1 - t0
             solver_time += t2 - t1
 
-            train_scores = ocsvm.decision_scores(model, _as_cross(gram))
+            train_scores = ocsvm.decision_scores(model, gram)
             components.append(
                 Component(
                     subsample_indices=indices,
@@ -231,11 +230,6 @@ def _sized_kernel(base: KernelConfig, width: int) -> KernelConfig:
     return replace(base, feature_map=replace(base.feature_map, num_qubits=width))
 
 
-def _as_cross(gram: GramMatrix) -> GramMatrix:
-    """Reinterpret a training Gram as the train-vs-train prediction matrix."""
-    return GramMatrix(entries=gram.entries, symmetric=False, eval_count=0)
-
-
 def _component_scores(comp: Component, X_test: np.ndarray) -> np.ndarray:
     X_proj = X_test @ comp.projection if comp.projection is not None else X_test
     cross = build_gram_cross(
@@ -269,13 +263,7 @@ def score_vs(model: EnsembleModel, X_test: np.ndarray) -> np.ndarray:
 
 def cross_eval_count(model: EnsembleModel, n_test: int) -> int:
     """Kernel evaluations a scoring pass over ``n_test`` points performs."""
-    total = 0
-    for comp in model.components:
-        kind = comp.kernel.kind
-        if kind == "randomized":
-            total += n_test * comp.kernel.rm_settings
-        elif kind == "rbf":
-            total += 0
-        else:
-            total += n_test * comp.train_matrix.shape[0]
-    return total
+    return sum(
+        eval_count(comp.kernel, n_test, n_test * comp.train_matrix.shape[0])
+        for comp in model.components
+    )

@@ -25,7 +25,6 @@ matrices.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -35,12 +34,9 @@ import numpy as np
 from .statevec import (
     FeatureMapConfig,
     LocalHaarSetting,
-    Statevector,
-    apply_iqp_adjoint,
     apply_local,
     born_counts,
     encode_iqp,
-    inner_product,
     sample_haar_setting,
 )
 
@@ -51,17 +47,10 @@ __all__ = [
     "SignatureCache",
     "DegenerateSignatureError",
     "KERNEL_KINDS",
-    "exact_fidelity",
-    "inversion_test",
-    "swap_test",
-    "swap_test_states",
     "collect_signature",
-    "hamming",
-    "rm_kernel_entry",
     "rm_purity",
-    "mitigate",
-    "rbf_entry",
     "rbf_auto_gamma",
+    "eval_count",
     "build_gram_train",
     "build_gram_cross",
     "clip_gram_psd",
@@ -199,72 +188,6 @@ class SignatureCache:
 
 
 # ---------------------------------------------------------------------------
-# pairwise fidelity estimators
-# ---------------------------------------------------------------------------
-
-
-def exact_fidelity(x: np.ndarray, x_other: np.ndarray, fm: FeatureMapConfig) -> float:
-    """Squared overlap of the two feature-map states."""
-    a = encode_iqp(x, fm)
-    b = encode_iqp(x_other, fm)
-    return float(abs(inner_product(b, a)) ** 2)
-
-
-def inversion_test(
-    x: np.ndarray,
-    x_other: np.ndarray,
-    fm: FeatureMapConfig,
-    shots: int,
-    rng: np.random.Generator,
-) -> float:
-    """All-zeros frequency of the encode-then-uncompute circuit.
-
-    Runs the encoding circuit for ``x`` followed by the adjoint circuit for
-    ``x_other`` and samples the all-zeros outcome ``shots`` times.  Identical
-    inputs short-circuit to exactly 1.0 since the composition is the identity.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if np.array_equal(np.asarray(x, float), np.asarray(x_other, float)):
-        return 1.0
-    composed = apply_iqp_adjoint(encode_iqp(x, fm), x_other, fm)
-    p_zero = min(max(float(abs(composed.amplitudes[0]) ** 2), 0.0), 1.0)
-    return int(rng.binomial(shots, p_zero)) / shots
-
-
-def swap_test_states(
-    a: Statevector, b: Statevector, shots: int, rng: np.random.Generator
-) -> float:
-    """Swap-test estimate from two prepared states.
-
-    The ancilla of the controlled-swap circuit reads 0 with probability
-    ``(1 + F)/2``; that distribution is computed analytically and sampled,
-    which has the same statistics as simulating the 2d+1 qubit circuit.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    fidelity = min(float(abs(inner_product(a, b)) ** 2), 1.0)
-    p_zero = 0.5 * (1.0 + fidelity)
-    freq_zero = int(rng.binomial(shots, p_zero)) / shots
-    return 2.0 * freq_zero - 1.0
-
-
-def swap_test(
-    x: np.ndarray,
-    x_other: np.ndarray,
-    fm: FeatureMapConfig,
-    shots: int,
-    rng: np.random.Generator,
-) -> float:
-    """Swap-test fidelity estimate for two data points."""
-    if np.array_equal(np.asarray(x, float), np.asarray(x_other, float)):
-        if shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
-        return 1.0
-    return swap_test_states(encode_iqp(x, fm), encode_iqp(x_other, fm), shots, rng)
-
-
-# ---------------------------------------------------------------------------
 # randomized measurements
 # ---------------------------------------------------------------------------
 
@@ -293,13 +216,6 @@ def collect_signature(
     return RMSignature(num_qubits=d, counts=counts, shots_per_setting=shots)
 
 
-def hamming(s: str, s_other: str) -> int:
-    """Number of positions where two equal-length bitstrings differ."""
-    if len(s) != len(s_other):
-        raise ValueError(f"length mismatch: {len(s)} vs {len(s_other)}")
-    return sum(c1 != c2 for c1, c2 in zip(s, s_other))
-
-
 @lru_cache(maxsize=8)
 def _coefficient_matrix(num_qubits: int) -> np.ndarray:
     """Cached table C[s, s'] = (-2)**(-H(s, s')) over all basis-state pairs."""
@@ -309,34 +225,6 @@ def _coefficient_matrix(num_qubits: int) -> np.ndarray:
     coeff = (-0.5) ** popcount[idx[:, None] ^ idx[None, :]]
     coeff.setflags(write=False)
     return coeff
-
-
-def _check_signature_pair(sig_i: RMSignature, sig_j: RMSignature) -> None:
-    if sig_i.num_qubits != sig_j.num_qubits:
-        raise ValueError(
-            f"qubit mismatch: {sig_i.num_qubits} vs {sig_j.num_qubits}"
-        )
-    if sig_i.num_settings != sig_j.num_settings:
-        raise ValueError(
-            f"setting-count mismatch: {sig_i.num_settings} vs {sig_j.num_settings}"
-        )
-
-
-def rm_kernel_entry(sig_i: RMSignature, sig_j: RMSignature) -> float:
-    """Cross-correlation kernel estimate from two measurement records.
-
-    Averages ``2^d * sum_{s,s'} (-2)^(-H(s,s')) P_i(s) P_j(s')`` over the
-    shared settings.  The quadratic form is evaluated in both argument orders
-    and averaged, which makes the result bit-exactly symmetric.
-    """
-    _check_signature_pair(sig_i, sig_j)
-    coeff = _coefficient_matrix(sig_i.num_qubits)
-    p_i = sig_i.frequencies
-    p_j = sig_j.frequencies
-    forward = np.einsum("mi,ij,mj->m", p_i, coeff, p_j)
-    backward = np.einsum("mi,ij,mj->m", p_j, coeff, p_i)
-    per_setting = 0.5 * (forward + backward)
-    return float(2**sig_i.num_qubits * per_setting.mean())
 
 
 def rm_purity(sig: RMSignature) -> float:
@@ -357,27 +245,50 @@ def rm_purity(sig: RMSignature) -> float:
     return float(2**sig.num_qubits * per_setting.mean())
 
 
-def mitigate(k_ij: float, p_i: float, p_j: float) -> float:
-    """Purity-normalized kernel entry ``k_ij / sqrt(p_i * p_j)``."""
-    if p_i <= 0 or p_j <= 0:
+def _rm_raw_matrix(freqs_a: np.ndarray, freqs_b: np.ndarray, num_qubits: int) -> np.ndarray:
+    """All-pairs raw randomized-measurement estimates, averaged over settings."""
+    coeff = _coefficient_matrix(num_qubits)
+    r = freqs_a.shape[1]
+    acc = np.zeros((freqs_a.shape[0], freqs_b.shape[0]))
+    for m in range(r):
+        acc += (freqs_a[:, m, :] @ coeff) @ freqs_b[:, m, :].T
+    return 2**num_qubits * acc / r
+
+
+def _measure_rm(
+    X: np.ndarray,
+    cfg: KernelConfig,
+    settings: tuple[LocalHaarSetting, ...],
+    rng: np.random.Generator,
+    purities: bool = True,
+) -> SignatureCache:
+    """Measurement records of the rows of ``X`` in the shared settings.
+
+    Without ``purities`` the purity estimates are left NaN; only mitigation
+    and the unmitigated training diagonal read them.
+    """
+    # one child stream per point, derived serially, so per-point collection
+    # could run concurrently without changing any outcome
+    seeds = rng.integers(0, 2**63 - 1, size=len(X))
+    signatures = tuple(
+        collect_signature(x, cfg.feature_map, settings, cfg.rm_shots, np.random.default_rng(seed))
+        for x, seed in zip(X, seeds.tolist())
+    )
+    if not purities:
+        return SignatureCache(settings, signatures, np.full(len(signatures), np.nan))
+    estimates = np.array([rm_purity(sig) for sig in signatures])
+    if cfg.mitigate and np.any(estimates <= 0):
+        bad = int(np.argmax(estimates <= 0))
         raise DegenerateSignatureError(
-            f"nonpositive purity estimate (p_i={p_i!r}, p_j={p_j!r}); "
-            "signature is unusable for mitigation"
+            f"point {bad} has nonpositive purity estimate {estimates[bad]!r}; "
+            "its signature is unusable for mitigation"
         )
-    return k_ij / math.sqrt(p_i * p_j)
+    return SignatureCache(settings, signatures, estimates)
 
 
 # ---------------------------------------------------------------------------
 # classical baseline
 # ---------------------------------------------------------------------------
-
-
-def rbf_entry(x: np.ndarray, x_other: np.ndarray, gamma: float) -> float:
-    """Gaussian kernel ``exp(-gamma * ||x - x'||^2)``."""
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-    diff = np.asarray(x, float) - np.asarray(x_other, float)
-    return float(np.exp(-gamma * np.dot(diff, diff)))
 
 
 def rbf_auto_gamma(X_train: np.ndarray) -> float:
@@ -390,49 +301,77 @@ def rbf_auto_gamma(X_train: np.ndarray) -> float:
     return 1.0 / (d * var)
 
 
+def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    diff = A[:, None, :] - B[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
 # ---------------------------------------------------------------------------
 # Gram assembly
 # ---------------------------------------------------------------------------
 
+_SHOT_KINDS = ("inversion_test", "swap_test")
+
 
 def _feature_states(X: np.ndarray, fm: FeatureMapConfig) -> np.ndarray:
-    return np.stack([encode_iqp(x, fm).amplitudes for x in np.asarray(X, float)])
+    return np.stack([encode_iqp(x, fm).amplitudes for x in X])
 
 
-def _exact_fidelity_matrix(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
-    return np.abs(states_a.conj() @ states_b.T) ** 2
+def _kernel_block(
+    cfg: KernelConfig, a: np.ndarray | SignatureCache, b: np.ndarray | SignatureCache
+) -> np.ndarray:
+    """Kernel values between two point sets, before shot noise and mirroring.
+
+    Points are feature rows; for the randomized kind they are the
+    :class:`SignatureCache` records of the rows.  Pass the same object twice
+    for a training block, so states and frequencies are built once.
+    """
+    if cfg.kind == "rbf":
+        gamma = rbf_auto_gamma(b) if cfg.rbf_gamma == "auto" else float(cfg.rbf_gamma)
+        return np.exp(-gamma * _pairwise_sq_dists(a, b))
+    if cfg.kind == "randomized":
+        freqs_a = np.stack([sig.frequencies for sig in a.signatures])
+        freqs_b = freqs_a if b is a else np.stack([sig.frequencies for sig in b.signatures])
+        raw = _rm_raw_matrix(freqs_a, freqs_b, cfg.feature_map.num_qubits)
+        if not cfg.mitigate:
+            return raw
+        return raw / np.sqrt(np.outer(a.purities, b.purities))
+    # squared overlaps: exact, and the success probabilities of the shot kinds
+    states_a = _feature_states(a, cfg.feature_map)
+    states_b = states_a if b is a else _feature_states(b, cfg.feature_map)
+    return np.clip(np.abs(states_a.conj() @ states_b.T) ** 2, 0.0, 1.0)
 
 
-def _mirror_upper(upper: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """Symmetric matrix from a strict upper triangle and a diagonal."""
-    strict = np.triu(upper, 1)
-    return strict + strict.T + np.diag(diagonal)
+def _shot_noise(
+    cfg: KernelConfig, fidelity: np.ndarray, rng: np.random.Generator | None
+) -> np.ndarray:
+    """Finite-shot estimates of the given fidelities, one binomial draw each.
+
+    The inversion test counts all-zeros outcomes, whose probability is the
+    fidelity.  The swap-test ancilla reads 0 with probability ``(1 + F)/2``;
+    sampling that analytic distribution has the same statistics as simulating
+    the 2d+1 qubit circuit.
+    """
+    if rng is None:
+        raise ValueError(f"kernel kind {cfg.kind!r} needs an rng for shot sampling")
+    shots = cfg.it_shots
+    if cfg.kind == "inversion_test":
+        return rng.binomial(shots, fidelity) / shots
+    freq_zero = rng.binomial(shots, 0.5 * (1.0 + fidelity)) / shots
+    return 2.0 * freq_zero - 1.0
 
 
-def _rm_raw_matrix(freqs_a: np.ndarray, freqs_b: np.ndarray, num_qubits: int) -> np.ndarray:
-    """All-pairs raw randomized-measurement estimates, averaged over settings."""
-    coeff = _coefficient_matrix(num_qubits)
-    r = freqs_a.shape[1]
-    acc = np.zeros((freqs_a.shape[0], freqs_b.shape[0]))
-    for m in range(r):
-        acc += (freqs_a[:, m, :] @ coeff) @ freqs_b[:, m, :].T
-    return 2**num_qubits * acc / r
+def eval_count(cfg: KernelConfig, points: int, pairs: int) -> int:
+    """Kernel evaluations a Gram over ``points`` row points and ``pairs`` point pairs costs.
 
-
-def _collect_all_signatures(
-    X: np.ndarray,
-    fm: FeatureMapConfig,
-    settings: tuple[LocalHaarSetting, ...],
-    shots: int,
-    rng: np.random.Generator,
-) -> tuple[RMSignature, ...]:
-    # one child stream per point, derived serially, so per-point collection
-    # could run concurrently without changing any outcome
-    seeds = rng.integers(0, 2**63 - 1, size=len(X))
-    return tuple(
-        collect_signature(x, fm, settings, shots, np.random.default_rng(int(seed)))
-        for x, seed in zip(np.asarray(X, float), seeds)
-    )
+    The pairwise kinds run one circuit per pair, randomized measurements one
+    per (row point, setting), and the classical baseline none.
+    """
+    if cfg.kind == "rbf":
+        return 0
+    if cfg.kind == "randomized":
+        return points * cfg.rm_settings
+    return pairs
 
 
 def build_gram_train(
@@ -451,49 +390,24 @@ def build_gram_train(
         raise ValueError(f"expected an (n, d) matrix with n >= 2, got shape {X.shape}")
     n = X.shape[0]
     cache: SignatureCache | None = None
+    points = X
+    if cfg.kind == "randomized":
+        d = cfg.feature_map.num_qubits
+        settings = tuple(sample_haar_setting(d, rng) for _ in range(cfg.rm_settings))
+        cache = points = _measure_rm(X, cfg, settings, rng)
 
-    if cfg.kind == "rbf":
-        gamma = rbf_auto_gamma(X) if cfg.rbf_gamma == "auto" else float(cfg.rbf_gamma)
-        sq = _pairwise_sq_dists(X, X)
-        upper = np.exp(-gamma * sq)
-        entries = _mirror_upper(upper, np.ones(n))
-        evals = 0
-    elif cfg.kind in ("exact", "inversion_test", "swap_test"):
-        states = _feature_states(X, cfg.feature_map)
-        fid = np.clip(_exact_fidelity_matrix(states, states), 0.0, 1.0)
+    block = _kernel_block(cfg, points, points)
+    if cfg.kind in _SHOT_KINDS:
+        # one estimate per unordered pair, drawn in row-major upper order
         iu, ju = np.triu_indices(n, k=1)
-        pair_fid = fid[iu, ju]
-        if cfg.kind == "exact":
-            vals = pair_fid
-        elif cfg.kind == "inversion_test":
-            vals = rng.binomial(cfg.it_shots, pair_fid) / cfg.it_shots
-        else:
-            freq_zero = rng.binomial(cfg.it_shots, 0.5 * (1.0 + pair_fid)) / cfg.it_shots
-            vals = 2.0 * freq_zero - 1.0
-        upper = np.zeros((n, n))
-        upper[iu, ju] = vals
-        entries = _mirror_upper(upper, np.ones(n))
-        evals = n * (n - 1) // 2
-    else:  # randomized
-        fm = cfg.feature_map
-        settings = tuple(sample_haar_setting(fm.num_qubits, rng) for _ in range(cfg.rm_settings))
-        signatures = _collect_all_signatures(X, fm, settings, cfg.rm_shots, rng)
-        purities = np.array([rm_purity(sig) for sig in signatures])
-        freqs = np.stack([sig.frequencies for sig in signatures])
-        raw = _rm_raw_matrix(freqs, freqs, fm.num_qubits)
-        if cfg.mitigate:
-            if np.any(purities <= 0):
-                bad = int(np.argmax(purities <= 0))
-                raise DegenerateSignatureError(
-                    f"point {bad} has nonpositive purity estimate {purities[bad]!r}"
-                )
-            scaled = raw / np.sqrt(np.outer(purities, purities))
-            entries = _mirror_upper(scaled, np.ones(n))
-        else:
-            entries = _mirror_upper(raw, purities)
-        evals = n * cfg.rm_settings
-        cache = SignatureCache(settings=settings, signatures=signatures, purities=purities)
-
+        block[iu, ju] = _shot_noise(cfg, block[iu, ju], rng)
+    # mirror the strict upper triangle, so the result is exactly symmetric
+    entries = np.triu(block, 1)
+    del block  # free it before the transpose copy below, lowering peak memory
+    entries += entries.T
+    # unmitigated RM keeps its purity estimates on the diagonal
+    np.fill_diagonal(entries, cache.purities if cache is not None and not cfg.mitigate else 1.0)
+    evals = eval_count(cfg, n, n * (n - 1) // 2)
     gram = GramMatrix(entries=entries, symmetric=True, eval_count=evals)
     if cfg.clip_psd:
         gram = clip_gram_psd(gram)
@@ -520,57 +434,30 @@ def build_gram_cross(
             f"incompatible shapes: test {X_test.shape} vs train {X_train.shape}"
         )
     t, n = X_test.shape[0], X_train.shape[0]
-
-    if cfg.kind == "rbf":
-        gamma = rbf_auto_gamma(X_train) if cfg.rbf_gamma == "auto" else float(cfg.rbf_gamma)
-        entries = np.exp(-gamma * _pairwise_sq_dists(X_test, X_train))
-        evals = 0
-    elif cfg.kind in ("exact", "inversion_test", "swap_test"):
-        states_t = _feature_states(X_test, cfg.feature_map)
-        states_n = _feature_states(X_train, cfg.feature_map)
-        fid = np.clip(_exact_fidelity_matrix(states_t, states_n), 0.0, 1.0)
-        if cfg.kind == "exact":
-            entries = fid
-        else:
-            if rng is None:
-                raise ValueError(f"kernel kind {cfg.kind!r} needs an rng for shot sampling")
-            if cfg.kind == "inversion_test":
-                entries = rng.binomial(cfg.it_shots, fid) / cfg.it_shots
-            else:
-                freq_zero = rng.binomial(cfg.it_shots, 0.5 * (1.0 + fid)) / cfg.it_shots
-                entries = 2.0 * freq_zero - 1.0
-        evals = t * n
-    else:  # randomized
+    test_points, train_points = X_test, X_train
+    if cfg.kind == "randomized":
         if cache is None:
             raise ValueError("randomized cross kernel requires the training signature cache")
         if rng is None:
             raise ValueError("randomized cross kernel needs an rng for shot sampling")
-        fm = cfg.feature_map
-        if cache.num_qubits != fm.num_qubits:
+        if cache.num_qubits != cfg.feature_map.num_qubits:
             raise ValueError(
-                f"cache encodes {cache.num_qubits} qubits, config expects {fm.num_qubits}"
+                f"cache encodes {cache.num_qubits} qubits, "
+                f"config expects {cfg.feature_map.num_qubits}"
             )
         if cache.num_settings != cfg.rm_settings:
             raise ValueError(
                 f"cache holds {cache.num_settings} settings, config expects {cfg.rm_settings}"
             )
-        test_sigs = _collect_all_signatures(X_test, fm, cache.settings, cfg.rm_shots, rng)
-        freqs_t = np.stack([sig.frequencies for sig in test_sigs])
-        freqs_n = np.stack([sig.frequencies for sig in cache.signatures])
-        entries = _rm_raw_matrix(freqs_t, freqs_n, fm.num_qubits)
-        if cfg.mitigate:
-            purities_t = np.array([rm_purity(sig) for sig in test_sigs])
-            if np.any(purities_t <= 0) or np.any(cache.purities <= 0):
-                raise DegenerateSignatureError("nonpositive purity estimate in cross kernel")
-            entries = entries / np.sqrt(np.outer(purities_t, cache.purities))
-        evals = t * cfg.rm_settings
+        if cfg.mitigate and np.any(cache.purities <= 0):
+            raise DegenerateSignatureError("training signature cache holds a nonpositive purity")
+        test_points = _measure_rm(X_test, cfg, cache.settings, rng, purities=cfg.mitigate)
+        train_points = cache
 
-    return GramMatrix(entries=entries, symmetric=False, eval_count=evals)
-
-
-def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    diff = A[:, None, :] - B[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    entries = _kernel_block(cfg, test_points, train_points)
+    if cfg.kind in _SHOT_KINDS:
+        entries = _shot_noise(cfg, entries, rng)
+    return GramMatrix(entries=entries, symmetric=False, eval_count=eval_count(cfg, t, t * n))
 
 
 def clip_gram_psd(gram: GramMatrix) -> GramMatrix:

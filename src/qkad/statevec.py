@@ -27,13 +27,11 @@ __all__ = [
     "Statevector",
     "FeatureMapConfig",
     "LocalHaarSetting",
-    "OutcomeHistogram",
     "encode_iqp",
     "iqp_layer_angles",
     "apply_iqp_adjoint",
     "sample_haar_setting",
     "apply_local",
-    "measure",
     "born_counts",
     "inner_product",
 ]
@@ -108,24 +106,6 @@ class LocalHaarSetting:
     @property
     def num_qubits(self) -> int:
         return self.matrices.shape[0]
-
-
-@dataclass(frozen=True)
-class OutcomeHistogram:
-    """Counted measurement outcomes of a fixed number of shots."""
-
-    shots: int
-    counts: dict[str, int]
-
-    def __post_init__(self) -> None:
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        total = sum(self.counts.values())
-        if total != self.shots:
-            raise ValueError(f"counts sum to {total}, expected {self.shots}")
-        lengths = {len(k) for k in self.counts}
-        if len(lengths) > 1:
-            raise ValueError(f"inconsistent bitstring lengths: {sorted(lengths)}")
 
 
 def _apply_1q(amps: np.ndarray, gate: np.ndarray, qubit: int, d: int) -> np.ndarray:
@@ -243,16 +223,6 @@ def born_counts(state: Statevector, shots: int, rng: np.random.Generator) -> np.
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     return rng.multinomial(shots, state.probabilities())
-
-
-def measure(state: Statevector, shots: int, rng: np.random.Generator) -> OutcomeHistogram:
-    """Sample computational-basis outcomes; returns a bitstring histogram."""
-    dense = born_counts(state, shots, rng)
-    d = state.num_qubits
-    counts = {
-        format(idx, f"0{d}b"): int(c) for idx, c in enumerate(dense) if c > 0
-    }
-    return OutcomeHistogram(shots=shots, counts=counts)
 
 
 def inner_product(a: Statevector, b: Statevector) -> complex:

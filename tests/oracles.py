@@ -2,14 +2,21 @@
 
 These deliberately avoid the package's own computational paths: the circuit
 oracle multiplies dense gate matrices built from lifted Paulis and matrix
-exponentials, the QP oracle is plain projected gradient descent, and the
-ranking-metric oracles recount precision/recall from scratch at every rank.
+exponentials, the per-pair kernel estimators run one circuit (or one pair of
+measurement records) at a time where the package fills whole Gram blocks,
+the QP oracle is plain projected gradient descent, and the ranking-metric
+oracles recount precision/recall from scratch at every rank.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
+
+from qkad.kernel import DegenerateSignatureError, RMSignature
+from qkad.statevec import FeatureMapConfig, Statevector, apply_iqp_adjoint, encode_iqp, inner_product
 
 _I2 = np.eye(2, dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -68,6 +75,130 @@ def kron_apply_oracle(matrices: np.ndarray, amps: np.ndarray) -> np.ndarray:
     for m in matrices:
         full = np.kron(full, m)
     return full @ amps
+
+
+# ---------------------------------------------------------------------------
+# per-pair kernel estimators
+# ---------------------------------------------------------------------------
+
+
+def exact_fidelity(x: np.ndarray, x_other: np.ndarray, fm: FeatureMapConfig) -> float:
+    """Squared overlap of the two feature-map states."""
+    a = encode_iqp(x, fm)
+    b = encode_iqp(x_other, fm)
+    return float(abs(inner_product(b, a)) ** 2)
+
+
+def inversion_test(
+    x: np.ndarray,
+    x_other: np.ndarray,
+    fm: FeatureMapConfig,
+    shots: int,
+    rng: np.random.Generator,
+) -> float:
+    """All-zeros frequency of the encode-then-uncompute circuit.
+
+    Runs the encoding circuit for ``x`` followed by the adjoint circuit for
+    ``x_other`` and samples the all-zeros outcome ``shots`` times.  Identical
+    inputs short-circuit to exactly 1.0 since the composition is the identity.
+    """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if np.array_equal(np.asarray(x, float), np.asarray(x_other, float)):
+        return 1.0
+    composed = apply_iqp_adjoint(encode_iqp(x, fm), x_other, fm)
+    p_zero = min(max(float(abs(composed.amplitudes[0]) ** 2), 0.0), 1.0)
+    return int(rng.binomial(shots, p_zero)) / shots
+
+
+def swap_test_states(
+    a: Statevector, b: Statevector, shots: int, rng: np.random.Generator
+) -> float:
+    """Swap-test estimate from two prepared states.
+
+    The ancilla of the controlled-swap circuit reads 0 with probability
+    ``(1 + F)/2``; that distribution is computed analytically and sampled.
+    """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    fidelity = min(float(abs(inner_product(a, b)) ** 2), 1.0)
+    p_zero = 0.5 * (1.0 + fidelity)
+    freq_zero = int(rng.binomial(shots, p_zero)) / shots
+    return 2.0 * freq_zero - 1.0
+
+
+def swap_test(
+    x: np.ndarray,
+    x_other: np.ndarray,
+    fm: FeatureMapConfig,
+    shots: int,
+    rng: np.random.Generator,
+) -> float:
+    """Swap-test fidelity estimate for two data points."""
+    if np.array_equal(np.asarray(x, float), np.asarray(x_other, float)):
+        if shots < 1:
+            raise ValueError(f"shots must be >= 1, got {shots}")
+        return 1.0
+    return swap_test_states(encode_iqp(x, fm), encode_iqp(x_other, fm), shots, rng)
+
+
+def hamming(s: str, s_other: str) -> int:
+    """Number of positions where two equal-length bitstrings differ."""
+    if len(s) != len(s_other):
+        raise ValueError(f"length mismatch: {len(s)} vs {len(s_other)}")
+    return sum(c1 != c2 for c1, c2 in zip(s, s_other))
+
+
+def _hamming_coefficients(d: int) -> np.ndarray:
+    """Table (-2)**(-H(s, s')) built from bitstring Hamming distances."""
+    labels = [format(v, f"0{d}b") for v in range(2**d)]
+    return np.array([[(-2.0) ** (-hamming(s, t)) for t in labels] for s in labels])
+
+
+def _check_signature_pair(sig_i: RMSignature, sig_j: RMSignature) -> None:
+    if sig_i.num_qubits != sig_j.num_qubits:
+        raise ValueError(
+            f"qubit mismatch: {sig_i.num_qubits} vs {sig_j.num_qubits}"
+        )
+    if sig_i.num_settings != sig_j.num_settings:
+        raise ValueError(
+            f"setting-count mismatch: {sig_i.num_settings} vs {sig_j.num_settings}"
+        )
+
+
+def rm_kernel_entry(sig_i: RMSignature, sig_j: RMSignature) -> float:
+    """Cross-correlation kernel estimate from two measurement records.
+
+    Averages ``2^d * sum_{s,s'} (-2)^(-H(s,s')) P_i(s) P_j(s')`` over the
+    shared settings.  The quadratic form is evaluated in both argument orders
+    and averaged, which makes the result bit-exactly symmetric.
+    """
+    _check_signature_pair(sig_i, sig_j)
+    coeff = _hamming_coefficients(sig_i.num_qubits)
+    p_i = sig_i.frequencies
+    p_j = sig_j.frequencies
+    forward = np.einsum("mi,ij,mj->m", p_i, coeff, p_j)
+    backward = np.einsum("mi,ij,mj->m", p_j, coeff, p_i)
+    per_setting = 0.5 * (forward + backward)
+    return float(2**sig_i.num_qubits * per_setting.mean())
+
+
+def mitigate(k_ij: float, p_i: float, p_j: float) -> float:
+    """Purity-normalized kernel entry ``k_ij / sqrt(p_i * p_j)``."""
+    if p_i <= 0 or p_j <= 0:
+        raise DegenerateSignatureError(
+            f"nonpositive purity estimate (p_i={p_i!r}, p_j={p_j!r}); "
+            "signature is unusable for mitigation"
+        )
+    return k_ij / math.sqrt(p_i * p_j)
+
+
+def rbf_entry(x: np.ndarray, x_other: np.ndarray, gamma: float) -> float:
+    """Gaussian kernel ``exp(-gamma * ||x - x'||^2)``."""
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    diff = np.asarray(x, float) - np.asarray(x_other, float)
+    return float(np.exp(-gamma * np.dot(diff, diff)))
 
 
 def project_capped_simplex(v: np.ndarray, cap: float) -> np.ndarray:

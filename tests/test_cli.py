@@ -204,6 +204,11 @@ def test_parse_seed_expressions():
         cli._parse_seeds("")
 
 
+def test_parse_seeds_rejects_reversed_range():
+    with pytest.raises(ValueError, match=r"'5-3'"):
+        cli._parse_seeds("0,5-3")
+
+
 def test_main_writes_records_and_summary(tmp_path):
     out = tmp_path / "records.jsonl"
     summary = tmp_path / "summary.csv"

@@ -93,6 +93,41 @@ def test_fraud_csv_missing_cell_names_row_and_column(tmp_path):
         load_fraud_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["0.7", "1.5", "2", "-1", "nan"])
+def test_fraud_csv_rejects_label_other_than_zero_or_one(tmp_path, cell):
+    rng = np.random.default_rng(0)
+    row = fraud_row(rng, 0)
+    row[-1] = cell
+    path = tmp_path / "fraud.csv"
+    write_fraud_csv(path, [fraud_row(rng, 1), fraud_row(rng, 0), row])
+    expected = rf"row 4, column Class: label must be 0 or 1, got '{cell}'"
+    with pytest.raises(ValueError, match=expected):
+        load_fraud_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_fraud_csv_nonfinite_cell_names_row_and_column(tmp_path, cell):
+    rng = np.random.default_rng(0)
+    row = fraud_row(rng, 0)
+    row[12] = cell  # V12
+    path = tmp_path / "fraud.csv"
+    write_fraud_csv(path, [fraud_row(rng, 0), fraud_row(rng, 1), row, fraud_row(rng, 0)])
+    with pytest.raises(NonNumericCellError, match=r"row 4, column V12: value .* is not finite"):
+        load_fraud_csv(path)
+
+
+def test_fraud_csv_blank_lines_do_not_shift_reported_row(tmp_path):
+    rng = np.random.default_rng(0)
+    lines = [",".join(FRAUD_HEADER), ",".join(str(v) for v in fraud_row(rng, 0)), ""]
+    row = fraud_row(rng, 0)
+    row[1] = "inf"  # V1
+    lines.append(",".join(str(v) for v in row))
+    path = tmp_path / "fraud.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(NonNumericCellError, match=r"row 4, column V1:"):
+        load_fraud_csv(path)
+
+
 def test_fraud_csv_missing_header_column(tmp_path):
     path = tmp_path / "fraud.csv"
     header = ",".join(c for c in FRAUD_HEADER if c != "V7")
@@ -176,29 +211,3 @@ def test_dataset_validation():
         Dataset(features=np.ones((3, 2)), labels=np.array([0, 1, 2]), name="x", seed=0)
     with pytest.raises(ValueError, match="finite"):
         Dataset(features=np.array([[np.inf, 0.0]]), labels=np.array([0]), name="x", seed=0)
-
-
-def test_dataset_cache_round_trip_bit_exact(tmp_path, rng):
-    from qkad.data import load_dataset, save_dataset
-
-    pool = make_pool(20, 5, rng)
-    path = tmp_path / "pool.npz"
-    save_dataset(path, pool)
-    loaded = load_dataset(path)
-    assert np.array_equal(loaded.features, pool.features)
-    assert np.array_equal(loaded.labels, pool.labels)
-    assert loaded.name == pool.name and loaded.seed == pool.seed
-
-
-def test_dataset_cache_rejects_unknown_version(tmp_path, rng):
-    from qkad.data import load_dataset, save_dataset
-
-    pool = make_pool(4, 2, rng)
-    path = tmp_path / "pool.npz"
-    save_dataset(path, pool)
-    with np.load(path) as blob:
-        payload = {k: blob[k] for k in blob.files}
-    payload["format_version"] = np.int64(42)
-    np.savez(path, **payload)
-    with pytest.raises(ValueError, match="version"):
-        load_dataset(path)

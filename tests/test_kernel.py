@@ -20,16 +20,18 @@ from qkad.kernel import (
     build_gram_train,
     clip_gram_psd,
     collect_signature,
+    load_signature_cache,
+    rbf_auto_gamma,
+    rm_purity,
+    save_signature_cache,
+)
+from oracles import (
     exact_fidelity,
     hamming,
     inversion_test,
-    load_signature_cache,
     mitigate,
-    rbf_auto_gamma,
     rbf_entry,
     rm_kernel_entry,
-    rm_purity,
-    save_signature_cache,
     swap_test,
     swap_test_states,
 )
