@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, data, ocsvm, pipeline
 from .ensemble import VSConfig, cross_eval_count, fit_vs, rotation_dim, score_vs
 from .kernel import KernelConfig, build_gram_cross, build_gram_train
-from .metrics import MetricsReport, average_precision, confusion, f1, precision_recall
+from .metrics import average_precision, confusion, f1, precision_recall
 from .ocsvm import SolverConfig
 from .statevec import FeatureMapConfig
 
@@ -234,11 +234,11 @@ def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecor
         converged = all(c.model.converged for c in model.components)
     else:
         t0 = time.perf_counter()
-        gram, cache = build_gram_train(X_train, kcfg, train_rng)
+        gram, train_points = build_gram_train(X_train, kcfg, train_rng)
         t1 = time.perf_counter()
         model = ocsvm.fit(gram, cfg.nu, SolverConfig(), solver_rng)
         t2 = time.perf_counter()
-        cross = build_gram_cross(X_test, X_train, kcfg, score_rng, cache)
+        cross = build_gram_cross(X_test, train_points, kcfg, score_rng)
         scores = ocsvm.decision_scores(model, cross)
         t3 = time.perf_counter()
         gram_time, solver_time = t1 - t0, t2 - t1
@@ -255,29 +255,19 @@ def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecor
     if not cfg.record_timings:
         gram_time = solver_time = train_time = test_time = 0.0
 
-    report = MetricsReport(
-        precision=prec,
-        recall=rec,
-        f1=f1(prec, rec),
-        average_precision=average_precision(-scores, test.labels),
-        counts=counts,
-        train_time_s=train_time,
-        test_time_s=test_time,
-        kernel_evals=train_evals + test_evals,
-    )
     return RunRecord(
         method=cfg.method,
         dataset=cfg.dataset,
         seed=seed,
         n_train=cfg.train_size,
         d=m,
-        ap=report.average_precision,
-        f1=report.f1,
-        precision=report.precision,
-        recall=report.recall,
-        train_time_s=report.train_time_s,
-        test_time_s=report.test_time_s,
-        kernel_evals=report.kernel_evals,
+        ap=average_precision(-scores, test.labels),
+        f1=f1(prec, rec),
+        precision=prec,
+        recall=rec,
+        train_time_s=train_time,
+        test_time_s=test_time,
+        kernel_evals=train_evals + test_evals,
         components=n_components,
         r_prime=r_prime,
         tp=counts.tp,

@@ -72,13 +72,12 @@ class Component:
     """One fitted base detector plus everything needed to score new data."""
 
     subsample_indices: np.ndarray
-    train_matrix: np.ndarray  # subsample after optional projection
+    train: np.ndarray | SignatureCache  # training point set of the cross kernel
     projection: np.ndarray | None
     kernel: KernelConfig
     model: OCSVMModel
     train_score_mean: float
     train_score_std: float
-    cache: SignatureCache | None
     score_seed: int
     train_eval_count: int
 
@@ -187,7 +186,7 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
             comp_kernel = _sized_kernel(cfg.base_kernel, sub.shape[1])
 
             t0 = time.perf_counter()
-            gram, cache = build_gram_train(sub, comp_kernel, np.random.default_rng(fit_seed))
+            gram, train = build_gram_train(sub, comp_kernel, np.random.default_rng(fit_seed))
             t1 = time.perf_counter()
             model = ocsvm.fit(gram, cfg.nu, cfg.solver, np.random.default_rng(solver_seed))
             t2 = time.perf_counter()
@@ -198,13 +197,12 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
             components.append(
                 Component(
                     subsample_indices=indices,
-                    train_matrix=sub,
+                    train=train,
                     projection=projection,
                     kernel=comp_kernel,
                     model=model,
                     train_score_mean=float(train_scores.mean()),
                     train_score_std=float(train_scores.std()),
-                    cache=cache,
                     score_seed=score_seed,
                     train_eval_count=gram.eval_count,
                 )
@@ -232,13 +230,7 @@ def _sized_kernel(base: KernelConfig, width: int) -> KernelConfig:
 
 def _component_scores(comp: Component, X_test: np.ndarray) -> np.ndarray:
     X_proj = X_test @ comp.projection if comp.projection is not None else X_test
-    cross = build_gram_cross(
-        X_proj,
-        comp.train_matrix,
-        comp.kernel,
-        rng=np.random.default_rng(comp.score_seed),
-        cache=comp.cache,
-    )
+    cross = build_gram_cross(X_proj, comp.train, comp.kernel, np.random.default_rng(comp.score_seed))
     raw = ocsvm.decision_scores(comp.model, cross)
     std = comp.train_score_std if comp.train_score_std >= _STD_FLOOR else 1.0
     return (raw - comp.train_score_mean) / std
@@ -264,6 +256,5 @@ def score_vs(model: EnsembleModel, X_test: np.ndarray) -> np.ndarray:
 def cross_eval_count(model: EnsembleModel, n_test: int) -> int:
     """Kernel evaluations a scoring pass over ``n_test`` points performs."""
     return sum(
-        eval_count(comp.kernel, n_test, n_test * comp.train_matrix.shape[0])
-        for comp in model.components
+        eval_count(comp.kernel, n_test, n_test * comp.model.n_train) for comp in model.components
     )

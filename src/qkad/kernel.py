@@ -255,37 +255,6 @@ def _rm_raw_matrix(freqs_a: np.ndarray, freqs_b: np.ndarray, num_qubits: int) ->
     return 2**num_qubits * acc / r
 
 
-def _measure_rm(
-    X: np.ndarray,
-    cfg: KernelConfig,
-    settings: tuple[LocalHaarSetting, ...],
-    rng: np.random.Generator,
-    purities: bool = True,
-) -> SignatureCache:
-    """Measurement records of the rows of ``X`` in the shared settings.
-
-    Without ``purities`` the purity estimates are left NaN; only mitigation
-    and the unmitigated training diagonal read them.
-    """
-    # one child stream per point, derived serially, so per-point collection
-    # could run concurrently without changing any outcome
-    seeds = rng.integers(0, 2**63 - 1, size=len(X))
-    signatures = tuple(
-        collect_signature(x, cfg.feature_map, settings, cfg.rm_shots, np.random.default_rng(seed))
-        for x, seed in zip(X, seeds.tolist())
-    )
-    if not purities:
-        return SignatureCache(settings, signatures, np.full(len(signatures), np.nan))
-    estimates = np.array([rm_purity(sig) for sig in signatures])
-    if cfg.mitigate and np.any(estimates <= 0):
-        bad = int(np.argmax(estimates <= 0))
-        raise DegenerateSignatureError(
-            f"point {bad} has nonpositive purity estimate {estimates[bad]!r}; "
-            "its signature is unusable for mitigation"
-        )
-    return SignatureCache(settings, signatures, estimates)
-
-
 # ---------------------------------------------------------------------------
 # classical baseline
 # ---------------------------------------------------------------------------
@@ -317,14 +286,89 @@ def _feature_states(X: np.ndarray, fm: FeatureMapConfig) -> np.ndarray:
     return np.stack([encode_iqp(x, fm).amplitudes for x in X])
 
 
+def _represent(
+    X: np.ndarray,
+    cfg: KernelConfig,
+    rng: np.random.Generator | None,
+    purities: bool,
+    settings: tuple[LocalHaarSetting, ...] | None = None,
+) -> np.ndarray | SignatureCache:
+    """The point set :func:`_kernel_block` reads for the rows of ``X``.
+
+    That is the rows themselves for rbf and their ``(n, 2^d)`` feature states
+    for the pairwise kinds.  The randomized kind measures the rows in
+    ``settings`` (``cfg.rm_settings`` fresh ones drawn from ``rng`` when
+    ``None``) and returns their :class:`SignatureCache`.  Without
+    ``purities`` its purity estimates are left NaN; only mitigation and the
+    unmitigated training diagonal read them.
+    """
+    if cfg.kind == "rbf":
+        return X
+    if cfg.kind != "randomized":
+        return _feature_states(X, cfg.feature_map)
+    if settings is None:
+        d = cfg.feature_map.num_qubits
+        settings = tuple(sample_haar_setting(d, rng) for _ in range(cfg.rm_settings))
+    # one child stream per point, derived serially, so per-point collection
+    # could run concurrently without changing any outcome
+    seeds = rng.integers(0, 2**63 - 1, size=len(X))
+    signatures = tuple(
+        collect_signature(x, cfg.feature_map, settings, cfg.rm_shots, np.random.default_rng(seed))
+        for x, seed in zip(X, seeds.tolist())
+    )
+    if not purities:
+        return SignatureCache(settings, signatures, np.full(len(signatures), np.nan))
+    estimates = np.array([rm_purity(sig) for sig in signatures])
+    if cfg.mitigate and np.any(estimates <= 0):
+        bad = int(np.argmax(estimates <= 0))
+        raise DegenerateSignatureError(
+            f"point {bad} has nonpositive purity estimate {estimates[bad]!r}; "
+            "its signature is unusable for mitigation"
+        )
+    return SignatureCache(settings, signatures, estimates)
+
+
+def _check_train(cfg: KernelConfig, train: np.ndarray | SignatureCache, width: int) -> None:
+    """Reject a training point set that ``cfg`` would not have built.
+
+    ``width`` is the feature count of the test rows.
+    """
+    if cfg.kind == "randomized":
+        if not isinstance(train, SignatureCache):
+            raise ValueError(
+                "randomized cross kernel requires the training signature cache, "
+                f"got {type(train).__name__}"
+            )
+        if train.num_qubits != cfg.feature_map.num_qubits:
+            raise ValueError(
+                f"cache encodes {train.num_qubits} qubits, "
+                f"config expects {cfg.feature_map.num_qubits}"
+            )
+        if train.num_settings != cfg.rm_settings:
+            raise ValueError(
+                f"cache holds {train.num_settings} settings, config expects {cfg.rm_settings}"
+            )
+        if cfg.mitigate and np.any(train.purities <= 0):
+            raise DegenerateSignatureError("training signature cache holds a nonpositive purity")
+        return
+    if cfg.kind == "rbf":
+        what, cols = "rows", width
+    else:
+        what, cols = "feature states", 2**cfg.feature_map.num_qubits
+    if np.ndim(train) != 2 or np.shape(train)[1] != cols:
+        raise ValueError(
+            f"{cfg.kind} cross kernel expects training {what} of shape (n, {cols}), "
+            f"got {np.shape(train)}"
+        )
+
+
 def _kernel_block(
     cfg: KernelConfig, a: np.ndarray | SignatureCache, b: np.ndarray | SignatureCache
 ) -> np.ndarray:
     """Kernel values between two point sets, before shot noise and mirroring.
 
-    Points are feature rows; for the randomized kind they are the
-    :class:`SignatureCache` records of the rows.  Pass the same object twice
-    for a training block, so states and frequencies are built once.
+    Both sets are :func:`_represent` outputs.  Pass the same object twice for
+    a training block.
     """
     if cfg.kind == "rbf":
         gamma = rbf_auto_gamma(b) if cfg.rbf_gamma == "auto" else float(cfg.rbf_gamma)
@@ -337,14 +381,10 @@ def _kernel_block(
             return raw
         return raw / np.sqrt(np.outer(a.purities, b.purities))
     # squared overlaps: exact, and the success probabilities of the shot kinds
-    states_a = _feature_states(a, cfg.feature_map)
-    states_b = states_a if b is a else _feature_states(b, cfg.feature_map)
-    return np.clip(np.abs(states_a.conj() @ states_b.T) ** 2, 0.0, 1.0)
+    return np.clip(np.abs(a.conj() @ b.T) ** 2, 0.0, 1.0)
 
 
-def _shot_noise(
-    cfg: KernelConfig, fidelity: np.ndarray, rng: np.random.Generator | None
-) -> np.ndarray:
+def _shot_noise(cfg: KernelConfig, fidelity: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Finite-shot estimates of the given fidelities, one binomial draw each.
 
     The inversion test counts all-zeros outcomes, whose probability is the
@@ -352,8 +392,6 @@ def _shot_noise(
     sampling that analytic distribution has the same statistics as simulating
     the 2d+1 qubit circuit.
     """
-    if rng is None:
-        raise ValueError(f"kernel kind {cfg.kind!r} needs an rng for shot sampling")
     shots = cfg.it_shots
     if cfg.kind == "inversion_test":
         return rng.binomial(shots, fidelity) / shots
@@ -378,25 +416,20 @@ def build_gram_train(
     X: np.ndarray,
     cfg: KernelConfig,
     rng: np.random.Generator,
-) -> tuple[GramMatrix, SignatureCache | None]:
+) -> tuple[GramMatrix, np.ndarray | SignatureCache]:
     """Symmetric training kernel matrix for the configured strategy.
 
-    Returns the Gram matrix together with the signature cache when the
-    randomized strategy is used (``None`` otherwise); the cache must be handed
-    back to :func:`build_gram_cross` at prediction time.
+    Returns the Gram matrix together with the training point set that
+    :func:`build_gram_cross` reads at prediction time: the rows for rbf, the
+    ``(n, 2^d)`` feature states for the pairwise kinds, and the
+    :class:`SignatureCache` for the randomized kind.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError(f"expected an (n, d) matrix with n >= 2, got shape {X.shape}")
     n = X.shape[0]
-    cache: SignatureCache | None = None
-    points = X
-    if cfg.kind == "randomized":
-        d = cfg.feature_map.num_qubits
-        settings = tuple(sample_haar_setting(d, rng) for _ in range(cfg.rm_settings))
-        cache = points = _measure_rm(X, cfg, settings, rng)
-
-    block = _kernel_block(cfg, points, points)
+    train = _represent(X, cfg, rng, purities=True)
+    block = _kernel_block(cfg, train, train)
     if cfg.kind in _SHOT_KINDS:
         # one estimate per unordered pair, drawn in row-major upper order
         iu, ju = np.triu_indices(n, k=1)
@@ -406,57 +439,39 @@ def build_gram_train(
     del block  # free it before the transpose copy below, lowering peak memory
     entries += entries.T
     # unmitigated RM keeps its purity estimates on the diagonal
-    np.fill_diagonal(entries, cache.purities if cache is not None and not cfg.mitigate else 1.0)
+    unmitigated_rm = cfg.kind == "randomized" and not cfg.mitigate
+    np.fill_diagonal(entries, train.purities if unmitigated_rm else 1.0)
     evals = eval_count(cfg, n, n * (n - 1) // 2)
     gram = GramMatrix(entries=entries, symmetric=True, eval_count=evals)
     if cfg.clip_psd:
         gram = clip_gram_psd(gram)
-    return gram, cache
+    return gram, train
 
 
 def build_gram_cross(
     X_test: np.ndarray,
-    X_train: np.ndarray,
+    train: np.ndarray | SignatureCache,
     cfg: KernelConfig,
     rng: np.random.Generator | None = None,
-    cache: SignatureCache | None = None,
 ) -> GramMatrix:
-    """Prediction kernel matrix of shape (len(X_test), len(X_train)).
+    """Prediction kernel matrix of shape (len(X_test), training points).
 
-    Shot-based strategies need ``rng``.  The randomized strategy additionally
-    needs the training-time :class:`SignatureCache`; only the test points are
-    measured again (in the cached settings).
+    ``train`` is the point set :func:`build_gram_train` returned, so only the
+    test points are encoded or measured (the randomized kind measures them in
+    the cached settings).  The shot-based strategies need ``rng``.
     """
     X_test = np.asarray(X_test, dtype=float)
-    X_train = np.asarray(X_train, dtype=float)
-    if X_test.ndim != 2 or X_train.ndim != 2 or X_test.shape[1] != X_train.shape[1]:
-        raise ValueError(
-            f"incompatible shapes: test {X_test.shape} vs train {X_train.shape}"
-        )
-    t, n = X_test.shape[0], X_train.shape[0]
-    test_points, train_points = X_test, X_train
-    if cfg.kind == "randomized":
-        if cache is None:
-            raise ValueError("randomized cross kernel requires the training signature cache")
-        if rng is None:
-            raise ValueError("randomized cross kernel needs an rng for shot sampling")
-        if cache.num_qubits != cfg.feature_map.num_qubits:
-            raise ValueError(
-                f"cache encodes {cache.num_qubits} qubits, "
-                f"config expects {cfg.feature_map.num_qubits}"
-            )
-        if cache.num_settings != cfg.rm_settings:
-            raise ValueError(
-                f"cache holds {cache.num_settings} settings, config expects {cfg.rm_settings}"
-            )
-        if cfg.mitigate and np.any(cache.purities <= 0):
-            raise DegenerateSignatureError("training signature cache holds a nonpositive purity")
-        test_points = _measure_rm(X_test, cfg, cache.settings, rng, purities=cfg.mitigate)
-        train_points = cache
-
-    entries = _kernel_block(cfg, test_points, train_points)
+    if X_test.ndim != 2:
+        raise ValueError(f"expected a (t, d) test matrix, got shape {X_test.shape}")
+    _check_train(cfg, train, X_test.shape[1])
+    if rng is None and cfg.kind not in ("exact", "rbf"):
+        raise ValueError(f"kernel kind {cfg.kind!r} needs an rng for shot sampling")
+    settings = train.settings if cfg.kind == "randomized" else None
+    test = _represent(X_test, cfg, rng, purities=cfg.mitigate, settings=settings)
+    entries = _kernel_block(cfg, test, train)
     if cfg.kind in _SHOT_KINDS:
         entries = _shot_noise(cfg, entries, rng)
+    t, n = entries.shape
     return GramMatrix(entries=entries, symmetric=False, eval_count=eval_count(cfg, t, t * n))
 
 

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "ConfusionCounts",
-    "MetricsReport",
     "confusion",
     "precision_recall",
     "f1",
@@ -31,24 +30,6 @@ class ConfusionCounts:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    precision: float
-    recall: float
-    f1: float
-    average_precision: float
-    counts: ConfusionCounts
-    train_time_s: float
-    test_time_s: float
-    kernel_evals: int
-
-    def __post_init__(self) -> None:
-        for name in ("precision", "recall", "f1", "average_precision"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def confusion(labels: np.ndarray, predictions: np.ndarray) -> ConfusionCounts:

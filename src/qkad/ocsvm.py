@@ -127,7 +127,7 @@ def fit(
     grad = G @ alpha
     history: list[float] | None = [dual_objective(G, alpha)] if cfg.track_objective else None
 
-    excluded = np.zeros((n, n), dtype=bool)
+    rejected: set[tuple[int, int]] = set()  # pairs rejected since the last accepted update
     converged = False
     iterations = 0
     while iterations < cfg.max_iterations:
@@ -147,10 +147,10 @@ def fit(
         low_idx = np.flatnonzero(low & (neg_grad == low_best))
         i = _choose(up_idx, rng)
         j = _choose(low_idx, rng)
-        if excluded[i, j]:
+        if (i, j) in rejected:
             # the best pair was rejected earlier this sweep; take the best
-            # non-excluded one, or give up the sweep entirely
-            pair = _best_allowed_pair(neg_grad, up, low, excluded, cfg.tolerance)
+            # allowed one, or give up the sweep entirely
+            pair = _best_allowed_pair(neg_grad, up, low, rejected, cfg.tolerance)
             if pair is None:
                 break
             i, j = pair
@@ -165,7 +165,7 @@ def fit(
             step = room
         delta_obj = -gap * step + 0.5 * quad * step * step
         if delta_obj > 0 or step <= 0:
-            excluded[i, j] = True
+            rejected.add((i, j))
             continue
 
         alpha[i] += step
@@ -175,8 +175,7 @@ def fit(
         if alpha[j] < 1e-12 * cap:
             alpha[j] = 0.0
         grad = grad + step * (G[:, i] - G[:, j])
-        if excluded.any():
-            excluded[:] = False
+        rejected.clear()
         if history is not None:
             history.append(dual_objective(G, alpha))
 
@@ -205,7 +204,7 @@ def _best_allowed_pair(
     neg_grad: np.ndarray,
     up: np.ndarray,
     low: np.ndarray,
-    excluded: np.ndarray,
+    rejected: set[tuple[int, int]],
     tolerance: float,
 ) -> tuple[int, int] | None:
     """Most violating (i, j) pair that has not been rejected this sweep."""
@@ -217,7 +216,7 @@ def _best_allowed_pair(
         for j in order_j:
             if neg_grad[i] - neg_grad[j] <= tolerance:
                 break  # later j only shrink the violation; try the next i
-            if not excluded[i, j] and i != j:
+            if i != j and (int(i), int(j)) not in rejected:
                 return int(i), int(j)
     return None
 

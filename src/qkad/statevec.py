@@ -29,7 +29,6 @@ __all__ = [
     "LocalHaarSetting",
     "encode_iqp",
     "iqp_layer_angles",
-    "apply_iqp_adjoint",
     "sample_haar_setting",
     "apply_local",
     "born_counts",
@@ -168,24 +167,6 @@ def encode_iqp(x: np.ndarray, cfg: FeatureMapConfig) -> Statevector:
     for _ in range(cfg.layers):
         amps = _hadamard_all(amps, d)
         amps = amps * phases
-    return Statevector(d, amps)
-
-
-def apply_iqp_adjoint(state: Statevector, x: np.ndarray, cfg: FeatureMapConfig) -> Statevector:
-    """Apply the adjoint of the feature-map circuit for ``x`` to ``state``.
-
-    Composing ``apply_iqp_adjoint(encode_iqp(x), x)`` recovers |0...0> up to
-    float error; the all-zeros amplitude of the mixed composition is the
-    state overlap used by the inversion test.
-    """
-    d = cfg.num_qubits
-    if state.num_qubits != d:
-        raise ValueError(f"state has {state.num_qubits} qubits, config expects {d}")
-    phases = np.exp(+0.5j * iqp_layer_angles(x, cfg))
-    amps = state.amplitudes
-    for _ in range(cfg.layers):
-        amps = amps * phases
-        amps = _hadamard_all(amps, d)
     return Statevector(d, amps)
 
 

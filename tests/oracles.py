@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from qkad.kernel import DegenerateSignatureError, RMSignature
-from qkad.statevec import FeatureMapConfig, Statevector, apply_iqp_adjoint, encode_iqp, inner_product
+from qkad.statevec import FeatureMapConfig, Statevector, encode_iqp, inner_product, iqp_layer_angles
 
 _I2 = np.eye(2, dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -75,6 +75,24 @@ def kron_apply_oracle(matrices: np.ndarray, amps: np.ndarray) -> np.ndarray:
     for m in matrices:
         full = np.kron(full, m)
     return full @ amps
+
+
+def apply_iqp_adjoint(state: Statevector, x: np.ndarray, cfg: FeatureMapConfig) -> Statevector:
+    """Apply the adjoint of the feature-map circuit for ``x`` to ``state``.
+
+    Composing ``apply_iqp_adjoint(encode_iqp(x), x)`` recovers |0...0> up to
+    float error; the all-zeros amplitude of the mixed composition is the
+    state overlap the inversion test samples.  Each layer undoes the diagonal
+    phases, then applies the Hadamards as one explicit Kronecker product.
+    """
+    d = cfg.num_qubits
+    if state.num_qubits != d:
+        raise ValueError(f"state has {state.num_qubits} qubits, config expects {d}")
+    phases = np.exp(+0.5j * iqp_layer_angles(x, cfg))
+    amps = state.amplitudes
+    for _ in range(cfg.layers):
+        amps = kron_apply_oracle([_H] * d, amps * phases)
+    return Statevector(d, amps)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def test_fit_vs_rfb_components_train_on_projected_features(rng):
     model = fit_vs(X, VSConfig(base_kernel=rm_cfg(6), nu=0.1, rfb_enabled=True), rng)
     for comp in model.components:
         assert comp.projection.shape == (6, 4)  # rotation_dim(6) = 4
-        assert comp.train_matrix.shape[1] == 4
+        assert comp.train.num_qubits == 4
         assert comp.kernel.feature_map.num_qubits == 4
         assert np.max(np.abs(comp.projection.T @ comp.projection - np.eye(4))) < 1e-10
 
@@ -179,7 +179,7 @@ def test_score_vs_single_component_equals_normalized_scores(rng):
     comp = model.components[0]
     from qkad.kernel import build_gram_cross
 
-    cross = build_gram_cross(X_test, comp.train_matrix, comp.kernel)
+    cross = build_gram_cross(X_test, comp.train, comp.kernel)
     expected = (decision_scores(comp.model, cross) - comp.train_score_mean) / comp.train_score_std
     assert np.allclose(score_vs(model, X_test), expected, atol=1e-12)
 
@@ -200,7 +200,7 @@ def test_score_vs_identical_components_mean_equals_single(rng):
     from qkad.kernel import build_gram_cross
 
     for comp in model.components:
-        cross = build_gram_cross(X_test, comp.train_matrix, comp.kernel)
+        cross = build_gram_cross(X_test, comp.train, comp.kernel)
         raw = decision_scores(comp.model, cross)
         per_comp.append((raw - comp.train_score_mean) / comp.train_score_std)
     mean_scores = score_vs(model, X_test)
@@ -230,8 +230,8 @@ def test_score_vs_reuses_stored_projection_bit_exactly(rng):
     stacked = []
     for comp in model.components:
         cross = build_gram_cross(
-            X_test @ comp.projection, comp.train_matrix, comp.kernel,
-            rng=np.random.default_rng(comp.score_seed), cache=comp.cache,
+            X_test @ comp.projection, comp.train, comp.kernel,
+            rng=np.random.default_rng(comp.score_seed),
         )
         raw = decision_scores(comp.model, cross)
         std = comp.train_score_std if comp.train_score_std >= 1e-12 else 1.0
@@ -264,8 +264,8 @@ def test_cross_eval_count_matches_measured(rng):
         measured = 0
         for comp in model.components:
             cross = build_gram_cross(
-                X_test, comp.train_matrix, comp.kernel,
-                rng=np.random.default_rng(0), cache=comp.cache,
+                X_test, comp.train, comp.kernel,
+                rng=np.random.default_rng(0),
             )
             measured += cross.eval_count
         assert cross_eval_count(model, 9) == measured

@@ -50,8 +50,8 @@ def gram_inputs() -> tuple[np.ndarray, np.ndarray]:
 
 def gram_values(cfg: KernelConfig) -> dict:
     X_train, X_test = gram_inputs()
-    train, cache = build_gram_train(X_train, cfg, np.random.default_rng(1))
-    cross = build_gram_cross(X_test, X_train, cfg, np.random.default_rng(2), cache)
+    train, points = build_gram_train(X_train, cfg, np.random.default_rng(1))
+    cross = build_gram_cross(X_test, points, cfg, np.random.default_rng(2))
     return {
         "train": train.entries.tolist(),
         "train_evals": train.eval_count,

@@ -100,7 +100,7 @@ def test_inversion_test_estimates_stay_in_unit_interval(rng):
 def test_inversion_gram_probability_matches_composition_path(rng):
     # the vectorized Gram path derives the all-zeros probability from state
     # overlaps; it must agree with the explicit adjoint-composition circuit
-    from qkad.statevec import apply_iqp_adjoint
+    from oracles import apply_iqp_adjoint
 
     for _ in range(5):
         x, xp = rng.uniform(-1, 1, size=2), rng.uniform(-1, 1, size=2)
@@ -383,8 +383,8 @@ def test_gram_train_entry_matches_scalar_op(rng):
 
 def test_gram_cross_exact_equals_train_gram(rng):
     X = rng.uniform(-1, 1, size=(5, 2))
-    train, _ = build_gram_train(X, make_cfg("exact"), rng)
-    cross = build_gram_cross(X, X, make_cfg("exact"))
+    train, states = build_gram_train(X, make_cfg("exact"), rng)
+    cross = build_gram_cross(X, states, make_cfg("exact"))
     assert np.max(np.abs(cross.entries - train.entries)) < 1e-12
     assert cross.entries.shape == (5, 5)
     assert not cross.symmetric
@@ -393,13 +393,14 @@ def test_gram_cross_exact_equals_train_gram(rng):
 def test_gram_cross_shape_and_eval_counts(rng):
     X_train = rng.uniform(-1, 1, size=(6, 2))
     X_test = rng.uniform(-1, 1, size=(3, 2))
-    cross = build_gram_cross(X_test, X_train, make_cfg("inversion_test"), rng)
+    _, states = build_gram_train(X_train, make_cfg("inversion_test"), np.random.default_rng(1))
+    cross = build_gram_cross(X_test, states, make_cfg("inversion_test"), rng)
     assert cross.entries.shape == (3, 6)
     assert cross.eval_count == 3 * 6
 
     cfg = make_cfg("randomized")
     _, cache = build_gram_train(X_train, cfg, np.random.default_rng(2))
-    rm_cross = build_gram_cross(X_test, X_train, cfg, np.random.default_rng(3), cache)
+    rm_cross = build_gram_cross(X_test, cache, cfg, np.random.default_rng(3))
     assert rm_cross.entries.shape == (3, 6)
     assert rm_cross.eval_count == 3 * cfg.rm_settings
 
@@ -408,9 +409,36 @@ def test_gram_cross_randomized_duplicated_points_near_one():
     X_train = np.random.default_rng(4).uniform(-0.1, 0.1, size=(5, 2))
     cfg = make_cfg("randomized", rm_settings=30, rm_shots=9000, mitigate=True)
     _, cache = build_gram_train(X_train, cfg, np.random.default_rng(5))
-    cross = build_gram_cross(X_train[:3], X_train, cfg, np.random.default_rng(6), cache)
+    cross = build_gram_cross(X_train[:3], cache, cfg, np.random.default_rng(6))
     for k in range(3):
         assert abs(cross.entries[k, k] - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("kind", ["exact", "inversion_test", "swap_test"])
+def test_train_and_cross_encode_each_point_once(kind, monkeypatch):
+    # the cross pass reuses the training states: n + t encodings, not 2n + t
+    import qkad.kernel
+
+    calls = []
+
+    def counted(x, fm):
+        calls.append(x)
+        return encode_iqp(x, fm)
+
+    monkeypatch.setattr(qkad.kernel, "encode_iqp", counted)
+    rng = np.random.default_rng(8)
+    X_train, X_test = rng.uniform(-1, 1, size=(7, 2)), rng.uniform(-1, 1, size=(3, 2))
+    cfg = make_cfg(kind)
+    _, states = build_gram_train(X_train, cfg, rng)
+    build_gram_cross(X_test, states, cfg, rng)
+    assert len(calls) == 7 + 3
+
+
+@pytest.mark.parametrize("kind", ["exact", "inversion_test", "swap_test"])
+def test_gram_cross_rejects_raw_training_rows(kind, rng):
+    X = rng.uniform(-1, 1, size=(4, 2))
+    with pytest.raises(ValueError, match=r"shape \(n, 4\), got \(4, 2\)"):
+        build_gram_cross(X, X, make_cfg(kind), rng)
 
 
 def test_gram_cross_requires_matching_cache(rng):
@@ -418,10 +446,10 @@ def test_gram_cross_requires_matching_cache(rng):
     cfg = make_cfg("randomized")
     _, cache = build_gram_train(X, cfg, rng)
     with pytest.raises(ValueError, match="cache"):
-        build_gram_cross(X, X, cfg, rng, cache=None)
+        build_gram_cross(X, X, cfg, rng)
     mismatched = make_cfg("randomized", rm_settings=8)
     with pytest.raises(ValueError, match="settings"):
-        build_gram_cross(X, X, mismatched, rng, cache=cache)
+        build_gram_cross(X, cache, mismatched, rng)
 
 
 def test_inversion_error_decreases_with_shots():

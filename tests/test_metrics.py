@@ -124,17 +124,6 @@ def test_ap_requires_a_positive_label():
         average_precision(np.array([0.1, 0.2]), np.array([0, 0]))
 
 
-def test_metrics_report_rejects_out_of_range_values():
-    from qkad.metrics import ConfusionCounts, MetricsReport
-
-    counts = ConfusionCounts(tp=1, fp=1, tn=1, fn=1)
-    with pytest.raises(ValueError, match="precision"):
-        MetricsReport(
-            precision=1.2, recall=0.5, f1=0.5, average_precision=0.5,
-            counts=counts, train_time_s=0.0, test_time_s=0.0, kernel_evals=0,
-        )
-
-
 def test_f1_oracle_agreement_on_random_instances(rng):
     from qkad.metrics import confusion as conf
 

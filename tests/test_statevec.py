@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import iqp_circuit_oracle, kron_apply_oracle
+from oracles import apply_iqp_adjoint, iqp_circuit_oracle, kron_apply_oracle
 from qkad.statevec import (
     FeatureMapConfig,
     LocalHaarSetting,
     Statevector,
-    apply_iqp_adjoint,
     apply_local,
     born_counts,
     encode_iqp,
