@@ -16,22 +16,18 @@ from .statevec import (  # noqa: F401
     Statevector,
     apply_local,
     encode_iqp,
-    inner_product,
     sample_haar_setting,
 )
 from .kernel import (  # noqa: F401
     DegenerateSignatureError,
     GramMatrix,
     KernelConfig,
-    RMSignature,
     SignatureCache,
     build_gram_cross,
     build_gram_train,
     clip_gram_psd,
     collect_signature,
-    load_signature_cache,
     rm_purity,
-    save_signature_cache,
 )
 from .ocsvm import OCSVMModel, SolverConfig, decision_scores, fit, predict  # noqa: F401
 from .ensemble import (  # noqa: F401
@@ -54,7 +50,6 @@ from .pipeline import (  # noqa: F401
     fit_pca,
     fit_preprocess,
     fit_scaler,
-    kernel_rescale,
 )
 from .data import Dataset, SplitSpec, generate_synthetic, load_fraud_csv, make_split  # noqa: F401
 from .metrics import average_precision, confusion, f1  # noqa: F401

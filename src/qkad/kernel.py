@@ -15,7 +15,8 @@ Five interchangeable ways to fill a kernel matrix over feature-map states:
 
 Randomized-measurement post-processing is vectorized over a cached
 ``(-2)**(-H)`` coefficient table of size ``2^d x 2^d``, so it stays cheap for
-the qubit counts this package targets (d up to roughly 12).
+the qubit counts this package targets (d up to roughly 12); widths whose
+table would exceed 1 GiB are rejected before any measurement.
 
 Shot-based entries may leave [0, 1]; they are never clipped silently.
 :func:`clip_gram_psd` is the explicit, logged repair step for indefinite
@@ -27,7 +28,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .statevec import (
 
 __all__ = [
     "KernelConfig",
-    "RMSignature",
     "GramMatrix",
     "SignatureCache",
     "DegenerateSignatureError",
@@ -54,53 +53,17 @@ __all__ = [
     "build_gram_train",
     "build_gram_cross",
     "clip_gram_psd",
-    "save_signature_cache",
-    "load_signature_cache",
 ]
 
 logger = logging.getLogger(__name__)
 
 KERNEL_KINDS = ("exact", "inversion_test", "swap_test", "randomized", "rbf")
 
-_SIGNATURE_CACHE_VERSION = 1
+_MAX_TABLE_BYTES = 2**30
 
 
 class DegenerateSignatureError(ValueError):
     """A measurement record yielded an unusable (nonpositive) purity estimate."""
-
-
-@dataclass(frozen=True)
-class RMSignature:
-    """Randomized-measurement record of one data point.
-
-    ``counts[m, s]`` is the number of shots that produced basis state ``s``
-    under measurement setting ``m``; every row sums to ``shots_per_setting``.
-    """
-
-    num_qubits: int
-    counts: np.ndarray  # (r, 2^d) integer shot counts
-    shots_per_setting: int
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
-        if counts.ndim != 2 or counts.shape[1] != 2**self.num_qubits:
-            raise ValueError(
-                f"counts must have shape (r, 2**{self.num_qubits}), got {counts.shape}"
-            )
-        if self.shots_per_setting < 1:
-            raise ValueError("shots_per_setting must be >= 1")
-        if np.any(counts < 0) or np.any(counts.sum(axis=1) != self.shots_per_setting):
-            raise ValueError("each setting's counts must be nonnegative and sum to the shot count")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def num_settings(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Empirical outcome distributions, one row per setting."""
-        return self.counts / float(self.shots_per_setting)
 
 
 @dataclass(frozen=True)
@@ -164,27 +127,22 @@ class KernelConfig:
 
 @dataclass(frozen=True)
 class SignatureCache:
-    """Measurement settings and per-point records persisted from training.
+    """Measurement settings and per-point shot counts persisted from training.
 
-    Prediction-time kernels against the training set must reuse exactly these
-    settings, so the cache travels with the fitted model.
+    ``counts[i, m, s]`` is the number of the ``shots`` shots of point ``i``
+    under setting ``m`` that produced basis state ``s``.  Prediction-time
+    kernels against the training set must reuse exactly these settings, so
+    the cache travels with the fitted model.
     """
 
     settings: tuple[LocalHaarSetting, ...]
-    signatures: tuple[RMSignature, ...]
+    counts: np.ndarray  # (n, r, 2^d) int64
+    shots: int
     purities: np.ndarray
 
     @property
     def num_qubits(self) -> int:
         return self.settings[0].num_qubits
-
-    @property
-    def num_settings(self) -> int:
-        return len(self.settings)
-
-    @property
-    def shots_per_setting(self) -> int:
-        return self.signatures[0].shots_per_setting
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +156,12 @@ def collect_signature(
     settings: list[LocalHaarSetting] | tuple[LocalHaarSetting, ...],
     shots: int,
     rng: np.random.Generator,
-) -> RMSignature:
+) -> np.ndarray:
     """Measure the feature-map state of ``x`` in every given basis setting.
 
-    The same settings list must be shared by all points entering one kernel
-    matrix; the caller owns that contract.
+    Returns the ``(r, 2^d)`` shot counts, one row per setting.  The same
+    settings list must be shared by all points entering one kernel matrix;
+    the caller owns that contract.
     """
     if not settings:
         raise ValueError("at least one measurement setting is required")
@@ -213,13 +172,21 @@ def collect_signature(
     counts = np.empty((len(settings), 2**d), dtype=np.int64)
     for m, st in enumerate(settings):
         counts[m] = born_counts(apply_local(state, st), shots, rng)
-    return RMSignature(num_qubits=d, counts=counts, shots_per_setting=shots)
+    return counts
 
 
 @lru_cache(maxsize=8)
 def _coefficient_matrix(num_qubits: int) -> np.ndarray:
-    """Cached table C[s, s'] = (-2)**(-H(s, s')) over all basis-state pairs."""
+    """Cached table C[s, s'] = (-2)**(-H(s, s')) over all basis-state pairs.
+
+    Raises ``ValueError`` before allocating a table larger than 1 GiB.
+    """
     dim = 2**num_qubits
+    if 8 * dim * dim > _MAX_TABLE_BYTES:
+        raise ValueError(
+            f"the randomized-measurement coefficient table for {num_qubits} qubits "
+            f"needs {8 * dim * dim} bytes, more than the {_MAX_TABLE_BYTES}-byte limit"
+        )
     popcount = np.array([bin(v).count("1") for v in range(dim)], dtype=np.int64)
     idx = np.arange(dim)
     coeff = (-0.5) ** popcount[idx[:, None] ^ idx[None, :]]
@@ -227,22 +194,25 @@ def _coefficient_matrix(num_qubits: int) -> np.ndarray:
     return coeff
 
 
-def rm_purity(sig: RMSignature) -> float:
-    """Bias-corrected purity estimate of one measurement record.
+def rm_purity(counts: np.ndarray, shots: int) -> float:
+    """Bias-corrected purity estimate of one point's ``(r, 2^d)`` shot counts.
 
     Uses the U-statistic over distinct shot pairs within each setting,
     ``sum_{s,s'} (-2)^(-H) (c_s c_s' - delta_{ss'} c_s) / (shots (shots-1))``,
     which removes the O(1/shots) self-pair bias of the plug-in estimator.
     """
-    shots = sig.shots_per_setting
     if shots < 2:
         raise ValueError("purity estimation needs at least 2 shots per setting")
-    coeff = _coefficient_matrix(sig.num_qubits)
-    c = sig.counts.astype(float)
+    dim = counts.shape[-1]
+    num_qubits = dim.bit_length() - 1
+    if counts.ndim != 2 or dim != 2**num_qubits:
+        raise ValueError(f"counts must have shape (r, 2**d), got {counts.shape}")
+    coeff = _coefficient_matrix(num_qubits)
+    c = counts.astype(float)
     quad = np.einsum("mi,ij,mj->m", c, coeff, c)
     # the delta term only touches the coefficient diagonal, which is all ones
     per_setting = (quad - c.sum(axis=1)) / (shots * (shots - 1.0))
-    return float(2**sig.num_qubits * per_setting.mean())
+    return float(dim * per_setting.mean())
 
 
 def _rm_raw_matrix(freqs_a: np.ndarray, freqs_b: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -306,26 +276,28 @@ def _represent(
         return X
     if cfg.kind != "randomized":
         return _feature_states(X, cfg.feature_map)
+    d = cfg.feature_map.num_qubits
+    _coefficient_matrix(d)  # fail on a table that cannot fit before measuring
     if settings is None:
-        d = cfg.feature_map.num_qubits
         settings = tuple(sample_haar_setting(d, rng) for _ in range(cfg.rm_settings))
+    shots = cfg.rm_shots
     # one child stream per point, derived serially, so per-point collection
     # could run concurrently without changing any outcome
     seeds = rng.integers(0, 2**63 - 1, size=len(X))
-    signatures = tuple(
-        collect_signature(x, cfg.feature_map, settings, cfg.rm_shots, np.random.default_rng(seed))
-        for x, seed in zip(X, seeds.tolist())
-    )
+    counts = np.empty((len(X), len(settings), 2**d), dtype=np.int64)
+    for i, (x, seed) in enumerate(zip(X, seeds.tolist())):
+        point_rng = np.random.default_rng(seed)
+        counts[i] = collect_signature(x, cfg.feature_map, settings, shots, point_rng)
     if not purities:
-        return SignatureCache(settings, signatures, np.full(len(signatures), np.nan))
-    estimates = np.array([rm_purity(sig) for sig in signatures])
+        return SignatureCache(settings, counts, shots, np.full(len(X), np.nan))
+    estimates = np.array([rm_purity(c, shots) for c in counts])
     if cfg.mitigate and np.any(estimates <= 0):
         bad = int(np.argmax(estimates <= 0))
         raise DegenerateSignatureError(
             f"point {bad} has nonpositive purity estimate {estimates[bad]!r}; "
             "its signature is unusable for mitigation"
         )
-    return SignatureCache(settings, signatures, estimates)
+    return SignatureCache(settings, counts, shots, estimates)
 
 
 def _check_train(cfg: KernelConfig, train: np.ndarray | SignatureCache, width: int) -> None:
@@ -344,9 +316,9 @@ def _check_train(cfg: KernelConfig, train: np.ndarray | SignatureCache, width: i
                 f"cache encodes {train.num_qubits} qubits, "
                 f"config expects {cfg.feature_map.num_qubits}"
             )
-        if train.num_settings != cfg.rm_settings:
+        if len(train.settings) != cfg.rm_settings:
             raise ValueError(
-                f"cache holds {train.num_settings} settings, config expects {cfg.rm_settings}"
+                f"cache holds {len(train.settings)} settings, config expects {cfg.rm_settings}"
             )
         if cfg.mitigate and np.any(train.purities <= 0):
             raise DegenerateSignatureError("training signature cache holds a nonpositive purity")
@@ -374,8 +346,8 @@ def _kernel_block(
         gamma = rbf_auto_gamma(b) if cfg.rbf_gamma == "auto" else float(cfg.rbf_gamma)
         return np.exp(-gamma * _pairwise_sq_dists(a, b))
     if cfg.kind == "randomized":
-        freqs_a = np.stack([sig.frequencies for sig in a.signatures])
-        freqs_b = freqs_a if b is a else np.stack([sig.frequencies for sig in b.signatures])
+        freqs_a = a.counts / float(a.shots)
+        freqs_b = freqs_a if b is a else b.counts / float(b.shots)
         raw = _rm_raw_matrix(freqs_a, freqs_b, cfg.feature_map.num_qubits)
         if not cfg.mitigate:
             return raw
@@ -496,42 +468,3 @@ def clip_gram_psd(gram: GramMatrix) -> GramMatrix:
     rebuilt = 0.5 * (rebuilt + rebuilt.T)
     return GramMatrix(entries=rebuilt, symmetric=True, eval_count=gram.eval_count)
 
-
-# ---------------------------------------------------------------------------
-# signature cache persistence
-# ---------------------------------------------------------------------------
-
-
-def save_signature_cache(path: str | Path, cache: SignatureCache) -> None:
-    """Write a signature cache to an ``.npz`` file with a versioned header."""
-    settings = np.stack([st.matrices for st in cache.settings])
-    counts = np.stack([sig.counts for sig in cache.signatures])
-    np.savez(
-        path,
-        format_version=np.int64(_SIGNATURE_CACHE_VERSION),
-        num_qubits=np.int64(cache.num_qubits),
-        shots_per_setting=np.int64(cache.shots_per_setting),
-        settings=settings,
-        counts=counts,
-        purities=cache.purities,
-    )
-
-
-def load_signature_cache(path: str | Path) -> SignatureCache:
-    """Read a signature cache written by :func:`save_signature_cache`."""
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != _SIGNATURE_CACHE_VERSION:
-            raise ValueError(
-                f"unsupported signature cache version {version}, "
-                f"expected {_SIGNATURE_CACHE_VERSION}"
-            )
-        num_qubits = int(data["num_qubits"])
-        shots = int(data["shots_per_setting"])
-        settings = tuple(LocalHaarSetting(m) for m in data["settings"])
-        signatures = tuple(
-            RMSignature(num_qubits=num_qubits, counts=c, shots_per_setting=shots)
-            for c in data["counts"]
-        )
-        purities = np.array(data["purities"])
-    return SignatureCache(settings=settings, signatures=signatures, purities=purities)

@@ -8,9 +8,10 @@ Solves the dual problem
 by pairwise coordinate updates: each step picks the pair with the largest
 KKT violation (ties broken at random from the caller's seeded stream) and
 moves mass between the two coordinates, which keeps both constraints intact.
-On indefinite inputs, which shot-noise kernels can produce, any update that
-would increase the objective is rejected and the pair is set aside until the
-next accepted update; the iteration cap then guarantees termination.
+A selected pair has a positive KKT gap and room to move, so every step lowers
+the objective, also on the indefinite Grams that shot-noise kernels produce.
+Only a float overflow of the pair's curvature can defeat that; a step that
+does not lower the objective stops the solver unconverged.
 
 The offset ``rho`` is the mean of ``(G alpha)_i`` over margin support vectors
 (coefficients strictly inside the box, with 1e-8 slack), falling back to the
@@ -107,9 +108,9 @@ def fit(
     """Solve the dual on a symmetric training Gram.
 
     Raises on non-square or asymmetric input and on infeasible ``nu``
-    (``nu * n < 1`` leaves no feasible point).  Hitting the iteration cap
-    returns a model with ``converged=False`` and logs a warning; it never
-    fails silently.
+    (``nu * n < 1`` leaves no feasible point).  Hitting the iteration cap,
+    or a step that does not lower the objective, returns a model with
+    ``converged=False`` and logs a warning; it never fails silently.
     """
     if not gram.symmetric:
         raise ValueError("training Gram must be symmetric")
@@ -127,7 +128,6 @@ def fit(
     grad = G @ alpha
     history: list[float] | None = [dual_objective(G, alpha)] if cfg.track_objective else None
 
-    rejected: set[tuple[int, int]] = set()  # pairs rejected since the last accepted update
     converged = False
     iterations = 0
     while iterations < cfg.max_iterations:
@@ -147,15 +147,7 @@ def fit(
         low_idx = np.flatnonzero(low & (neg_grad == low_best))
         i = _choose(up_idx, rng)
         j = _choose(low_idx, rng)
-        if (i, j) in rejected:
-            # the best pair was rejected earlier this sweep; take the best
-            # allowed one, or give up the sweep entirely
-            pair = _best_allowed_pair(neg_grad, up, low, rejected, cfg.tolerance)
-            if pair is None:
-                break
-            i, j = pair
 
-        iterations += 1
         quad = G[i, i] + G[j, j] - 2.0 * G[i, j]
         room = min(cap - alpha[i], alpha[j])
         gap = neg_grad[i] - neg_grad[j]
@@ -165,9 +157,9 @@ def fit(
             step = room
         delta_obj = -gap * step + 0.5 * quad * step * step
         if delta_obj > 0 or step <= 0:
-            rejected.add((i, j))
-            continue
+            break
 
+        iterations += 1
         alpha[i] += step
         alpha[j] -= step
         if cap - alpha[i] < 1e-12 * cap:
@@ -175,7 +167,6 @@ def fit(
         if alpha[j] < 1e-12 * cap:
             alpha[j] = 0.0
         grad = grad + step * (G[:, i] - G[:, j])
-        rejected.clear()
         if history is not None:
             history.append(dual_objective(G, alpha))
 
@@ -198,27 +189,6 @@ def fit(
         iterations=iterations,
         objective_history=tuple(history) if history is not None else None,
     )
-
-
-def _best_allowed_pair(
-    neg_grad: np.ndarray,
-    up: np.ndarray,
-    low: np.ndarray,
-    rejected: set[tuple[int, int]],
-    tolerance: float,
-) -> tuple[int, int] | None:
-    """Most violating (i, j) pair that has not been rejected this sweep."""
-    up_idx = np.flatnonzero(up)
-    low_idx = np.flatnonzero(low)
-    order_i = up_idx[np.argsort(-neg_grad[up_idx], kind="stable")]
-    order_j = low_idx[np.argsort(neg_grad[low_idx], kind="stable")]
-    for i in order_i:
-        for j in order_j:
-            if neg_grad[i] - neg_grad[j] <= tolerance:
-                break  # later j only shrink the violation; try the next i
-            if i != j and (int(i), int(j)) not in rejected:
-                return int(i), int(j)
-    return None
 
 
 def decision_scores(model: OCSVMModel, cross: GramMatrix) -> np.ndarray:

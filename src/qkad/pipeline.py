@@ -25,7 +25,6 @@ __all__ = [
     "apply_pca",
     "fit_rescale",
     "apply_rescale",
-    "kernel_rescale",
     "fit_preprocess",
     "apply_preprocess",
 ]
@@ -134,11 +133,6 @@ def apply_rescale(params: RescaleParams, X: np.ndarray) -> np.ndarray:
     if params.scaler is not None:
         X = apply_scaler(params.scaler, X)
     return X * params.factor
-
-
-def kernel_rescale(X: np.ndarray, kind: str) -> np.ndarray:
-    """Fit-and-apply convenience for training matrices."""
-    return apply_rescale(fit_rescale(X, kind), X)
 
 
 def fit_preprocess(X_train: np.ndarray, kind: str, num_features: int) -> PreprocessParams:

@@ -32,7 +32,6 @@ __all__ = [
     "sample_haar_setting",
     "apply_local",
     "born_counts",
-    "inner_product",
 ]
 
 _NORM_TOL = 1e-10
@@ -205,11 +204,3 @@ def born_counts(state: Statevector, shots: int, rng: np.random.Generator) -> np.
         raise ValueError(f"shots must be >= 1, got {shots}")
     return rng.multinomial(shots, state.probabilities())
 
-
-def inner_product(a: Statevector, b: Statevector) -> complex:
-    """Hilbert-space inner product <a|b>."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(
-            f"dimension mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))

@@ -15,8 +15,8 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from qkad.kernel import DegenerateSignatureError, RMSignature
-from qkad.statevec import FeatureMapConfig, Statevector, encode_iqp, inner_product, iqp_layer_angles
+from qkad.kernel import DegenerateSignatureError
+from qkad.statevec import FeatureMapConfig, Statevector, encode_iqp, iqp_layer_angles
 
 _I2 = np.eye(2, dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -75,6 +75,15 @@ def kron_apply_oracle(matrices: np.ndarray, amps: np.ndarray) -> np.ndarray:
     for m in matrices:
         full = np.kron(full, m)
     return full @ amps
+
+
+def inner_product(a: Statevector, b: Statevector) -> complex:
+    """Hilbert-space inner product <a|b>."""
+    if a.num_qubits != b.num_qubits:
+        raise ValueError(
+            f"dimension mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
+        )
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def apply_iqp_adjoint(state: Statevector, x: np.ndarray, cfg: FeatureMapConfig) -> Statevector:
@@ -173,32 +182,34 @@ def _hamming_coefficients(d: int) -> np.ndarray:
     return np.array([[(-2.0) ** (-hamming(s, t)) for t in labels] for s in labels])
 
 
-def _check_signature_pair(sig_i: RMSignature, sig_j: RMSignature) -> None:
-    if sig_i.num_qubits != sig_j.num_qubits:
+def _check_signature_pair(counts_i: np.ndarray, counts_j: np.ndarray) -> None:
+    if counts_i.shape[1] != counts_j.shape[1]:
         raise ValueError(
-            f"qubit mismatch: {sig_i.num_qubits} vs {sig_j.num_qubits}"
+            f"qubit mismatch: {counts_i.shape[1]} vs {counts_j.shape[1]} outcomes"
         )
-    if sig_i.num_settings != sig_j.num_settings:
+    if counts_i.shape[0] != counts_j.shape[0]:
         raise ValueError(
-            f"setting-count mismatch: {sig_i.num_settings} vs {sig_j.num_settings}"
+            f"setting-count mismatch: {counts_i.shape[0]} vs {counts_j.shape[0]}"
         )
 
 
-def rm_kernel_entry(sig_i: RMSignature, sig_j: RMSignature) -> float:
-    """Cross-correlation kernel estimate from two measurement records.
+def rm_kernel_entry(counts_i: np.ndarray, counts_j: np.ndarray, shots: int) -> float:
+    """Cross-correlation kernel estimate from two points' ``(r, 2^d)`` shot counts.
 
     Averages ``2^d * sum_{s,s'} (-2)^(-H(s,s')) P_i(s) P_j(s')`` over the
-    shared settings.  The quadratic form is evaluated in both argument orders
-    and averaged, which makes the result bit-exactly symmetric.
+    shared settings, where ``P = counts / shots``.  The quadratic form is
+    evaluated in both argument orders and averaged, which makes the result
+    bit-exactly symmetric.
     """
-    _check_signature_pair(sig_i, sig_j)
-    coeff = _hamming_coefficients(sig_i.num_qubits)
-    p_i = sig_i.frequencies
-    p_j = sig_j.frequencies
+    _check_signature_pair(counts_i, counts_j)
+    dim = counts_i.shape[1]
+    coeff = _hamming_coefficients(dim.bit_length() - 1)
+    p_i = counts_i / float(shots)
+    p_j = counts_j / float(shots)
     forward = np.einsum("mi,ij,mj->m", p_i, coeff, p_j)
     backward = np.einsum("mi,ij,mj->m", p_j, coeff, p_i)
     per_setting = 0.5 * (forward + backward)
-    return float(2**sig_i.num_qubits * per_setting.mean())
+    return float(dim * per_setting.mean())
 
 
 def mitigate(k_ij: float, p_i: float, p_j: float) -> float:

@@ -8,26 +8,23 @@ from qkad.statevec import (
     Statevector,
     apply_local,
     encode_iqp,
-    inner_product,
     sample_haar_setting,
 )
 from qkad.kernel import (
     DegenerateSignatureError,
     GramMatrix,
     KernelConfig,
-    RMSignature,
     build_gram_cross,
     build_gram_train,
     clip_gram_psd,
     collect_signature,
-    load_signature_cache,
     rbf_auto_gamma,
     rm_purity,
-    save_signature_cache,
 )
 from oracles import (
     exact_fidelity,
     hamming,
+    inner_product,
     inversion_test,
     mitigate,
     rbf_entry,
@@ -39,16 +36,14 @@ from oracles import (
 FM2 = FeatureMapConfig(num_qubits=2)
 
 
-def uniform_signature(r: int, shots: int) -> RMSignature:
+def uniform_counts(r: int, shots: int) -> np.ndarray:
     # ideal maximally-mixed record on one qubit: half the shots per outcome
-    counts = np.full((r, 2), shots // 2, dtype=np.int64)
-    return RMSignature(num_qubits=1, counts=counts, shots_per_setting=shots)
+    return np.full((r, 2), shots // 2, dtype=np.int64)
 
 
-def random_signature(d: int, r: int, shots: int, rng) -> RMSignature:
+def random_counts(d: int, r: int, shots: int, rng) -> np.ndarray:
     probs = rng.dirichlet(np.ones(2**d), size=r)
-    counts = np.stack([rng.multinomial(shots, p) for p in probs])
-    return RMSignature(num_qubits=d, counts=counts, shots_per_setting=shots)
+    return np.stack([rng.multinomial(shots, p) for p in probs])
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +137,19 @@ def test_swap_test_converges_to_exact_fidelity():
 
 def test_collect_signature_shape_and_normalization(rng):
     settings = [sample_haar_setting(2, rng) for _ in range(5)]
-    sig = collect_signature(np.array([0.2, 0.8]), FM2, settings, 600, rng)
-    assert sig.num_settings == 5
-    assert np.max(np.abs(sig.frequencies.sum(axis=1) - 1.0)) < 1e-12
+    counts = collect_signature(np.array([0.2, 0.8]), FM2, settings, 600, rng)
+    assert counts.shape == (5, 4)
+    assert np.max(np.abs((counts / 600.0).sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_collect_signature_zero_input_matches_born_oracle(rng):
     # x = 0 encodes |00>, so each stored distribution is the Born
     # distribution of U|00>, i.e. |first column of U|^2
     setting = sample_haar_setting(2, rng)
-    sig = collect_signature(np.zeros(2), FM2, [setting], 10**5, rng)
+    counts = collect_signature(np.zeros(2), FM2, [setting], 10**5, rng)
     u_full = np.kron(setting.matrices[0], setting.matrices[1])
     born = np.abs(u_full[:, 0]) ** 2
-    assert np.max(np.abs(sig.frequencies[0] - born)) < 4 / math.sqrt(10**5)
+    assert np.max(np.abs(counts[0] / 10**5 - born)) < 4 / math.sqrt(10**5)
 
 
 def test_collect_signature_rejects_mismatched_settings(rng):
@@ -188,31 +183,58 @@ def test_coefficient_table_matches_hamming_distance():
             assert coeff[s, t] == expected
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_coefficient_table_is_kronecker_power(d):
+    # the (-2)^(-H) table factors per qubit; a batched engine may rely on it
+    from qkad.kernel import _coefficient_matrix
+
+    factor = np.array([[1.0, -0.5], [-0.5, 1.0]])
+    kron = np.ones((1, 1))
+    for _ in range(d):
+        kron = np.kron(kron, factor)
+    assert np.array_equal(_coefficient_matrix(d), kron)
+
+
+def test_randomized_kernel_rejects_a_coefficient_table_over_1_gib(monkeypatch):
+    # d = 14 needs 8 * 4^14 bytes = 2 GiB; the check runs before any
+    # measurement or allocation
+    import qkad.kernel
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("measured a point before the table size check")
+
+    monkeypatch.setattr(qkad.kernel, "collect_signature", unreachable)
+    monkeypatch.setattr(qkad.kernel, "sample_haar_setting", unreachable)
+    cfg = KernelConfig(kind="randomized", feature_map=FeatureMapConfig(num_qubits=14))
+    with pytest.raises(ValueError, match=r"14 qubits needs 2147483648 bytes"):
+        build_gram_train(np.zeros((2, 14)), cfg, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # randomized-measurement post-processing
 # ---------------------------------------------------------------------------
 
 
 def test_rm_kernel_entry_uniform_single_qubit_is_half():
-    sig = uniform_signature(r=4, shots=1000)
-    assert rm_kernel_entry(sig, sig) == 0.5  # exact float arithmetic
+    counts = uniform_counts(r=4, shots=1000)
+    assert rm_kernel_entry(counts, counts, 1000) == 0.5  # exact float arithmetic
 
 
 def test_rm_kernel_entry_bit_exact_symmetry(rng):
     for _ in range(10):
-        a = random_signature(2, 7, 300, rng)
-        b = random_signature(2, 7, 300, rng)
-        assert rm_kernel_entry(a, b) == rm_kernel_entry(b, a)
+        a = random_counts(2, 7, 300, rng)
+        b = random_counts(2, 7, 300, rng)
+        assert rm_kernel_entry(a, b, 300) == rm_kernel_entry(b, a, 300)
 
 
 def test_rm_kernel_entry_rejects_mismatched_records(rng):
-    a = random_signature(1, 4, 100, rng)
-    b = random_signature(2, 4, 100, rng)
+    a = random_counts(1, 4, 100, rng)
+    b = random_counts(2, 4, 100, rng)
     with pytest.raises(ValueError, match="qubit"):
-        rm_kernel_entry(a, b)
-    c = random_signature(1, 5, 100, rng)
+        rm_kernel_entry(a, b, 100)
+    c = random_counts(1, 5, 100, rng)
     with pytest.raises(ValueError, match="setting"):
-        rm_kernel_entry(a, c)
+        rm_kernel_entry(a, c, 100)
 
 
 def test_rm_mitigated_entries_close_to_exact_fidelity():
@@ -226,20 +248,19 @@ def test_rm_mitigated_entries_close_to_exact_fidelity():
 
 
 def test_rm_purity_setting_permutation_invariance(rng):
-    sig = random_signature(2, 6, 500, rng)
+    counts = random_counts(2, 6, 500, rng)
     perm = rng.permutation(6)
-    permuted = RMSignature(2, sig.counts[perm], sig.shots_per_setting)
-    assert rm_purity(permuted) == pytest.approx(rm_purity(sig), abs=1e-14)
+    assert rm_purity(counts[perm], 500) == pytest.approx(rm_purity(counts, 500), abs=1e-14)
 
 
 def test_rm_purity_uniform_counts_closed_form():
     # ideal uniform counts on one qubit: the pair U-statistic evaluates to
     # (s - 4) / (2 (s - 1)) = 0.5 - O(1/s), approaching the mixed-state purity
     for shots in (10, 100, 10000):
-        sig = uniform_signature(r=3, shots=shots)
+        counts = uniform_counts(r=3, shots=shots)
         expected = (shots - 4.0) / (2.0 * (shots - 1.0))
-        assert rm_purity(sig) == pytest.approx(expected, abs=1e-12)
-        assert abs(rm_purity(sig) - 0.5) <= 1.5 / (shots - 1.0) + 1e-12
+        assert rm_purity(counts, shots) == pytest.approx(expected, abs=1e-12)
+        assert abs(rm_purity(counts, shots) - 0.5) <= 1.5 / (shots - 1.0) + 1e-12
 
 
 def test_rm_purity_unbiased_where_plugin_is_not():
@@ -252,9 +273,9 @@ def test_rm_purity_unbiased_where_plugin_is_not():
     mean_plugin = 0.0
     for c0 in range(s + 1):
         pmf = math.comb(s, c0) * p**c0 * (1 - p) ** (s - c0)
-        sig = RMSignature(1, np.array([[c0, s - c0]]), s)
-        mean_u += pmf * rm_purity(sig)
-        mean_plugin += pmf * rm_kernel_entry(sig, sig)
+        counts = np.array([[c0, s - c0]])
+        mean_u += pmf * rm_purity(counts, s)
+        mean_plugin += pmf * rm_kernel_entry(counts, counts, s)
     assert mean_u == pytest.approx(0.5, abs=1e-12)
     assert mean_plugin > 0.5 + 0.05
 
@@ -267,17 +288,16 @@ def test_rm_purity_pure_states_across_seeds():
     for seed in range(15):
         rng = np.random.default_rng(500 + seed)
         settings = [sample_haar_setting(2, rng) for _ in range(30)]
-        sig = collect_signature(x, FM2, settings, 9000, rng)
-        estimates.append(rm_purity(sig))
+        counts = collect_signature(x, FM2, settings, 9000, rng)
+        estimates.append(rm_purity(counts, 9000))
     estimates = np.array(estimates)
     assert abs(estimates.mean() - 1.0) <= 0.05
     assert np.max(np.abs(estimates - 1.0)) <= 0.25  # 3 sigma of the Haar floor
 
 
 def test_rm_purity_needs_two_shots():
-    sig = RMSignature(1, np.array([[1, 0]]), 1)
     with pytest.raises(ValueError, match="2 shots"):
-        rm_purity(sig)
+        rm_purity(np.array([[1, 0]]), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +381,7 @@ def test_gram_train_randomized_diagonal_semantics(rng):
     assert np.array_equal(np.diag(mit.entries), np.ones(5))
     raw, cache2 = build_gram_train(X, make_cfg("randomized", mitigate=False), np.random.default_rng(1))
     assert np.array_equal(np.diag(raw.entries), cache2.purities)
-    assert cache is not None and len(cache.signatures) == 5
+    assert cache is not None and cache.counts.shape[0] == 5
 
 
 def test_gram_train_deterministic_given_seed(rng):
@@ -372,12 +392,28 @@ def test_gram_train_deterministic_given_seed(rng):
         assert np.array_equal(a.entries, b.entries)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unmitigated_raw_rm_block_is_symmetric_psd(seed):
+    # before the diagonal rule the raw block is (2^d / r) sum_m F_m C F_m^T
+    # with C positive definite, so it is PSD up to rounding
+    from qkad.kernel import _kernel_block, _represent
+
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-0.5, 0.5, size=(12, 3))
+    cfg = make_cfg("randomized", feature_map=FeatureMapConfig(num_qubits=3), mitigate=False)
+    train = _represent(X, cfg, rng, purities=False)
+    raw = _kernel_block(cfg, train, train)
+    scale = np.max(np.abs(raw))
+    assert np.max(np.abs(raw - raw.T)) <= 1e-12 * scale
+    assert np.linalg.eigvalsh(raw).min() >= -1e-12 * scale
+
+
 def test_gram_train_entry_matches_scalar_op(rng):
     X = rng.uniform(-0.4, 0.4, size=(4, 2))
     gram, cache = build_gram_train(X, make_cfg("randomized", mitigate=False), rng)
     for i in range(4):
         for j in range(i + 1, 4):
-            expected = rm_kernel_entry(cache.signatures[i], cache.signatures[j])
+            expected = rm_kernel_entry(cache.counts[i], cache.counts[j], cache.shots)
             assert gram.entries[i, j] == pytest.approx(expected, abs=1e-12)
 
 
@@ -489,9 +525,9 @@ def test_estimator_spread_shrinks_with_more_settings():
         for k in range(25):
             rng = np.random.default_rng(base_seed + k)
             settings = [sample_haar_setting(2, rng) for _ in range(r)]
-            sig_a = collect_signature(x, fm, settings, 200, rng)
-            sig_b = collect_signature(xp, fm, settings, 200, rng)
-            vals.append(rm_kernel_entry(sig_a, sig_b))
+            counts_a = collect_signature(x, fm, settings, 200, rng)
+            counts_b = collect_signature(xp, fm, settings, 200, rng)
+            vals.append(rm_kernel_entry(counts_a, counts_b, 200))
         return np.std(vals)
 
     assert spread(30, 900) < spread(5, 100)
@@ -511,39 +547,6 @@ def test_clip_psd_flag_applies_during_build(rng):
     cfg = make_cfg("randomized", rm_settings=4, rm_shots=50, mitigate=False, clip_psd=True)
     gram, _ = build_gram_train(X, cfg, rng)
     assert np.linalg.eigvalsh(gram.entries).min() >= -1e-9
-
-
-# ---------------------------------------------------------------------------
-# signature cache file round trip
-# ---------------------------------------------------------------------------
-
-
-def test_signature_cache_round_trip_bit_exact(tmp_path, rng):
-    X = rng.uniform(-0.5, 0.5, size=(4, 2))
-    _, cache = build_gram_train(X, make_cfg("randomized"), rng)
-    path = tmp_path / "sigs.npz"
-    save_signature_cache(path, cache)
-    loaded = load_signature_cache(path)
-    assert loaded.num_settings == cache.num_settings
-    assert loaded.shots_per_setting == cache.shots_per_setting
-    for a, b in zip(loaded.settings, cache.settings):
-        assert np.array_equal(a.matrices, b.matrices)
-    for a, b in zip(loaded.signatures, cache.signatures):
-        assert np.array_equal(a.counts, b.counts)
-    assert np.array_equal(loaded.purities, cache.purities)
-
-
-def test_signature_cache_rejects_unknown_version(tmp_path, rng):
-    X = rng.uniform(-0.5, 0.5, size=(3, 2))
-    _, cache = build_gram_train(X, make_cfg("randomized"), rng)
-    path = tmp_path / "sigs.npz"
-    save_signature_cache(path, cache)
-    with np.load(path) as data:
-        payload = {k: data[k] for k in data.files}
-    payload["format_version"] = np.int64(99)
-    np.savez(path, **payload)
-    with pytest.raises(ValueError, match="version"):
-        load_signature_cache(path)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from qkad.pipeline import (
     fit_preprocess,
     fit_rescale,
     fit_scaler,
-    kernel_rescale,
 )
 
 
@@ -103,13 +102,14 @@ def test_pca_m_out_of_range(rng):
 def test_rescale_angle_kinds_multiply_by_tenth():
     X = np.array([[2.0, -1.0]])
     for kind in ("inversion_test", "swap_test", "exact"):
-        assert np.array_equal(kernel_rescale(X, kind), X * 0.1)
-    assert kernel_rescale(np.array([[2.0]]), "inversion_test")[0, 0] == pytest.approx(0.2)
+        assert np.array_equal(apply_rescale(fit_rescale(X, kind), X), X * 0.1)
+    one = np.array([[2.0]])
+    assert apply_rescale(fit_rescale(one, "inversion_test"), one)[0, 0] == pytest.approx(0.2)
 
 
 def test_rescale_randomized_shrinks_by_sqrt_m(rng):
     X = rng.normal(size=(100, 4)) * np.array([1.0, 3.0, 0.5, 2.0])
-    out = kernel_rescale(X, "randomized")
+    out = apply_rescale(fit_rescale(X, "randomized"), X)
     # after the secondary standardization each column has std 1, so the
     # 1/sqrt(M) factor leaves columns with std exactly 0.5 for M = 4
     assert np.max(np.abs(out.std(axis=0) - 0.5)) < 1e-10
@@ -117,7 +117,8 @@ def test_rescale_randomized_shrinks_by_sqrt_m(rng):
 
 def test_rescale_rbf_is_identity_bit_exact(rng):
     X = rng.normal(size=(20, 3))
-    assert kernel_rescale(X, "rbf") is X or np.array_equal(kernel_rescale(X, "rbf"), X)
+    out = apply_rescale(fit_rescale(X, "rbf"), X)
+    assert out is X or np.array_equal(out, X)
 
 
 def test_rescale_unknown_kind():

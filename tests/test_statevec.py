@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import apply_iqp_adjoint, iqp_circuit_oracle, kron_apply_oracle
+from oracles import apply_iqp_adjoint, inner_product, iqp_circuit_oracle, kron_apply_oracle
 from qkad.statevec import (
     FeatureMapConfig,
     LocalHaarSetting,
@@ -9,7 +9,6 @@ from qkad.statevec import (
     apply_local,
     born_counts,
     encode_iqp,
-    inner_product,
     sample_haar_setting,
 )
 
