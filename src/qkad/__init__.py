@@ -1,6 +1,6 @@
 """Quantum-kernel one-class SVM anomaly detection benchmark.
 
-Statevector simulation of data-encoding circuits, four kernel estimation
+State-vector simulation of data-encoding circuits, four kernel estimation
 strategies (exact overlap, inversion test, swap test, randomized
 measurements with purity mitigation) plus a classical RBF baseline, a
 nu-one-class-SVM dual solver for precomputed kernels, variable-subsampling
@@ -12,8 +12,6 @@ __version__ = "0.1.0"
 
 from .statevec import (  # noqa: F401
     FeatureMapConfig,
-    LocalHaarSetting,
-    Statevector,
     apply_local,
     encode_iqp,
     sample_haar_setting,

@@ -5,7 +5,9 @@ random streams, and produces one record.  Records carry everything needed to
 reproduce the run (config echo, package version, generator constants) plus
 metrics, phase timings and kernel-evaluation counts.  A failing seed yields a
 record with the error message while the remaining seeds still run; the
-process exit code is zero only when every seed succeeded.
+process exit code is zero only when every seed succeeded, one when some seed
+failed, and two (with usage) on invalid options or a malformed records file,
+before any seed runs.
 
 Seeds run sequentially by default; ``--parallel`` fans them out over threads
 without changing any numeric output, because every seed owns its streams.
@@ -20,7 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +336,9 @@ def records_to_jsonl(records: list[RunRecord]) -> str:
 
 
 _RECORD_FIELDS = {f.name for f in fields(RunRecord)}
+_REQUIRED_FIELDS = [
+    f.name for f in fields(RunRecord) if f.default is MISSING and f.default_factory is MISSING
+]
 
 
 def load_records_jsonl(path: str | Path) -> list[RunRecord]:
@@ -346,6 +351,11 @@ def load_records_jsonl(path: str | Path) -> list[RunRecord]:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {line_no} is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: line {line_no} is not a JSON object")
+        missing = [k for k in _REQUIRED_FIELDS if k not in payload]
+        if missing:
+            raise ValueError(f"{path}: line {line_no} lacks required keys {missing}")
         records.append(RunRecord(**{k: v for k, v in payload.items() if k in _RECORD_FIELDS}))
     return records
 
@@ -450,8 +460,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.summarize_records:
         records: list[RunRecord] = []
-        for path in args.summarize_records:
-            records.extend(load_records_jsonl(path))
+        try:
+            for path in args.summarize_records:
+                records.extend(load_records_jsonl(path))
+        except ValueError as exc:
+            parser.error(str(exc))
         rows = summarize(records)
         text = summary_to_csv(rows)
         if args.summary:
@@ -464,26 +477,29 @@ def main(argv: list[str] | None = None) -> int:
     if args.method is None or args.dataset is None:
         parser.error("--method and --dataset are required unless --summarize-records is used")
 
-    cfg = RunConfig(
-        method=args.method,
-        dataset=args.dataset,
-        train_size=args.train_size,
-        num_features=args.num_features,
-        nu=args.nu,
-        angle_scale=args.angle_scale,
-        layers=args.layers,
-        it_shots=args.it_shots,
-        rm_settings=args.rm_settings,
-        rm_shots=args.rm_shots,
-        aggregation=args.aggregation,
-        seeds=tuple(args.seeds),
-        fraud_csv=args.fraud_csv,
-        output=args.output,
-        threshold=args.threshold,
-        mitigate=args.mitigate,
-        record_timings=not args.omit_timings,
-        parallel=args.parallel,
-    )
+    try:
+        cfg = RunConfig(
+            method=args.method,
+            dataset=args.dataset,
+            train_size=args.train_size,
+            num_features=args.num_features,
+            nu=args.nu,
+            angle_scale=args.angle_scale,
+            layers=args.layers,
+            it_shots=args.it_shots,
+            rm_settings=args.rm_settings,
+            rm_shots=args.rm_shots,
+            aggregation=args.aggregation,
+            seeds=tuple(args.seeds),
+            fraud_csv=args.fraud_csv,
+            output=args.output,
+            threshold=args.threshold,
+            mitigate=args.mitigate,
+            record_timings=not args.omit_timings,
+            parallel=args.parallel,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     records = run_experiment(cfg)
 
     jsonl = records_to_jsonl(records)

@@ -33,7 +33,6 @@ import numpy as np
 
 from .statevec import (
     FeatureMapConfig,
-    LocalHaarSetting,
     apply_local,
     born_counts,
     encode_iqp,
@@ -135,14 +134,14 @@ class SignatureCache:
     the cache travels with the fitted model.
     """
 
-    settings: tuple[LocalHaarSetting, ...]
+    settings: np.ndarray  # (r, d, 2, 2) complex
     counts: np.ndarray  # (n, r, 2^d) int64
     shots: int
     purities: np.ndarray
 
     @property
     def num_qubits(self) -> int:
-        return self.settings[0].num_qubits
+        return self.settings.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -153,21 +152,21 @@ class SignatureCache:
 def collect_signature(
     x: np.ndarray,
     fm: FeatureMapConfig,
-    settings: list[LocalHaarSetting] | tuple[LocalHaarSetting, ...],
+    settings: np.ndarray,
     shots: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Measure the feature-map state of ``x`` in every given basis setting.
+    """Measure the feature-map state of ``x`` in every setting of an (r, d, 2, 2) array.
 
     Returns the ``(r, 2^d)`` shot counts, one row per setting.  The same
-    settings list must be shared by all points entering one kernel matrix;
+    settings must be shared by all points entering one kernel matrix;
     the caller owns that contract.
     """
-    if not settings:
+    if len(settings) == 0:
         raise ValueError("at least one measurement setting is required")
     d = fm.num_qubits
-    if any(st.num_qubits != d for st in settings):
-        raise ValueError("all settings must act on the same number of qubits as the feature map")
+    if settings.shape[1] != d:
+        raise ValueError(f"settings act on {settings.shape[1]} qubits, the feature map on {d}")
     state = encode_iqp(x, fm)
     counts = np.empty((len(settings), 2**d), dtype=np.int64)
     for m, st in enumerate(settings):
@@ -253,7 +252,7 @@ _SHOT_KINDS = ("inversion_test", "swap_test")
 
 
 def _feature_states(X: np.ndarray, fm: FeatureMapConfig) -> np.ndarray:
-    return np.stack([encode_iqp(x, fm).amplitudes for x in X])
+    return np.stack([encode_iqp(x, fm) for x in X])
 
 
 def _represent(
@@ -261,7 +260,7 @@ def _represent(
     cfg: KernelConfig,
     rng: np.random.Generator | None,
     purities: bool,
-    settings: tuple[LocalHaarSetting, ...] | None = None,
+    settings: np.ndarray | None = None,
 ) -> np.ndarray | SignatureCache:
     """The point set :func:`_kernel_block` reads for the rows of ``X``.
 
@@ -279,7 +278,7 @@ def _represent(
     d = cfg.feature_map.num_qubits
     _coefficient_matrix(d)  # fail on a table that cannot fit before measuring
     if settings is None:
-        settings = tuple(sample_haar_setting(d, rng) for _ in range(cfg.rm_settings))
+        settings = np.stack([sample_haar_setting(d, rng) for _ in range(cfg.rm_settings)])
     shots = cfg.rm_shots
     # one child stream per point, derived serially, so per-point collection
     # could run concurrently without changing any outcome

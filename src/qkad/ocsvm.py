@@ -46,7 +46,6 @@ SUPPORT_THRESHOLD = 1e-8
 class SolverConfig:
     tolerance: float = 1e-3
     max_iterations: int = 100_000
-    track_objective: bool = False
 
     def __post_init__(self) -> None:
         if not self.tolerance > 0:
@@ -66,7 +65,6 @@ class OCSVMModel:
     n_train: int
     converged: bool
     iterations: int
-    objective_history: tuple[float, ...] | None = None
 
 
 def dual_objective(G: np.ndarray, alpha: np.ndarray) -> float:
@@ -126,7 +124,6 @@ def fit(
     cap = 1.0 / (nu * n)
     alpha = _initial_alpha(n, nu)
     grad = G @ alpha
-    history: list[float] | None = [dual_objective(G, alpha)] if cfg.track_objective else None
 
     converged = False
     iterations = 0
@@ -167,8 +164,6 @@ def fit(
         if alpha[j] < 1e-12 * cap:
             alpha[j] = 0.0
         grad = grad + step * (G[:, i] - G[:, j])
-        if history is not None:
-            history.append(dual_objective(G, alpha))
 
     if not converged:
         logger.warning(
@@ -187,7 +182,6 @@ def fit(
         n_train=n,
         converged=converged,
         iterations=iterations,
-        objective_history=tuple(history) if history is not None else None,
     )
 
 

@@ -10,6 +10,9 @@ Conventions used throughout the package:
   two bits are aligned and ``exp(+i theta/2)`` when they differ.  Both are
   diagonal, so one complex phase vector per data point covers a whole
   rotation layer.
+* A ``d``-qubit state is its ``(2**d,)`` complex amplitude array, and a
+  local measurement setting is a ``(d, 2, 2)`` array of single-qubit
+  unitaries, one per qubit.
 * Global phase is not tracked beyond what the gate definitions imply; all
   downstream quantities are fidelities, which ignore it.
 
@@ -24,48 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Statevector",
     "FeatureMapConfig",
-    "LocalHaarSetting",
     "encode_iqp",
     "iqp_layer_angles",
     "sample_haar_setting",
     "apply_local",
     "born_counts",
 ]
-
-_NORM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Statevector:
-    """Pure state of ``num_qubits`` qubits as a dense complex amplitude vector."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.shape[0] != 2**self.num_qubits:
-            raise ValueError(
-                f"amplitude vector must have length 2**{self.num_qubits}, "
-                f"got shape {amps.shape}"
-            )
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"state is not normalized: sum |amp|^2 = {norm!r}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
-
-    def probabilities(self) -> np.ndarray:
-        """Born probabilities, renormalized against float drift."""
-        p = np.abs(self.amplitudes) ** 2
-        return p / p.sum()
 
 
 @dataclass(frozen=True)
@@ -83,27 +51,6 @@ class FeatureMapConfig:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
         if not self.angle_scale > 0:
             raise ValueError(f"angle_scale must be > 0, got {self.angle_scale}")
-
-
-@dataclass(frozen=True)
-class LocalHaarSetting:
-    """One random measurement basis: an independent 2x2 unitary per qubit."""
-
-    matrices: np.ndarray  # shape (d, 2, 2), complex
-
-    def __post_init__(self) -> None:
-        mats = np.asarray(self.matrices, dtype=np.complex128)
-        if mats.ndim != 3 or mats.shape[1:] != (2, 2):
-            raise ValueError(f"expected shape (d, 2, 2), got {mats.shape}")
-        eye = np.eye(2)
-        gram = np.einsum("kji,kjl->kil", mats.conj(), mats)
-        if np.max(np.abs(gram - eye)) > _NORM_TOL:
-            raise ValueError("per-qubit matrices are not unitary within 1e-10")
-        object.__setattr__(self, "matrices", mats)
-
-    @property
-    def num_qubits(self) -> int:
-        return self.matrices.shape[0]
 
 
 def _apply_1q(amps: np.ndarray, gate: np.ndarray, qubit: int, d: int) -> np.ndarray:
@@ -152,8 +99,8 @@ def iqp_layer_angles(x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     return angles
 
 
-def encode_iqp(x: np.ndarray, cfg: FeatureMapConfig) -> Statevector:
-    """Map a classical vector to its feature-map state.
+def encode_iqp(x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
+    """Map a classical vector to its feature-map state's amplitudes.
 
     Starting from |0...0>, repeats ``cfg.layers`` times: Hadamards on every
     qubit, then the commuting diagonal rotation layer whose angles are given
@@ -166,41 +113,38 @@ def encode_iqp(x: np.ndarray, cfg: FeatureMapConfig) -> Statevector:
     for _ in range(cfg.layers):
         amps = _hadamard_all(amps, d)
         amps = amps * phases
-    return Statevector(d, amps)
+    return amps
 
 
-def _haar_unitaries(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed 2x2 unitaries via Ginibre draw + QR with phase fix."""
-    z = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (diag / np.abs(diag))[:, None, :]
-    return q
+def sample_haar_setting(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw one Haar-random single-qubit unitary per qubit, as a (d, 2, 2) array.
 
-
-def sample_haar_setting(d: int, rng: np.random.Generator) -> LocalHaarSetting:
-    """Draw one independent Haar-random single-qubit unitary per qubit."""
+    Each is a Ginibre draw orthonormalized by QR with the phase fix.
+    """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    return LocalHaarSetting(_haar_unitaries(d, rng))
+    z = rng.normal(size=(d, 2, 2)) + 1j * rng.normal(size=(d, 2, 2))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
-def apply_local(state: Statevector, setting: LocalHaarSetting) -> Statevector:
+def apply_local(amps: np.ndarray, setting: np.ndarray) -> np.ndarray:
     """Rotate the state by the tensor product of the setting's unitaries."""
-    d = state.num_qubits
-    if setting.num_qubits != d:
-        raise ValueError(
-            f"setting has {setting.num_qubits} qubits, state has {d}"
-        )
-    amps = state.amplitudes
+    d = len(setting)
+    if amps.shape != (2**d,):
+        raise ValueError(f"setting has {d} qubits, state has shape {amps.shape}")
     for q in range(d):
-        amps = _apply_1q(amps, setting.matrices[q], q, d)
-    return Statevector(d, amps)
+        amps = _apply_1q(amps, setting[q], q, d)
+    return amps
 
 
-def born_counts(state: Statevector, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Dense per-basis-state shot counts from Born-rule sampling."""
+def born_counts(amps: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Dense per-basis-state shot counts from Born-rule sampling.
+
+    The probabilities are renormalized against float drift.
+    """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    return rng.multinomial(shots, state.probabilities())
-
+    p = np.abs(amps) ** 2
+    return rng.multinomial(shots, p / p.sum())

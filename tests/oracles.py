@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from qkad.kernel import DegenerateSignatureError
-from qkad.statevec import FeatureMapConfig, Statevector, encode_iqp, iqp_layer_angles
+from qkad.statevec import FeatureMapConfig, encode_iqp, iqp_layer_angles
 
 _I2 = np.eye(2, dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -77,17 +77,15 @@ def kron_apply_oracle(matrices: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return full @ amps
 
 
-def inner_product(a: Statevector, b: Statevector) -> complex:
-    """Hilbert-space inner product <a|b>."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(
-            f"dimension mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
+    """Hilbert-space inner product <a|b> of two amplitude arrays."""
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape} amplitudes")
+    return complex(np.vdot(a, b))
 
 
-def apply_iqp_adjoint(state: Statevector, x: np.ndarray, cfg: FeatureMapConfig) -> Statevector:
-    """Apply the adjoint of the feature-map circuit for ``x`` to ``state``.
+def apply_iqp_adjoint(amps: np.ndarray, x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
+    """Apply the adjoint of the feature-map circuit for ``x`` to the amplitudes ``amps``.
 
     Composing ``apply_iqp_adjoint(encode_iqp(x), x)`` recovers |0...0> up to
     float error; the all-zeros amplitude of the mixed composition is the
@@ -95,13 +93,12 @@ def apply_iqp_adjoint(state: Statevector, x: np.ndarray, cfg: FeatureMapConfig) 
     phases, then applies the Hadamards as one explicit Kronecker product.
     """
     d = cfg.num_qubits
-    if state.num_qubits != d:
-        raise ValueError(f"state has {state.num_qubits} qubits, config expects {d}")
+    if amps.shape != (2**d,):
+        raise ValueError(f"state has shape {amps.shape}, config expects {d} qubits")
     phases = np.exp(+0.5j * iqp_layer_angles(x, cfg))
-    amps = state.amplitudes
     for _ in range(cfg.layers):
         amps = kron_apply_oracle([_H] * d, amps * phases)
-    return Statevector(d, amps)
+    return amps
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +131,12 @@ def inversion_test(
     if np.array_equal(np.asarray(x, float), np.asarray(x_other, float)):
         return 1.0
     composed = apply_iqp_adjoint(encode_iqp(x, fm), x_other, fm)
-    p_zero = min(max(float(abs(composed.amplitudes[0]) ** 2), 0.0), 1.0)
+    p_zero = min(max(float(abs(composed[0]) ** 2), 0.0), 1.0)
     return int(rng.binomial(shots, p_zero)) / shots
 
 
 def swap_test_states(
-    a: Statevector, b: Statevector, shots: int, rng: np.random.Generator
+    a: np.ndarray, b: np.ndarray, shots: int, rng: np.random.Generator
 ) -> float:
     """Swap-test estimate from two prepared states.
 

@@ -249,6 +249,47 @@ def test_main_requires_method_unless_summarizing(capsys):
         main(["--dataset", "synthetic"])
 
 
+@pytest.mark.parametrize(
+    "method,features,message",
+    [
+        ("rbf", "0", "num_features must be >= 1"),
+        ("vs-rfb-rm", "1", "rotated feature bagging needs at least 2"),
+    ],
+)
+def test_main_rejects_invalid_config_with_usage(method, features, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--method", method, "--dataset", "synthetic", "--num-features", features])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert message in err
+
+
+def test_load_records_rejects_a_line_that_is_not_an_object(tmp_path):
+    path = tmp_path / "records.jsonl"
+    record = RunRecord(method="rbf", dataset="synthetic", seed=0, n_train=10, d=2)
+    path.write_text(records_to_jsonl([record]) + "[1]\n")
+    with pytest.raises(ValueError, match=r"records\.jsonl: line 2 is not a JSON object"):
+        cli.load_records_jsonl(path)
+
+
+def test_load_records_names_missing_required_keys(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"method": "rm"}\n')
+    with pytest.raises(ValueError) as exc:
+        cli.load_records_jsonl(path)
+    assert str(exc.value) == (
+        f"{path}: line 1 lacks required keys ['dataset', 'seed', 'n_train', 'd']"
+    )
+
+
+def test_summarize_records_rejects_a_bad_file_with_usage(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    path.write_text("[1]\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--summarize-records", str(path)])
+    assert exc.value.code == 2
+    assert f"{path}: line 1 is not a JSON object" in capsys.readouterr().err
 def test_main_exit_code_on_failure(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.FRAUD_CSV_ENV, raising=False)
     missing = tmp_path / "nope.csv"

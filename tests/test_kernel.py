@@ -5,8 +5,6 @@ import pytest
 
 from qkad.statevec import (
     FeatureMapConfig,
-    Statevector,
-    apply_local,
     encode_iqp,
     sample_haar_setting,
 )
@@ -100,7 +98,7 @@ def test_inversion_gram_probability_matches_composition_path(rng):
     for _ in range(5):
         x, xp = rng.uniform(-1, 1, size=2), rng.uniform(-1, 1, size=2)
         composed = apply_iqp_adjoint(encode_iqp(x, FM2), xp, FM2)
-        p_circuit = abs(composed.amplitudes[0]) ** 2
+        p_circuit = abs(composed[0]) ** 2
         assert p_circuit == pytest.approx(exact_fidelity(x, xp, FM2), abs=1e-12)
 
 
@@ -115,8 +113,8 @@ def test_swap_test_identical_states(rng):
 
 
 def test_swap_test_orthogonal_basis_states():
-    zero = Statevector(2, np.array([1, 0, 0, 0], dtype=complex))
-    three = Statevector(2, np.array([0, 0, 0, 1], dtype=complex))
+    zero = np.array([1, 0, 0, 0], dtype=complex)
+    three = np.array([0, 0, 0, 1], dtype=complex)
     shots = 10**4
     est = swap_test_states(zero, three, shots, np.random.default_rng(2))
     assert abs(est) <= 3 / math.sqrt(shots)
@@ -136,7 +134,7 @@ def test_swap_test_converges_to_exact_fidelity():
 
 
 def test_collect_signature_shape_and_normalization(rng):
-    settings = [sample_haar_setting(2, rng) for _ in range(5)]
+    settings = np.stack([sample_haar_setting(2, rng) for _ in range(5)])
     counts = collect_signature(np.array([0.2, 0.8]), FM2, settings, 600, rng)
     assert counts.shape == (5, 4)
     assert np.max(np.abs((counts / 600.0).sum(axis=1) - 1.0)) < 1e-12
@@ -146,16 +144,21 @@ def test_collect_signature_zero_input_matches_born_oracle(rng):
     # x = 0 encodes |00>, so each stored distribution is the Born
     # distribution of U|00>, i.e. |first column of U|^2
     setting = sample_haar_setting(2, rng)
-    counts = collect_signature(np.zeros(2), FM2, [setting], 10**5, rng)
-    u_full = np.kron(setting.matrices[0], setting.matrices[1])
+    counts = collect_signature(np.zeros(2), FM2, setting[None], 10**5, rng)
+    u_full = np.kron(setting[0], setting[1])
     born = np.abs(u_full[:, 0]) ** 2
     assert np.max(np.abs(counts[0] / 10**5 - born)) < 4 / math.sqrt(10**5)
 
 
 def test_collect_signature_rejects_mismatched_settings(rng):
-    settings = [sample_haar_setting(3, rng)]
+    settings = sample_haar_setting(3, rng)[None]
     with pytest.raises(ValueError, match="qubits"):
         collect_signature(np.zeros(2), FM2, settings, 10, rng)
+
+
+def test_collect_signature_rejects_empty_settings(rng):
+    with pytest.raises(ValueError, match="at least one measurement setting"):
+        collect_signature(np.zeros(2), FM2, np.empty((0, 2, 2, 2), dtype=complex), 10, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +290,7 @@ def test_rm_purity_pure_states_across_seeds():
     estimates = []
     for seed in range(15):
         rng = np.random.default_rng(500 + seed)
-        settings = [sample_haar_setting(2, rng) for _ in range(30)]
+        settings = np.stack([sample_haar_setting(2, rng) for _ in range(30)])
         counts = collect_signature(x, FM2, settings, 9000, rng)
         estimates.append(rm_purity(counts, 9000))
     estimates = np.array(estimates)
@@ -382,6 +385,17 @@ def test_gram_train_randomized_diagonal_semantics(rng):
     raw, cache2 = build_gram_train(X, make_cfg("randomized", mitigate=False), np.random.default_rng(1))
     assert np.array_equal(np.diag(raw.entries), cache2.purities)
     assert cache is not None and cache.counts.shape[0] == 5
+
+
+def test_randomized_cache_settings_are_one_array_drawn_in_order(rng):
+    # the r settings come first off the stream, one sample_haar_setting call each
+    X = rng.uniform(-0.5, 0.5, size=(3, 2))
+    _, cache = build_gram_train(X, make_cfg("randomized"), np.random.default_rng(4))
+    replay = np.random.default_rng(4)
+    expected = np.stack([sample_haar_setting(2, replay) for _ in range(6)])
+    assert cache.settings.shape == (6, 2, 2, 2) and cache.settings.dtype == complex
+    assert np.array_equal(cache.settings, expected)
+    assert cache.num_qubits == 2
 
 
 def test_gram_train_deterministic_given_seed(rng):
@@ -524,7 +538,7 @@ def test_estimator_spread_shrinks_with_more_settings():
         vals = []
         for k in range(25):
             rng = np.random.default_rng(base_seed + k)
-            settings = [sample_haar_setting(2, rng) for _ in range(r)]
+            settings = np.stack([sample_haar_setting(2, rng) for _ in range(r)])
             counts_a = collect_signature(x, fm, settings, 200, rng)
             counts_b = collect_signature(xp, fm, settings, 200, rng)
             vals.append(rm_kernel_entry(counts_a, counts_b, 200))

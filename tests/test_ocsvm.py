@@ -7,7 +7,15 @@ from conftest import assert_dual_feasible
 from oracles import projected_gradient_qp
 from qkad.data import SplitSpec, generate_synthetic
 from qkad.kernel import GramMatrix, KernelConfig, build_gram_train
-from qkad.ocsvm import OCSVMModel, SolverConfig, decision_scores, dual_objective, fit, predict
+from qkad.ocsvm import (
+    OCSVMModel,
+    SolverConfig,
+    _initial_alpha,
+    decision_scores,
+    dual_objective,
+    fit,
+    predict,
+)
 from qkad.statevec import FeatureMapConfig
 
 
@@ -78,10 +86,18 @@ def test_fit_feasible_across_random_problems(rng):
 
 
 def test_objective_monotone_over_accepted_updates(rng):
+    # replaying fit capped at k updates on the same seed gives the alphas
+    # after each accepted update; the objective must never rise along them
     gram = random_psd_gram(10, rng)
-    model = fit(gram, 0.3, SolverConfig(tolerance=1e-8, track_objective=True), rng)
-    history = np.array(model.objective_history)
-    assert history.size == model.iterations + 1
+    model = fit(gram, 0.3, SolverConfig(tolerance=1e-8), np.random.default_rng(3))
+    assert model.iterations > 10
+    history = [dual_objective(gram.entries, _initial_alpha(10, 0.3))]
+    for k in range(1, model.iterations + 1):
+        replay = fit(gram, 0.3, SolverConfig(tolerance=1e-8, max_iterations=k),
+                     np.random.default_rng(3))
+        assert replay.iterations == k
+        history.append(dual_objective(gram.entries, replay.alphas))
+    assert np.array_equal(replay.alphas, model.alphas)
     assert np.all(np.diff(history) <= 1e-12)
 
 
