@@ -51,4 +51,3 @@ from .pipeline import (  # noqa: F401
 )
 from .data import Dataset, SplitSpec, generate_synthetic, load_fraud_csv, make_split  # noqa: F401
 from .metrics import average_precision, confusion, f1  # noqa: F401
-from .cli import RunConfig, RunRecord, run_experiment, summarize  # noqa: F401

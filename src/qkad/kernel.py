@@ -208,7 +208,7 @@ def rm_purity(counts: np.ndarray, shots: int) -> float:
         raise ValueError(f"counts must have shape (r, 2**d), got {counts.shape}")
     coeff = _coefficient_matrix(num_qubits)
     c = counts.astype(float)
-    quad = np.einsum("mi,ij,mj->m", c, coeff, c)
+    quad = np.einsum("mi,mi->m", c @ coeff, c)
     # the delta term only touches the coefficient diagonal, which is all ones
     per_setting = (quad - c.sum(axis=1)) / (shots * (shots - 1.0))
     return float(dim * per_setting.mean())

@@ -34,7 +34,6 @@ __all__ = [
     "fit",
     "decision_scores",
     "predict",
-    "dual_objective",
 ]
 
 logger = logging.getLogger(__name__)
@@ -65,11 +64,6 @@ class OCSVMModel:
     n_train: int
     converged: bool
     iterations: int
-
-
-def dual_objective(G: np.ndarray, alpha: np.ndarray) -> float:
-    """Value of ``1/2 alpha^T G alpha``."""
-    return float(0.5 * alpha @ (G @ alpha))
 
 
 def _initial_alpha(n: int, nu: float) -> np.ndarray:

@@ -53,21 +53,16 @@ class FeatureMapConfig:
             raise ValueError(f"angle_scale must be > 0, got {self.angle_scale}")
 
 
-def _apply_1q(amps: np.ndarray, gate: np.ndarray, qubit: int, d: int) -> np.ndarray:
-    """Apply a 2x2 gate to one qubit of a dense amplitude vector."""
-    t = amps.reshape([2] * d)
-    t = np.moveaxis(t, qubit, -1)
-    t = t @ gate.T
-    return np.moveaxis(t, -1, qubit).reshape(-1)
+def _apply_gates(amps: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    """Apply a (d, 2, 2) stack of single-qubit gates, gate q on qubit q.
 
-
-def _hadamard_all(amps: np.ndarray, d: int) -> np.ndarray:
-    """Fast in-place-free Walsh-Hadamard transform over all qubits."""
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    out = amps
-    for q in range(d):
-        out = _apply_1q(out, h, q, d)
-    return out
+    Each step is one 2x2 GEMM on the leading qubit; the transpose then moves
+    the next qubit to the front, so after d steps the order is restored.
+    """
+    t = amps.reshape(2, -1)
+    for gate in gates:
+        t = (gate @ t).T.reshape(2, -1)
+    return t.reshape(-1)
 
 
 def _basis_signs(d: int) -> np.ndarray:
@@ -108,11 +103,11 @@ def encode_iqp(x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     """
     d = cfg.num_qubits
     phases = np.exp(-0.5j * iqp_layer_angles(x, cfg))
+    hadamards = np.broadcast_to(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), (d, 2, 2))
     amps = np.zeros(2**d, dtype=np.complex128)
     amps[0] = 1.0
     for _ in range(cfg.layers):
-        amps = _hadamard_all(amps, d)
-        amps = amps * phases
+        amps = _apply_gates(amps, hadamards) * phases
     return amps
 
 
@@ -134,9 +129,7 @@ def apply_local(amps: np.ndarray, setting: np.ndarray) -> np.ndarray:
     d = len(setting)
     if amps.shape != (2**d,):
         raise ValueError(f"setting has {d} qubits, state has shape {amps.shape}")
-    for q in range(d):
-        amps = _apply_1q(amps, setting[q], q, d)
-    return amps
+    return _apply_gates(amps, setting)
 
 
 def born_counts(amps: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:

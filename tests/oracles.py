@@ -209,6 +209,20 @@ def rm_kernel_entry(counts_i: np.ndarray, counts_j: np.ndarray, shots: int) -> f
     return float(dim * per_setting.mean())
 
 
+def rm_purity_einsum(counts: np.ndarray, shots: int) -> float:
+    """Pair U-statistic purity of one point's ``(r, 2^d)`` shot counts.
+
+    The quadratic form is one three-operand ``einsum`` over the bitstring
+    Hamming table, where :func:`qkad.kernel.rm_purity` runs a GEMM.
+    """
+    dim = counts.shape[1]
+    coeff = _hamming_coefficients(dim.bit_length() - 1)
+    c = counts.astype(float)
+    quad = np.einsum("mi,ij,mj->m", c, coeff, c)
+    per_setting = (quad - c.sum(axis=1)) / (shots * (shots - 1.0))
+    return float(dim * per_setting.mean())
+
+
 def mitigate(k_ij: float, p_i: float, p_j: float) -> float:
     """Purity-normalized kernel entry ``k_ij / sqrt(p_i * p_j)``."""
     if p_i <= 0 or p_j <= 0:
@@ -245,6 +259,11 @@ def project_capped_simplex(v: np.ndarray, cap: float) -> np.ndarray:
         span = sums[k - 1] - sums[k]
         tau = taus[k - 1] + (sums[k - 1] - 1.0) * (taus[k] - taus[k - 1]) / span
     return np.clip(v - tau, 0.0, cap)
+
+
+def dual_objective(G: np.ndarray, alpha: np.ndarray) -> float:
+    """Value of ``1/2 alpha^T G alpha``."""
+    return float(0.5 * alpha @ (G @ alpha))
 
 
 def projected_gradient_qp(

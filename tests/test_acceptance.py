@@ -15,6 +15,7 @@ import pytest
 from conftest import assert_dual_feasible
 from oracles import (
     average_precision_oracle,
+    dual_objective,
     f1_oracle,
     projected_gradient_qp_batch,
 )
@@ -24,7 +25,7 @@ from qkad.data import SplitSpec, generate_synthetic
 from qkad.ensemble import VSConfig, fit_vs, rotation_dim
 from qkad.kernel import GramMatrix, KernelConfig, build_gram_cross, build_gram_train
 from qkad.metrics import average_precision, confusion, f1, precision_recall
-from qkad.ocsvm import SolverConfig, decision_scores, dual_objective, fit
+from qkad.ocsvm import SolverConfig, decision_scores, fit
 from qkad.statevec import FeatureMapConfig
 
 FM2 = FeatureMapConfig(num_qubits=2)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qkad
 from qkad import cli
 from qkad.cli import (
     RunConfig,
@@ -298,3 +303,13 @@ def test_main_exit_code_on_failure(tmp_path, monkeypatch):
         "--fraud-csv", str(missing), "--output", str(tmp_path / "r.jsonl"),
     ])
     assert code == 1
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    env = dict(os.environ, PYTHONPATH=str(Path(qkad.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkad.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr

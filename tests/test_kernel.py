@@ -27,6 +27,7 @@ from oracles import (
     mitigate,
     rbf_entry,
     rm_kernel_entry,
+    rm_purity_einsum,
     swap_test,
     swap_test_states,
 )
@@ -296,6 +297,14 @@ def test_rm_purity_pure_states_across_seeds():
     estimates = np.array(estimates)
     assert abs(estimates.mean() - 1.0) <= 0.05
     assert np.max(np.abs(estimates - 1.0)) <= 0.25  # 3 sigma of the Haar floor
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_rm_purity_matches_three_operand_einsum_oracle(d):
+    rng = np.random.default_rng(40 + d)
+    counts = random_counts(d, 7, 1000, rng)
+    expected = rm_purity_einsum(counts, 1000)
+    assert rm_purity(counts, 1000) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_rm_purity_needs_two_shots():

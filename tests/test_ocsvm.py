@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_dual_feasible
-from oracles import projected_gradient_qp
+from oracles import dual_objective, projected_gradient_qp
 from qkad.data import SplitSpec, generate_synthetic
 from qkad.kernel import GramMatrix, KernelConfig, build_gram_train
 from qkad.ocsvm import (
@@ -12,7 +12,6 @@ from qkad.ocsvm import (
     SolverConfig,
     _initial_alpha,
     decision_scores,
-    dual_objective,
     fit,
     predict,
 )

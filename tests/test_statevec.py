@@ -137,10 +137,11 @@ def test_apply_local_preserves_norm(rng):
 
 
 def test_apply_local_matches_kron_oracle(rng):
-    state = random_state(2, rng)
-    setting = sample_haar_setting(2, rng)
-    expected = kron_apply_oracle(setting, state)
-    assert np.max(np.abs(apply_local(state, setting) - expected)) < 1e-12
+    for d in (1, 2, 3, 5, 8):
+        state = random_state(d, rng)
+        setting = sample_haar_setting(d, rng)
+        expected = kron_apply_oracle(setting, state)
+        assert np.max(np.abs(apply_local(state, setting) - expected)) < 1e-12
 
 
 def test_apply_local_dimension_mismatch(rng):
