@@ -1,11 +1,11 @@
 """Quantum-kernel one-class SVM anomaly detection benchmark.
 
-State-vector simulation of data-encoding circuits, four kernel estimation
-strategies (exact overlap, inversion test, swap test, randomized
-measurements with purity mitigation) plus a classical RBF baseline, a
-nu-one-class-SVM dual solver for precomputed kernels, variable-subsampling
-ensembles with optional rotated feature bagging, and a seeded benchmark
-harness with JSON-lines output.
+State-vector simulation of data-encoding circuits, three quantum kernel
+strategies (exact overlap, inversion test, randomized measurements with
+purity mitigation) plus a classical RBF baseline, a nu-one-class-SVM dual
+solver for precomputed kernels, variable-subsampling ensembles with optional
+rotated feature bagging, and a seeded benchmark harness with JSON-lines
+output.
 """
 
 __version__ = "0.1.0"

@@ -286,6 +286,18 @@ def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecor
     )
 
 
+def _error_record(cfg: RunConfig, seed: int, exc: Exception) -> RunRecord:
+    return RunRecord(
+        method=cfg.method,
+        dataset=cfg.dataset,
+        seed=seed,
+        n_train=cfg.train_size,
+        d=cfg.resolved_features(),
+        error=f"{type(exc).__name__}: {exc}",
+        config=_config_echo(cfg),
+    )
+
+
 def run_experiment(cfg: RunConfig) -> list[RunRecord]:
     """Run every seed of the configured experiment; never aborts the sweep."""
     fraud: data.Dataset | None = None
@@ -294,19 +306,7 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
             fraud = _load_fraud(cfg)
         except Exception as exc:
             logger.error("fraud dataset unavailable: %s", exc)
-            message = f"{type(exc).__name__}: {exc}"
-            return [
-                RunRecord(
-                    method=cfg.method,
-                    dataset=cfg.dataset,
-                    seed=seed,
-                    n_train=cfg.train_size,
-                    d=cfg.resolved_features(),
-                    error=message,
-                    config=_config_echo(cfg),
-                )
-                for seed in cfg.seeds
-            ]
+            return [_error_record(cfg, seed, exc) for seed in cfg.seeds]
 
     def one(seed: int) -> RunRecord:
         try:
@@ -315,15 +315,7 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
             return record
         except Exception as exc:
             logger.error("seed %d failed: %s", seed, exc)
-            return RunRecord(
-                method=cfg.method,
-                dataset=cfg.dataset,
-                seed=seed,
-                n_train=cfg.train_size,
-                d=cfg.resolved_features(),
-                error=f"{type(exc).__name__}: {exc}",
-                config=_config_echo(cfg),
-            )
+            return _error_record(cfg, seed, exc)
 
     if cfg.parallel and len(cfg.seeds) > 1:
         with ThreadPoolExecutor(max_workers=min(len(cfg.seeds), os.cpu_count() or 1)) as pool:
@@ -335,6 +327,7 @@ def records_to_jsonl(records: list[RunRecord]) -> str:
     return "".join(json.dumps(asdict(r)) + "\n" for r in records)
 
 
+_RUN_FIELDS = {f.name for f in fields(RunConfig)}
 _RECORD_FIELDS = {f.name for f in fields(RunRecord)}
 _REQUIRED_FIELDS = [
     f.name for f in fields(RunRecord) if f.default is MISSING and f.default_factory is MISSING
@@ -427,29 +420,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dataset", choices=DATASETS)
     parser.add_argument("--summarize-records", nargs="+", metavar="JSONL", default=None,
                         help="skip running; summarize existing record files into --summary")
-    parser.add_argument("--train-size", type=int, default=500)
-    parser.add_argument("--num-features", type=int, default=None)
-    parser.add_argument("--nu", type=float, default=0.1)
-    parser.add_argument("--lambda", dest="angle_scale", type=float, default=3.0,
-                        help="feature-map angle scale (default 3)")
-    parser.add_argument("--layers", type=int, default=2)
-    parser.add_argument("--it-shots", type=int, default=1000)
-    parser.add_argument("--rm-settings", type=int, default=30)
-    parser.add_argument("--rm-shots", type=int, default=9000)
-    parser.add_argument("--aggregation", choices=("mean", "max"), default="mean")
-    parser.add_argument("--seeds", type=_parse_seeds, default=tuple(range(15)),
+    parser.add_argument("--train-size", type=int)
+    parser.add_argument("--num-features", type=int)
+    parser.add_argument("--nu", type=float)
+    parser.add_argument("--lambda", dest="angle_scale", type=float,
+                        help="feature-map angle scale (default %(default)s)")
+    parser.add_argument("--layers", type=int)
+    parser.add_argument("--it-shots", type=int)
+    parser.add_argument("--rm-settings", type=int)
+    parser.add_argument("--rm-shots", type=int)
+    parser.add_argument("--aggregation", choices=("mean", "max"))
+    parser.add_argument("--seeds", type=_parse_seeds,
                         help="comma list and/or ranges, e.g. '0-14' or '0,3,7'")
-    parser.add_argument("--fraud-csv", default=None,
-                        help=f"path to the fraud CSV (or set ${FRAUD_CSV_ENV})")
-    parser.add_argument("--output", default=None, help="JSON-lines records path (default stdout)")
+    parser.add_argument("--fraud-csv", help=f"path to the fraud CSV (or set ${FRAUD_CSV_ENV})")
+    parser.add_argument("--output", help="JSON-lines records path (default stdout)")
     parser.add_argument("--summary", default=None, help="optional summary CSV path")
-    parser.add_argument("--threshold", type=float, default=0.0,
+    parser.add_argument("--threshold", type=float,
                         help="label threshold on the aggregated score")
-    parser.add_argument("--mitigate", action=argparse.BooleanOptionalAction, default=None,
+    parser.add_argument("--mitigate", action=argparse.BooleanOptionalAction,
                         help="force randomized-kernel mitigation on/off (default: per method)")
     parser.add_argument("--omit-timings", action="store_true",
                         help="write zero timings for byte-reproducible output")
     parser.add_argument("--parallel", action="store_true", help="run seeds on a thread pool")
+    # each run option defaults to its RunConfig field; --omit-timings sets record_timings
+    parser.set_defaults(**{
+        f.name: f.default for f in fields(RunConfig)
+        if f.default is not MISSING and f.name != "record_timings"
+    })
     return parser
 
 
@@ -477,27 +474,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.method is None or args.dataset is None:
         parser.error("--method and --dataset are required unless --summarize-records is used")
 
+    options = {k: v for k, v in vars(args).items() if k in _RUN_FIELDS}
     try:
-        cfg = RunConfig(
-            method=args.method,
-            dataset=args.dataset,
-            train_size=args.train_size,
-            num_features=args.num_features,
-            nu=args.nu,
-            angle_scale=args.angle_scale,
-            layers=args.layers,
-            it_shots=args.it_shots,
-            rm_settings=args.rm_settings,
-            rm_shots=args.rm_shots,
-            aggregation=args.aggregation,
-            seeds=tuple(args.seeds),
-            fraud_csv=args.fraud_csv,
-            output=args.output,
-            threshold=args.threshold,
-            mitigate=args.mitigate,
-            record_timings=not args.omit_timings,
-            parallel=args.parallel,
-        )
+        cfg = RunConfig(**options, record_timings=not args.omit_timings)
     except ValueError as exc:
         parser.error(str(exc))
     records = run_experiment(cfg)

@@ -1,13 +1,11 @@
 """Kernel evaluation strategies and Gram matrix assembly.
 
-Five interchangeable ways to fill a kernel matrix over feature-map states:
+Four interchangeable ways to fill a kernel matrix:
 
 * ``exact``          - noiseless squared overlap of simulated states.
 * ``inversion_test`` - frequency of the all-zeros outcome after running the
   encoding circuit for one point followed by the adjoint circuit for the
   other; an unbiased shot-noise estimator of the exact value.
-* ``swap_test``      - ancilla statistics of the controlled-swap circuit,
-  sampled from the analytically computed ancilla distribution.
 * ``randomized``     - one measurement record per data point in ``r`` shared
   random local bases, combined pairwise by Hamming-weighted cross
   correlations; optional purity-based mitigation.
@@ -15,8 +13,8 @@ Five interchangeable ways to fill a kernel matrix over feature-map states:
 
 Randomized-measurement post-processing is vectorized over a cached
 ``(-2)**(-H)`` coefficient table of size ``2^d x 2^d``, so it stays cheap for
-the qubit counts this package targets (d up to roughly 12); widths whose
-table would exceed 1 GiB are rejected before any measurement.
+the qubit counts this package targets (d up to roughly 12); point sets whose
+arrays would exceed 1 GiB are rejected before any encoding or measurement.
 
 Shot-based entries may leave [0, 1]; they are never clipped silently.
 :func:`clip_gram_psd` is the explicit, logged repair step for indefinite
@@ -56,9 +54,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-KERNEL_KINDS = ("exact", "inversion_test", "swap_test", "randomized", "rbf")
+KERNEL_KINDS = ("exact", "inversion_test", "randomized", "rbf")
 
-_MAX_TABLE_BYTES = 2**30
+_MAX_ARRAY_BYTES = 2**30
 
 
 class DegenerateSignatureError(ValueError):
@@ -87,10 +85,6 @@ class GramMatrix:
         object.__setattr__(self, "entries", entries)
 
     @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
     def cols(self) -> int:
         return self.entries.shape[1]
 
@@ -105,8 +99,6 @@ class KernelConfig:
     rm_settings: int = 30
     rm_shots: int = 9000
     mitigate: bool = True
-    rbf_gamma: float | str = "auto"
-    clip_psd: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
@@ -117,11 +109,6 @@ class KernelConfig:
             raise ValueError("randomized kernel needs rm_settings >= 2")
         if self.kind != "rbf" and self.feature_map is None:
             raise ValueError(f"kernel kind {self.kind!r} requires a feature_map")
-        if isinstance(self.rbf_gamma, str):
-            if self.rbf_gamma != "auto":
-                raise ValueError(f"rbf_gamma must be positive or 'auto', got {self.rbf_gamma!r}")
-        elif not self.rbf_gamma > 0:
-            raise ValueError(f"rbf_gamma must be positive or 'auto', got {self.rbf_gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -181,14 +168,14 @@ def _coefficient_matrix(num_qubits: int) -> np.ndarray:
     Raises ``ValueError`` before allocating a table larger than 1 GiB.
     """
     dim = 2**num_qubits
-    if 8 * dim * dim > _MAX_TABLE_BYTES:
+    if 8 * dim * dim > _MAX_ARRAY_BYTES:
         raise ValueError(
             f"the randomized-measurement coefficient table for {num_qubits} qubits "
-            f"needs {8 * dim * dim} bytes, more than the {_MAX_TABLE_BYTES}-byte limit"
+            f"needs {8 * dim * dim} bytes, more than the {_MAX_ARRAY_BYTES}-byte limit"
         )
-    popcount = np.array([bin(v).count("1") for v in range(dim)], dtype=np.int64)
     idx = np.arange(dim)
-    coeff = (-0.5) ** popcount[idx[:, None] ^ idx[None, :]]
+    popcount = sum((idx >> q) & 1 for q in range(num_qubits))
+    coeff = ((-0.5) ** np.arange(num_qubits + 1))[popcount[idx[:, None] ^ idx[None, :]]]
     coeff.setflags(write=False)
     return coeff
 
@@ -248,11 +235,25 @@ def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 # Gram assembly
 # ---------------------------------------------------------------------------
 
-_SHOT_KINDS = ("inversion_test", "swap_test")
 
+def _check_array_bytes(cfg: KernelConfig, n: int) -> None:
+    """Reject ``n`` points whose largest quantum array would exceed 1 GiB.
 
-def _feature_states(X: np.ndarray, fm: FeatureMapConfig) -> np.ndarray:
-    return np.stack([encode_iqp(x, fm) for x in X])
+    That array is the ``(n, r, 2^d)`` int64 counts of the randomized kind or
+    the ``(n, 2^d)`` complex states of the pairwise kinds, unless the
+    ``(2^d, d)`` float basis-sign table that every encoding builds is larger.
+    """
+    d = cfg.feature_map.num_qubits
+    if cfg.kind == "randomized":
+        point_set = (8 * n * cfg.rm_settings * 2**d, "(n, r, 2^d) int64 counts")
+    else:
+        point_set = (16 * n * 2**d, "(n, 2^d) complex feature states")
+    nbytes, what = max(point_set, (8 * 2**d * d, "(2^d, d) basis-sign table"))
+    if nbytes > _MAX_ARRAY_BYTES:
+        raise ValueError(
+            f"the {cfg.kind} kernel at d={d} qubits and n={n} points needs {nbytes} bytes "
+            f"for its {what}, more than the {_MAX_ARRAY_BYTES}-byte limit"
+        )
 
 
 def _represent(
@@ -273,8 +274,9 @@ def _represent(
     """
     if cfg.kind == "rbf":
         return X
+    _check_array_bytes(cfg, len(X))
     if cfg.kind != "randomized":
-        return _feature_states(X, cfg.feature_map)
+        return np.stack([encode_iqp(x, cfg.feature_map) for x in X])
     d = cfg.feature_map.num_qubits
     _coefficient_matrix(d)  # fail on a table that cannot fit before measuring
     if settings is None:
@@ -342,8 +344,7 @@ def _kernel_block(
     a training block.
     """
     if cfg.kind == "rbf":
-        gamma = rbf_auto_gamma(b) if cfg.rbf_gamma == "auto" else float(cfg.rbf_gamma)
-        return np.exp(-gamma * _pairwise_sq_dists(a, b))
+        return np.exp(-rbf_auto_gamma(b) * _pairwise_sq_dists(a, b))
     if cfg.kind == "randomized":
         freqs_a = a.counts / float(a.shots)
         freqs_b = freqs_a if b is a else b.counts / float(b.shots)
@@ -351,23 +352,16 @@ def _kernel_block(
         if not cfg.mitigate:
             return raw
         return raw / np.sqrt(np.outer(a.purities, b.purities))
-    # squared overlaps: exact, and the success probabilities of the shot kinds
+    # squared overlaps: exact, and the inversion test's all-zeros probabilities
     return np.clip(np.abs(a.conj() @ b.T) ** 2, 0.0, 1.0)
 
 
 def _shot_noise(cfg: KernelConfig, fidelity: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Finite-shot estimates of the given fidelities, one binomial draw each.
+    """Inversion-test estimates of the given fidelities, one binomial draw each.
 
-    The inversion test counts all-zeros outcomes, whose probability is the
-    fidelity.  The swap-test ancilla reads 0 with probability ``(1 + F)/2``;
-    sampling that analytic distribution has the same statistics as simulating
-    the 2d+1 qubit circuit.
+    The test counts all-zeros outcomes, whose probability is the fidelity.
     """
-    shots = cfg.it_shots
-    if cfg.kind == "inversion_test":
-        return rng.binomial(shots, fidelity) / shots
-    freq_zero = rng.binomial(shots, 0.5 * (1.0 + fidelity)) / shots
-    return 2.0 * freq_zero - 1.0
+    return rng.binomial(cfg.it_shots, fidelity) / cfg.it_shots
 
 
 def eval_count(cfg: KernelConfig, points: int, pairs: int) -> int:
@@ -401,7 +395,7 @@ def build_gram_train(
     n = X.shape[0]
     train = _represent(X, cfg, rng, purities=True)
     block = _kernel_block(cfg, train, train)
-    if cfg.kind in _SHOT_KINDS:
+    if cfg.kind == "inversion_test":
         # one estimate per unordered pair, drawn in row-major upper order
         iu, ju = np.triu_indices(n, k=1)
         block[iu, ju] = _shot_noise(cfg, block[iu, ju], rng)
@@ -413,10 +407,7 @@ def build_gram_train(
     unmitigated_rm = cfg.kind == "randomized" and not cfg.mitigate
     np.fill_diagonal(entries, train.purities if unmitigated_rm else 1.0)
     evals = eval_count(cfg, n, n * (n - 1) // 2)
-    gram = GramMatrix(entries=entries, symmetric=True, eval_count=evals)
-    if cfg.clip_psd:
-        gram = clip_gram_psd(gram)
-    return gram, train
+    return GramMatrix(entries=entries, symmetric=True, eval_count=evals), train
 
 
 def build_gram_cross(
@@ -440,7 +431,7 @@ def build_gram_cross(
     settings = train.settings if cfg.kind == "randomized" else None
     test = _represent(X_test, cfg, rng, purities=cfg.mitigate, settings=settings)
     entries = _kernel_block(cfg, test, train)
-    if cfg.kind in _SHOT_KINDS:
+    if cfg.kind == "inversion_test":
         entries = _shot_noise(cfg, entries, rng)
     t, n = entries.shape
     return GramMatrix(entries=entries, symmetric=False, eval_count=eval_count(cfg, t, t * n))

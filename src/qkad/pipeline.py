@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 ANGLE_RESCALE_FACTOR = 0.1
-_ANGLE_KINDS = ("exact", "inversion_test", "swap_test")
+_ANGLE_KINDS = ("exact", "inversion_test")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ These deliberately avoid the package's own computational paths: the circuit
 oracle multiplies dense gate matrices built from lifted Paulis and matrix
 exponentials, the per-pair kernel estimators run one circuit (or one pair of
 measurement records) at a time where the package fills whole Gram blocks,
-the QP oracle is plain projected gradient descent, and the ranking-metric
-oracles recount precision/recall from scratch at every rank.
+the QP oracles are plain projected gradient descent and the Frank-Wolfe
+gap, and the ranking-metric oracles recount precision/recall from scratch at
+every rank.
 """
 
 from __future__ import annotations
@@ -135,37 +136,6 @@ def inversion_test(
     return int(rng.binomial(shots, p_zero)) / shots
 
 
-def swap_test_states(
-    a: np.ndarray, b: np.ndarray, shots: int, rng: np.random.Generator
-) -> float:
-    """Swap-test estimate from two prepared states.
-
-    The ancilla of the controlled-swap circuit reads 0 with probability
-    ``(1 + F)/2``; that distribution is computed analytically and sampled.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    fidelity = min(float(abs(inner_product(a, b)) ** 2), 1.0)
-    p_zero = 0.5 * (1.0 + fidelity)
-    freq_zero = int(rng.binomial(shots, p_zero)) / shots
-    return 2.0 * freq_zero - 1.0
-
-
-def swap_test(
-    x: np.ndarray,
-    x_other: np.ndarray,
-    fm: FeatureMapConfig,
-    shots: int,
-    rng: np.random.Generator,
-) -> float:
-    """Swap-test fidelity estimate for two data points."""
-    if np.array_equal(np.asarray(x, float), np.asarray(x_other, float)):
-        if shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
-        return 1.0
-    return swap_test_states(encode_iqp(x, fm), encode_iqp(x_other, fm), shots, rng)
-
-
 def hamming(s: str, s_other: str) -> int:
     """Number of positions where two equal-length bitstrings differ."""
     if len(s) != len(s_other):
@@ -280,32 +250,24 @@ def projected_gradient_qp(
     return alpha
 
 
-def projected_gradient_qp_batch(
-    grams: np.ndarray, caps: np.ndarray, step: float = 1e-3, iters: int = 10**6
-) -> np.ndarray:
-    """Vectorized projected gradient over a batch of equally sized QPs."""
-    B, n, _ = grams.shape
-    alphas = np.full((B, n), 1.0 / n)
-    caps = np.asarray(caps, dtype=float)
-    for _ in range(iters):
-        v = alphas - step * np.einsum("bij,bj->bi", grams, alphas)
-        taus = np.sort(np.concatenate([v, v - caps[:, None]], axis=1), axis=1)
-        sums = np.clip(v[:, None, :] - taus[:, :, None], 0.0, caps[:, None, None]).sum(axis=2)
-        k = (sums <= 1.0).argmax(axis=1)
-        rows = np.arange(B)
-        s_hi = sums[rows, k]
-        s_lo = sums[rows, np.maximum(k - 1, 0)]
-        t_hi = taus[rows, k]
-        t_lo = taus[rows, np.maximum(k - 1, 0)]
-        span = s_lo - s_hi
-        frac = np.where(span > 0, (s_lo - 1.0) / np.where(span > 0, span, 1.0), 0.0)
-        tau = np.where((k > 0) & (s_hi < 1.0), t_lo + frac * (t_hi - t_lo), t_hi)
-        tau = np.where(k == 0, taus[:, 0], tau)
-        new = np.clip(v - tau[:, None], 0.0, caps[:, None])
-        if np.max(np.abs(new - alphas)) < 1e-16:
-            return new
-        alphas = new
-    return alphas
+def frank_wolfe_gap(G: np.ndarray, alpha: np.ndarray, cap: float) -> float:
+    """Frank-Wolfe gap ``g^T alpha - min_beta g^T beta`` of ``1/2 a^T G a`` at ``alpha``.
+
+    ``g = G alpha`` and ``beta`` ranges over the capped simplex
+    ``{0 <= beta <= cap, sum beta = 1}``.  For PSD ``G`` the objective is
+    convex, so the gap bounds its excess over the optimum from above (Jaggi,
+    ICML 2013).  The minimum is exact: a greedy fill puts mass ``cap`` on the
+    smallest gradient entries until the unit mass is spent.
+    """
+    g = G @ alpha
+    remaining, best = 1.0, 0.0
+    for value in np.sort(g):
+        take = min(cap, remaining)
+        best += take * value
+        remaining -= take
+        if remaining <= 0.0:
+            break
+    return float(g @ alpha - best)
 
 
 def average_precision_oracle(scores, labels) -> float:

@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_dual_feasible
-from oracles import (
-    average_precision_oracle,
-    dual_objective,
-    f1_oracle,
-    projected_gradient_qp_batch,
-)
+from oracles import average_precision_oracle, f1_oracle, frank_wolfe_gap
 from qkad import pipeline
 from qkad.cli import RunConfig, records_to_jsonl, run_experiment
 from qkad.data import SplitSpec, generate_synthetic
@@ -116,20 +111,17 @@ def test_criterion_3_solver_matches_projected_gradient_oracle(announce):
         G = V @ V.T / (2 * n)
         problems.append((0.5 * (G + G.T), n, nu))
 
+    # the Frank-Wolfe gap bounds the solver's objective excess over the exact
+    # optimum, so no approximate reference solution is needed
     worst = 0.0
-    for size in (8, 10, 12):
-        batch = [(G, nu) for G, n, nu in problems if n == size]
-        grams = np.stack([G for G, _ in batch])
-        caps = np.array([1.0 / (nu * size) for _, nu in batch])
-        oracle_alphas = projected_gradient_qp_batch(grams, caps, step=1e-3, iters=10**6)
-        for (G, nu), alpha_oracle in zip(batch, oracle_alphas):
-            model = fit(GramMatrix(G, True, 0), nu, SolverConfig(tolerance=1e-6),
-                        np.random.default_rng(0))
-            assert_dual_feasible(model)
-            gap = abs(dual_objective(G, model.alphas) - dual_objective(G, alpha_oracle))
-            assert gap <= 1e-4
-            worst = max(worst, gap)
-    announce(3, f"20 PSD grams, worst objective gap {worst:.2e} <= 1e-4")
+    for G, n, nu in problems:
+        model = fit(GramMatrix(G, True, 0), nu, SolverConfig(tolerance=1e-6),
+                    np.random.default_rng(0))
+        assert_dual_feasible(model)
+        gap = frank_wolfe_gap(G, model.alphas, 1.0 / (nu * n))
+        assert gap <= 1e-4
+        worst = max(worst, gap)
+    announce(3, f"20 PSD grams, worst Frank-Wolfe gap {worst:.2e} <= 1e-4")
 
 
 def test_criterion_4_nu_property(announce):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from qkad.cli import METHODS, RunConfig, run_experiment
-from qkad.kernel import KernelConfig, build_gram_cross, build_gram_train
+from qkad.kernel import KernelConfig, build_gram_cross, build_gram_train, clip_gram_psd
 from qkad.statevec import FeatureMapConfig
 
 GOLDEN_PATH = Path(__file__).with_name("golden_values.json")
@@ -28,17 +28,17 @@ FM3 = FeatureMapConfig(num_qubits=3)
 GRAM_CASES = {
     "exact": KernelConfig(kind="exact", feature_map=FM3),
     "inversion_test": KernelConfig(kind="inversion_test", feature_map=FM3, it_shots=200),
-    "swap_test": KernelConfig(kind="swap_test", feature_map=FM3, it_shots=200),
     "randomized": KernelConfig(kind="randomized", feature_map=FM3, rm_settings=5, rm_shots=300),
     "randomized-unmitigated": KernelConfig(
         kind="randomized", feature_map=FM3, rm_settings=5, rm_shots=300, mitigate=False
     ),
     "randomized-unmitigated-clip": KernelConfig(
-        kind="randomized", feature_map=FM3, rm_settings=4, rm_shots=50, mitigate=False,
-        clip_psd=True,
+        kind="randomized", feature_map=FM3, rm_settings=4, rm_shots=50, mitigate=False
     ),
     "rbf": KernelConfig(kind="rbf"),
 }
+# cases whose built training Gram goes through clip_gram_psd
+CLIPPED_CASES = {"randomized-unmitigated-clip"}
 
 RECORD_FIELDS = ("tp", "fp", "tn", "fn", "kernel_evals", "converged", "ap", "f1")
 
@@ -48,9 +48,12 @@ def gram_inputs() -> tuple[np.ndarray, np.ndarray]:
     return rng.uniform(-0.6, 0.6, size=(9, 3)), rng.uniform(-0.6, 0.6, size=(4, 3))
 
 
-def gram_values(cfg: KernelConfig) -> dict:
+def gram_values(case: str) -> dict:
+    cfg = GRAM_CASES[case]
     X_train, X_test = gram_inputs()
     train, points = build_gram_train(X_train, cfg, np.random.default_rng(1))
+    if case in CLIPPED_CASES:
+        train = clip_gram_psd(train)
     cross = build_gram_cross(X_test, points, cfg, np.random.default_rng(2))
     return {
         "train": train.entries.tolist(),
@@ -82,7 +85,7 @@ def golden() -> dict:
 @pytest.mark.parametrize("case", sorted(GRAM_CASES))
 def test_gram_matches_golden(case, golden):
     expected = golden["grams"][case]
-    actual = gram_values(GRAM_CASES[case])
+    actual = gram_values(case)
     for part in ("train", "cross"):
         np.testing.assert_allclose(actual[part], expected[part], rtol=0, atol=1e-12)
         assert actual[f"{part}_evals"] == expected[f"{part}_evals"]
@@ -102,7 +105,7 @@ def test_cli_records_match_golden(method, golden):
 
 if __name__ == "__main__":
     payload = {
-        "grams": {case: gram_values(cfg) for case, cfg in GRAM_CASES.items()},
+        "grams": {case: gram_values(case) for case in GRAM_CASES},
         "records": {method: record_values(method) for method in METHODS},
     }
     json.dump(payload, sys.stdout, indent=1)

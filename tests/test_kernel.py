@@ -28,8 +28,6 @@ from oracles import (
     rbf_entry,
     rm_kernel_entry,
     rm_purity_einsum,
-    swap_test,
-    swap_test_states,
 )
 
 FM2 = FeatureMapConfig(num_qubits=2)
@@ -104,32 +102,6 @@ def test_inversion_gram_probability_matches_composition_path(rng):
 
 
 # ---------------------------------------------------------------------------
-# swap test
-# ---------------------------------------------------------------------------
-
-
-def test_swap_test_identical_states(rng):
-    x = np.array([0.9, -0.1])
-    assert swap_test(x, x, FM2, 1000, rng) == 1.0
-
-
-def test_swap_test_orthogonal_basis_states():
-    zero = np.array([1, 0, 0, 0], dtype=complex)
-    three = np.array([0, 0, 0, 1], dtype=complex)
-    shots = 10**4
-    est = swap_test_states(zero, three, shots, np.random.default_rng(2))
-    assert abs(est) <= 3 / math.sqrt(shots)
-
-
-def test_swap_test_converges_to_exact_fidelity():
-    x, xp = np.array([0.3, -0.7]), np.array([1.1, 0.4])
-    f = exact_fidelity(x, xp, FM2)
-    shots = 10**6
-    est = swap_test(x, xp, FM2, shots, np.random.default_rng(3))
-    assert abs(est - f) <= 3 * math.sqrt((1 - f**2) / shots)
-
-
-# ---------------------------------------------------------------------------
 # signatures
 # ---------------------------------------------------------------------------
 
@@ -199,19 +171,43 @@ def test_coefficient_table_is_kronecker_power(d):
     assert np.array_equal(_coefficient_matrix(d), kron)
 
 
-def test_randomized_kernel_rejects_a_coefficient_table_over_1_gib(monkeypatch):
-    # d = 14 needs 8 * 4^14 bytes = 2 GiB; the check runs before any
-    # measurement or allocation
+def _forbid(monkeypatch, *names):
     import qkad.kernel
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("measured a point before the table size check")
+        raise AssertionError("encoded or measured a point before the size check")
 
-    monkeypatch.setattr(qkad.kernel, "collect_signature", unreachable)
-    monkeypatch.setattr(qkad.kernel, "sample_haar_setting", unreachable)
+    for name in names:
+        monkeypatch.setattr(qkad.kernel, name, unreachable)
+
+
+def test_randomized_kernel_rejects_a_coefficient_table_over_1_gib(monkeypatch):
+    # d = 14 needs 8 * 4^14 bytes = 2 GiB; the check runs before any
+    # measurement or allocation
+    _forbid(monkeypatch, "collect_signature", "sample_haar_setting")
     cfg = KernelConfig(kind="randomized", feature_map=FeatureMapConfig(num_qubits=14))
     with pytest.raises(ValueError, match=r"14 qubits needs 2147483648 bytes"):
         build_gram_train(np.zeros((2, 14)), cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "kind, d, n, message",
+    [
+        # (500, 2^22) complex states take 31.25 GiB
+        ("inversion_test", 22, 500, r"inversion_test kernel at d=22 qubits and n=500 points "
+         r"needs 33554432000 bytes for its \(n, 2\^d\) complex feature states"),
+        # (5000, 30, 2^12) int64 counts take 4.6 GiB, while the d = 12 table fits
+        ("randomized", 12, 5000, r"needs 4915200000 bytes for its \(n, r, 2\^d\) int64 counts"),
+        # the (2^28, 28) float table takes 56 GiB, more than two 4 GiB states
+        ("exact", 28, 2, r"needs 60129542144 bytes for its \(2\^d, d\) basis-sign table"),
+    ],
+    ids=["states", "counts", "basis-signs"],
+)
+def test_quantum_point_sets_over_1_gib_fail_before_encoding(kind, d, n, message, monkeypatch):
+    _forbid(monkeypatch, "encode_iqp", "collect_signature", "sample_haar_setting")
+    cfg = KernelConfig(kind=kind, feature_map=FeatureMapConfig(num_qubits=d))
+    with pytest.raises(ValueError, match=message):
+        build_gram_train(np.zeros((n, d)), cfg, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +347,7 @@ def test_rbf_auto_gamma_matches_total_variance(rng):
 # Gram assembly
 # ---------------------------------------------------------------------------
 
-ALL_KINDS = ["exact", "inversion_test", "swap_test", "randomized", "rbf"]
+ALL_KINDS = ["exact", "inversion_test", "randomized", "rbf"]
 
 
 def make_cfg(kind, **kwargs):
@@ -473,7 +469,7 @@ def test_gram_cross_randomized_duplicated_points_near_one():
         assert abs(cross.entries[k, k] - 1.0) <= 0.05
 
 
-@pytest.mark.parametrize("kind", ["exact", "inversion_test", "swap_test"])
+@pytest.mark.parametrize("kind", ["exact", "inversion_test"])
 def test_train_and_cross_encode_each_point_once(kind, monkeypatch):
     # the cross pass reuses the training states: n + t encodings, not 2n + t
     import qkad.kernel
@@ -493,7 +489,7 @@ def test_train_and_cross_encode_each_point_once(kind, monkeypatch):
     assert len(calls) == 7 + 3
 
 
-@pytest.mark.parametrize("kind", ["exact", "inversion_test", "swap_test"])
+@pytest.mark.parametrize("kind", ["exact", "inversion_test"])
 def test_gram_cross_rejects_raw_training_rows(kind, rng):
     X = rng.uniform(-1, 1, size=(4, 2))
     with pytest.raises(ValueError, match=r"shape \(n, 4\), got \(4, 2\)"):
@@ -534,8 +530,8 @@ def test_shot_noise_entries_outside_unit_interval_are_preserved():
     assert gram.entries[np.triu_indices(5, 1)].max() > 1.0
 
     Xw = np.random.default_rng(4).uniform(-2, 2, size=(5, 2))
-    swap, _ = build_gram_train(Xw, make_cfg("swap_test", it_shots=40), np.random.default_rng(0))
-    assert swap.entries.min() < 0.0
+    wide, _ = build_gram_train(Xw, make_cfg("randomized", mitigate=False), np.random.default_rng(0))
+    assert wide.entries.min() < 0.0
 
 
 def test_estimator_spread_shrinks_with_more_settings():
@@ -565,13 +561,6 @@ def test_clip_gram_psd_repairs_indefinite_matrix():
     assert clipped.eval_count == 3
 
 
-def test_clip_psd_flag_applies_during_build(rng):
-    X = rng.uniform(-1, 1, size=(8, 2))
-    cfg = make_cfg("randomized", rm_settings=4, rm_shots=50, mitigate=False, clip_psd=True)
-    gram, _ = build_gram_train(X, cfg, rng)
-    assert np.linalg.eigvalsh(gram.entries).min() >= -1e-9
-
-
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -584,5 +573,3 @@ def test_kernel_config_validation():
         KernelConfig(kind="randomized", feature_map=FM2, rm_settings=1)
     with pytest.raises(ValueError, match="feature_map"):
         KernelConfig(kind="exact")
-    with pytest.raises(ValueError, match="gamma"):
-        KernelConfig(kind="rbf", rbf_gamma=-1.0)

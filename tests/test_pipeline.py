@@ -101,7 +101,7 @@ def test_pca_m_out_of_range(rng):
 
 def test_rescale_angle_kinds_multiply_by_tenth():
     X = np.array([[2.0, -1.0]])
-    for kind in ("inversion_test", "swap_test", "exact"):
+    for kind in ("inversion_test", "exact"):
         assert np.array_equal(apply_rescale(fit_rescale(X, kind), X), X * 0.1)
     one = np.array([[2.0]])
     assert apply_rescale(fit_rescale(one, "inversion_test"), one)[0, 0] == pytest.approx(0.2)
