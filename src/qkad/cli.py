@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data, ocsvm, pipeline
-from .ensemble import VSConfig, cross_eval_count, fit_vs, rotation_dim, score_vs
+from .ensemble import SUBSAMPLE_MIN, VSConfig, cross_eval_count, fit_vs, rotation_dim, score_vs
 from .kernel import KernelConfig, build_gram_cross, build_gram_train
 from .metrics import average_precision, confusion, f1, precision_recall
 from .ocsvm import SolverConfig
@@ -77,6 +77,7 @@ class RunConfig:
     mitigate: bool | None = None  # None -> method default
     record_timings: bool = True
     parallel: bool = False
+    kernel: KernelConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -85,10 +86,27 @@ class RunConfig:
             raise ValueError(f"unknown dataset {self.dataset!r}, expected one of {DATASETS}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if self.train_size < 1:
+            raise ValueError(f"train_size must be >= 1, got {self.train_size}")
+        if _METHOD_TABLE[self.method][2] and self.train_size < SUBSAMPLE_MIN:
+            raise ValueError(
+                f"{self.method} needs train_size >= {SUBSAMPLE_MIN}, got {self.train_size}"
+            )
+        if not 0 < self.nu <= 1:
+            raise ValueError(f"nu must be in (0, 1], got {self.nu}")
         if self.num_features is not None and self.num_features < 1:
             raise ValueError("num_features must be >= 1")
         if self.method == "vs-rfb-rm" and self.resolved_features() < 2:
             raise ValueError("rotated feature bagging needs at least 2 post-PCA features")
+        kernel = KernelConfig(
+            kind=_METHOD_TABLE[self.method][0],
+            feature_map=FeatureMapConfig(layers=self.layers, angle_scale=self.angle_scale),
+            it_shots=self.it_shots,
+            rm_settings=self.rm_settings,
+            rm_shots=self.rm_shots,
+            mitigate=self.resolved_mitigate(),
+        )
+        object.__setattr__(self, "kernel", kernel)
 
     def resolved_features(self) -> int:
         return self.num_features if self.num_features is not None else _DEFAULT_FEATURES[self.dataset]
@@ -173,13 +191,10 @@ def _load_fraud(cfg: RunConfig) -> data.Dataset:
 
 
 def _make_datasets(
-    cfg: RunConfig, seed: int, fraud: data.Dataset | None, rng: np.random.Generator
+    cfg: RunConfig, fraud: data.Dataset | None, rng: np.random.Generator
 ) -> tuple[data.Dataset, data.Dataset]:
     spec = data.SplitSpec(
-        train_size=cfg.train_size,
-        test_size=125,
-        test_anomaly_ratio=_ANOMALY_RATIO[cfg.dataset],
-        seed=seed,
+        train_size=cfg.train_size, test_size=125, test_anomaly_ratio=_ANOMALY_RATIO[cfg.dataset]
     )
     if cfg.dataset == "synthetic":
         return data.generate_synthetic(cfg.train_size, spec, rng)
@@ -188,32 +203,20 @@ def _make_datasets(
 
 
 def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecord:
-    kind, _, is_ensemble, use_rfb = _METHOD_TABLE[cfg.method]
-    mitigate = cfg.resolved_mitigate()
+    _, _, is_ensemble, use_rfb = _METHOD_TABLE[cfg.method]
+    kcfg = cfg.kernel
     m = cfg.resolved_features()
 
     data_rng, train_rng, solver_rng, score_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
     )
-    train, test = _make_datasets(cfg, seed, fraud, data_rng)
+    train, test = _make_datasets(cfg, fraud, data_rng)
     if m > train.n_features:
         raise ValueError(f"num_features={m} exceeds source dimensionality {train.n_features}")
 
-    prep = pipeline.fit_preprocess(train.features, kind, m)
+    prep = pipeline.fit_preprocess(train.features, kcfg.kind, m)
     X_train = pipeline.apply_preprocess(prep, train.features)
     X_test = pipeline.apply_preprocess(prep, test.features)
-
-    fm = None
-    if kind != "rbf":
-        fm = FeatureMapConfig(num_qubits=m, layers=cfg.layers, angle_scale=cfg.angle_scale)
-    kcfg = KernelConfig(
-        kind=kind,
-        feature_map=fm,
-        it_shots=cfg.it_shots,
-        rm_settings=cfg.rm_settings,
-        rm_shots=cfg.rm_shots,
-        mitigate=mitigate,
-    )
 
     r_prime = rotation_dim(m) if use_rfb else None
     if is_ensemble:

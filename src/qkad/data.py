@@ -56,8 +56,6 @@ class NonNumericCellError(ValueError):
 class Dataset:
     features: np.ndarray
     labels: np.ndarray
-    name: str
-    seed: int
 
     def __post_init__(self) -> None:
         features = np.asarray(self.features, dtype=float)
@@ -91,7 +89,6 @@ class SplitSpec:
     train_size: int
     test_size: int = 125
     test_anomaly_ratio: float = 0.05
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.train_size < 1 or self.test_size < 1:
@@ -128,12 +125,7 @@ def generate_synthetic(
         raise ValueError(f"n_train must be >= 1, got {n_train}")
     train_x = _normal_points(n_train, rng)
     train_x = train_x[rng.permutation(n_train)]
-    train = Dataset(
-        features=train_x,
-        labels=np.zeros(n_train, dtype=np.int64),
-        name="synthetic",
-        seed=test_spec.seed,
-    )
+    train = Dataset(features=train_x, labels=np.zeros(n_train, dtype=np.int64))
 
     n_anom = test_spec.test_anomaly_count
     n_norm = test_spec.test_size - n_anom
@@ -145,9 +137,7 @@ def generate_synthetic(
         [np.zeros(n_norm, dtype=np.int64), np.ones(n_anom, dtype=np.int64)]
     )
     order = rng.permutation(test_spec.test_size)
-    test = Dataset(
-        features=test_x[order], labels=test_y[order], name="synthetic", seed=test_spec.seed
-    )
+    test = Dataset(features=test_x[order], labels=test_y[order])
     return train, test
 
 
@@ -216,12 +206,7 @@ def load_fraud_csv(path: str | Path) -> Dataset:
             f"{path}: row {row_nums[i]}, column {FRAUD_FEATURE_COLUMNS[j]}: "
             f"value {float(matrix[i, j])!r} is not finite"
         )
-    dataset = Dataset(
-        features=matrix,
-        labels=np.array(labels, dtype=np.int64),
-        name="fraud",
-        seed=0,
-    )
+    dataset = Dataset(features=matrix, labels=np.array(labels, dtype=np.int64))
     logger.info(
         "loaded %s: %d rows, %d anomalies, %d features",
         path.name,
@@ -258,16 +243,6 @@ def make_split(
     )
     test_idx = test_idx[rng.permutation(test_idx.size)]
 
-    train = Dataset(
-        features=data.features[train_idx],
-        labels=data.labels[train_idx],
-        name=data.name,
-        seed=spec.seed,
-    )
-    test = Dataset(
-        features=data.features[test_idx],
-        labels=data.labels[test_idx],
-        name=data.name,
-        seed=spec.seed,
-    )
+    train = Dataset(features=data.features[train_idx], labels=data.labels[train_idx])
+    test = Dataset(features=data.features[test_idx], labels=data.labels[test_idx])
     return train, test

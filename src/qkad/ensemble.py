@@ -1,25 +1,26 @@
 """Variable-subsampling ensembles with optional rotated feature bagging.
 
 Each component trains a one-class SVM on a random subsample whose size is
-itself random (inclusive uniform between ``n_min`` and ``n_max``), sampled
-without replacement.  With feature bagging enabled, each component first
-projects its subsample onto a private random orthonormal axis system of
-``rotation_dim(d)`` columns; the projection matrix is stored and reused at
-scoring time.  Component scores are z-normalized against the component's own
-training-score statistics and aggregated by mean or max.
+itself random (inclusive uniform between ``SUBSAMPLE_MIN`` = 50 and
+``SUBSAMPLE_MAX`` = 100), sampled without replacement.  With feature bagging
+enabled, each component first projects its subsample onto a private random
+orthonormal axis system of ``rotation_dim(d)`` columns; the projection matrix
+is stored and reused at scoring time, and the component's circuits have one
+qubit per projected feature.  Component scores are z-normalized against the
+component's own training-score statistics and aggregated by mean or max.
 
-The component count follows ``floor(n / 100)`` (at least 1) unless a fixed
-count is configured.  All subsample sizes, indices, projections and child
-random streams are drawn serially from the caller's generator in component
-order, so the fitted ensemble is a pure function of (seed, config, data) and
-components could be fitted concurrently without changing results.
+The component count is ``floor(n / 100)``, at least 1; it is not an option.
+All subsample sizes, indices, projections and child random streams are drawn
+serially from the caller's generator in component order, so the fitted
+ensemble is a pure function of (seed, config, data) and components could be
+fitted concurrently without changing results.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +40,8 @@ __all__ = [
     "cross_eval_count",
 ]
 
+SUBSAMPLE_MIN = 50
+SUBSAMPLE_MAX = 100
 _STD_FLOOR = 1e-12
 _ROTATION_RETRIES = 8
 
@@ -47,20 +50,10 @@ _ROTATION_RETRIES = 8
 class VSConfig:
     base_kernel: KernelConfig
     nu: float
-    n_min: int = 50
-    n_max: int = 100
-    component_count: int | None = None  # None -> floor(n/100), at least 1
     aggregation: str = "mean"
     rfb_enabled: bool = False
-    solver: SolverConfig = SolverConfig()
 
     def __post_init__(self) -> None:
-        if not 50 <= self.n_min <= self.n_max:
-            raise ValueError(
-                f"need 50 <= n_min <= n_max, got n_min={self.n_min}, n_max={self.n_max}"
-            )
-        if self.component_count is not None and self.component_count < 1:
-            raise ValueError("component_count must be >= 1 when fixed")
         if self.aggregation not in ("mean", "max"):
             raise ValueError(f"aggregation must be 'mean' or 'max', got {self.aggregation!r}")
         if not 0 < self.nu <= 1:
@@ -74,7 +67,6 @@ class Component:
     subsample_indices: np.ndarray
     train: np.ndarray | SignatureCache  # training point set of the cross kernel
     projection: np.ndarray | None
-    kernel: KernelConfig
     model: OCSVMModel
     train_score_mean: float
     train_score_std: float
@@ -85,6 +77,7 @@ class Component:
 @dataclass(frozen=True)
 class EnsembleModel:
     components: tuple[Component, ...]
+    kernel: KernelConfig
     aggregation: str
     num_features: int  # feature count the ensemble was fitted on
     gram_time_s: float
@@ -99,9 +92,7 @@ class EnsembleModel:
         return sum(c.train_eval_count for c in self.components)
 
 
-def component_count(n: int, cfg: VSConfig) -> int:
-    if cfg.component_count is not None:
-        return cfg.component_count
+def component_count(n: int) -> int:
     return max(1, n // 100)
 
 
@@ -159,11 +150,11 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
     """Fit a variable-subsampling ensemble on preprocessed training data."""
     X_train = np.asarray(X_train, dtype=float)
     n, d = X_train.shape
-    if n < cfg.n_min:
-        raise ValueError(f"need at least n_min={cfg.n_min} training points, got {n}")
+    if n < SUBSAMPLE_MIN:
+        raise ValueError(f"need at least {SUBSAMPLE_MIN} training points, got {n}")
 
-    c = component_count(n, cfg)
-    sizes = [min(s, n) for s in sample_sizes(c, cfg.n_min, cfg.n_max, rng)]
+    c = component_count(n)
+    sizes = [min(s, n) for s in sample_sizes(c, SUBSAMPLE_MIN, SUBSAMPLE_MAX, rng)]
     draws = []
     for size in sizes:
         indices = rng.choice(n, size=size, replace=False)
@@ -183,12 +174,11 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
             sub = X_train[indices]
             if projection is not None:
                 sub = sub @ projection
-            comp_kernel = _sized_kernel(cfg.base_kernel, sub.shape[1])
 
             t0 = time.perf_counter()
-            gram, train = build_gram_train(sub, comp_kernel, np.random.default_rng(fit_seed))
+            gram, train = build_gram_train(sub, cfg.base_kernel, np.random.default_rng(fit_seed))
             t1 = time.perf_counter()
-            model = ocsvm.fit(gram, cfg.nu, cfg.solver, np.random.default_rng(solver_seed))
+            model = ocsvm.fit(gram, cfg.nu, SolverConfig(), np.random.default_rng(solver_seed))
             t2 = time.perf_counter()
             gram_time += t1 - t0
             solver_time += t2 - t1
@@ -199,7 +189,6 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
                     subsample_indices=indices,
                     train=train,
                     projection=projection,
-                    kernel=comp_kernel,
                     model=model,
                     train_score_mean=float(train_scores.mean()),
                     train_score_std=float(train_scores.std()),
@@ -212,6 +201,7 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
 
     return EnsembleModel(
         components=tuple(components),
+        kernel=cfg.base_kernel,
         aggregation=cfg.aggregation,
         num_features=d,
         gram_time_s=gram_time,
@@ -219,18 +209,9 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
     )
 
 
-def _sized_kernel(base: KernelConfig, width: int) -> KernelConfig:
-    """Base kernel config with the feature map resized to the component width."""
-    if base.feature_map is None:
-        return base
-    if base.feature_map.num_qubits == width:
-        return base
-    return replace(base, feature_map=replace(base.feature_map, num_qubits=width))
-
-
-def _component_scores(comp: Component, X_test: np.ndarray) -> np.ndarray:
+def _component_scores(comp: Component, kernel: KernelConfig, X_test: np.ndarray) -> np.ndarray:
     X_proj = X_test @ comp.projection if comp.projection is not None else X_test
-    cross = build_gram_cross(X_proj, comp.train, comp.kernel, np.random.default_rng(comp.score_seed))
+    cross = build_gram_cross(X_proj, comp.train, kernel, np.random.default_rng(comp.score_seed))
     raw = ocsvm.decision_scores(comp.model, cross)
     std = comp.train_score_std if comp.train_score_std >= _STD_FLOOR else 1.0
     return (raw - comp.train_score_mean) / std
@@ -247,7 +228,7 @@ def score_vs(model: EnsembleModel, X_test: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected (t, {model.num_features}) test matrix, got shape {X_test.shape}"
         )
-    stacked = np.stack([_component_scores(comp, X_test) for comp in model.components])
+    stacked = np.stack([_component_scores(c, model.kernel, X_test) for c in model.components])
     if model.aggregation == "mean":
         return stacked.mean(axis=0)
     return stacked.max(axis=0)
@@ -256,5 +237,5 @@ def score_vs(model: EnsembleModel, X_test: np.ndarray) -> np.ndarray:
 def cross_eval_count(model: EnsembleModel, n_test: int) -> int:
     """Kernel evaluations a scoring pass over ``n_test`` points performs."""
     return sum(
-        eval_count(comp.kernel, n_test, n_test * comp.model.n_train) for comp in model.components
+        eval_count(model.kernel, n_test, n_test * comp.model.n_train) for comp in model.components
     )

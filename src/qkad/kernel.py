@@ -11,6 +11,9 @@ Four interchangeable ways to fill a kernel matrix:
   correlations; optional purity-based mitigation.
 * ``rbf``            - classical Gaussian kernel baseline.
 
+The quantum kinds encode each ``d``-feature row on ``d`` qubits, so the
+qubit count is read from the data, and a cross kernel checks that its test
+rows match the training set's width before any encoding or measurement.
 Randomized-measurement post-processing is vectorized over a cached
 ``(-2)**(-H)`` coefficient table of size ``2^d x 2^d``, so it stays cheap for
 the qubit counts this package targets (d up to roughly 12); point sets whose
@@ -94,7 +97,7 @@ class KernelConfig:
     """Which kernel to evaluate and the shot budgets to spend on it."""
 
     kind: str
-    feature_map: FeatureMapConfig | None = None
+    feature_map: FeatureMapConfig = FeatureMapConfig()
     it_shots: int = 1000
     rm_settings: int = 30
     rm_shots: int = 9000
@@ -107,8 +110,6 @@ class KernelConfig:
             raise ValueError("shot counts must be >= 1")
         if self.kind == "randomized" and self.rm_settings < 2:
             raise ValueError("randomized kernel needs rm_settings >= 2")
-        if self.kind != "rbf" and self.feature_map is None:
-            raise ValueError(f"kernel kind {self.kind!r} requires a feature_map")
 
 
 @dataclass(frozen=True)
@@ -145,17 +146,15 @@ def collect_signature(
 ) -> np.ndarray:
     """Measure the feature-map state of ``x`` in every setting of an (r, d, 2, 2) array.
 
-    Returns the ``(r, 2^d)`` shot counts, one row per setting.  The same
+    ``x`` has one feature per qubit of the settings.  Returns the
+    ``(r, 2^d)`` shot counts, one row per setting.  The same
     settings must be shared by all points entering one kernel matrix;
     the caller owns that contract.
     """
     if len(settings) == 0:
         raise ValueError("at least one measurement setting is required")
-    d = fm.num_qubits
-    if settings.shape[1] != d:
-        raise ValueError(f"settings act on {settings.shape[1]} qubits, the feature map on {d}")
     state = encode_iqp(x, fm)
-    counts = np.empty((len(settings), 2**d), dtype=np.int64)
+    counts = np.empty((len(settings), len(state)), dtype=np.int64)
     for m, st in enumerate(settings):
         counts[m] = born_counts(apply_local(state, st), shots, rng)
     return counts
@@ -201,14 +200,14 @@ def rm_purity(counts: np.ndarray, shots: int) -> float:
     return float(dim * per_setting.mean())
 
 
-def _rm_raw_matrix(freqs_a: np.ndarray, freqs_b: np.ndarray, num_qubits: int) -> np.ndarray:
+def _rm_raw_matrix(freqs_a: np.ndarray, freqs_b: np.ndarray) -> np.ndarray:
     """All-pairs raw randomized-measurement estimates, averaged over settings."""
-    coeff = _coefficient_matrix(num_qubits)
-    r = freqs_a.shape[1]
-    acc = np.zeros((freqs_a.shape[0], freqs_b.shape[0]))
+    n, r, dim = freqs_a.shape
+    coeff = _coefficient_matrix(dim.bit_length() - 1)
+    acc = np.zeros((n, freqs_b.shape[0]))
     for m in range(r):
         acc += (freqs_a[:, m, :] @ coeff) @ freqs_b[:, m, :].T
-    return 2**num_qubits * acc / r
+    return dim * acc / r
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +235,13 @@ def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_array_bytes(cfg: KernelConfig, n: int) -> None:
-    """Reject ``n`` points whose largest quantum array would exceed 1 GiB.
+def _check_array_bytes(cfg: KernelConfig, n: int, d: int) -> None:
+    """Reject ``n`` points of ``d`` features whose largest quantum array would exceed 1 GiB.
 
     That array is the ``(n, r, 2^d)`` int64 counts of the randomized kind or
     the ``(n, 2^d)`` complex states of the pairwise kinds, unless the
     ``(2^d, d)`` float basis-sign table that every encoding builds is larger.
     """
-    d = cfg.feature_map.num_qubits
     if cfg.kind == "randomized":
         point_set = (8 * n * cfg.rm_settings * 2**d, "(n, r, 2^d) int64 counts")
     else:
@@ -274,23 +272,23 @@ def _represent(
     """
     if cfg.kind == "rbf":
         return X
-    _check_array_bytes(cfg, len(X))
+    n, d = X.shape
+    _check_array_bytes(cfg, n, d)
     if cfg.kind != "randomized":
         return np.stack([encode_iqp(x, cfg.feature_map) for x in X])
-    d = cfg.feature_map.num_qubits
     _coefficient_matrix(d)  # fail on a table that cannot fit before measuring
     if settings is None:
         settings = np.stack([sample_haar_setting(d, rng) for _ in range(cfg.rm_settings)])
     shots = cfg.rm_shots
     # one child stream per point, derived serially, so per-point collection
     # could run concurrently without changing any outcome
-    seeds = rng.integers(0, 2**63 - 1, size=len(X))
-    counts = np.empty((len(X), len(settings), 2**d), dtype=np.int64)
+    seeds = rng.integers(0, 2**63 - 1, size=n)
+    counts = np.empty((n, len(settings), 2**d), dtype=np.int64)
     for i, (x, seed) in enumerate(zip(X, seeds.tolist())):
         point_rng = np.random.default_rng(seed)
         counts[i] = collect_signature(x, cfg.feature_map, settings, shots, point_rng)
     if not purities:
-        return SignatureCache(settings, counts, shots, np.full(len(X), np.nan))
+        return SignatureCache(settings, counts, shots, np.full(n, np.nan))
     estimates = np.array([rm_purity(c, shots) for c in counts])
     if cfg.mitigate and np.any(estimates <= 0):
         bad = int(np.argmax(estimates <= 0))
@@ -304,7 +302,8 @@ def _represent(
 def _check_train(cfg: KernelConfig, train: np.ndarray | SignatureCache, width: int) -> None:
     """Reject a training point set that ``cfg`` would not have built.
 
-    ``width`` is the feature count of the test rows.
+    ``width`` is the feature count of the test rows; the training set must
+    have been built from rows of the same width.
     """
     if cfg.kind == "randomized":
         if not isinstance(train, SignatureCache):
@@ -312,10 +311,9 @@ def _check_train(cfg: KernelConfig, train: np.ndarray | SignatureCache, width: i
                 "randomized cross kernel requires the training signature cache, "
                 f"got {type(train).__name__}"
             )
-        if train.num_qubits != cfg.feature_map.num_qubits:
+        if train.num_qubits != width:
             raise ValueError(
-                f"cache encodes {train.num_qubits} qubits, "
-                f"config expects {cfg.feature_map.num_qubits}"
+                f"cache encodes {train.num_qubits} qubits, the test rows have {width} features"
             )
         if len(train.settings) != cfg.rm_settings:
             raise ValueError(
@@ -327,11 +325,11 @@ def _check_train(cfg: KernelConfig, train: np.ndarray | SignatureCache, width: i
     if cfg.kind == "rbf":
         what, cols = "rows", width
     else:
-        what, cols = "feature states", 2**cfg.feature_map.num_qubits
+        what, cols = "feature states", 2**width
     if np.ndim(train) != 2 or np.shape(train)[1] != cols:
         raise ValueError(
-            f"{cfg.kind} cross kernel expects training {what} of shape (n, {cols}), "
-            f"got {np.shape(train)}"
+            f"{cfg.kind} cross kernel on {width}-feature test rows expects training {what} "
+            f"of shape (n, {cols}), got {np.shape(train)}"
         )
 
 
@@ -348,7 +346,7 @@ def _kernel_block(
     if cfg.kind == "randomized":
         freqs_a = a.counts / float(a.shots)
         freqs_b = freqs_a if b is a else b.counts / float(b.shots)
-        raw = _rm_raw_matrix(freqs_a, freqs_b, cfg.feature_map.num_qubits)
+        raw = _rm_raw_matrix(freqs_a, freqs_b)
         if not cfg.mitigate:
             return raw
         return raw / np.sqrt(np.outer(a.purities, b.purities))

@@ -47,7 +47,6 @@ class ScalerParams:
 class PCAParams:
     mean: np.ndarray
     components: np.ndarray  # (d, m), orthonormal columns
-    explained_variance: np.ndarray
 
     def __post_init__(self) -> None:
         gram = self.components.T @ self.components
@@ -57,7 +56,6 @@ class PCAParams:
 
 @dataclass(frozen=True)
 class RescaleParams:
-    kind: str
     factor: float
     scaler: ScalerParams | None = None
 
@@ -66,7 +64,6 @@ class RescaleParams:
 class PreprocessParams:
     """Full fitted chain for one kernel kind: scaler, PCA, kind rescale."""
 
-    kind: str
     scaler: ScalerParams
     pca: PCAParams
     rescale: RescaleParams
@@ -99,14 +96,13 @@ def fit_pca(X_train: np.ndarray, m: int) -> PCAParams:
     if not 1 <= m <= min(n - 1, d):
         raise ValueError(f"m must be in [1, min(n-1, d)] = [1, {min(n - 1, d)}], got {m}")
     mean = X_train.mean(axis=0)
-    _, singular, vt = np.linalg.svd(X_train - mean, full_matrices=False)
+    vt = np.linalg.svd(X_train - mean, full_matrices=False)[2]
     components = vt[:m].T.copy()
     for col in range(m):
         peak = np.argmax(np.abs(components[:, col]))
         if components[peak, col] < 0:
             components[:, col] *= -1.0
-    explained = singular[:m] ** 2 / (n - 1)
-    return PCAParams(mean=mean, components=components, explained_variance=explained)
+    return PCAParams(mean=mean, components=components)
 
 
 def apply_pca(params: PCAParams, X: np.ndarray) -> np.ndarray:
@@ -117,19 +113,17 @@ def fit_rescale(X_train: np.ndarray, kind: str) -> RescaleParams:
     """Fit the kind-specific final rescale on (post-PCA) training data."""
     X_train = np.asarray(X_train, dtype=float)
     if kind in _ANGLE_KINDS:
-        return RescaleParams(kind=kind, factor=ANGLE_RESCALE_FACTOR)
+        return RescaleParams(factor=ANGLE_RESCALE_FACTOR)
     if kind == "randomized":
         scaler = fit_scaler(X_train)
-        return RescaleParams(kind=kind, factor=1.0 / np.sqrt(X_train.shape[1]), scaler=scaler)
+        return RescaleParams(factor=1.0 / np.sqrt(X_train.shape[1]), scaler=scaler)
     if kind == "rbf":
-        return RescaleParams(kind=kind, factor=1.0)
+        return RescaleParams(factor=1.0)
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
 def apply_rescale(params: RescaleParams, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if params.kind == "rbf":
-        return X
     if params.scaler is not None:
         X = apply_scaler(params.scaler, X)
     return X * params.factor
@@ -142,7 +136,7 @@ def fit_preprocess(X_train: np.ndarray, kind: str, num_features: int) -> Preproc
     pca = fit_pca(scaled, num_features)
     reduced = apply_pca(pca, scaled)
     rescale = fit_rescale(reduced, kind)
-    return PreprocessParams(kind=kind, scaler=scaler, pca=pca, rescale=rescale)
+    return PreprocessParams(scaler=scaler, pca=pca, rescale=rescale)
 
 
 def apply_preprocess(params: PreprocessParams, X: np.ndarray) -> np.ndarray:

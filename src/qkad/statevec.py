@@ -2,6 +2,8 @@
 
 Conventions used throughout the package:
 
+* The circuit has one qubit per input feature, so a ``d``-dimensional
+  input gives a ``d``-qubit state.
 * Basis index ``s`` of a ``d``-qubit state is an integer in ``[0, 2**d)``;
   qubit 0 is the MOST significant bit of ``s``.  The bitstring form of an
   outcome is ``format(s, f"0{d}b")``, so character 0 belongs to qubit 0.
@@ -38,15 +40,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FeatureMapConfig:
-    """Shape of the data-encoding circuit: qubit count, repetitions, angle scale."""
+    """Shape of the data-encoding circuit: repetitions and angle scale.
 
-    num_qubits: int
+    The qubit count is not an option: it is the width of the encoded input.
+    """
+
     layers: int = 2
     angle_scale: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
         if not self.angle_scale > 0:
@@ -81,9 +83,9 @@ def iqp_layer_angles(x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     ``exp(-i/2 * angles)``.
     """
     x = np.asarray(x, dtype=float)
-    d = cfg.num_qubits
-    if x.shape != (d,):
-        raise ValueError(f"expected {d}-dimensional input, got shape {x.shape}")
+    if x.ndim != 1 or len(x) == 0:
+        raise ValueError(f"expected a non-empty 1-D input, got shape {x.shape}")
+    d = len(x)
     lam = cfg.angle_scale
     z = _basis_signs(d)  # (2^d, d)
     angles = z @ (lam * x)
@@ -99,10 +101,10 @@ def encode_iqp(x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
 
     Starting from |0...0>, repeats ``cfg.layers`` times: Hadamards on every
     qubit, then the commuting diagonal rotation layer whose angles are given
-    by :func:`iqp_layer_angles`.
+    by :func:`iqp_layer_angles`.  The state has one qubit per entry of ``x``.
     """
-    d = cfg.num_qubits
     phases = np.exp(-0.5j * iqp_layer_angles(x, cfg))
+    d = len(x)
     hadamards = np.broadcast_to(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), (d, 2, 2))
     amps = np.zeros(2**d, dtype=np.complex128)
     amps[0] = 1.0

@@ -93,9 +93,9 @@ def apply_iqp_adjoint(amps: np.ndarray, x: np.ndarray, cfg: FeatureMapConfig) ->
     state overlap the inversion test samples.  Each layer undoes the diagonal
     phases, then applies the Hadamards as one explicit Kronecker product.
     """
-    d = cfg.num_qubits
+    d = len(x)
     if amps.shape != (2**d,):
-        raise ValueError(f"state has shape {amps.shape}, config expects {d} qubits")
+        raise ValueError(f"state has shape {amps.shape}, the input has {d} features")
     phases = np.exp(+0.5j * iqp_layer_angles(x, cfg))
     for _ in range(cfg.layers):
         amps = kron_apply_oracle([_H] * d, amps * phases)

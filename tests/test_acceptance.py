@@ -21,10 +21,8 @@ from qkad.ensemble import VSConfig, fit_vs, rotation_dim
 from qkad.kernel import GramMatrix, KernelConfig, build_gram_cross, build_gram_train
 from qkad.metrics import average_precision, confusion, f1, precision_recall
 from qkad.ocsvm import SolverConfig, decision_scores, fit
-from qkad.statevec import FeatureMapConfig
 
-FM2 = FeatureMapConfig(num_qubits=2)
-EXACT2 = KernelConfig(kind="exact", feature_map=FM2)
+EXACT = KernelConfig(kind="exact")
 
 
 @pytest.fixture
@@ -37,7 +35,7 @@ def announce(capsys):
 
 
 def exact_gram(X):
-    gram, _ = build_gram_train(X, EXACT2, np.random.default_rng(0))
+    gram, _ = build_gram_train(X, EXACT, np.random.default_rng(0))
     return gram
 
 
@@ -46,15 +44,15 @@ def pipeline_scores(seed: int, n_train: int = 100, nu: float = 0.1):
     data_rng, train_rng, solver_rng, _ = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
     )
-    spec = SplitSpec(train_size=n_train, test_size=125, test_anomaly_ratio=0.3, seed=seed)
+    spec = SplitSpec(train_size=n_train, test_size=125, test_anomaly_ratio=0.3)
     train, test = generate_synthetic(n_train, spec, data_rng)
     prep = pipeline.fit_preprocess(train.features, "exact", 2)
     X_train = pipeline.apply_preprocess(prep, train.features)
     X_test = pipeline.apply_preprocess(prep, test.features)
-    gram, states = build_gram_train(X_train, EXACT2, train_rng)
+    gram, states = build_gram_train(X_train, EXACT, train_rng)
     model = fit(gram, nu, SolverConfig(), solver_rng)
     train_scores = decision_scores(model, GramMatrix(gram.entries, False, 0))
-    test_scores = decision_scores(model, build_gram_cross(X_test, states, EXACT2))
+    test_scores = decision_scores(model, build_gram_cross(X_test, states, EXACT))
     return model, train_scores, test_scores, test.labels
 
 
@@ -65,7 +63,7 @@ def test_criterion_1_estimator_oracle_agreement(announce):
     exact = exact_gram(X).entries
 
     shots = 10**5
-    it_cfg = KernelConfig(kind="inversion_test", feature_map=FM2, it_shots=shots)
+    it_cfg = KernelConfig(kind="inversion_test", it_shots=shots)
     it_gram, _ = build_gram_train(X, it_cfg, np.random.default_rng(102))
     iu = np.triu_indices(8, k=1)
     worst_sigma = 0.0
@@ -74,7 +72,7 @@ def test_criterion_1_estimator_oracle_agreement(announce):
         assert abs(est - p) <= bound
         worst_sigma = max(worst_sigma, abs(est - p) / (bound / 3.0))
 
-    rm_cfg = KernelConfig(kind="randomized", feature_map=FM2, rm_settings=30,
+    rm_cfg = KernelConfig(kind="randomized", rm_settings=30,
                           rm_shots=9000, mitigate=True)
     rm_gram, _ = build_gram_train(X, rm_cfg, np.random.default_rng(102))
     rm_err = np.max(np.abs(rm_gram.entries - exact))
@@ -88,7 +86,7 @@ def test_criterion_2_error_decreases_with_shots(announce):
     iu = np.triu_indices(6, k=1)
     means = []
     for s in (100, 1000, 9000):
-        cfg = KernelConfig(kind="randomized", feature_map=FM2, rm_settings=30,
+        cfg = KernelConfig(kind="randomized", rm_settings=30,
                            rm_shots=s, mitigate=True)
         errs = [
             np.mean(np.abs(build_gram_train(X, cfg, np.random.default_rng(1000 + k))[0].entries[iu]
@@ -142,18 +140,18 @@ def test_criterion_5_evaluation_count_complexity(announce):
     rng = np.random.default_rng(10)
     X10 = rng.uniform(-1, 1, size=(10, 2))
     it_gram, _ = build_gram_train(
-        X10, KernelConfig(kind="inversion_test", feature_map=FM2, it_shots=16), rng
+        X10, KernelConfig(kind="inversion_test", it_shots=16), rng
     )
     assert it_gram.eval_count == 10 * 9 // 2
 
     X6 = rng.uniform(-1, 1, size=(6, 2))
     rm_gram, _ = build_gram_train(
-        X6, KernelConfig(kind="randomized", feature_map=FM2, rm_settings=5,
+        X6, KernelConfig(kind="randomized", rm_settings=5,
                          rm_shots=64, mitigate=False), rng
     )
     assert rm_gram.eval_count == 6 * 5
 
-    it_cfg = KernelConfig(kind="inversion_test", feature_map=FM2, it_shots=16)
+    it_cfg = KernelConfig(kind="inversion_test", it_shots=16)
     sizes = np.array([200, 500, 1000], dtype=float)
     means = []
     for n in (200, 500, 1000):
@@ -175,7 +173,7 @@ def test_criterion_5_evaluation_count_complexity(announce):
 def test_criterion_6_rotated_feature_bagging(announce):
     assert rotation_dim(28) == 5
 
-    rm_cfg = KernelConfig(kind="randomized", feature_map=FeatureMapConfig(num_qubits=4),
+    rm_cfg = KernelConfig(kind="randomized",
                           rm_settings=8, rm_shots=512, mitigate=False)
     vs_cfg = VSConfig(base_kernel=rm_cfg, nu=0.1, rfb_enabled=True)
 
@@ -187,7 +185,7 @@ def test_criterion_6_rotated_feature_bagging(announce):
         for comp in model.components:
             r_prime = comp.projection.shape[1]
             assert np.max(np.abs(comp.projection.T @ comp.projection - np.eye(r_prime))) <= 1e-10
-            assert comp.kernel.feature_map.num_qubits == rotation_dim(d)
+            assert comp.train.num_qubits == rotation_dim(d)
         return elapsed / len(model.components), model
 
     # one fit seed gives identical subsample sizes and both widths project

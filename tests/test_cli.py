@@ -270,6 +270,34 @@ def test_main_rejects_invalid_config_with_usage(method, features, message, capsy
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "method,option,value,message",
+    [
+        ("rbf", "--train-size", "0", "train_size must be >= 1"),
+        ("vs-it", "--train-size", "49", "vs-it needs train_size >= 50"),
+        ("rbf", "--nu", "0", "nu must be in (0, 1]"),
+        ("rbf", "--nu", "1.5", "nu must be in (0, 1]"),
+        ("it", "--it-shots", "0", "shot counts must be >= 1"),
+        ("it", "--layers", "0", "layers must be >= 1"),
+        ("rm", "--lambda", "0", "angle_scale must be > 0"),
+        ("rm", "--rm-settings", "1", "rm_settings >= 2"),
+    ],
+)
+def test_main_rejects_invalid_numeric_option_before_any_seed(
+    method, option, value, message, capsys, monkeypatch
+):
+    def no_seed(*args):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(cli, "_run_seed", no_seed)
+    with pytest.raises(SystemExit) as exc:
+        main(["--method", method, "--dataset", "synthetic", option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert message in err
+
+
 def test_load_records_rejects_a_line_that_is_not_an_object(tmp_path):
     path = tmp_path / "records.jsonl"
     record = RunRecord(method="rbf", dataset="synthetic", seed=0, n_train=10, d=2)

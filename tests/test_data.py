@@ -31,7 +31,7 @@ def fraud_row(rng, label):
 
 def test_synthetic_train_is_normal_only():
     train, test = generate_synthetic(
-        200, SplitSpec(train_size=200, test_size=125, test_anomaly_ratio=0.3, seed=0),
+        200, SplitSpec(train_size=200, test_size=125, test_anomaly_ratio=0.3),
         np.random.default_rng(0),
     )
     assert train.n_points == 200
@@ -41,7 +41,7 @@ def test_synthetic_train_is_normal_only():
 
 def test_synthetic_test_counts_default_protocol():
     _, test = generate_synthetic(
-        100, SplitSpec(train_size=100, test_size=125, test_anomaly_ratio=0.3, seed=0),
+        100, SplitSpec(train_size=100, test_size=125, test_anomaly_ratio=0.3),
         np.random.default_rng(0),
     )
     assert test.n_points == 125
@@ -49,7 +49,7 @@ def test_synthetic_test_counts_default_protocol():
 
 
 def test_synthetic_bit_identical_given_seed():
-    spec = SplitSpec(train_size=50, test_size=40, test_anomaly_ratio=0.3, seed=5)
+    spec = SplitSpec(train_size=50, test_size=40, test_anomaly_ratio=0.3)
     a_train, a_test = generate_synthetic(50, spec, np.random.default_rng(5))
     b_train, b_test = generate_synthetic(50, spec, np.random.default_rng(5))
     assert np.array_equal(a_train.features, b_train.features)
@@ -59,7 +59,7 @@ def test_synthetic_bit_identical_given_seed():
 
 def test_synthetic_anomalies_inside_box():
     _, test = generate_synthetic(
-        50, SplitSpec(train_size=50, test_size=100, test_anomaly_ratio=0.5, seed=1),
+        50, SplitSpec(train_size=50, test_size=100, test_anomaly_ratio=0.5),
         np.random.default_rng(1),
     )
     anomalies = test.features[test.labels == 1]
@@ -170,12 +170,12 @@ def test_fraud_csv_quoted_header_accepted(tmp_path):
 def make_pool(n_normal, n_anomaly, rng):
     features = rng.normal(size=(n_normal + n_anomaly, 4))
     labels = np.concatenate([np.zeros(n_normal, np.int64), np.ones(n_anomaly, np.int64)])
-    return Dataset(features=features, labels=labels, name="pool", seed=0)
+    return Dataset(features=features, labels=labels)
 
 
 def test_split_fraud_protocol_counts(rng):
     pool = make_pool(800, 30, rng)
-    spec = SplitSpec(train_size=500, test_size=125, test_anomaly_ratio=0.05, seed=0)
+    spec = SplitSpec(train_size=500, test_size=125, test_anomaly_ratio=0.05)
     train, test = make_split(pool, spec, rng)
     assert train.n_points == 500 and train.n_anomalies == 0
     assert test.n_points == 125 and test.n_anomalies == 6  # floor(0.05 * 125)
@@ -183,7 +183,7 @@ def test_split_fraud_protocol_counts(rng):
 
 def test_split_train_test_disjoint(rng):
     pool = make_pool(100, 20, rng)
-    spec = SplitSpec(train_size=40, test_size=30, test_anomaly_ratio=0.3, seed=0)
+    spec = SplitSpec(train_size=40, test_size=30, test_anomaly_ratio=0.3)
     train, test = make_split(pool, spec, rng)
     train_keys = {tuple(row) for row in train.features}
     test_keys = {tuple(row) for row in test.features}
@@ -208,6 +208,6 @@ def test_split_insufficient_points(rng):
 
 def test_dataset_validation():
     with pytest.raises(ValueError, match="labels"):
-        Dataset(features=np.ones((3, 2)), labels=np.array([0, 1, 2]), name="x", seed=0)
+        Dataset(features=np.ones((3, 2)), labels=np.array([0, 1, 2]))
     with pytest.raises(ValueError, match="finite"):
-        Dataset(features=np.array([[np.inf, 0.0]]), labels=np.array([0]), name="x", seed=0)
+        Dataset(features=np.array([[np.inf, 0.0]]), labels=np.array([0]))

@@ -13,21 +13,20 @@ from qkad.ensemble import (
 )
 from qkad.kernel import KernelConfig
 from qkad.ocsvm import decision_scores
-from qkad.statevec import FeatureMapConfig
 
 
-def exact_cfg(d=2):
-    return KernelConfig(kind="exact", feature_map=FeatureMapConfig(num_qubits=d))
+def exact_cfg():
+    return KernelConfig(kind="exact")
 
 
-def rm_cfg(d=2, **kw):
+def rm_cfg(**kw):
     defaults = dict(rm_settings=4, rm_shots=64, mitigate=False)
     defaults.update(kw)
-    return KernelConfig(kind="randomized", feature_map=FeatureMapConfig(num_qubits=d), **defaults)
+    return KernelConfig(kind="randomized", **defaults)
 
 
-def it_cfg(d=2):
-    return KernelConfig(kind="inversion_test", feature_map=FeatureMapConfig(num_qubits=d), it_shots=32)
+def it_cfg():
+    return KernelConfig(kind="inversion_test", it_shots=32)
 
 
 def cluster_data(n, d, rng, scale=0.1):
@@ -46,12 +45,9 @@ def test_sample_sizes_within_default_range(rng):
 
 
 def test_component_count_policy():
-    cfg = VSConfig(base_kernel=exact_cfg(), nu=0.1)
-    assert component_count(500, cfg) == 5
-    assert component_count(199, cfg) == 1
-    assert component_count(60, cfg) == 1  # floor would be 0; clamped
-    fixed = VSConfig(base_kernel=exact_cfg(), nu=0.1, component_count=7)
-    assert component_count(500, fixed) == 7
+    assert component_count(500) == 5
+    assert component_count(199) == 1
+    assert component_count(60) == 1  # floor would be 0; clamped
 
 
 def test_sample_sizes_mean_matches_uniform(rng):
@@ -118,11 +114,10 @@ def test_fit_vs_default_policy_shapes(rng):
 
 def test_fit_vs_rfb_components_train_on_projected_features(rng):
     X = cluster_data(120, 6, rng)
-    model = fit_vs(X, VSConfig(base_kernel=rm_cfg(6), nu=0.1, rfb_enabled=True), rng)
+    model = fit_vs(X, VSConfig(base_kernel=rm_cfg(), nu=0.1, rfb_enabled=True), rng)
     for comp in model.components:
         assert comp.projection.shape == (6, 4)  # rotation_dim(6) = 4
         assert comp.train.num_qubits == 4
-        assert comp.kernel.feature_map.num_qubits == 4
         assert np.max(np.abs(comp.projection.T @ comp.projection - np.eye(4))) < 1e-10
 
 
@@ -135,13 +130,13 @@ def test_fit_vs_inversion_eval_budget(rng):
 
 
 def test_fit_vs_needs_enough_points(rng):
-    with pytest.raises(ValueError, match="n_min"):
+    with pytest.raises(ValueError, match="at least 50 training points"):
         fit_vs(cluster_data(40, 2, rng), VSConfig(base_kernel=exact_cfg(), nu=0.1), rng)
 
 
 def test_fit_vs_component_failure_is_fatal_with_index(rng):
     X = cluster_data(100, 2, rng)
-    bad = rm_cfg(2, rm_shots=1)  # purity estimation impossible with 1 shot
+    bad = rm_cfg(rm_shots=1)  # purity estimation impossible with 1 shot
     with pytest.raises(RuntimeError, match="component 0"):
         fit_vs(X, VSConfig(base_kernel=bad, nu=0.1), rng)
 
@@ -158,8 +153,6 @@ def test_fit_vs_deterministic(rng):
 
 
 def test_vs_config_validation():
-    with pytest.raises(ValueError, match="n_min"):
-        VSConfig(base_kernel=exact_cfg(), nu=0.1, n_min=10)
     with pytest.raises(ValueError, match="aggregation"):
         VSConfig(base_kernel=exact_cfg(), nu=0.1, aggregation="median")
     with pytest.raises(ValueError, match="nu"):
@@ -172,40 +165,17 @@ def test_vs_config_validation():
 
 
 def test_score_vs_single_component_equals_normalized_scores(rng):
-    X = cluster_data(64, 2, rng)
+    # 50 points give one component, and it sees all of them
+    X = cluster_data(50, 2, rng)
     X_test = cluster_data(10, 2, rng)
-    cfg = VSConfig(base_kernel=exact_cfg(), nu=0.2, component_count=1, n_min=64, n_max=64)
-    model = fit_vs(X, cfg, np.random.default_rng(2))
-    comp = model.components[0]
+    model = fit_vs(X, VSConfig(base_kernel=exact_cfg(), nu=0.2), np.random.default_rng(2))
+    (comp,) = model.components
+    assert comp.subsample_indices.size == 50
     from qkad.kernel import build_gram_cross
 
-    cross = build_gram_cross(X_test, comp.train, comp.kernel)
+    cross = build_gram_cross(X_test, comp.train, model.kernel)
     expected = (decision_scores(comp.model, cross) - comp.train_score_mean) / comp.train_score_std
     assert np.allclose(score_vs(model, X_test), expected, atol=1e-12)
-
-
-def test_score_vs_identical_components_mean_equals_single(rng):
-    # every component sees all 60 points (row order varies), so the mean
-    # aggregate must match each component's own normalized scores
-    X = cluster_data(60, 2, np.random.default_rng(3))
-    X_test = cluster_data(15, 2, np.random.default_rng(4))
-    from qkad.ocsvm import SolverConfig
-
-    cfg = VSConfig(
-        base_kernel=exact_cfg(), nu=0.2, component_count=3, n_min=60, n_max=60,
-        aggregation="mean", solver=SolverConfig(tolerance=1e-10),
-    )
-    model = fit_vs(X, cfg, np.random.default_rng(5))
-    per_comp = []
-    from qkad.kernel import build_gram_cross
-
-    for comp in model.components:
-        cross = build_gram_cross(X_test, comp.train, comp.kernel)
-        raw = decision_scores(comp.model, cross)
-        per_comp.append((raw - comp.train_score_mean) / comp.train_score_std)
-    mean_scores = score_vs(model, X_test)
-    for scores in per_comp:
-        assert np.allclose(mean_scores, scores, atol=1e-7)
 
 
 def test_score_vs_max_dominates_mean(rng):
@@ -221,16 +191,17 @@ def test_score_vs_max_dominates_mean(rng):
 
 
 def test_score_vs_reuses_stored_projection_bit_exactly(rng):
-    X = cluster_data(110, 6, np.random.default_rng(10))
+    X = cluster_data(200, 6, np.random.default_rng(10))
     X_test = cluster_data(8, 6, np.random.default_rng(11))
-    cfg = VSConfig(base_kernel=rm_cfg(6), nu=0.1, rfb_enabled=True, component_count=2)
+    cfg = VSConfig(base_kernel=rm_cfg(), nu=0.1, rfb_enabled=True)
     model = fit_vs(X, cfg, np.random.default_rng(12))
+    assert len(model.components) == 2
     from qkad.kernel import build_gram_cross
 
     stacked = []
     for comp in model.components:
         cross = build_gram_cross(
-            X_test @ comp.projection, comp.train, comp.kernel,
+            X_test @ comp.projection, comp.train, model.kernel,
             rng=np.random.default_rng(comp.score_seed),
         )
         raw = decision_scores(comp.model, cross)
@@ -264,7 +235,7 @@ def test_cross_eval_count_matches_measured(rng):
         measured = 0
         for comp in model.components:
             cross = build_gram_cross(
-                X_test, comp.train, comp.kernel,
+                X_test, comp.train, model.kernel,
                 rng=np.random.default_rng(0),
             )
             measured += cross.eval_count

@@ -1,9 +1,10 @@
 """Pinned outputs of Gram assembly and of the CLI harness.
 
 ``golden_values.json`` holds train and cross Grams for every kernel kind on a
-fixed 9x3 input, and the checked record fields of two small synthetic seeds
+fixed 9x3 input, the checked record fields of two small synthetic seeds
 per CLI method, which together cover kinds and methods the benchmark never
-runs.  A refactor must reproduce them; only a deliberate change of behaviour
+runs, and the scores of a feature-bagged RM ensemble whose components run
+on fewer qubits (4) than the input has features (6).  A refactor must reproduce them; only a deliberate change of behaviour
 re-records them, with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_values.json
@@ -19,21 +20,20 @@ import numpy as np
 import pytest
 
 from qkad.cli import METHODS, RunConfig, run_experiment
+from qkad.ensemble import VSConfig, cross_eval_count, fit_vs, score_vs
 from qkad.kernel import KernelConfig, build_gram_cross, build_gram_train, clip_gram_psd
-from qkad.statevec import FeatureMapConfig
 
 GOLDEN_PATH = Path(__file__).with_name("golden_values.json")
 
-FM3 = FeatureMapConfig(num_qubits=3)
 GRAM_CASES = {
-    "exact": KernelConfig(kind="exact", feature_map=FM3),
-    "inversion_test": KernelConfig(kind="inversion_test", feature_map=FM3, it_shots=200),
-    "randomized": KernelConfig(kind="randomized", feature_map=FM3, rm_settings=5, rm_shots=300),
+    "exact": KernelConfig(kind="exact"),
+    "inversion_test": KernelConfig(kind="inversion_test", it_shots=200),
+    "randomized": KernelConfig(kind="randomized", rm_settings=5, rm_shots=300),
     "randomized-unmitigated": KernelConfig(
-        kind="randomized", feature_map=FM3, rm_settings=5, rm_shots=300, mitigate=False
+        kind="randomized", rm_settings=5, rm_shots=300, mitigate=False
     ),
     "randomized-unmitigated-clip": KernelConfig(
-        kind="randomized", feature_map=FM3, rm_settings=4, rm_shots=50, mitigate=False
+        kind="randomized", rm_settings=4, rm_shots=50, mitigate=False
     ),
     "rbf": KernelConfig(kind="rbf"),
 }
@@ -60,6 +60,20 @@ def gram_values(case: str) -> dict:
         "train_evals": train.eval_count,
         "cross": cross.entries.tolist(),
         "cross_evals": cross.eval_count,
+    }
+
+
+def rfb_ensemble_values() -> dict:
+    rng = np.random.default_rng(2026)
+    X_train = rng.uniform(-0.6, 0.6, size=(200, 6))
+    X_test = rng.uniform(-0.6, 0.6, size=(10, 6))
+    cfg = KernelConfig(kind="randomized", rm_settings=4, rm_shots=64, mitigate=False)
+    model = fit_vs(X_train, VSConfig(base_kernel=cfg, nu=0.1, rfb_enabled=True),
+                   np.random.default_rng(3))
+    return {
+        "scores": score_vs(model, X_test).tolist(),
+        "train_evals": model.train_eval_count,
+        "cross_evals": cross_eval_count(model, len(X_test)),
     }
 
 
@@ -91,6 +105,14 @@ def test_gram_matches_golden(case, golden):
         assert actual[f"{part}_evals"] == expected[f"{part}_evals"]
 
 
+def test_rfb_ensemble_matches_golden(golden):
+    expected = golden["rfb_ensemble"]
+    actual = rfb_ensemble_values()
+    np.testing.assert_allclose(actual["scores"], expected["scores"], rtol=0, atol=1e-12)
+    assert actual["train_evals"] == expected["train_evals"]
+    assert actual["cross_evals"] == expected["cross_evals"]
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_cli_records_match_golden(method, golden):
     actual = record_values(method)
@@ -107,6 +129,7 @@ if __name__ == "__main__":
     payload = {
         "grams": {case: gram_values(case) for case in GRAM_CASES},
         "records": {method: record_values(method) for method in METHODS},
+        "rfb_ensemble": rfb_ensemble_values(),
     }
     json.dump(payload, sys.stdout, indent=1)
     sys.stdout.write("\n")

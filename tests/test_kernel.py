@@ -30,7 +30,7 @@ from oracles import (
     rm_purity_einsum,
 )
 
-FM2 = FeatureMapConfig(num_qubits=2)
+FM2 = FeatureMapConfig()
 
 
 def uniform_counts(r: int, shots: int) -> np.ndarray:
@@ -185,7 +185,7 @@ def test_randomized_kernel_rejects_a_coefficient_table_over_1_gib(monkeypatch):
     # d = 14 needs 8 * 4^14 bytes = 2 GiB; the check runs before any
     # measurement or allocation
     _forbid(monkeypatch, "collect_signature", "sample_haar_setting")
-    cfg = KernelConfig(kind="randomized", feature_map=FeatureMapConfig(num_qubits=14))
+    cfg = KernelConfig(kind="randomized")
     with pytest.raises(ValueError, match=r"14 qubits needs 2147483648 bytes"):
         build_gram_train(np.zeros((2, 14)), cfg, np.random.default_rng(0))
 
@@ -205,7 +205,7 @@ def test_randomized_kernel_rejects_a_coefficient_table_over_1_gib(monkeypatch):
 )
 def test_quantum_point_sets_over_1_gib_fail_before_encoding(kind, d, n, message, monkeypatch):
     _forbid(monkeypatch, "encode_iqp", "collect_signature", "sample_haar_setting")
-    cfg = KernelConfig(kind=kind, feature_map=FeatureMapConfig(num_qubits=d))
+    cfg = KernelConfig(kind=kind)
     with pytest.raises(ValueError, match=message):
         build_gram_train(np.zeros((n, d)), cfg, np.random.default_rng(0))
 
@@ -351,10 +351,8 @@ ALL_KINDS = ["exact", "inversion_test", "randomized", "rbf"]
 
 
 def make_cfg(kind, **kwargs):
-    defaults = dict(feature_map=FM2, it_shots=200, rm_settings=6, rm_shots=300)
+    defaults = dict(it_shots=200, rm_settings=6, rm_shots=300)
     defaults.update(kwargs)
-    if kind == "rbf":
-        defaults["feature_map"] = None
     return KernelConfig(kind=kind, **defaults)
 
 
@@ -419,7 +417,7 @@ def test_unmitigated_raw_rm_block_is_symmetric_psd(seed):
 
     rng = np.random.default_rng(seed)
     X = rng.uniform(-0.5, 0.5, size=(12, 3))
-    cfg = make_cfg("randomized", feature_map=FeatureMapConfig(num_qubits=3), mitigate=False)
+    cfg = make_cfg("randomized", mitigate=False)
     train = _represent(X, cfg, rng, purities=False)
     raw = _kernel_block(cfg, train, train)
     scale = np.max(np.abs(raw))
@@ -496,6 +494,32 @@ def test_gram_cross_rejects_raw_training_rows(kind, rng):
         build_gram_cross(X, X, make_cfg(kind), rng)
 
 
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("exact", r"3-feature test rows expects .* \(n, 8\), got \(4, 4\)"),
+        ("inversion_test", r"3-feature test rows expects .* \(n, 8\), got \(4, 4\)"),
+        ("randomized", r"cache encodes 2 qubits, the test rows have 3 features"),
+    ],
+)
+def test_gram_cross_rejects_test_rows_wider_than_training(kind, message, monkeypatch):
+    # the width check runs before any test point is encoded or measured
+    import qkad.kernel
+
+    rng = np.random.default_rng(9)
+    cfg = make_cfg(kind)
+    _, train = build_gram_train(rng.uniform(-1, 1, size=(4, 2)), cfg, rng)
+    calls = []
+    for name in ("encode_iqp", "collect_signature"):
+        original = getattr(qkad.kernel, name)
+        monkeypatch.setattr(
+            qkad.kernel, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+        )
+    with pytest.raises(ValueError, match=message):
+        build_gram_cross(rng.uniform(-1, 1, size=(3, 3)), train, cfg, rng)
+    assert calls == []
+
+
 def test_gram_cross_requires_matching_cache(rng):
     X = rng.uniform(-1, 1, size=(4, 2))
     cfg = make_cfg("randomized")
@@ -570,6 +594,4 @@ def test_kernel_config_validation():
     with pytest.raises(ValueError, match="kind"):
         KernelConfig(kind="nope")
     with pytest.raises(ValueError, match="rm_settings"):
-        KernelConfig(kind="randomized", feature_map=FM2, rm_settings=1)
-    with pytest.raises(ValueError, match="feature_map"):
-        KernelConfig(kind="exact")
+        KernelConfig(kind="randomized", rm_settings=1)

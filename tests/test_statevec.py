@@ -22,20 +22,20 @@ def random_state(d, rng):
 
 
 def test_zero_input_two_layers_gives_all_zeros_state():
-    state = encode_iqp(np.zeros(2), FeatureMapConfig(num_qubits=2, layers=2))
+    state = encode_iqp(np.zeros(2), FeatureMapConfig(layers=2))
     assert np.allclose(state, [1, 0, 0, 0], atol=1e-12)
 
 
 @pytest.mark.parametrize("d,layers,lam", [(1, 2, 3.0), (2, 2, 3.0), (3, 1, 1.5), (4, 3, 0.7)])
 def test_encode_output_is_normalized(d, layers, lam, rng):
-    cfg = FeatureMapConfig(num_qubits=d, layers=layers, angle_scale=lam)
+    cfg = FeatureMapConfig(layers=layers, angle_scale=lam)
     for _ in range(5):
         state = encode_iqp(rng.uniform(-2, 2, size=d), cfg)
         assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-10
 
 
 def test_states_and_settings_are_plain_arrays(rng):
-    state = encode_iqp(rng.uniform(-1, 1, size=3), FeatureMapConfig(num_qubits=3))
+    state = encode_iqp(rng.uniform(-1, 1, size=3), FeatureMapConfig())
     assert state.shape == (8,) and state.dtype == np.complex128
     setting = sample_haar_setting(3, rng)
     assert setting.shape == (3, 2, 2) and setting.dtype == np.complex128
@@ -45,7 +45,7 @@ def test_states_and_settings_are_plain_arrays(rng):
 
 def test_encode_matches_dense_circuit_oracle_reference_point():
     x = np.array([0.3, -0.7])
-    cfg = FeatureMapConfig(num_qubits=2, layers=2, angle_scale=3.0)
+    cfg = FeatureMapConfig(layers=2, angle_scale=3.0)
     expected = iqp_circuit_oracle(x, d=2, layers=2, lam=3.0)
     assert np.max(np.abs(encode_iqp(x, cfg) - expected)) < 1e-12
 
@@ -54,7 +54,7 @@ def test_encode_matches_dense_circuit_oracle_reference_point():
 def test_encode_matches_dense_circuit_oracle_random(d, rng):
     for layers, lam in [(1, 3.0), (2, 3.0), (2, 1.2)]:
         x = rng.uniform(-1.5, 1.5, size=d)
-        cfg = FeatureMapConfig(num_qubits=d, layers=layers, angle_scale=lam)
+        cfg = FeatureMapConfig(layers=layers, angle_scale=lam)
         expected = iqp_circuit_oracle(x, d=d, layers=layers, lam=lam)
         assert np.max(np.abs(encode_iqp(x, cfg) - expected)) < 1e-12
 
@@ -63,7 +63,7 @@ def test_diagonal_gates_commute_any_application_order(rng):
     # shuffling the order of the (commuting) Rz/Rzz gates in the oracle
     # must reproduce the same amplitudes
     x = rng.uniform(-1, 1, size=3)
-    cfg = FeatureMapConfig(num_qubits=3, layers=2, angle_scale=3.0)
+    cfg = FeatureMapConfig(layers=2, angle_scale=3.0)
     got = encode_iqp(x, cfg)
     for k in range(4):
         shuffled = iqp_circuit_oracle(x, d=3, layers=2, lam=3.0, rng=np.random.default_rng(k))
@@ -71,21 +71,22 @@ def test_diagonal_gates_commute_any_application_order(rng):
 
 
 def test_encode_dimension_mismatch():
-    with pytest.raises(ValueError, match="2-dimensional"):
-        encode_iqp(np.zeros(3), FeatureMapConfig(num_qubits=2))
+    # the qubit count is the input width, so only a 2-D or empty input is wrong
+    with pytest.raises(ValueError, match=r"got shape \(2, 3\)"):
+        encode_iqp(np.zeros((2, 3)), FeatureMapConfig())
+    with pytest.raises(ValueError, match=r"got shape \(0,\)"):
+        encode_iqp(np.zeros(0), FeatureMapConfig())
 
 
 def test_feature_map_config_validation():
     with pytest.raises(ValueError):
-        FeatureMapConfig(num_qubits=0)
+        FeatureMapConfig(layers=0)
     with pytest.raises(ValueError):
-        FeatureMapConfig(num_qubits=2, layers=0)
-    with pytest.raises(ValueError):
-        FeatureMapConfig(num_qubits=2, angle_scale=0.0)
+        FeatureMapConfig(angle_scale=0.0)
 
 
 def test_adjoint_roundtrip_recovers_initial_state(rng):
-    cfg = FeatureMapConfig(num_qubits=3)
+    cfg = FeatureMapConfig()
     x = rng.uniform(-1, 1, size=3)
     state = apply_iqp_adjoint(encode_iqp(x, cfg), x, cfg)
     assert abs(state[0]) ** 2 > 1.0 - 1e-12
@@ -181,7 +182,7 @@ def test_measure_zero_shots_rejected(rng):
 
 
 def test_measure_bit_identical_given_seed():
-    cfg = FeatureMapConfig(num_qubits=2)
+    cfg = FeatureMapConfig()
     x = np.array([0.4, -1.2])
     a = born_counts(encode_iqp(x, cfg), 5000, np.random.default_rng(42))
     b = born_counts(encode_iqp(x, cfg), 5000, np.random.default_rng(42))
