@@ -53,8 +53,11 @@ _METHOD_TABLE = {
     "vs-rfb-rm": ("randomized", False, True, True),
 }
 
-_ANOMALY_RATIO = {"synthetic": 0.3, "fraud": 0.05}
-_DEFAULT_FEATURES = {"synthetic": 2, "fraud": 6}
+# test anomaly ratio, default num_features, source width
+_DATASET_TABLE = {
+    "synthetic": (0.3, 2, len(data.SYNTHETIC_CLUSTER_CENTERS[0])),
+    "fraud": (0.05, 6, len(data.FRAUD_FEATURE_COLUMNS)),
+}
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class RunConfig:
     method: str
     dataset: str
     train_size: int = 500
-    num_features: int | None = None  # None -> 2 (synthetic) / 6 (fraud)
+    num_features: int | None = None  # None -> dataset default, resolved at init
     nu: float = 0.1
     angle_scale: float = 3.0
     layers: int = 2
@@ -74,7 +77,7 @@ class RunConfig:
     fraud_csv: str | None = None
     output: str | None = None
     threshold: float = 0.0
-    mitigate: bool | None = None  # None -> method default
+    mitigate: bool | None = None  # None -> method default, resolved at init
     record_timings: bool = True
     parallel: bool = False
     kernel: KernelConfig = field(init=False, repr=False, compare=False)
@@ -94,9 +97,20 @@ class RunConfig:
             )
         if not 0 < self.nu <= 1:
             raise ValueError(f"nu must be in (0, 1], got {self.nu}")
-        if self.num_features is not None and self.num_features < 1:
+        _, default_features, width = _DATASET_TABLE[self.dataset]
+        if self.num_features is None:
+            object.__setattr__(self, "num_features", default_features)
+        if self.mitigate is None:
+            object.__setattr__(self, "mitigate", _METHOD_TABLE[self.method][1])
+        if self.num_features < 1:
             raise ValueError("num_features must be >= 1")
-        if self.method == "vs-rfb-rm" and self.resolved_features() < 2:
+        limit = min(width, self.train_size - 1)
+        if self.num_features > limit:
+            raise ValueError(
+                f"num_features must be <= {limit} (source width {width}, train_size - 1), "
+                f"got {self.num_features}"
+            )
+        if self.method == "vs-rfb-rm" and self.num_features < 2:
             raise ValueError("rotated feature bagging needs at least 2 post-PCA features")
         kernel = KernelConfig(
             kind=_METHOD_TABLE[self.method][0],
@@ -104,17 +118,9 @@ class RunConfig:
             it_shots=self.it_shots,
             rm_settings=self.rm_settings,
             rm_shots=self.rm_shots,
-            mitigate=self.resolved_mitigate(),
+            mitigate=self.mitigate,
         )
         object.__setattr__(self, "kernel", kernel)
-
-    def resolved_features(self) -> int:
-        return self.num_features if self.num_features is not None else _DEFAULT_FEATURES[self.dataset]
-
-    def resolved_mitigate(self) -> bool:
-        if self.mitigate is not None:
-            return self.mitigate
-        return _METHOD_TABLE[self.method][1]
 
 
 @dataclass(frozen=True)
@@ -157,7 +163,7 @@ def _config_echo(cfg: RunConfig) -> dict:
         "method": cfg.method,
         "dataset": cfg.dataset,
         "train_size": cfg.train_size,
-        "num_features": cfg.resolved_features(),
+        "num_features": cfg.num_features,
         "nu": cfg.nu,
         "lambda": cfg.angle_scale,
         "layers": cfg.layers,
@@ -165,7 +171,7 @@ def _config_echo(cfg: RunConfig) -> dict:
         "rm_settings": cfg.rm_settings,
         "rm_shots": cfg.rm_shots,
         "aggregation": cfg.aggregation,
-        "mitigate": cfg.resolved_mitigate(),
+        "mitigate": cfg.mitigate,
         "threshold": cfg.threshold,
         "fraud_csv": cfg.fraud_csv,
         "preprocessing": "standard_scaler+pca+kind_rescale",
@@ -193,11 +199,10 @@ def _load_fraud(cfg: RunConfig) -> data.Dataset:
 def _make_datasets(
     cfg: RunConfig, fraud: data.Dataset | None, rng: np.random.Generator
 ) -> tuple[data.Dataset, data.Dataset]:
-    spec = data.SplitSpec(
-        train_size=cfg.train_size, test_size=125, test_anomaly_ratio=_ANOMALY_RATIO[cfg.dataset]
-    )
+    ratio = _DATASET_TABLE[cfg.dataset][0]
+    spec = data.SplitSpec(train_size=cfg.train_size, test_size=125, test_anomaly_ratio=ratio)
     if cfg.dataset == "synthetic":
-        return data.generate_synthetic(cfg.train_size, spec, rng)
+        return data.generate_synthetic(spec, rng)
     assert fraud is not None
     return data.make_split(fraud, spec, rng)
 
@@ -205,14 +210,12 @@ def _make_datasets(
 def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecord:
     _, _, is_ensemble, use_rfb = _METHOD_TABLE[cfg.method]
     kcfg = cfg.kernel
-    m = cfg.resolved_features()
+    m = cfg.num_features
 
     data_rng, train_rng, solver_rng, score_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
     )
     train, test = _make_datasets(cfg, fraud, data_rng)
-    if m > train.n_features:
-        raise ValueError(f"num_features={m} exceeds source dimensionality {train.n_features}")
 
     prep = pipeline.fit_preprocess(train.features, kcfg.kind, m)
     X_train = pipeline.apply_preprocess(prep, train.features)
@@ -295,7 +298,7 @@ def _error_record(cfg: RunConfig, seed: int, exc: Exception) -> RunRecord:
         dataset=cfg.dataset,
         seed=seed,
         n_train=cfg.train_size,
-        d=cfg.resolved_features(),
+        d=cfg.num_features,
         error=f"{type(exc).__name__}: {exc}",
         config=_config_echo(cfg),
     )

@@ -112,23 +112,22 @@ def _normal_points(count: int, rng: np.random.Generator) -> np.ndarray:
     return np.vstack(parts)
 
 
-def generate_synthetic(
-    n_train: int, test_spec: SplitSpec, rng: np.random.Generator
-) -> tuple[Dataset, Dataset]:
+def generate_synthetic(spec: SplitSpec, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
     """Two-dimensional two-cluster data with box-uniform anomalies.
 
-    The training set holds ``n_train`` normal points; the test set holds
-    ``test_spec.test_size`` points of which ``floor(ratio * size)`` are
-    anomalies drawn uniformly from the anomaly box.
+    The training set holds ``spec.train_size`` normal points; the test set
+    holds ``spec.test_size`` points of which ``spec.test_anomaly_count`` are
+    anomalies drawn uniformly from the anomaly box.  The generator draws the
+    training clusters, the training order, the test clusters, the anomalies
+    and the test order, in that order.
     """
-    if n_train < 1:
-        raise ValueError(f"n_train must be >= 1, got {n_train}")
+    n_train = spec.train_size
     train_x = _normal_points(n_train, rng)
     train_x = train_x[rng.permutation(n_train)]
     train = Dataset(features=train_x, labels=np.zeros(n_train, dtype=np.int64))
 
-    n_anom = test_spec.test_anomaly_count
-    n_norm = test_spec.test_size - n_anom
+    n_anom = spec.test_anomaly_count
+    n_norm = spec.test_size - n_anom
     lo, hi = SYNTHETIC_ANOMALY_BOX
     test_x = np.vstack(
         [_normal_points(n_norm, rng), rng.uniform(lo, hi, size=(n_anom, 2))]
@@ -136,7 +135,7 @@ def generate_synthetic(
     test_y = np.concatenate(
         [np.zeros(n_norm, dtype=np.int64), np.ones(n_anom, dtype=np.int64)]
     )
-    order = rng.permutation(test_spec.test_size)
+    order = rng.permutation(spec.test_size)
     test = Dataset(features=test_x[order], labels=test_y[order])
     return train, test
 

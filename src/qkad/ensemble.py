@@ -10,10 +10,11 @@ qubit per projected feature.  Component scores are z-normalized against the
 component's own training-score statistics and aggregated by mean or max.
 
 The component count is ``floor(n / 100)``, at least 1; it is not an option.
-All subsample sizes, indices, projections and child random streams are drawn
-serially from the caller's generator in component order, so the fitted
-ensemble is a pure function of (seed, config, data) and components could be
-fitted concurrently without changing results.
+The caller's generator first draws all subsample sizes at once; then, for
+each component in order, it draws the subsample indices, the projection (with
+feature bagging) and three child seeds for the kernel fit, the solver and
+scoring.  A component's fit draws only from its own child streams, so the
+fitted ensemble is a pure function of (seed, config, data).
 """
 
 from __future__ import annotations
@@ -96,13 +97,11 @@ def component_count(n: int) -> int:
     return max(1, n // 100)
 
 
-def sample_sizes(c: int, n_min: int, n_max: int, rng: np.random.Generator) -> list[int]:
-    """c i.i.d. subsample sizes, uniform on the inclusive range [n_min, n_max]."""
+def sample_sizes(c: int, rng: np.random.Generator) -> list[int]:
+    """c i.i.d. subsample sizes, uniform on [SUBSAMPLE_MIN, SUBSAMPLE_MAX]."""
     if c < 1:
         raise ValueError(f"c must be >= 1, got {c}")
-    if n_min > n_max or n_min < 1:
-        raise ValueError(f"invalid size range [{n_min}, {n_max}]")
-    return [int(s) for s in rng.integers(n_min, n_max + 1, size=c)]
+    return [int(s) for s in rng.integers(SUBSAMPLE_MIN, SUBSAMPLE_MAX + 1, size=c)]
 
 
 def rotation_dim(d: int) -> int:
@@ -153,23 +152,14 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
     if n < SUBSAMPLE_MIN:
         raise ValueError(f"need at least {SUBSAMPLE_MIN} training points, got {n}")
 
-    c = component_count(n)
-    sizes = [min(s, n) for s in sample_sizes(c, SUBSAMPLE_MIN, SUBSAMPLE_MAX, rng)]
-    draws = []
-    for size in sizes:
-        indices = rng.choice(n, size=size, replace=False)
-        projection = None
-        if cfg.rfb_enabled:
-            projection = random_rotation(d, rotation_dim(d), rng)
-        fit_seed = int(rng.integers(0, 2**63 - 1))
-        solver_seed = int(rng.integers(0, 2**63 - 1))
-        score_seed = int(rng.integers(0, 2**63 - 1))
-        draws.append((indices, projection, fit_seed, solver_seed, score_seed))
-
+    sizes = sample_sizes(component_count(n), rng)
     components: list[Component] = []
     gram_time = 0.0
     solver_time = 0.0
-    for idx, (indices, projection, fit_seed, solver_seed, score_seed) in enumerate(draws):
+    for idx, size in enumerate(sizes):
+        indices = rng.choice(n, size=min(size, n), replace=False)
+        projection = random_rotation(d, rotation_dim(d), rng) if cfg.rfb_enabled else None
+        fit_seed, solver_seed, score_seed = (int(rng.integers(0, 2**63 - 1)) for _ in range(3))
         try:
             sub = X_train[indices]
             if projection is not None:

@@ -110,6 +110,8 @@ class KernelConfig:
             raise ValueError("shot counts must be >= 1")
         if self.kind == "randomized" and self.rm_settings < 2:
             raise ValueError("randomized kernel needs rm_settings >= 2")
+        if self.kind == "randomized" and self.rm_shots < 2:
+            raise ValueError("randomized kernel needs rm_shots >= 2 to estimate purities")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Kernel-specific preprocessing: standard scaling, PCA, final rescaling.
 
 Every transform is fit on training data only and applied with the stored
-parameters, so train/test separation is structural.  The final rescale
-depends on the kernel strategy: data that enters a circuit as rotation
-angles is shrunk by 0.1, the randomized strategy gets a second standard
-scaling followed by ``1/sqrt(M)`` (``M`` = post-PCA dimensionality), and the
-classical RBF baseline is left untouched.
+parameters, so train/test separation is structural.  The chain is scaler ->
+PCA(M) -> optional second scaler -> constant factor, and only its tail
+depends on the kernel kind: data that enters a circuit as rotation angles is
+multiplied by 0.1, the randomized kind is standardized again on the PCA
+output and multiplied by ``1/sqrt(M)``, and the classical RBF baseline is
+left as PCA returns it.
 """
 
 from __future__ import annotations
@@ -17,14 +18,11 @@ import numpy as np
 __all__ = [
     "ScalerParams",
     "PCAParams",
-    "RescaleParams",
     "PreprocessParams",
     "fit_scaler",
     "apply_scaler",
     "fit_pca",
     "apply_pca",
-    "fit_rescale",
-    "apply_rescale",
     "fit_preprocess",
     "apply_preprocess",
 ]
@@ -55,18 +53,19 @@ class PCAParams:
 
 
 @dataclass(frozen=True)
-class RescaleParams:
-    factor: float
-    scaler: ScalerParams | None = None
-
-
-@dataclass(frozen=True)
 class PreprocessParams:
-    """Full fitted chain for one kernel kind: scaler, PCA, kind rescale."""
+    """Full fitted chain for one kernel kind.
+
+    ``post`` is the second scaler, fitted on the PCA output for the
+    randomized kind and ``None`` for every other kind; ``factor`` is the
+    final multiplier (0.1 for angle kinds, ``1/sqrt(M)`` for randomized,
+    1.0 for rbf).
+    """
 
     scaler: ScalerParams
     pca: PCAParams
-    rescale: RescaleParams
+    post: ScalerParams | None
+    factor: float
 
 
 def fit_scaler(X_train: np.ndarray) -> ScalerParams:
@@ -109,35 +108,23 @@ def apply_pca(params: PCAParams, X: np.ndarray) -> np.ndarray:
     return (np.asarray(X, dtype=float) - params.mean) @ params.components
 
 
-def fit_rescale(X_train: np.ndarray, kind: str) -> RescaleParams:
-    """Fit the kind-specific final rescale on (post-PCA) training data."""
-    X_train = np.asarray(X_train, dtype=float)
-    if kind in _ANGLE_KINDS:
-        return RescaleParams(factor=ANGLE_RESCALE_FACTOR)
-    if kind == "randomized":
-        scaler = fit_scaler(X_train)
-        return RescaleParams(factor=1.0 / np.sqrt(X_train.shape[1]), scaler=scaler)
-    if kind == "rbf":
-        return RescaleParams(factor=1.0)
-    raise ValueError(f"unknown kernel kind {kind!r}")
-
-
-def apply_rescale(params: RescaleParams, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if params.scaler is not None:
-        X = apply_scaler(params.scaler, X)
-    return X * params.factor
-
-
 def fit_preprocess(X_train: np.ndarray, kind: str, num_features: int) -> PreprocessParams:
     """Fit the full chain scaler -> PCA(num_features) -> kind rescale."""
+    if kind not in (*_ANGLE_KINDS, "randomized", "rbf"):
+        raise ValueError(f"unknown kernel kind {kind!r}")
     scaler = fit_scaler(X_train)
     scaled = apply_scaler(scaler, X_train)
     pca = fit_pca(scaled, num_features)
-    reduced = apply_pca(pca, scaled)
-    rescale = fit_rescale(reduced, kind)
-    return PreprocessParams(scaler=scaler, pca=pca, rescale=rescale)
+    post, factor = None, 1.0
+    if kind in _ANGLE_KINDS:
+        factor = ANGLE_RESCALE_FACTOR
+    elif kind == "randomized":
+        post, factor = fit_scaler(apply_pca(pca, scaled)), 1.0 / np.sqrt(num_features)
+    return PreprocessParams(scaler=scaler, pca=pca, post=post, factor=factor)
 
 
 def apply_preprocess(params: PreprocessParams, X: np.ndarray) -> np.ndarray:
-    return apply_rescale(params.rescale, apply_pca(params.pca, apply_scaler(params.scaler, X)))
+    X = apply_pca(params.pca, apply_scaler(params.scaler, X))
+    if params.post is not None:
+        X = apply_scaler(params.post, X)
+    return X * params.factor

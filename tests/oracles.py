@@ -236,10 +236,14 @@ def dual_objective(G: np.ndarray, alpha: np.ndarray) -> float:
     return float(0.5 * alpha @ (G @ alpha))
 
 
-def projected_gradient_qp(
-    G: np.ndarray, cap: float, step: float = 1e-3, iters: int = 10**6
-) -> np.ndarray:
-    """Brute-force solver for min 1/2 a^T G a on the capped simplex."""
+def projected_gradient_qp(G: np.ndarray, cap: float, iters: int = 10**6) -> np.ndarray:
+    """Projected-gradient solver for min 1/2 a^T G a on the capped simplex.
+
+    The step is ``1/L`` with ``L = lambda_max(G)``, the gradient's Lipschitz
+    constant, the standard step for an L-smooth convex objective: every step
+    decreases the objective and the iterates converge to a minimizer.
+    """
+    step = 1.0 / np.linalg.eigvalsh(G)[-1]
     n = G.shape[0]
     alpha = np.full(n, 1.0 / n)
     for _ in range(iters):

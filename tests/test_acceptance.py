@@ -45,7 +45,7 @@ def pipeline_scores(seed: int, n_train: int = 100, nu: float = 0.1):
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
     )
     spec = SplitSpec(train_size=n_train, test_size=125, test_anomaly_ratio=0.3)
-    train, test = generate_synthetic(n_train, spec, data_rng)
+    train, test = generate_synthetic(spec, data_rng)
     prep = pipeline.fit_preprocess(train.features, "exact", 2)
     X_train = pipeline.apply_preprocess(prep, train.features)
     X_test = pipeline.apply_preprocess(prep, test.features)

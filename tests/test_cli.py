@@ -142,11 +142,11 @@ def test_run_config_validation():
 
 
 def test_mitigation_defaults_per_method():
-    assert RunConfig(method="rm", dataset="synthetic").resolved_mitigate() is True
-    assert RunConfig(method="rm-unmitigated", dataset="synthetic").resolved_mitigate() is False
-    assert RunConfig(method="vs-rm", dataset="synthetic").resolved_mitigate() is False
+    assert RunConfig(method="rm", dataset="synthetic").mitigate is True
+    assert RunConfig(method="rm-unmitigated", dataset="synthetic").mitigate is False
+    assert RunConfig(method="vs-rm", dataset="synthetic").mitigate is False
     forced = RunConfig(method="vs-rm", dataset="synthetic", mitigate=True)
-    assert forced.resolved_mitigate() is True
+    assert forced.mitigate is True
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +281,10 @@ def test_main_rejects_invalid_config_with_usage(method, features, message, capsy
         ("it", "--layers", "0", "layers must be >= 1"),
         ("rm", "--lambda", "0", "angle_scale must be > 0"),
         ("rm", "--rm-settings", "1", "rm_settings >= 2"),
+        ("rm", "--rm-shots", "1", "rm_shots >= 2"),
+        ("vs-rm", "--rm-shots", "1", "rm_shots >= 2"),
+        ("rbf", "--num-features", "3", "num_features must be <= 2"),
+        ("rbf", "--train-size", "2", "num_features must be <= 1"),
     ],
 )
 def test_main_rejects_invalid_numeric_option_before_any_seed(

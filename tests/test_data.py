@@ -31,7 +31,7 @@ def fraud_row(rng, label):
 
 def test_synthetic_train_is_normal_only():
     train, test = generate_synthetic(
-        200, SplitSpec(train_size=200, test_size=125, test_anomaly_ratio=0.3),
+        SplitSpec(train_size=200, test_size=125, test_anomaly_ratio=0.3),
         np.random.default_rng(0),
     )
     assert train.n_points == 200
@@ -41,7 +41,7 @@ def test_synthetic_train_is_normal_only():
 
 def test_synthetic_test_counts_default_protocol():
     _, test = generate_synthetic(
-        100, SplitSpec(train_size=100, test_size=125, test_anomaly_ratio=0.3),
+        SplitSpec(train_size=100, test_size=125, test_anomaly_ratio=0.3),
         np.random.default_rng(0),
     )
     assert test.n_points == 125
@@ -50,8 +50,8 @@ def test_synthetic_test_counts_default_protocol():
 
 def test_synthetic_bit_identical_given_seed():
     spec = SplitSpec(train_size=50, test_size=40, test_anomaly_ratio=0.3)
-    a_train, a_test = generate_synthetic(50, spec, np.random.default_rng(5))
-    b_train, b_test = generate_synthetic(50, spec, np.random.default_rng(5))
+    a_train, a_test = generate_synthetic(spec, np.random.default_rng(5))
+    b_train, b_test = generate_synthetic(spec, np.random.default_rng(5))
     assert np.array_equal(a_train.features, b_train.features)
     assert np.array_equal(a_test.features, b_test.features)
     assert np.array_equal(a_test.labels, b_test.labels)
@@ -59,7 +59,7 @@ def test_synthetic_bit_identical_given_seed():
 
 def test_synthetic_anomalies_inside_box():
     _, test = generate_synthetic(
-        50, SplitSpec(train_size=50, test_size=100, test_anomaly_ratio=0.5),
+        SplitSpec(train_size=50, test_size=100, test_anomaly_ratio=0.5),
         np.random.default_rng(1),
     )
     anomalies = test.features[test.labels == 1]

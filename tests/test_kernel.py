@@ -595,3 +595,5 @@ def test_kernel_config_validation():
         KernelConfig(kind="nope")
     with pytest.raises(ValueError, match="rm_settings"):
         KernelConfig(kind="randomized", rm_settings=1)
+    with pytest.raises(ValueError, match="rm_shots >= 2"):
+        KernelConfig(kind="randomized", rm_shots=1)

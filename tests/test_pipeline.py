@@ -4,11 +4,9 @@ import pytest
 from qkad.pipeline import (
     apply_pca,
     apply_preprocess,
-    apply_rescale,
     apply_scaler,
     fit_pca,
     fit_preprocess,
-    fit_rescale,
     fit_scaler,
 )
 
@@ -100,17 +98,19 @@ def test_pca_m_out_of_range(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_rescale_angle_kinds_multiply_by_tenth():
-    X = np.array([[2.0, -1.0]])
+def _chain(X_train, X, kind, m):
+    return apply_preprocess(fit_preprocess(X_train, kind, m), X)
+
+
+def test_rescale_angle_kinds_multiply_by_tenth(rng):
+    X = rng.normal(size=(30, 4))
     for kind in ("inversion_test", "exact"):
-        assert np.array_equal(apply_rescale(fit_rescale(X, kind), X), X * 0.1)
-    one = np.array([[2.0]])
-    assert apply_rescale(fit_rescale(one, "inversion_test"), one)[0, 0] == pytest.approx(0.2)
+        assert np.array_equal(_chain(X, X, kind, 3), _chain(X, X, "rbf", 3) * 0.1)
 
 
 def test_rescale_randomized_shrinks_by_sqrt_m(rng):
-    X = rng.normal(size=(100, 4)) * np.array([1.0, 3.0, 0.5, 2.0])
-    out = apply_rescale(fit_rescale(X, "randomized"), X)
+    X = rng.normal(size=(100, 6)) * np.array([1.0, 3.0, 0.5, 2.0, 1.5, 0.7])
+    out = _chain(X, X, "randomized", 4)
     # after the secondary standardization each column has std 1, so the
     # 1/sqrt(M) factor leaves columns with std exactly 0.5 for M = 4
     assert np.max(np.abs(out.std(axis=0) - 0.5)) < 1e-10
@@ -118,22 +118,25 @@ def test_rescale_randomized_shrinks_by_sqrt_m(rng):
 
 def test_rescale_rbf_is_identity_bit_exact(rng):
     X = rng.normal(size=(20, 3))
-    out = apply_rescale(fit_rescale(X, "rbf"), X)
-    assert out is X or np.array_equal(out, X)
+    params = fit_preprocess(X, "rbf", 2)
+    assert params.post is None and params.factor == 1.0
+    expected = apply_pca(params.pca, apply_scaler(params.scaler, X))
+    assert np.array_equal(apply_preprocess(params, X), expected)
 
 
 def test_rescale_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
-        fit_rescale(np.ones((3, 2)), "bogus")
+        fit_preprocess(np.eye(3), "bogus", 1)
 
 
 def test_rescale_test_data_uses_training_parameters(rng):
-    X_train = rng.normal(size=(50, 3))
-    X_test = rng.normal(size=(10, 3)) + 4.0
-    params = fit_rescale(X_train, "randomized")
-    out = apply_rescale(params, X_test)
-    expected = (X_test - X_train.mean(axis=0)) / X_train.std(axis=0) / np.sqrt(3)
-    assert np.max(np.abs(out - expected)) < 1e-12
+    X_train = rng.normal(size=(50, 4))
+    X_test = rng.normal(size=(10, 4)) + 4.0
+    params = fit_preprocess(X_train, "randomized", 3)
+    reduced_train = apply_pca(params.pca, apply_scaler(params.scaler, X_train))
+    reduced_test = apply_pca(params.pca, apply_scaler(params.scaler, X_test))
+    expected = (reduced_test - reduced_train.mean(axis=0)) / reduced_train.std(axis=0) / np.sqrt(3)
+    assert np.max(np.abs(apply_preprocess(params, X_test) - expected)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
