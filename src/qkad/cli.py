@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, data, ocsvm, pipeline
 from .ensemble import SUBSAMPLE_MIN, VSConfig, cross_eval_count, fit_vs, rotation_dim, score_vs
-from .kernel import KernelConfig, build_gram_cross, build_gram_train
+from .kernel import KernelConfig, build_gram_cross, build_gram_train, check_rm_table
 from .metrics import average_precision, confusion, f1, precision_recall
 from .ocsvm import SolverConfig
 from .statevec import FeatureMapConfig
@@ -91,7 +91,8 @@ class RunConfig:
             raise ValueError("at least one seed is required")
         if self.train_size < 1:
             raise ValueError(f"train_size must be >= 1, got {self.train_size}")
-        if _METHOD_TABLE[self.method][2] and self.train_size < SUBSAMPLE_MIN:
+        kind, default_mitigate, is_ensemble, use_rfb = _METHOD_TABLE[self.method]
+        if is_ensemble and self.train_size < SUBSAMPLE_MIN:
             raise ValueError(
                 f"{self.method} needs train_size >= {SUBSAMPLE_MIN}, got {self.train_size}"
             )
@@ -101,7 +102,7 @@ class RunConfig:
         if self.num_features is None:
             object.__setattr__(self, "num_features", default_features)
         if self.mitigate is None:
-            object.__setattr__(self, "mitigate", _METHOD_TABLE[self.method][1])
+            object.__setattr__(self, "mitigate", default_mitigate)
         if self.num_features < 1:
             raise ValueError("num_features must be >= 1")
         limit = min(width, self.train_size - 1)
@@ -110,10 +111,12 @@ class RunConfig:
                 f"num_features must be <= {limit} (source width {width}, train_size - 1), "
                 f"got {self.num_features}"
             )
-        if self.method == "vs-rfb-rm" and self.num_features < 2:
+        if use_rfb and self.num_features < 2:
             raise ValueError("rotated feature bagging needs at least 2 post-PCA features")
+        if kind == "randomized":
+            check_rm_table(rotation_dim(self.num_features) if use_rfb else self.num_features)
         kernel = KernelConfig(
-            kind=_METHOD_TABLE[self.method][0],
+            kind=kind,
             feature_map=FeatureMapConfig(layers=self.layers, angle_scale=self.angle_scale),
             it_shots=self.it_shots,
             rm_settings=self.rm_settings,

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import csv
 import logging
+import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -143,8 +146,12 @@ def generate_synthetic(spec: SplitSpec, rng: np.random.Generator) -> tuple[Datas
 def load_fraud_csv(path: str | Path) -> Dataset:
     """Parse the credit-card fraud CSV; keeps V1..V28 and the Class label.
 
-    The Time and Amount columns are dropped.  Header and cells are validated
-    eagerly: problems raise with the offending row and column named.
+    The Time and Amount columns are dropped.  The header is validated first.
+    The data rows are then parsed by numpy's C reader; when it raises, finds
+    no rows, a non-finite feature or a label other than 0 or 1, the file is
+    parsed again by a checked row loop.  That loop raises with the offending
+    row and column named, and returns the same table for cells that
+    Python's ``float`` reads but numpy does not (such as ``1_0``).
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -160,39 +167,91 @@ def load_fraud_csv(path: str | Path) -> Dataset:
         feature_pos = [header.index(col) for col in FRAUD_FEATURE_COLUMNS]
         class_pos = header.index("Class")
 
-        features: list[list[float]] = []
-        labels: list[float] = []
-        row_nums: list[int] = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise MissingColumnError(
-                    f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}"
-                )
-            values = []
-            for col, pos in zip(FRAUD_FEATURE_COLUMNS, feature_pos):
-                cell = row[pos].strip().strip('"')
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise NonNumericCellError(
-                        f"{path}: row {row_num}, column {col}: cannot parse {cell!r}"
-                    ) from None
-            cell = row[class_pos].strip().strip('"')
+        parsed = _parse_rows_fast(handle, [*feature_pos, class_pos], len(header))
+        if parsed is None:
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
+            parsed = _parse_rows_checked(path, reader, len(header), feature_pos, class_pos)
+    features, labels = parsed
+    dataset = Dataset(features=features, labels=labels)
+    logger.info(
+        "loaded %s: %d rows, %d anomalies, %d features",
+        path.name,
+        dataset.n_points,
+        dataset.n_anomalies,
+        dataset.n_features,
+    )
+    return dataset
+
+
+def _parse_rows_fast(
+    handle: TextIO, usecols: list[int], width: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The data rows after the header as (features, labels), or ``None`` to re-check them.
+
+    ``usecols`` lists the feature columns, then the label column.  Reading
+    the header's last column too makes numpy reject a row shorter than the
+    header, as the checked loop does.
+    """
+    cols = usecols if width - 1 in usecols else [*usecols, width - 1]
+    try:
+        with warnings.catch_warnings():
+            # a header-only file; the checked loop reports it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(
+                handle, delimiter=",", usecols=cols, quotechar='"', comments=None, ndmin=2
+            )
+    except ValueError:
+        return None
+    n_features = len(usecols) - 1
+    features, labels = table[:, :n_features], table[:, n_features]
+    if (
+        not len(table)
+        or not np.isfinite(features).all()
+        or not ((labels == 0.0) | (labels == 1.0)).all()
+    ):
+        return None
+    return features, labels.astype(np.int64)
+
+
+def _parse_rows_checked(
+    path: Path, reader: Iterable[list[str]], width: int, feature_pos: list[int], class_pos: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the data rows one cell at a time, raising on the first bad one by row and column."""
+    features: list[list[float]] = []
+    labels: list[float] = []
+    row_nums: list[int] = []
+    for row_num, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < width:
+            raise MissingColumnError(
+                f"{path}: row {row_num} has {len(row)} fields, expected {width}"
+            )
+        values = []
+        for col, pos in zip(FRAUD_FEATURE_COLUMNS, feature_pos):
+            cell = row[pos].strip().strip('"')
             try:
-                label = float(cell)
+                values.append(float(cell))
             except ValueError:
                 raise NonNumericCellError(
-                    f"{path}: row {row_num}, column Class: cannot parse {cell!r}"
+                    f"{path}: row {row_num}, column {col}: cannot parse {cell!r}"
                 ) from None
-            if label != 0.0 and label != 1.0:
-                raise ValueError(
-                    f"{path}: row {row_num}, column Class: label must be 0 or 1, got {cell!r}"
-                )
-            features.append(values)
-            labels.append(label)
-            row_nums.append(row_num)
+        cell = row[class_pos].strip().strip('"')
+        try:
+            label = float(cell)
+        except ValueError:
+            raise NonNumericCellError(
+                f"{path}: row {row_num}, column Class: cannot parse {cell!r}"
+            ) from None
+        if label != 0.0 and label != 1.0:
+            raise ValueError(
+                f"{path}: row {row_num}, column Class: label must be 0 or 1, got {cell!r}"
+            )
+        features.append(values)
+        labels.append(label)
+        row_nums.append(row_num)
 
     if not features:
         raise EmptyFileError(f"{path}: no data rows")
@@ -205,15 +264,7 @@ def load_fraud_csv(path: str | Path) -> Dataset:
             f"{path}: row {row_nums[i]}, column {FRAUD_FEATURE_COLUMNS[j]}: "
             f"value {float(matrix[i, j])!r} is not finite"
         )
-    dataset = Dataset(features=matrix, labels=np.array(labels, dtype=np.int64))
-    logger.info(
-        "loaded %s: %d rows, %d anomalies, %d features",
-        path.name,
-        dataset.n_points,
-        dataset.n_anomalies,
-        dataset.n_features,
-    )
-    return dataset
+    return matrix, np.array(labels, dtype=np.int64)
 
 
 def make_split(

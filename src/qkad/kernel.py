@@ -46,6 +46,7 @@ __all__ = [
     "SignatureCache",
     "DegenerateSignatureError",
     "KERNEL_KINDS",
+    "check_rm_table",
     "collect_signature",
     "rm_purity",
     "rbf_auto_gamma",
@@ -60,6 +61,7 @@ logger = logging.getLogger(__name__)
 KERNEL_KINDS = ("exact", "inversion_test", "randomized", "rbf")
 
 _MAX_ARRAY_BYTES = 2**30
+_DIST_BLOCK_ROWS = 256
 
 
 class DegenerateSignatureError(ValueError):
@@ -162,18 +164,24 @@ def collect_signature(
     return counts
 
 
+def check_rm_table(num_qubits: int) -> None:
+    """Raise ``ValueError`` if the coefficient table for ``num_qubits`` qubits exceeds 1 GiB."""
+    nbytes = 8 * 4**num_qubits
+    if nbytes > _MAX_ARRAY_BYTES:
+        raise ValueError(
+            f"the randomized-measurement coefficient table for {num_qubits} qubits "
+            f"needs {nbytes} bytes, more than the {_MAX_ARRAY_BYTES}-byte limit"
+        )
+
+
 @lru_cache(maxsize=8)
 def _coefficient_matrix(num_qubits: int) -> np.ndarray:
     """Cached table C[s, s'] = (-2)**(-H(s, s')) over all basis-state pairs.
 
     Raises ``ValueError`` before allocating a table larger than 1 GiB.
     """
+    check_rm_table(num_qubits)
     dim = 2**num_qubits
-    if 8 * dim * dim > _MAX_ARRAY_BYTES:
-        raise ValueError(
-            f"the randomized-measurement coefficient table for {num_qubits} qubits "
-            f"needs {8 * dim * dim} bytes, more than the {_MAX_ARRAY_BYTES}-byte limit"
-        )
     idx = np.arange(dim)
     popcount = sum((idx >> q) & 1 for q in range(num_qubits))
     coeff = ((-0.5) ** np.arange(num_qubits + 1))[popcount[idx[:, None] ^ idx[None, :]]]
@@ -228,8 +236,17 @@ def rbf_auto_gamma(X_train: np.ndarray) -> float:
 
 
 def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    diff = A[:, None, :] - B[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distances between the rows of ``A`` and ``B``.
+
+    Filled in blocks of rows, so the difference tensor is at most
+    ``(_DIST_BLOCK_ROWS, len(B), d)`` instead of ``(len(A), len(B), d)``.
+    """
+    out = np.empty((A.shape[0], B.shape[0]))
+    for start in range(0, A.shape[0], _DIST_BLOCK_ROWS):
+        stop = start + _DIST_BLOCK_ROWS
+        diff = A[start:stop, None, :] - B[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[start:stop])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +361,9 @@ def _kernel_block(
     a training block.
     """
     if cfg.kind == "rbf":
-        return np.exp(-rbf_auto_gamma(b) * _pairwise_sq_dists(a, b))
+        scaled = _pairwise_sq_dists(a, b)
+        scaled *= -rbf_auto_gamma(b)
+        return np.exp(scaled, out=scaled)
     if cfg.kind == "randomized":
         freqs_a = a.counts / float(a.shots)
         freqs_b = freqs_a if b is a else b.counts / float(b.shots)

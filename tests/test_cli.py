@@ -139,6 +139,8 @@ def test_run_config_validation():
         RunConfig(method="rbf", dataset="synthetic", seeds=())
     with pytest.raises(ValueError, match="feature bagging"):
         RunConfig(method="vs-rfb-rm", dataset="synthetic", num_features=1)
+    # bagging measures rotation_dim(28) = 5 qubits, far below the table limit
+    assert RunConfig(method="vs-rfb-rm", dataset="fraud", num_features=28).num_features == 28
 
 
 def test_mitigation_defaults_per_method():
@@ -285,6 +287,10 @@ def test_main_rejects_invalid_config_with_usage(method, features, message, capsy
         ("vs-rm", "--rm-shots", "1", "rm_shots >= 2"),
         ("rbf", "--num-features", "3", "num_features must be <= 2"),
         ("rbf", "--train-size", "2", "num_features must be <= 1"),
+        # 14 qubits need a 2 GiB coefficient table; the fraud data is wide enough
+        ("rm", "--dataset fraud --num-features", "14", "table for 14 qubits needs"),
+        ("rm-unmitigated", "--dataset fraud --num-features", "14", "table for 14 qubits needs"),
+        ("vs-rm", "--dataset fraud --num-features", "28", "table for 28 qubits needs"),
     ],
 )
 def test_main_rejects_invalid_numeric_option_before_any_seed(
@@ -295,7 +301,7 @@ def test_main_rejects_invalid_numeric_option_before_any_seed(
 
     monkeypatch.setattr(cli, "_run_seed", no_seed)
     with pytest.raises(SystemExit) as exc:
-        main(["--method", method, "--dataset", "synthetic", option, value])
+        main(["--method", method, "--dataset", "synthetic", *option.split(), value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:")

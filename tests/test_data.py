@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from qkad import data
 from qkad.data import (
     EmptyFileError,
     FRAUD_HEADER,
@@ -160,6 +163,146 @@ def test_fraud_csv_quoted_header_accepted(tmp_path):
     path.write_text(header + "\n" + body + "\n")
     data = load_fraud_csv(path)
     assert data.n_points == 1 and data.n_anomalies == 1
+
+
+def load_outcome(path):
+    """What loading ``path`` gives: the exact arrays, or the exception type and message."""
+    try:
+        loaded = load_fraud_csv(path)
+    except Exception as exc:  # any outcome is compared, including unexpected ones
+        return type(exc), str(exc)
+    return Dataset, loaded.features.shape, loaded.features.tobytes(), loaded.labels.tobytes()
+
+
+def assert_paths_agree(path, monkeypatch):
+    """The fast parse and the checked row loop give the same outcome; return it."""
+    fast = load_outcome(path)
+    with monkeypatch.context() as patched:
+        patched.setattr(data, "_parse_rows_fast", lambda *args: None)
+        checked = load_outcome(path)
+    assert fast == checked
+    return fast
+
+
+def fraud_lines(rng, rows=3):
+    return [",".join(FRAUD_HEADER)] + [
+        ",".join(str(v) for v in fraud_row(rng, i % 2)) for i in range(rows)
+    ]
+
+
+def with_cell(column, cell):
+    def edit(lines):
+        pos = FRAUD_HEADER.index(column)
+        fields = lines[2].split(",")
+        fields[pos] = cell
+        lines[2] = ",".join(fields)
+        return "\n".join(lines) + "\n"
+
+    return edit
+
+
+def class_before_amount(lines, short_row=False):
+    # Class is not the last column, so only the header's width marks a short row
+    swapped = [",".join([*f[:-2], f[-1], f[-2]]) for f in (line.split(",") for line in lines)]
+    if short_row:
+        swapped[2] = swapped[2].rsplit(",", 1)[0]
+    return "\n".join(swapped) + "\n"
+
+
+def no_checked_loop(*args):
+    raise AssertionError("the checked loop ran on a clean file")
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        # float() reads these and numpy does not: the loop must return the table
+        (with_cell("V5", "1_0"), Dataset),
+        (with_cell("V5", "\u0661"), Dataset),  # ARABIC-INDIC DIGIT ONE
+        (lambda lines: "\ufeff" + "\n".join(lines) + "\n", MissingColumnError),
+        # numpy reads these as inf
+        (with_cell("V5", "Infinity"), NonNumericCellError),
+        (with_cell("V5", "1e400"), NonNumericCellError),
+        (with_cell("V5", "0x1p3"), NonNumericCellError),
+        (with_cell("V5", "1#2"), NonNumericCellError),
+        (with_cell("V5", ""), NonNumericCellError),
+        (lambda lines: "\n".join(lines[:2] + ["   "] + lines[2:]) + "\n", MissingColumnError),
+        (lambda lines: "\n".join(lines[:2] + [""] + lines[2:]) + "\n", Dataset),
+        (with_cell("V5", " 1.5 "), Dataset),
+        (with_cell("V5", "\t1.5\t"), Dataset),
+        (with_cell("V5", '"1.5"'), Dataset),
+        (lambda lines: "\r\n".join(lines) + "\r\n", Dataset),
+        (lambda lines: "\n".join(line + "," for line in lines) + "\n", Dataset),
+        (lambda lines: "\n".join(lines[:2] + [lines[2] + ",7.0"] + lines[3:]) + "\n", Dataset),
+        (with_cell("Class", "1.0"), Dataset),
+        (with_cell("Class", '" 1"'), Dataset),
+        (with_cell("Class", "1e0"), Dataset),
+        (with_cell("Class", "2"), ValueError),
+        (lambda lines: lines[0] + "\n", EmptyFileError),
+        (lambda lines: "\n".join(lines[:2] + ["1.0,2.0"] + lines[2:]) + "\n", MissingColumnError),
+        (class_before_amount, Dataset),
+        (lambda lines: class_before_amount(lines, short_row=True), MissingColumnError),
+    ],
+    ids=[
+        "underscore", "arabic-digit", "bom-header", "Infinity", "1e400", "hex-float", "hash",
+        "empty-cell", "whitespace-line", "blank-line", "padded", "tab-padded", "quoted", "crlf",
+        "trailing-comma", "extra-column", "class-1.0", "class-quoted-space", "class-1e0",
+        "class-2", "header-only", "short-row", "class-before-amount",
+        "class-before-amount-short-row",
+    ],
+)
+def test_fraud_csv_fast_parse_agrees_with_checked_loop(tmp_path, monkeypatch, edit, expected):
+    path = tmp_path / "fraud.csv"
+    path.write_text(edit(fraud_lines(np.random.default_rng(0))), newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a header-only file must not leak numpy's warning
+        outcome = assert_paths_agree(path, monkeypatch)
+    assert outcome[0] is expected
+
+
+def test_fraud_csv_decimal_strings_parse_bit_equal_on_both_paths(tmp_path, monkeypatch):
+    # up to 17 significant digits, which round-trips any double, with and
+    # without a decimal point, a sign and an exponent
+    rng = np.random.default_rng(11)
+    lines = [",".join(FRAUD_HEADER)]
+    for i in range(300):
+        cells = ["0"]
+        for _ in range(28):
+            digits = "".join(map(str, rng.integers(0, 10, size=rng.integers(1, 18))))
+            point = rng.integers(0, len(digits) + 1)
+            cell = digits[:point] + "." + digits[point:] if rng.random() < 0.8 else digits
+            if cell == ".":
+                cell = "0."
+            if rng.random() < 0.5:
+                cell = "-" + cell
+            if rng.random() < 0.3:
+                # down into subnormals, never up to inf
+                cell += f"e{rng.integers(-330, 290)}"
+            cells.append(cell)
+        lines.append(",".join([*cells, "1.0", str(i % 2)]))
+    path = tmp_path / "fraud.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with monkeypatch.context() as patched:
+        patched.setattr(data, "_parse_rows_fast", lambda *args: None)
+        checked = load_fraud_csv(path)
+    monkeypatch.setattr(data, "_parse_rows_checked", no_checked_loop)
+    fast = load_fraud_csv(path)
+    assert fast.features.shape == (300, 28)
+    assert fast.features.tobytes() == checked.features.tobytes()
+    assert fast.labels.tobytes() == checked.labels.tobytes()
+
+
+def test_fraud_csv_clean_file_never_runs_the_checked_loop(tmp_path, monkeypatch):
+    # guards the fast parse: a fallback that always fires would pass every
+    # other test while parsing at the loop's speed
+    monkeypatch.setattr(data, "_parse_rows_checked", no_checked_loop)
+    rng = np.random.default_rng(0)
+    rows = [fraud_row(rng, i % 2) for i in range(5)]
+    path = tmp_path / "fraud.csv"
+    write_fraud_csv(path, rows)
+    loaded = load_fraud_csv(path)
+    assert np.array_equal(loaded.features, np.array([row[1:29] for row in rows], dtype=float))
+    assert loaded.labels.tolist() == [0, 1, 0, 1, 0]
 
 
 # ---------------------------------------------------------------------------

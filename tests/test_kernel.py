@@ -343,6 +343,21 @@ def test_rbf_auto_gamma_matches_total_variance(rng):
     assert rbf_auto_gamma(X) == pytest.approx(1.0 / (3 * X.var()), abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+def test_rbf_row_blocks_equal_the_full_difference_tensor(n, rng):
+    # blocking changes only how much of the (n, m, d) tensor exists at once
+    from qkad.kernel import _kernel_block, _pairwise_sq_dists
+
+    A = rng.normal(size=(n, 5))
+    B = rng.normal(size=(70, 5))
+    for a, b in ((A, A), (A, B)):
+        diff = a[:, None, :] - b[None, :, :]
+        full = np.einsum("ijk,ijk->ij", diff, diff)
+        assert _pairwise_sq_dists(a, b).tobytes() == full.tobytes()
+        gram = np.exp(-rbf_auto_gamma(b) * full)
+        assert _kernel_block(make_cfg("rbf"), a, b).tobytes() == gram.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Gram assembly
 # ---------------------------------------------------------------------------
