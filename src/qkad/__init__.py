@@ -23,7 +23,6 @@ from .kernel import (  # noqa: F401
     SignatureCache,
     build_gram_cross,
     build_gram_train,
-    clip_gram_psd,
     collect_signature,
     rm_purity,
 )

@@ -28,8 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data, ocsvm, pipeline
-from .ensemble import SUBSAMPLE_MIN, VSConfig, cross_eval_count, fit_vs, rotation_dim, score_vs
-from .kernel import KernelConfig, build_gram_cross, build_gram_train, check_rm_table
+from .ensemble import (
+    SUBSAMPLE_MAX, SUBSAMPLE_MIN, VSConfig, cross_eval_count, fit_vs, rotation_dim, score_vs,
+)
+from .kernel import (
+    KernelConfig, _check_array_bytes, build_gram_cross, build_gram_train, check_rm_table,
+)
 from .metrics import average_precision, confusion, f1, precision_recall
 from .ocsvm import SolverConfig
 from .statevec import FeatureMapConfig
@@ -41,6 +45,7 @@ logger = logging.getLogger(__name__)
 METHODS = ("rbf", "it", "rm", "rm-unmitigated", "vs-it", "vs-rm", "vs-rfb-rm")
 DATASETS = ("synthetic", "fraud")
 FRAUD_CSV_ENV = "QKAD_FRAUD_CSV"
+TEST_SIZE = 125  # test points per seed
 
 # kernel kind, default mitigation, ensemble?, feature bagging?
 _METHOD_TABLE = {
@@ -89,6 +94,8 @@ class RunConfig:
             raise ValueError(f"unknown dataset {self.dataset!r}, expected one of {DATASETS}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
         if self.train_size < 1:
             raise ValueError(f"train_size must be >= 1, got {self.train_size}")
         kind, default_mitigate, is_ensemble, use_rfb = _METHOD_TABLE[self.method]
@@ -111,10 +118,14 @@ class RunConfig:
                 f"num_features must be <= {limit} (source width {width}, train_size - 1), "
                 f"got {self.num_features}"
             )
+        # an ensemble's component sizes are random, so only a single model is checked
+        if not is_ensemble and self.nu * self.train_size < 1:
+            raise ValueError(f"infeasible nu: nu * train_size = {self.nu * self.train_size} < 1")
         if use_rfb and self.num_features < 2:
             raise ValueError("rotated feature bagging needs at least 2 post-PCA features")
+        qubits = rotation_dim(self.num_features) if use_rfb else self.num_features
         if kind == "randomized":
-            check_rm_table(rotation_dim(self.num_features) if use_rfb else self.num_features)
+            check_rm_table(qubits)
         kernel = KernelConfig(
             kind=kind,
             feature_map=FeatureMapConfig(layers=self.layers, angle_scale=self.angle_scale),
@@ -123,6 +134,9 @@ class RunConfig:
             rm_shots=self.rm_shots,
             mitigate=self.mitigate,
         )
+        if kind != "rbf":
+            train_points = min(SUBSAMPLE_MAX, self.train_size) if is_ensemble else self.train_size
+            _check_array_bytes(kernel, max(train_points, TEST_SIZE), qubits)
         object.__setattr__(self, "kernel", kernel)
 
 
@@ -203,7 +217,7 @@ def _make_datasets(
     cfg: RunConfig, fraud: data.Dataset | None, rng: np.random.Generator
 ) -> tuple[data.Dataset, data.Dataset]:
     ratio = _DATASET_TABLE[cfg.dataset][0]
-    spec = data.SplitSpec(train_size=cfg.train_size, test_size=125, test_anomaly_ratio=ratio)
+    spec = data.SplitSpec(train_size=cfg.train_size, test_size=TEST_SIZE, test_anomaly_ratio=ratio)
     if cfg.dataset == "synthetic":
         return data.generate_synthetic(spec, rng)
     assert fraud is not None
@@ -408,9 +422,9 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part[1:]:  # allow negative single values, not negative ranges
-            lo, hi = part.split("-", 1) if not part.startswith("-") else (part, "")
-            if hi == "" or int(hi) < int(lo):
+        if "-" in part:
+            lo, hi = part.split("-", 1)
+            if lo == "" or hi == "" or int(hi) < int(lo):
                 raise ValueError(f"bad seed range {part!r}")
             seeds.extend(range(int(lo), int(hi) + 1))
         else:

@@ -44,7 +44,6 @@ __all__ = [
 SUBSAMPLE_MIN = 50
 SUBSAMPLE_MAX = 100
 _STD_FLOOR = 1e-12
-_ROTATION_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -114,35 +113,14 @@ def rotation_dim(d: int) -> int:
 def random_rotation(d: int, r_prime: int, rng: np.random.Generator) -> np.ndarray:
     """Random orthonormal d x r' projection from a uniform [-1, 1] draw.
 
-    Columns of a uniform random matrix are orthonormalized by modified
-    Gram-Schmidt; a numerically rank-deficient draw (probability zero) is
-    redrawn a bounded number of times.
+    The draw is orthonormalized by Householder QR with the signs fixed so
+    that R has a nonnegative diagonal, which is the basis Gram-Schmidt gives.
+    QR returns orthonormal columns even for a rank-deficient draw.
     """
     if not 1 <= r_prime <= d:
         raise ValueError(f"need 1 <= r_prime <= d, got r_prime={r_prime}, d={d}")
-    for _ in range(_ROTATION_RETRIES):
-        y = rng.uniform(-1.0, 1.0, size=(d, r_prime))
-        basis = _gram_schmidt(y)
-        if basis is not None:
-            return basis
-    raise RuntimeError(f"could not draw a rank-{r_prime} projection in {_ROTATION_RETRIES} tries")
-
-
-def _gram_schmidt(y: np.ndarray) -> np.ndarray | None:
-    d, r_prime = y.shape
-    basis = np.empty((d, r_prime))
-    for col in range(r_prime):
-        v = y[:, col].copy()
-        for prev in range(col):
-            v -= np.dot(basis[:, prev], v) * basis[:, prev]
-        # second orthogonalization pass keeps the basis orthonormal to 1e-14
-        for prev in range(col):
-            v -= np.dot(basis[:, prev], v) * basis[:, prev]
-        norm = np.linalg.norm(v)
-        if norm < 1e-10:
-            return None
-        basis[:, col] = v / norm
-    return basis
+    q, r = np.linalg.qr(rng.uniform(-1.0, 1.0, size=(d, r_prime)))
+    return q * np.where(np.diagonal(r) < 0, -1.0, 1.0)
 
 
 def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> EnsembleModel:

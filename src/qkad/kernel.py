@@ -19,14 +19,12 @@ Randomized-measurement post-processing is vectorized over a cached
 the qubit counts this package targets (d up to roughly 12); point sets whose
 arrays would exceed 1 GiB are rejected before any encoding or measurement.
 
-Shot-based entries may leave [0, 1]; they are never clipped silently.
-:func:`clip_gram_psd` is the explicit, logged repair step for indefinite
-matrices.
+Shot-based entries may leave [0, 1], and a shot-based Gram may be
+indefinite; neither is repaired.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,10 +51,7 @@ __all__ = [
     "eval_count",
     "build_gram_train",
     "build_gram_cross",
-    "clip_gram_psd",
 ]
-
-logger = logging.getLogger(__name__)
 
 KERNEL_KINDS = ("exact", "inversion_test", "randomized", "rbf")
 
@@ -454,26 +449,4 @@ def build_gram_cross(
         entries = _shot_noise(cfg, entries, rng)
     t, n = entries.shape
     return GramMatrix(entries=entries, symmetric=False, eval_count=eval_count(cfg, t, t * n))
-
-
-def clip_gram_psd(gram: GramMatrix) -> GramMatrix:
-    """Project a symmetric Gram onto the PSD cone by zeroing negative eigenvalues.
-
-    This is an explicit repair step, never applied implicitly; the amount of
-    clipping is logged.
-    """
-    if not gram.symmetric:
-        raise ValueError("PSD clipping is only defined for symmetric Grams")
-    eigvals, eigvecs = np.linalg.eigh(gram.entries)
-    clipped = np.clip(eigvals, 0.0, None)
-    if np.array_equal(clipped, eigvals):
-        return gram
-    logger.info(
-        "clipping %d negative eigenvalue(s); most negative was %.3e",
-        int(np.sum(eigvals < 0)),
-        float(eigvals.min()),
-    )
-    rebuilt = (eigvecs * clipped) @ eigvecs.T
-    rebuilt = 0.5 * (rebuilt + rebuilt.T)
-    return GramMatrix(entries=rebuilt, symmetric=True, eval_count=gram.eval_count)
 

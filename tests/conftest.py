@@ -1,16 +1,6 @@
 import numpy as np
 import pytest
 
-from qkad.ocsvm import OCSVMModel
-
-
-def assert_dual_feasible(model: OCSVMModel) -> None:
-    """Box and simplex feasibility at the tolerances every fit must meet."""
-    cap = 1.0 / (model.nu * model.n_train)
-    assert np.all(model.alphas >= -1e-9)
-    assert np.all(model.alphas <= cap + 1e-9)
-    assert abs(model.alphas.sum() - 1.0) <= 1e-6
-
 
 @pytest.fixture
 def rng():

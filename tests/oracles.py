@@ -4,9 +4,10 @@ These deliberately avoid the package's own computational paths: the circuit
 oracle multiplies dense gate matrices built from lifted Paulis and matrix
 exponentials, the per-pair kernel estimators run one circuit (or one pair of
 measurement records) at a time where the package fills whole Gram blocks,
-the QP oracles are plain projected gradient descent and the Frank-Wolfe
-gap, and the ranking-metric oracles recount precision/recall from scratch at
-every rank.
+the projection oracle is column-by-column Gram-Schmidt where the package
+uses Householder QR, the QP oracles are plain projected gradient descent,
+the Frank-Wolfe gap and a dual feasibility check, and the ranking-metric
+oracles recount precision/recall from scratch at every rank.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from qkad.kernel import DegenerateSignatureError
+from qkad.ocsvm import OCSVMModel
 from qkad.statevec import FeatureMapConfig, encode_iqp, iqp_layer_angles
 
 _I2 = np.eye(2, dtype=complex)
@@ -211,6 +213,17 @@ def rbf_entry(x: np.ndarray, x_other: np.ndarray, gamma: float) -> float:
     return float(np.exp(-gamma * np.dot(diff, diff)))
 
 
+def gram_schmidt(y: np.ndarray) -> np.ndarray:
+    """Orthonormalize the columns of ``y`` in order by classical Gram-Schmidt, run twice."""
+    basis = np.zeros_like(y)
+    for j in range(y.shape[1]):
+        v = y[:, j].copy()
+        for _ in range(2):
+            v -= basis[:, :j] @ (basis[:, :j].T @ v)
+        basis[:, j] = v / np.linalg.norm(v)
+    return basis
+
+
 def project_capped_simplex(v: np.ndarray, cap: float) -> np.ndarray:
     """Euclidean projection onto {0 <= x <= cap, sum x = 1}.
 
@@ -229,6 +242,14 @@ def project_capped_simplex(v: np.ndarray, cap: float) -> np.ndarray:
         span = sums[k - 1] - sums[k]
         tau = taus[k - 1] + (sums[k - 1] - 1.0) * (taus[k] - taus[k - 1]) / span
     return np.clip(v - tau, 0.0, cap)
+
+
+def assert_dual_feasible(model: OCSVMModel) -> None:
+    """Box and simplex feasibility at the tolerances every fit must meet."""
+    cap = 1.0 / (model.nu * model.n_train)
+    assert np.all(model.alphas >= -1e-9)
+    assert np.all(model.alphas <= cap + 1e-9)
+    assert abs(model.alphas.sum() - 1.0) <= 1e-6
 
 
 def dual_objective(G: np.ndarray, alpha: np.ndarray) -> float:

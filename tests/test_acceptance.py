@@ -12,12 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import assert_dual_feasible
-from oracles import average_precision_oracle, f1_oracle, frank_wolfe_gap
+from oracles import (
+    assert_dual_feasible,
+    average_precision_oracle,
+    f1_oracle,
+    frank_wolfe_gap,
+)
 from qkad import pipeline
 from qkad.cli import RunConfig, records_to_jsonl, run_experiment
 from qkad.data import SplitSpec, generate_synthetic
-from qkad.ensemble import VSConfig, fit_vs, rotation_dim
+from qkad.ensemble import VSConfig, component_count, fit_vs, rotation_dim, sample_sizes
 from qkad.kernel import GramMatrix, KernelConfig, build_gram_cross, build_gram_train
 from qkad.metrics import average_precision, confusion, f1, precision_recall
 from qkad.ocsvm import SolverConfig, decision_scores, fit
@@ -151,17 +155,22 @@ def test_criterion_5_evaluation_count_complexity(announce):
     )
     assert rm_gram.eval_count == 6 * 5
 
+    # An inversion-test ensemble spends s(s-1)/2 evaluations on a component
+    # of s points, so its total follows from the subsample-size draws alone.
+    # One real fit per n checks that formula; the 40-seed means use it.
+    def it_total(n: int, seed: int, fit: bool) -> int:
+        run_rng = np.random.default_rng(1000 * n + seed)
+        X = run_rng.normal(size=(n, 2)) * 0.1
+        if fit:
+            return fit_vs(X, VSConfig(base_kernel=it_cfg, nu=0.1), run_rng).train_eval_count
+        return sum(s * (s - 1) // 2 for s in sample_sizes(component_count(n), run_rng))
+
     it_cfg = KernelConfig(kind="inversion_test", it_shots=16)
     sizes = np.array([200, 500, 1000], dtype=float)
     means = []
     for n in (200, 500, 1000):
-        totals = []
-        for seed in range(40):
-            run_rng = np.random.default_rng(1000 * n + seed)
-            X = run_rng.normal(size=(n, 2)) * 0.1
-            model = fit_vs(X, VSConfig(base_kernel=it_cfg, nu=0.1), run_rng)
-            totals.append(model.train_eval_count)
-        means.append(float(np.mean(totals)))
+        assert it_total(n, 0, fit=True) == it_total(n, 0, fit=False)
+        means.append(float(np.mean([it_total(n, seed, fit=False) for seed in range(40)])))
     means = np.array(means)
     slope = float((means * sizes).sum() / (sizes * sizes).sum())
     deviations = np.abs(means - slope * sizes) / (slope * sizes)

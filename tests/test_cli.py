@@ -137,6 +137,10 @@ def test_run_config_validation():
         RunConfig(method="rbf", dataset="nope")
     with pytest.raises(ValueError, match="seed"):
         RunConfig(method="rbf", dataset="synthetic", seeds=())
+    with pytest.raises(ValueError, match="seeds must be >= 0, got -1"):
+        RunConfig(method="rbf", dataset="synthetic", seeds=(0, -1))
+    # component sizes are random, so an ensemble's nu is checked per component at fit time
+    assert RunConfig(method="vs-it", dataset="synthetic", train_size=60, nu=0.01).nu == 0.01
     with pytest.raises(ValueError, match="feature bagging"):
         RunConfig(method="vs-rfb-rm", dataset="synthetic", num_features=1)
     # bagging measures rotation_dim(28) = 5 qubits, far below the table limit
@@ -291,6 +295,15 @@ def test_main_rejects_invalid_config_with_usage(method, features, message, capsy
         ("rm", "--dataset fraud --num-features", "14", "table for 14 qubits needs"),
         ("rm-unmitigated", "--dataset fraud --num-features", "14", "table for 14 qubits needs"),
         ("vs-rm", "--dataset fraud --num-features", "28", "table for 28 qubits needs"),
+        # point sets over 1 GiB: the training set, or the 125 test points of a vs-* method
+        ("it", "--dataset fraud --train-size 500 --num-features", "18",
+         "inversion_test kernel at d=18 qubits and n=500 points needs 2097152000 bytes"),
+        ("rm", "--dataset fraud --train-size 2000 --num-features", "13",
+         "randomized kernel at d=13 qubits and n=2000 points needs 3932160000 bytes"),
+        ("vs-it", "--dataset fraud --num-features", "20",
+         "inversion_test kernel at d=20 qubits and n=125 points needs 2097152000 bytes"),
+        ("rbf", "--train-size 60 --nu", "0.01", "infeasible nu: nu * train_size = 0.6 < 1"),
+        ("rbf", "--seeds", "-3", "invalid _parse_seeds value: '-3'"),
     ],
 )
 def test_main_rejects_invalid_numeric_option_before_any_seed(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import gram_schmidt
 from qkad import ensemble
 from qkad.ensemble import (
     VSConfig,
@@ -73,6 +74,16 @@ def test_random_rotation_orthonormal_columns(rng):
         assert np.max(np.abs(np.linalg.norm(E, axis=0) - 1.0)) < 1e-10
 
 
+@pytest.mark.parametrize("d", [2, 6, 10, 28])
+def test_random_rotation_is_the_gram_schmidt_basis_of_its_draw(d):
+    r_prime = rotation_dim(d)
+    for seed in range(20):
+        E = random_rotation(d, r_prime, np.random.default_rng(seed))
+        y = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(d, r_prime))
+        # float64 rounding over at most 28 rows stays far below this bound
+        np.testing.assert_allclose(E, gram_schmidt(y), rtol=0, atol=1e-12)
+
+
 def test_random_rotation_preserves_distances_in_expectation(rng):
     d, r_prime = 10, 4
     ratios = []
@@ -88,13 +99,14 @@ def test_random_rotation_bad_dims(rng):
         random_rotation(3, 4, rng)
 
 
-def test_random_rotation_degenerate_draws_exhaust_retries():
+def test_random_rotation_zero_draw_gives_orthonormal_columns():
     class ZeroRng:
         def uniform(self, lo, hi, size):
             return np.zeros(size)
 
-    with pytest.raises(RuntimeError, match="rank"):
-        random_rotation(4, 2, ZeroRng())
+    E = random_rotation(4, 2, ZeroRng())
+    assert E.shape == (4, 2)
+    assert np.max(np.abs(E.T @ E - np.eye(2))) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import pytest
 
 from qkad.cli import METHODS, RunConfig, run_experiment
 from qkad.ensemble import VSConfig, cross_eval_count, fit_vs, score_vs
-from qkad.kernel import KernelConfig, build_gram_cross, build_gram_train, clip_gram_psd
+from qkad.kernel import KernelConfig, build_gram_cross, build_gram_train
 
 GOLDEN_PATH = Path(__file__).with_name("golden_values.json")
 
@@ -32,13 +32,8 @@ GRAM_CASES = {
     "randomized-unmitigated": KernelConfig(
         kind="randomized", rm_settings=5, rm_shots=300, mitigate=False
     ),
-    "randomized-unmitigated-clip": KernelConfig(
-        kind="randomized", rm_settings=4, rm_shots=50, mitigate=False
-    ),
     "rbf": KernelConfig(kind="rbf"),
 }
-# cases whose built training Gram goes through clip_gram_psd
-CLIPPED_CASES = {"randomized-unmitigated-clip"}
 
 RECORD_FIELDS = ("tp", "fp", "tn", "fn", "kernel_evals", "converged", "ap", "f1")
 
@@ -52,8 +47,6 @@ def gram_values(case: str) -> dict:
     cfg = GRAM_CASES[case]
     X_train, X_test = gram_inputs()
     train, points = build_gram_train(X_train, cfg, np.random.default_rng(1))
-    if case in CLIPPED_CASES:
-        train = clip_gram_psd(train)
     cross = build_gram_cross(X_test, points, cfg, np.random.default_rng(2))
     return {
         "train": train.entries.tolist(),

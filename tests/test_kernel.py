@@ -10,11 +10,9 @@ from qkad.statevec import (
 )
 from qkad.kernel import (
     DegenerateSignatureError,
-    GramMatrix,
     KernelConfig,
     build_gram_cross,
     build_gram_train,
-    clip_gram_psd,
     collect_signature,
     rbf_auto_gamma,
     rm_purity,
@@ -589,15 +587,6 @@ def test_estimator_spread_shrinks_with_more_settings():
         return np.std(vals)
 
     assert spread(30, 900) < spread(5, 100)
-
-
-def test_clip_gram_psd_repairs_indefinite_matrix():
-    entries = np.array([[1.0, 0.99, 0.0], [0.99, 1.0, 0.99], [0.0, 0.99, 1.0]])
-    gram = GramMatrix(entries=entries, symmetric=True, eval_count=3)
-    assert np.linalg.eigvalsh(entries).min() < 0
-    clipped = clip_gram_psd(gram)
-    assert np.linalg.eigvalsh(clipped.entries).min() >= -1e-12
-    assert clipped.eval_count == 3
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import assert_dual_feasible
-from oracles import dual_objective, projected_gradient_qp
+from oracles import assert_dual_feasible, dual_objective, projected_gradient_qp
 from qkad.data import SplitSpec, generate_synthetic
 from qkad.kernel import GramMatrix, KernelConfig, build_gram_cross, build_gram_train
 from qkad.ocsvm import (
