@@ -6,8 +6,8 @@ reproduce the run (config echo, package version, generator constants) plus
 metrics, phase timings and kernel-evaluation counts.  A failing seed yields a
 record with the error message while the remaining seeds still run; the
 process exit code is zero only when every seed succeeded, one when some seed
-failed, and two (with usage) on invalid options or a malformed records file,
-before any seed runs.
+failed or no record was left to summarize, and two (with usage) on invalid
+options or a malformed records file, before any seed runs.
 
 Seeds run sequentially by default; ``--parallel`` fans them out over threads
 without changing any numeric output, because every seed owns its streams.
@@ -31,9 +31,7 @@ from . import __version__, data, ocsvm, pipeline
 from .ensemble import (
     SUBSAMPLE_MAX, SUBSAMPLE_MIN, VSConfig, cross_eval_count, fit_vs, rotation_dim, score_vs,
 )
-from .kernel import (
-    KernelConfig, _check_array_bytes, build_gram_cross, build_gram_train, check_rm_table,
-)
+from .kernel import KernelConfig, build_gram_cross, build_gram_train, check_point_set
 from .metrics import average_precision, confusion, f1, precision_recall
 from .ocsvm import SolverConfig
 from .statevec import FeatureMapConfig
@@ -85,7 +83,10 @@ class RunConfig:
     mitigate: bool | None = None  # None -> method default, resolved at init
     record_timings: bool = True
     parallel: bool = False
+    # the run plan, built once from the options above
     kernel: KernelConfig = field(init=False, repr=False, compare=False)
+    vs: VSConfig | None = field(init=False, repr=False, compare=False)  # None: one model
+    split: data.SplitSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -105,11 +106,16 @@ class RunConfig:
             )
         if not 0 < self.nu <= 1:
             raise ValueError(f"nu must be in (0, 1], got {self.nu}")
-        _, default_features, width = _DATASET_TABLE[self.dataset]
+        ratio, default_features, width = _DATASET_TABLE[self.dataset]
         if self.num_features is None:
             object.__setattr__(self, "num_features", default_features)
         if self.mitigate is None:
             object.__setattr__(self, "mitigate", default_mitigate)
+        elif self.mitigate != default_mitigate and not (is_ensemble and kind == "randomized"):
+            raise ValueError(
+                f"{self.method} always runs with mitigate={default_mitigate}; "
+                "only vs-rm and vs-rfb-rm can change it"
+            )
         if self.num_features < 1:
             raise ValueError("num_features must be >= 1")
         limit = min(width, self.train_size - 1)
@@ -123,9 +129,6 @@ class RunConfig:
             raise ValueError(f"infeasible nu: nu * train_size = {self.nu * self.train_size} < 1")
         if use_rfb and self.num_features < 2:
             raise ValueError("rotated feature bagging needs at least 2 post-PCA features")
-        qubits = rotation_dim(self.num_features) if use_rfb else self.num_features
-        if kind == "randomized":
-            check_rm_table(qubits)
         kernel = KernelConfig(
             kind=kind,
             feature_map=FeatureMapConfig(layers=self.layers, angle_scale=self.angle_scale),
@@ -134,10 +137,16 @@ class RunConfig:
             rm_shots=self.rm_shots,
             mitigate=self.mitigate,
         )
-        if kind != "rbf":
-            train_points = min(SUBSAMPLE_MAX, self.train_size) if is_ensemble else self.train_size
-            _check_array_bytes(kernel, max(train_points, TEST_SIZE), qubits)
+        vs = None
+        if is_ensemble:
+            vs = VSConfig(kernel, nu=self.nu, aggregation=self.aggregation, rfb_enabled=use_rfb)
+        split = data.SplitSpec(self.train_size, test_size=TEST_SIZE, test_anomaly_ratio=ratio)
+        train_points = min(SUBSAMPLE_MAX, self.train_size) if is_ensemble else self.train_size
+        qubits = rotation_dim(self.num_features) if use_rfb else self.num_features
+        check_point_set(kernel, max(train_points, split.test_size), qubits)
         object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "vs", vs)
+        object.__setattr__(self, "split", split)
 
 
 @dataclass(frozen=True)
@@ -213,41 +222,26 @@ def _load_fraud(cfg: RunConfig) -> data.Dataset:
     return data.load_fraud_csv(path)
 
 
-def _make_datasets(
-    cfg: RunConfig, fraud: data.Dataset | None, rng: np.random.Generator
-) -> tuple[data.Dataset, data.Dataset]:
-    ratio = _DATASET_TABLE[cfg.dataset][0]
-    spec = data.SplitSpec(train_size=cfg.train_size, test_size=TEST_SIZE, test_anomaly_ratio=ratio)
-    if cfg.dataset == "synthetic":
-        return data.generate_synthetic(spec, rng)
-    assert fraud is not None
-    return data.make_split(fraud, spec, rng)
-
-
 def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecord:
-    _, _, is_ensemble, use_rfb = _METHOD_TABLE[cfg.method]
     kcfg = cfg.kernel
     m = cfg.num_features
 
     data_rng, train_rng, solver_rng, score_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
     )
-    train, test = _make_datasets(cfg, fraud, data_rng)
+    if cfg.dataset == "synthetic":
+        train, test = data.generate_synthetic(cfg.split, data_rng)
+    else:
+        train, test = data.make_split(fraud, cfg.split, data_rng)
 
     prep = pipeline.fit_preprocess(train.features, kcfg.kind, m)
     X_train = pipeline.apply_preprocess(prep, train.features)
     X_test = pipeline.apply_preprocess(prep, test.features)
 
-    r_prime = rotation_dim(m) if use_rfb else None
-    if is_ensemble:
-        vs_cfg = VSConfig(
-            base_kernel=kcfg,
-            nu=cfg.nu,
-            aggregation=cfg.aggregation,
-            rfb_enabled=use_rfb,
-        )
+    r_prime = rotation_dim(m) if cfg.vs is not None and cfg.vs.rfb_enabled else None
+    if cfg.vs is not None:
         t0 = time.perf_counter()
-        model = fit_vs(X_train, vs_cfg, train_rng)
+        model = fit_vs(X_train, cfg.vs, train_rng)
         t1 = time.perf_counter()
         scores = score_vs(model, X_test)
         t2 = time.perf_counter()
@@ -422,15 +416,17 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            if lo == "" or hi == "" or int(hi) < int(lo):
-                raise ValueError(f"bad seed range {part!r}")
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(part))
+        lo, dash, hi = part.partition("-")
+        try:
+            first, last = int(lo), int(hi if dash else lo)
+        except ValueError:
+            kind = "range" if dash else "value"
+            raise argparse.ArgumentTypeError(f"bad seed {kind} {part!r}") from None
+        if last < first:
+            raise argparse.ArgumentTypeError(f"bad seed range {part!r}")
+        seeds.extend(range(first, last + 1))
     if not seeds:
-        raise ValueError(f"no seeds parsed from {text!r}")
+        raise argparse.ArgumentTypeError(f"no seeds parsed from {text!r}")
     return tuple(seeds)
 
 
@@ -473,11 +469,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(text: str, path: str | None, what: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        Path(path).write_text(text)
+        logger.info("wrote %s to %s", what, path)
+    else:
+        sys.stdout.write(text)
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    failed: list[int] = []
     if args.summarize_records:
         records: list[RunRecord] = []
         try:
@@ -485,42 +491,29 @@ def main(argv: list[str] | None = None) -> int:
                 records.extend(load_records_jsonl(path))
         except ValueError as exc:
             parser.error(str(exc))
-        rows = summarize(records)
-        text = summary_to_csv(rows)
-        if args.summary:
-            Path(args.summary).write_text(text)
-            logger.info("wrote summary of %d records to %s", len(records), args.summary)
-        else:
-            sys.stdout.write(text)
-        return 0
-
-    if args.method is None or args.dataset is None:
-        parser.error("--method and --dataset are required unless --summarize-records is used")
-
-    options = {k: v for k, v in vars(args).items() if k in _RUN_FIELDS}
-    try:
-        cfg = RunConfig(**options, record_timings=not args.omit_timings)
-    except ValueError as exc:
-        parser.error(str(exc))
-    records = run_experiment(cfg)
-
-    jsonl = records_to_jsonl(records)
-    if cfg.output:
-        Path(cfg.output).write_text(jsonl)
-        logger.info("wrote %d records to %s", len(records), cfg.output)
     else:
-        sys.stdout.write(jsonl)
+        if args.method is None or args.dataset is None:
+            parser.error("--method and --dataset are required unless --summarize-records is used")
+        options = {k: v for k, v in vars(args).items() if k in _RUN_FIELDS}
+        try:
+            cfg = RunConfig(**options, record_timings=not args.omit_timings)
+        except ValueError as exc:
+            parser.error(str(exc))
+        records = run_experiment(cfg)
+        _write(records_to_jsonl(records), cfg.output, f"{len(records)} records")
+        failed = [r.seed for r in records if not r.ok]
+        if failed:
+            logger.error("failed seeds: %s", failed)
 
-    if args.summary:
-        rows = summarize(records)
-        Path(args.summary).write_text(summary_to_csv(rows))
-        logger.info("wrote summary to %s", args.summary)
-
-    failed = [r.seed for r in records if not r.ok]
-    if failed:
-        logger.error("failed seeds: %s", failed)
-        return 1
-    return 0
+    # error records in a summarized file are skipped, and only an empty summary fails
+    if args.summarize_records or args.summary:
+        try:
+            rows = summarize(records)
+        except ValueError as exc:
+            logger.error("%s; no summary written", exc)
+            return 1
+        _write(summary_to_csv(rows), args.summary, f"summary of {len(records)} records")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -90,8 +90,8 @@ class Dataset:
 @dataclass(frozen=True)
 class SplitSpec:
     train_size: int
-    test_size: int = 125
-    test_anomaly_ratio: float = 0.05
+    test_size: int
+    test_anomaly_ratio: float
 
     def __post_init__(self) -> None:
         if self.train_size < 1 or self.test_size < 1:

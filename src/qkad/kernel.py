@@ -44,7 +44,7 @@ __all__ = [
     "SignatureCache",
     "DegenerateSignatureError",
     "KERNEL_KINDS",
-    "check_rm_table",
+    "check_point_set",
     "collect_signature",
     "rm_purity",
     "rbf_auto_gamma",
@@ -159,7 +159,7 @@ def collect_signature(
     return counts
 
 
-def check_rm_table(num_qubits: int) -> None:
+def _check_rm_table(num_qubits: int) -> None:
     """Raise ``ValueError`` if the coefficient table for ``num_qubits`` qubits exceeds 1 GiB."""
     nbytes = 8 * 4**num_qubits
     if nbytes > _MAX_ARRAY_BYTES:
@@ -175,7 +175,7 @@ def _coefficient_matrix(num_qubits: int) -> np.ndarray:
 
     Raises ``ValueError`` before allocating a table larger than 1 GiB.
     """
-    check_rm_table(num_qubits)
+    _check_rm_table(num_qubits)
     dim = 2**num_qubits
     idx = np.arange(dim)
     popcount = sum((idx >> q) & 1 for q in range(num_qubits))
@@ -249,14 +249,19 @@ def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_array_bytes(cfg: KernelConfig, n: int, d: int) -> None:
+def check_point_set(cfg: KernelConfig, n: int, d: int) -> None:
     """Reject ``n`` points of ``d`` features whose largest quantum array would exceed 1 GiB.
 
-    That array is the ``(n, r, 2^d)`` int64 counts of the randomized kind or
-    the ``(n, 2^d)`` complex states of the pairwise kinds, unless the
-    ``(2^d, d)`` float basis-sign table that every encoding builds is larger.
+    Nothing is checked for rbf.  The randomized kind first checks its
+    ``(2^d, 2^d)`` coefficient table.  Then the largest array is the
+    ``(n, r, 2^d)`` int64 counts of the randomized kind or the ``(n, 2^d)``
+    complex states of the pairwise kinds, unless the ``(2^d, d)`` float
+    basis-sign table that every encoding builds is larger.
     """
+    if cfg.kind == "rbf":
+        return
     if cfg.kind == "randomized":
+        _check_rm_table(d)
         point_set = (8 * n * cfg.rm_settings * 2**d, "(n, r, 2^d) int64 counts")
     else:
         point_set = (16 * n * 2**d, "(n, 2^d) complex feature states")
@@ -284,13 +289,12 @@ def _represent(
     ``purities`` its purity estimates are left NaN; only mitigation and the
     unmitigated training diagonal read them.
     """
+    n, d = X.shape
+    check_point_set(cfg, n, d)
     if cfg.kind == "rbf":
         return X
-    n, d = X.shape
-    _check_array_bytes(cfg, n, d)
     if cfg.kind != "randomized":
         return np.stack([encode_iqp(x, cfg.feature_map) for x in X])
-    _coefficient_matrix(d)  # fail on a table that cannot fit before measuring
     if settings is None:
         settings = np.stack([sample_haar_setting(d, rng) for _ in range(cfg.rm_settings)])
     shots = cfg.rm_shots

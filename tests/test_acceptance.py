@@ -200,21 +200,21 @@ def test_criterion_6_rotated_feature_bagging(announce):
     # one fit seed gives identical subsample sizes and both widths project
     # to rotation_dim(6) = rotation_dim(10) = 4 qubits, so the only
     # d-dependent work is the (negligible) projection sampling.  The widths
-    # are timed alternately on repeats of that same work and compared by
-    # their fastest repeat, the one least disturbed by other load on the host.
-    t6, t10 = [], []
-    for _ in range(7):
-        time6, model6 = timed_fit(6, 7)
-        time10, model10 = timed_fit(10, 7)
+    # are timed back to back, in alternating order, and each adjacent pair
+    # gives one ratio; other load on the host slows single fits by up to a
+    # third, and the median over the pairs discards those that one burst hit.
+    ratios = []
+    for repeat in range(15):
+        timed = {d: timed_fit(d, 7) for d in ((10, 6) if repeat % 2 else (6, 10))}
+        (time6, model6), (time10, model10) = timed[6], timed[10]
         sizes6 = [c.subsample_indices.size for c in model6.components]
         assert sizes6 == [c.subsample_indices.size for c in model10.components]
         assert model6.train_eval_count == model10.train_eval_count
-        t6.append(time6)
-        t10.append(time10)
-    ratio = min(t10) / min(t6)
+        ratios.append(time10 / time6)
+    ratio = float(np.median(ratios))
     assert 1 / 1.25 <= ratio <= 1.25
     announce(6, f"r'(28)=5, projections orthonormal, equal sizes and eval counts, "
-                f"fastest time/component d=10 vs d=6 ratio {ratio:.3f}")
+                f"median paired time/component d=10 vs d=6 ratio {ratio:.3f}")
 
 
 def test_criterion_7_metric_oracles(announce):

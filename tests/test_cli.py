@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from qkad.cli import (
     summarize,
     summary_to_csv,
 )
+from qkad.data import SplitSpec
 from test_data import fraud_row, write_fraud_csv
 
 FIXED_FIELDS = (
@@ -145,6 +147,22 @@ def test_run_config_validation():
         RunConfig(method="vs-rfb-rm", dataset="synthetic", num_features=1)
     # bagging measures rotation_dim(28) = 5 qubits, far below the table limit
     assert RunConfig(method="vs-rfb-rm", dataset="fraud", num_features=28).num_features == 28
+    # rbf builds no quantum arrays, so the memory check passes it at any width
+    assert RunConfig(method="rbf", dataset="fraud", num_features=28).num_features == 28
+    # an ensemble's aggregation is checked when the run is planned, not per seed
+    with pytest.raises(ValueError, match="aggregation must be 'mean' or 'max', got 'median'"):
+        RunConfig(method="vs-it", dataset="synthetic", aggregation="median")
+    # the plan: one model or an ensemble config, and the split each seed draws
+    for method in cli.METHODS:
+        for dataset, ratio in (("synthetic", 0.3), ("fraud", 0.05)):
+            cfg = RunConfig(method=method, dataset=dataset, train_size=60)
+            if method.startswith("vs-"):
+                assert cfg.vs.base_kernel is cfg.kernel
+                assert (cfg.vs.nu, cfg.vs.aggregation) == (cfg.nu, cfg.aggregation)
+                assert cfg.vs.rfb_enabled == (method == "vs-rfb-rm")
+            else:
+                assert cfg.vs is None
+            assert cfg.split == SplitSpec(train_size=60, test_size=125, test_anomaly_ratio=ratio)
 
 
 def test_mitigation_defaults_per_method():
@@ -211,12 +229,12 @@ def test_parse_seed_expressions():
     assert cli._parse_seeds("0-3") == (0, 1, 2, 3)
     assert cli._parse_seeds("0,5,9") == (0, 5, 9)
     assert cli._parse_seeds("0-2,7") == (0, 1, 2, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError, match="no seeds parsed from ''"):
         cli._parse_seeds("")
 
 
 def test_parse_seeds_rejects_reversed_range():
-    with pytest.raises(ValueError, match=r"'5-3'"):
+    with pytest.raises(argparse.ArgumentTypeError, match=r"'5-3'"):
         cli._parse_seeds("0,5-3")
 
 
@@ -303,7 +321,15 @@ def test_main_rejects_invalid_config_with_usage(method, features, message, capsy
         ("vs-it", "--dataset fraud --num-features", "20",
          "inversion_test kernel at d=20 qubits and n=125 points needs 2097152000 bytes"),
         ("rbf", "--train-size 60 --nu", "0.01", "infeasible nu: nu * train_size = 0.6 < 1"),
-        ("rbf", "--seeds", "-3", "invalid _parse_seeds value: '-3'"),
+        ("rbf", "--seeds", "-3", "bad seed range '-3'"),
+        ("rbf", "--seeds", "0,5-3", "argument --seeds: bad seed range '5-3'"),
+        ("rbf", "--seeds", "0,x", "argument --seeds: bad seed value 'x'"),
+        ("rbf", "--seeds", "1-y", "argument --seeds: bad seed range '1-y'"),
+        # only the randomized ensembles may change their mitigation default
+        ("it", "--mitigate --seeds", "0", "it always runs with mitigate=False"),
+        ("rm-unmitigated", "--mitigate --seeds", "0",
+         "rm-unmitigated always runs with mitigate=False"),
+        ("rm", "--no-mitigate --seeds", "0", "rm always runs with mitigate=True"),
     ],
 )
 def test_main_rejects_invalid_numeric_option_before_any_seed(
@@ -346,6 +372,8 @@ def test_summarize_records_rejects_a_bad_file_with_usage(tmp_path, capsys):
         main(["--summarize-records", str(path)])
     assert exc.value.code == 2
     assert f"{path}: line 1 is not a JSON object" in capsys.readouterr().err
+
+
 def test_main_exit_code_on_failure(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.FRAUD_CSV_ENV, raising=False)
     missing = tmp_path / "nope.csv"
@@ -354,6 +382,36 @@ def test_main_exit_code_on_failure(tmp_path, monkeypatch):
         "--fraud-csv", str(missing), "--output", str(tmp_path / "r.jsonl"),
     ])
     assert code == 1
+
+
+def test_nothing_to_summarize_writes_no_summary_and_exits_1(tmp_path, capsys, caplog):
+    records, summary = tmp_path / "r.jsonl", tmp_path / "s.csv"
+    code = main([
+        "--method", "rm", "--dataset", "fraud", "--seeds", "0-1",
+        "--fraud-csv", str(tmp_path / "nope.csv"),
+        "--output", str(records), "--summary", str(summary),
+    ])
+    assert code == 1
+    assert len(records.read_text().splitlines()) == 2  # the error records are still written
+    assert not summary.exists()
+    assert "no successful records to summarize; no summary written" in caplog.text
+
+    caplog.clear()
+    capsys.readouterr()
+    assert main(["--summarize-records", str(records)]) == 1
+    assert capsys.readouterr().out == ""
+    assert "no successful records to summarize" in caplog.text
+    assert main(["--summarize-records", str(records), "--summary", str(summary)]) == 1
+    assert not summary.exists()
+
+
+def test_summarize_records_skips_error_records_and_exits_0(tmp_path):
+    path, summary = tmp_path / "r.jsonl", tmp_path / "s.csv"
+    failed = RunRecord(method="rbf", dataset="synthetic", seed=0, n_train=100, d=2, error="boom")
+    path.write_text(records_to_jsonl([failed, fake_record(1, 0.7)]))
+    assert main(["--summarize-records", str(path), "--summary", str(summary)]) == 0
+    rows = summary.read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("rbf,synthetic,100,2,1,")
 
 
 def test_module_entry_point_runs_without_runtime_warning():

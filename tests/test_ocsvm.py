@@ -217,7 +217,9 @@ def test_predict_sign_rule():
 
 def test_nu_property_on_synthetic_exact_kernel():
     nu, n = 0.1, 100
-    train, _ = generate_synthetic(SplitSpec(train_size=n), np.random.default_rng(0))
+    train, _ = generate_synthetic(
+        SplitSpec(train_size=n, test_size=125, test_anomaly_ratio=0.05), np.random.default_rng(0)
+    )
     X = train.features * 0.1  # angle rescale used for circuit-fed kernels
     gram, _ = build_gram_train(X, KernelConfig(kind="exact"), np.random.default_rng(1))
     model = fit(gram, nu, rng=np.random.default_rng(2))
