@@ -116,6 +116,8 @@ class RunConfig:
                 f"{self.method} always runs with mitigate={default_mitigate}; "
                 "only vs-rm and vs-rfb-rm can change it"
             )
+        if not is_ensemble and self.aggregation != "mean":
+            raise ValueError(f"{self.method} is a single model; only vs-* methods take aggregation")
         if self.num_features < 1:
             raise ValueError("num_features must be >= 1")
         limit = min(width, self.train_size - 1)
@@ -349,6 +351,7 @@ _RECORD_FIELDS = {f.name for f in fields(RunRecord)}
 _REQUIRED_FIELDS = [
     f.name for f in fields(RunRecord) if f.default is MISSING and f.default_factory is MISSING
 ]
+SUMMARY_METRICS = ("ap", "f1", "precision", "recall", "train_time_s", "test_time_s")
 
 
 def load_records_jsonl(path: str | Path) -> list[RunRecord]:
@@ -366,11 +369,11 @@ def load_records_jsonl(path: str | Path) -> list[RunRecord]:
         missing = [k for k in _REQUIRED_FIELDS if k not in payload]
         if missing:
             raise ValueError(f"{path}: line {line_no} lacks required keys {missing}")
+        unset = [k for k in SUMMARY_METRICS if payload.get(k) is None]
+        if payload.get("error") is None and unset:
+            raise ValueError(f"{path}: line {line_no} has neither an error nor values for {unset}")
         records.append(RunRecord(**{k: v for k, v in payload.items() if k in _RECORD_FIELDS}))
     return records
-
-
-SUMMARY_METRICS = ("ap", "f1", "precision", "recall", "train_time_s", "test_time_s")
 
 
 def summarize(records: list[RunRecord]) -> list[dict]:

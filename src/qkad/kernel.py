@@ -14,10 +14,10 @@ Four interchangeable ways to fill a kernel matrix:
 The quantum kinds encode each ``d``-feature row on ``d`` qubits, so the
 qubit count is read from the data, and a cross kernel checks that its test
 rows match the training set's width before any encoding or measurement.
-Randomized-measurement post-processing is vectorized over a cached
-``(-2)**(-H)`` coefficient table of size ``2^d x 2^d``, so it stays cheap for
-the qubit counts this package targets (d up to roughly 12); point sets whose
-arrays would exceed 1 GiB are rejected before any encoding or measurement.
+Randomized-measurement records are weighted by the ``(-2)**(-H)`` Hamming
+table as two half-register Kronecker factors, never its ``2^d x 2^d`` form.
+Point sets whose arrays would exceed 1 GiB are rejected before any encoding
+or measurement.
 
 Shot-based entries may leave [0, 1], and a shot-based Gram may be
 indefinite; neither is repaired.
@@ -26,7 +26,7 @@ indefinite; neither is repaired.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -57,6 +57,7 @@ KERNEL_KINDS = ("exact", "inversion_test", "randomized", "rbf")
 
 _MAX_ARRAY_BYTES = 2**30
 _DIST_BLOCK_ROWS = 256
+_RM_BLOCK_BYTES = 2**24
 
 
 class DegenerateSignatureError(ValueError):
@@ -159,29 +160,24 @@ def collect_signature(
     return counts
 
 
-def _check_rm_table(num_qubits: int) -> None:
-    """Raise ``ValueError`` if the coefficient table for ``num_qubits`` qubits exceeds 1 GiB."""
-    nbytes = 8 * 4**num_qubits
-    if nbytes > _MAX_ARRAY_BYTES:
-        raise ValueError(
-            f"the randomized-measurement coefficient table for {num_qubits} qubits "
-            f"needs {nbytes} bytes, more than the {_MAX_ARRAY_BYTES}-byte limit"
-        )
+@lru_cache(maxsize=16)
+def _hamming_factor(num_qubits: int) -> np.ndarray:
+    """Cached (-2)**(-H(s, s')) table over ``num_qubits`` qubits: an exact Kronecker power."""
+    table = reduce(np.kron, [np.array([[1.0, -0.5], [-0.5, 1.0]])] * num_qubits, np.ones((1, 1)))
+    table.setflags(write=False)
+    return table
 
 
-@lru_cache(maxsize=8)
-def _coefficient_matrix(num_qubits: int) -> np.ndarray:
-    """Cached table C[s, s'] = (-2)**(-H(s, s')) over all basis-state pairs.
+def _hamming_weighted(f: np.ndarray) -> np.ndarray:
+    """``f @ C`` over the last axis of ``f``, for the ``2^d x 2^d`` Hamming table C.
 
-    Raises ``ValueError`` before allocating a table larger than 1 GiB.
+    C is the Kronecker product of the (symmetric) tables over the ``d // 2``
+    leading and the other trailing qubits, so each is applied on its own axis.
     """
-    _check_rm_table(num_qubits)
-    dim = 2**num_qubits
-    idx = np.arange(dim)
-    popcount = sum((idx >> q) & 1 for q in range(num_qubits))
-    coeff = ((-0.5) ** np.arange(num_qubits + 1))[popcount[idx[:, None] ^ idx[None, :]]]
-    coeff.setflags(write=False)
-    return coeff
+    d = f.shape[-1].bit_length() - 1
+    hi, lo = d // 2, d - d // 2
+    rows = f.reshape(-1, 2**lo) @ _hamming_factor(lo)
+    return np.matmul(_hamming_factor(hi), rows.reshape(-1, 2**hi, 2**lo)).reshape(f.shape)
 
 
 def rm_purity(counts: np.ndarray, shots: int) -> float:
@@ -194,25 +190,29 @@ def rm_purity(counts: np.ndarray, shots: int) -> float:
     if shots < 2:
         raise ValueError("purity estimation needs at least 2 shots per setting")
     dim = counts.shape[-1]
-    num_qubits = dim.bit_length() - 1
-    if counts.ndim != 2 or dim != 2**num_qubits:
+    if counts.ndim != 2 or dim != 2 ** (dim.bit_length() - 1):
         raise ValueError(f"counts must have shape (r, 2**d), got {counts.shape}")
-    coeff = _coefficient_matrix(num_qubits)
     c = counts.astype(float)
-    quad = np.einsum("mi,mi->m", c @ coeff, c)
-    # the delta term only touches the coefficient diagonal, which is all ones
+    quad = np.einsum("mi,mi->m", _hamming_weighted(c), c)
+    # the delta term only touches the table's diagonal, which is all ones
     per_setting = (quad - c.sum(axis=1)) / (shots * (shots - 1.0))
     return float(dim * per_setting.mean())
 
 
-def _rm_raw_matrix(freqs_a: np.ndarray, freqs_b: np.ndarray) -> np.ndarray:
-    """All-pairs raw randomized-measurement estimates, averaged over settings."""
-    n, r, dim = freqs_a.shape
-    coeff = _coefficient_matrix(dim.bit_length() - 1)
-    acc = np.zeros((n, freqs_b.shape[0]))
-    for m in range(r):
-        acc += (freqs_a[:, m, :] @ coeff) @ freqs_b[:, m, :].T
-    return dim * acc / r
+def _rm_raw_matrix(a: SignatureCache, b: SignatureCache) -> np.ndarray:
+    """All-pairs raw randomized-measurement estimates, averaged over settings.
+
+    The frequencies of ``a`` are weighted in blocks of about ``_RM_BLOCK_BYTES``,
+    each one GEMM against all of ``b`` over the flattened (setting, outcome) axis.
+    """
+    n, r, dim = a.counts.shape
+    flat_b = (b.counts / float(b.shots)).reshape(len(b.counts), r * dim).T
+    raw = np.empty((n, len(b.counts)))
+    step = max(1, _RM_BLOCK_BYTES // (8 * r * dim))
+    for start in range(0, n, step):
+        freqs = a.counts[start : start + step] / float(a.shots)
+        raw[start : start + step] = _hamming_weighted(freqs).reshape(len(freqs), r * dim) @ flat_b
+    return dim * raw / r
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +252,14 @@ def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def check_point_set(cfg: KernelConfig, n: int, d: int) -> None:
     """Reject ``n`` points of ``d`` features whose largest quantum array would exceed 1 GiB.
 
-    Nothing is checked for rbf.  The randomized kind first checks its
-    ``(2^d, 2^d)`` coefficient table.  Then the largest array is the
-    ``(n, r, 2^d)`` int64 counts of the randomized kind or the ``(n, 2^d)``
-    complex states of the pairwise kinds, unless the ``(2^d, d)`` float
-    basis-sign table that every encoding builds is larger.
+    Nothing is checked for rbf.  The largest array is the ``(n, r, 2^d)``
+    int64 counts of the randomized kind (its Hamming tables hold at most
+    ``2^(d+1)`` entries) or the ``(n, 2^d)`` complex states of the pairwise
+    kinds, unless the ``(2^d, d)`` float basis-sign table is larger.
     """
     if cfg.kind == "rbf":
         return
     if cfg.kind == "randomized":
-        _check_rm_table(d)
         point_set = (8 * n * cfg.rm_settings * 2**d, "(n, r, 2^d) int64 counts")
     else:
         point_set = (16 * n * 2**d, "(n, 2^d) complex feature states")
@@ -364,12 +362,8 @@ def _kernel_block(
         scaled *= -rbf_auto_gamma(b)
         return np.exp(scaled, out=scaled)
     if cfg.kind == "randomized":
-        freqs_a = a.counts / float(a.shots)
-        freqs_b = freqs_a if b is a else b.counts / float(b.shots)
-        raw = _rm_raw_matrix(freqs_a, freqs_b)
-        if not cfg.mitigate:
-            return raw
-        return raw / np.sqrt(np.outer(a.purities, b.purities))
+        raw = _rm_raw_matrix(a, b)
+        return raw / np.sqrt(np.outer(a.purities, b.purities)) if cfg.mitigate else raw
     # squared overlaps: exact, and the inversion test's all-zeros probabilities
     return np.clip(np.abs(a.conj() @ b.T) ** 2, 0.0, 1.0)
 

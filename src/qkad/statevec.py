@@ -58,12 +58,16 @@ class FeatureMapConfig:
 def _apply_gates(amps: np.ndarray, gates: np.ndarray) -> np.ndarray:
     """Apply a (d, 2, 2) stack of single-qubit gates, gate q on qubit q.
 
-    Each step is one 2x2 GEMM on the leading qubit; the transpose then moves
-    the next qubit to the front, so after d steps the order is restored.
+    Each step is one GEMM of a 4x4 Kronecker pair of gates (or an odd last
+    gate) on the leading qubits; the transpose then moves the next qubits to
+    the front, so after the last step the order is restored.
     """
-    t = amps.reshape(2, -1)
-    for gate in gates:
-        t = (gate @ t).T.reshape(2, -1)
+    t = amps
+    for q in range(0, len(gates), 2):
+        block = gates[q]
+        if q + 1 < len(gates):
+            block = (block[:, None, :, None] * gates[q + 1][None, :, None, :]).reshape(4, 4)
+        t = (block @ t.reshape(len(block), -1)).T
     return t.reshape(-1)
 
 
@@ -104,9 +108,8 @@ def encode_iqp(x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     by :func:`iqp_layer_angles`.  The state has one qubit per entry of ``x``.
     """
     phases = np.exp(-0.5j * iqp_layer_angles(x, cfg))
-    d = len(x)
-    hadamards = np.broadcast_to(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), (d, 2, 2))
-    amps = np.zeros(2**d, dtype=np.complex128)
+    hadamards = np.broadcast_to(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), (len(x), 2, 2))
+    amps = np.zeros_like(phases)
     amps[0] = 1.0
     for _ in range(cfg.layers):
         amps = _apply_gates(amps, hadamards) * phases

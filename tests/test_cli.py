@@ -309,10 +309,13 @@ def test_main_rejects_invalid_config_with_usage(method, features, message, capsy
         ("vs-rm", "--rm-shots", "1", "rm_shots >= 2"),
         ("rbf", "--num-features", "3", "num_features must be <= 2"),
         ("rbf", "--train-size", "2", "num_features must be <= 1"),
-        # 14 qubits need a 2 GiB coefficient table; the fraud data is wide enough
-        ("rm", "--dataset fraud --num-features", "14", "table for 14 qubits needs"),
-        ("rm-unmitigated", "--dataset fraud --num-features", "14", "table for 14 qubits needs"),
-        ("vs-rm", "--dataset fraud --num-features", "28", "table for 28 qubits needs"),
+        # (500, 30, 2^14) int64 counts take 1.8 GiB; the fraud data is wide enough
+        ("rm", "--dataset fraud --num-features", "14",
+         "randomized kernel at d=14 qubits and n=500 points needs 1966080000 bytes"),
+        ("rm-unmitigated", "--dataset fraud --num-features", "14",
+         "randomized kernel at d=14 qubits and n=500 points needs 1966080000 bytes"),
+        ("vs-rm", "--dataset fraud --num-features", "28",
+         "randomized kernel at d=28 qubits and n=125 points needs 8053063680000 bytes"),
         # point sets over 1 GiB: the training set, or the 125 test points of a vs-* method
         ("it", "--dataset fraud --train-size 500 --num-features", "18",
          "inversion_test kernel at d=18 qubits and n=500 points needs 2097152000 bytes"),
@@ -330,6 +333,12 @@ def test_main_rejects_invalid_config_with_usage(method, features, message, capsy
         ("rm-unmitigated", "--mitigate --seeds", "0",
          "rm-unmitigated always runs with mitigate=False"),
         ("rm", "--no-mitigate --seeds", "0", "rm always runs with mitigate=True"),
+        # a single model has no ensemble whose scores could be aggregated
+        *[
+            (method, "--aggregation max --seeds", "0",
+             f"{method} is a single model; only vs-* methods take aggregation")
+            for method in ("rbf", "it", "rm", "rm-unmitigated")
+        ],
     ],
 )
 def test_main_rejects_invalid_numeric_option_before_any_seed(
@@ -349,8 +358,7 @@ def test_main_rejects_invalid_numeric_option_before_any_seed(
 
 def test_load_records_rejects_a_line_that_is_not_an_object(tmp_path):
     path = tmp_path / "records.jsonl"
-    record = RunRecord(method="rbf", dataset="synthetic", seed=0, n_train=10, d=2)
-    path.write_text(records_to_jsonl([record]) + "[1]\n")
+    path.write_text(records_to_jsonl([fake_record(0, 0.4)]) + "[1]\n")
     with pytest.raises(ValueError, match=r"records\.jsonl: line 2 is not a JSON object"):
         cli.load_records_jsonl(path)
 
@@ -363,6 +371,25 @@ def test_load_records_names_missing_required_keys(tmp_path):
     assert str(exc.value) == (
         f"{path}: line 1 lacks required keys ['dataset', 'seed', 'n_train', 'd']"
     )
+
+
+def test_load_records_rejects_a_record_with_neither_metrics_nor_an_error(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    path.write_text(
+        records_to_jsonl([fake_record(0, 0.4)])
+        + '{"method":"rbf","dataset":"synthetic","seed":0,"n_train":10,"d":2}\n'
+    )
+    message = (
+        f"{path}: line 2 has neither an error nor values for "
+        "['ap', 'f1', 'precision', 'recall', 'train_time_s', 'test_time_s']"
+    )
+    with pytest.raises(ValueError) as exc:
+        cli.load_records_jsonl(path)
+    assert str(exc.value) == message
+    with pytest.raises(SystemExit) as exc:
+        main(["--summarize-records", str(path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_summarize_records_rejects_a_bad_file_with_usage(tmp_path, capsys):

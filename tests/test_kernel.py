@@ -18,6 +18,7 @@ from qkad.kernel import (
     rm_purity,
 )
 from oracles import (
+    _hamming_coefficients,
     exact_fidelity,
     hamming,
     inner_product,
@@ -148,25 +149,38 @@ def test_hamming_rejects_length_mismatch():
 
 
 def test_coefficient_table_matches_hamming_distance():
-    from qkad.kernel import _coefficient_matrix
+    from qkad.kernel import _hamming_factor
 
-    coeff = _coefficient_matrix(3)
+    table = _hamming_factor(3)
     for s in range(8):
         for t in range(8):
             expected = (-2.0) ** (-hamming(format(s, "03b"), format(t, "03b")))
-            assert coeff[s, t] == expected
+            assert table[s, t] == expected
 
 
-@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("d", range(0, 9))
 def test_coefficient_table_is_kronecker_power(d):
-    # the (-2)^(-H) table factors per qubit; a batched engine may rely on it
-    from qkad.kernel import _coefficient_matrix
+    # the (-2)^(-H) table factors per qubit, which _hamming_weighted relies on
+    from qkad.kernel import _hamming_factor
 
     factor = np.array([[1.0, -0.5], [-0.5, 1.0]])
     kron = np.ones((1, 1))
     for _ in range(d):
         kron = np.kron(kron, factor)
-    assert np.array_equal(_coefficient_matrix(d), kron)
+    assert np.array_equal(_hamming_factor(d), kron)
+    assert not _hamming_factor(d).flags.writeable
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("lead", [(7,), (3, 5)], ids=["r", "n-r"])
+def test_hamming_weighted_matches_the_dense_table(d, lead):
+    from qkad.kernel import _hamming_weighted
+
+    f = np.random.default_rng(60 + d).random((*lead, 2**d))
+    expected = f @ _hamming_coefficients(d)
+    weighted = _hamming_weighted(f)
+    assert weighted.shape == f.shape
+    assert np.max(np.abs(weighted - expected)) <= 1e-12
 
 
 def _forbid(monkeypatch, *names):
@@ -179,13 +193,13 @@ def _forbid(monkeypatch, *names):
         monkeypatch.setattr(qkad.kernel, name, unreachable)
 
 
-def test_randomized_kernel_rejects_a_coefficient_table_over_1_gib(monkeypatch):
-    # d = 14 needs 8 * 4^14 bytes = 2 GiB; the check runs before any
-    # measurement or allocation
-    _forbid(monkeypatch, "collect_signature", "sample_haar_setting")
-    cfg = KernelConfig(kind="randomized")
-    with pytest.raises(ValueError, match=r"14 qubits needs 2147483648 bytes"):
-        build_gram_train(np.zeros((2, 14)), cfg, np.random.default_rng(0))
+def test_randomized_gram_builds_at_14_qubits():
+    # no table of 4^d entries is built, so d = 14 fits in a few MB
+    cfg = KernelConfig(kind="randomized", rm_settings=2, rm_shots=2, mitigate=False)
+    X = np.random.default_rng(3).uniform(-0.1, 0.1, size=(2, 14))
+    gram, train = build_gram_train(X, cfg, np.random.default_rng(0))
+    assert gram.entries.shape == (2, 2)
+    assert train.counts.shape == (2, 2, 2**14)
 
 
 @pytest.mark.parametrize(
@@ -194,7 +208,7 @@ def test_randomized_kernel_rejects_a_coefficient_table_over_1_gib(monkeypatch):
         # (500, 2^22) complex states take 31.25 GiB
         ("inversion_test", 22, 500, r"inversion_test kernel at d=22 qubits and n=500 points "
          r"needs 33554432000 bytes for its \(n, 2\^d\) complex feature states"),
-        # (5000, 30, 2^12) int64 counts take 4.6 GiB, while the d = 12 table fits
+        # (5000, 30, 2^12) int64 counts take 4.6 GiB
         ("randomized", 12, 5000, r"needs 4915200000 bytes for its \(n, r, 2\^d\) int64 counts"),
         # the (2^28, 28) float table takes 56 GiB, more than two 4 GiB states
         ("exact", 28, 2, r"needs 60129542144 bytes for its \(2\^d, d\) basis-sign table"),
@@ -445,6 +459,26 @@ def test_gram_train_entry_matches_scalar_op(rng):
         for j in range(i + 1, 4):
             expected = rm_kernel_entry(cache.counts[i], cache.counts[j], cache.shots)
             assert gram.entries[i, j] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_rm_raw_block_rows_match_the_pair_oracle(rows, monkeypatch):
+    # the 5 test points are weighted `rows` at a time; 2 leaves a partial last block
+    import qkad.kernel
+    from qkad.kernel import _kernel_block, _represent
+
+    cfg = make_cfg("randomized", mitigate=False)
+    monkeypatch.setattr(qkad.kernel, "_RM_BLOCK_BYTES", rows * 8 * cfg.rm_settings * 2**3)
+    rng = np.random.default_rng(rows)
+    train = _represent(rng.uniform(-0.5, 0.5, size=(4, 3)), cfg, rng, purities=False)
+    test = _represent(
+        rng.uniform(-0.5, 0.5, size=(5, 3)), cfg, rng, purities=False, settings=train.settings
+    )
+    raw = _kernel_block(cfg, test, train)
+    for i in range(5):
+        for j in range(4):
+            expected = rm_kernel_entry(test.counts[i], train.counts[j], train.shots)
+            assert raw[i, j] == pytest.approx(expected, abs=1e-12)
 
 
 def test_gram_cross_exact_equals_train_gram(rng):
