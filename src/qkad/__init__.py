@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .statevec import (  # noqa: F401
     FeatureMapConfig,
-    apply_local,
     encode_iqp,
     sample_haar_setting,
 )
@@ -23,7 +22,6 @@ from .kernel import (  # noqa: F401
     SignatureCache,
     build_gram_cross,
     build_gram_train,
-    collect_signature,
     rm_purity,
 )
 from .ocsvm import OCSVMModel, SolverConfig, decision_scores, fit, predict  # noqa: F401

@@ -35,6 +35,7 @@ from .statevec import (
     apply_local,
     born_counts,
     encode_iqp,
+    pair_gates,
     sample_haar_setting,
 )
 
@@ -138,25 +139,22 @@ class SignatureCache:
 
 
 def collect_signature(
-    x: np.ndarray,
-    fm: FeatureMapConfig,
-    settings: np.ndarray,
+    state: np.ndarray,
+    paired_settings: list[tuple[np.ndarray, ...]],
     shots: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Measure the feature-map state of ``x`` in every setting of an (r, d, 2, 2) array.
+    """Measure one feature state in every setting, given in :func:`pair_gates` form.
 
-    ``x`` has one feature per qubit of the settings.  Returns the
-    ``(r, 2^d)`` shot counts, one row per setting.  The same
+    Returns the ``(r, 2^d)`` shot counts, one row per setting.  The same
     settings must be shared by all points entering one kernel matrix;
     the caller owns that contract.
     """
-    if len(settings) == 0:
+    if len(paired_settings) == 0:
         raise ValueError("at least one measurement setting is required")
-    state = encode_iqp(x, fm)
-    counts = np.empty((len(settings), len(state)), dtype=np.int64)
-    for m, st in enumerate(settings):
-        counts[m] = born_counts(apply_local(state, st), shots, rng)
+    counts = np.empty((len(paired_settings), len(state)), dtype=np.int64)
+    for m, pairs in enumerate(paired_settings):
+        counts[m] = born_counts(apply_local(state, pairs), shots, rng)
     return counts
 
 
@@ -281,9 +279,10 @@ def _represent(
     """The point set :func:`_kernel_block` reads for the rows of ``X``.
 
     That is the rows themselves for rbf and their ``(n, 2^d)`` feature states
-    for the pairwise kinds.  The randomized kind measures the rows in
-    ``settings`` (``cfg.rm_settings`` fresh ones drawn from ``rng`` when
-    ``None``) and returns their :class:`SignatureCache`.  Without
+    for the pairwise kinds, encoded in one call.  The randomized kind measures
+    those states in ``settings`` (``cfg.rm_settings`` fresh ones drawn from
+    ``rng`` when ``None``), paired once for all points, and returns their
+    :class:`SignatureCache`.  Without
     ``purities`` its purity estimates are left NaN; only mitigation and the
     unmitigated training diagonal read them.
     """
@@ -291,18 +290,19 @@ def _represent(
     check_point_set(cfg, n, d)
     if cfg.kind == "rbf":
         return X
+    states = encode_iqp(X, cfg.feature_map)
     if cfg.kind != "randomized":
-        return np.stack([encode_iqp(x, cfg.feature_map) for x in X])
+        return states
     if settings is None:
         settings = np.stack([sample_haar_setting(d, rng) for _ in range(cfg.rm_settings)])
+    paired = [pair_gates(setting) for setting in settings]
     shots = cfg.rm_shots
     # one child stream per point, derived serially, so per-point collection
     # could run concurrently without changing any outcome
     seeds = rng.integers(0, 2**63 - 1, size=n)
     counts = np.empty((n, len(settings), 2**d), dtype=np.int64)
-    for i, (x, seed) in enumerate(zip(X, seeds.tolist())):
-        point_rng = np.random.default_rng(seed)
-        counts[i] = collect_signature(x, cfg.feature_map, settings, shots, point_rng)
+    for i, (state, seed) in enumerate(zip(states, seeds.tolist())):
+        counts[i] = collect_signature(state, paired, shots, np.random.default_rng(seed))
     if not purities:
         return SignatureCache(settings, counts, shots, np.full(n, np.nan))
     estimates = np.array([rm_purity(c, shots) for c in counts])

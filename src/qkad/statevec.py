@@ -12,9 +12,11 @@ Conventions used throughout the package:
   two bits are aligned and ``exp(+i theta/2)`` when they differ.  Both are
   diagonal, so one complex phase vector per data point covers a whole
   rotation layer.
-* A ``d``-qubit state is its ``(2**d,)`` complex amplitude array, and a
-  local measurement setting is a ``(d, 2, 2)`` array of single-qubit
-  unitaries, one per qubit.
+* A ``d``-qubit state is its ``(2**d,)`` complex amplitude array, and the
+  states of a point set are one ``(n, 2**d)`` stack.  A local measurement
+  setting is a ``(d, 2, 2)`` array of single-qubit unitaries, one per
+  qubit; :func:`pair_gates` turns it into the paired form that
+  :func:`apply_local` takes.
 * Global phase is not tracked beyond what the gate definitions imply; all
   downstream quantities are fidelities, which ignore it.
 
@@ -24,7 +26,9 @@ from an explicit ``numpy.random.Generator``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,9 +37,13 @@ __all__ = [
     "encode_iqp",
     "iqp_layer_angles",
     "sample_haar_setting",
+    "pair_gates",
     "apply_local",
     "born_counts",
 ]
+
+# row blocks of the encoding keep their (rows, 2^d, d) temporaries near this size
+_BLOCK_BYTES = 2**24
 
 
 @dataclass(frozen=True)
@@ -55,65 +63,111 @@ class FeatureMapConfig:
             raise ValueError(f"angle_scale must be > 0, got {self.angle_scale}")
 
 
-def _apply_gates(amps: np.ndarray, gates: np.ndarray) -> np.ndarray:
-    """Apply a (d, 2, 2) stack of single-qubit gates, gate q on qubit q.
+def _apply_pairs(amps: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Apply paired gates (see :func:`pair_gates`) to one state or an ``(n, 2^d)`` stack.
 
-    Each step is one GEMM of a 4x4 Kronecker pair of gates (or an odd last
-    gate) on the leading qubits; the transpose then moves the next qubits to
-    the front, so after the last step the order is restored.
+    Each step is one GEMM of a block on the leading qubits of every state; the
+    transpose then moves the next qubits to the front, so after the last step
+    the order is restored.  A stack takes one stacked GEMM per block, which
+    gives each state the result a single state's 2-D GEMM gives it; a single
+    state keeps the 2-D GEMM, whose per-call cost is lower.
     """
     t = amps
-    for q in range(0, len(gates), 2):
-        block = gates[q]
-        if q + 1 < len(gates):
-            block = (block[:, None, :, None] * gates[q + 1][None, :, None, :]).reshape(4, 4)
-        t = (block @ t.reshape(len(block), -1)).T
-    return t.reshape(-1)
+    if amps.ndim == 1:
+        for block in pairs:
+            t = (block @ t.reshape(len(block), -1)).T
+    else:
+        for block in pairs:
+            t = np.matmul(block, t.reshape(len(t), len(block), -1)).swapaxes(1, 2)
+    return t.reshape(amps.shape)
 
 
+def pair_gates(setting: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The paired form of a (d, 2, 2) setting that :func:`apply_local` takes.
+
+    Gates q and q+1 become one 4x4 Kronecker block, an odd last gate stays
+    2x2, so a d-qubit setting is applied in ``ceil(d / 2)`` GEMMs.
+    """
+    pairs = []
+    for q in range(0, len(setting), 2):
+        block = setting[q]
+        if q + 1 < len(setting):
+            block = (block[:, None, :, None] * setting[q + 1][None, :, None, :]).reshape(4, 4)
+        pairs.append(block)
+    return tuple(pairs)
+
+
+@lru_cache(maxsize=16)
 def _basis_signs(d: int) -> np.ndarray:
-    """Z eigenvalues per (basis state, qubit): +1 for bit 0, -1 for bit 1."""
+    """Cached Z eigenvalues per (basis state, qubit): +1 for bit 0, -1 for bit 1."""
     idx = np.arange(2**d)
     bits = (idx[:, None] >> (d - 1 - np.arange(d))[None, :]) & 1
-    return 1.0 - 2.0 * bits
+    signs = 1.0 - 2.0 * bits
+    signs.setflags(write=False)
+    return signs
 
 
-def iqp_layer_angles(x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
-    """Total rotation angle of one diagonal layer, per basis state.
+@lru_cache(maxsize=16)
+def _hadamard_pairs(d: int) -> tuple[np.ndarray, ...]:
+    """Cached paired form of a Hadamard on each of ``d`` qubits."""
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    pairs = pair_gates(np.broadcast_to(hadamard, (d, 2, 2)))
+    for block in pairs:
+        block.setflags(write=False)
+    return pairs
+
+
+def _check_rows(X: np.ndarray) -> np.ndarray:
+    """``X`` as floats, rejected unless it is a non-empty (n, d) row stack."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.size == 0:
+        raise ValueError(f"expected a non-empty (n, d) row stack, got shape {X.shape}")
+    return X
+
+
+def iqp_layer_angles(X: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
+    """Total rotation angle of one diagonal layer, per (row, basis state).
 
     Each layer applies ``Rz(lam * x_j)`` on every qubit j plus
     ``Rzz(lam^2 * x_j * x_k)`` on every pair j < k.  All of these commute, so
     the layer reduces to one angle per basis state and the phase vector is
-    ``exp(-i/2 * angles)``.
+    ``exp(-i/2 * angles)``.  The ``(n, 2^d, d)`` temporaries are held whole,
+    so callers pass row blocks.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) == 0:
-        raise ValueError(f"expected a non-empty 1-D input, got shape {x.shape}")
-    d = len(x)
-    lam = cfg.angle_scale
-    z = _basis_signs(d)  # (2^d, d)
-    angles = z @ (lam * x)
-    zx = z * (lam * x)[None, :]  # column j holds lam*x_j*z_j per basis state
+    X = _check_rows(X)
+    lx = cfg.angle_scale * X
+    z = _basis_signs(X.shape[1])  # (2^d, d)
+    # one GEMV per row, as z @ lx[i] would be; a single GEMM rounds differently
+    angles = np.matmul(z[None], lx[:, :, None])[:, :, 0]
+    zx = z[None] * lx[:, None, :]  # [i, :, j] holds lam*x_ij*z_j per basis state
     # sum over pairs j<k of (lam*x_j*z_j)*(lam*x_k*z_k)
-    total = zx.sum(axis=1)
-    angles += 0.5 * (total**2 - (zx**2).sum(axis=1))
+    total = zx.sum(axis=2)
+    angles += 0.5 * (total**2 - (zx**2).sum(axis=2))
     return angles
 
 
-def encode_iqp(x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
-    """Map a classical vector to its feature-map state's amplitudes.
+def encode_iqp(X: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
+    """Map the rows of an (n, d) stack to their feature-map states, shape (n, 2^d).
 
     Starting from |0...0>, repeats ``cfg.layers`` times: Hadamards on every
     qubit, then the commuting diagonal rotation layer whose angles are given
-    by :func:`iqp_layer_angles`.  The state has one qubit per entry of ``x``.
+    by :func:`iqp_layer_angles`.  Each state has one qubit per column of
+    ``X``.  Rows are encoded in blocks whose ``(rows, 2^d, d)`` angle
+    temporaries hold about ``_BLOCK_BYTES``.
     """
-    phases = np.exp(-0.5j * iqp_layer_angles(x, cfg))
-    hadamards = np.broadcast_to(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), (len(x), 2, 2))
-    amps = np.zeros_like(phases)
-    amps[0] = 1.0
-    for _ in range(cfg.layers):
-        amps = _apply_gates(amps, hadamards) * phases
-    return amps
+    X = _check_rows(X)
+    n, d = X.shape
+    hadamards = _hadamard_pairs(d)
+    states = np.empty((n, 2**d), dtype=complex)
+    step = max(1, _BLOCK_BYTES // (8 * 2**d * d))
+    for start in range(0, n, step):
+        phases = np.exp(-0.5j * iqp_layer_angles(X[start : start + step], cfg))
+        amps = np.zeros_like(phases)
+        amps[:, 0] = 1.0
+        for _ in range(cfg.layers):
+            amps = _apply_pairs(amps, hadamards) * phases
+        states[start : start + step] = amps
+    return states
 
 
 def sample_haar_setting(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -129,12 +183,17 @@ def sample_haar_setting(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def apply_local(amps: np.ndarray, setting: np.ndarray) -> np.ndarray:
-    """Rotate the state by the tensor product of the setting's unitaries."""
-    d = len(setting)
-    if amps.shape != (2**d,):
+def apply_local(amps: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Rotate one state by the tensor product of a setting's unitaries.
+
+    ``pairs`` is the setting's :func:`pair_gates` form, built once and shared
+    by every state measured in that setting.
+    """
+    dim = math.prod(map(len, pairs))
+    if amps.shape != (dim,):
+        d = dim.bit_length() - 1
         raise ValueError(f"setting has {d} qubits, state has shape {amps.shape}")
-    return _apply_gates(amps, setting)
+    return _apply_pairs(amps, pairs)
 
 
 def born_counts(amps: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:

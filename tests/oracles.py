@@ -4,8 +4,10 @@ These deliberately avoid the package's own computational paths: the circuit
 oracle multiplies dense gate matrices built from lifted Paulis and matrix
 exponentials, the per-pair kernel estimators run one circuit (or one pair of
 measurement records) at a time where the package fills whole Gram blocks,
-the projection oracle is column-by-column Gram-Schmidt where the package
-uses Householder QR, the QP oracles are plain projected gradient descent,
+the per-point encoding and unpaired rotation are the forms the package's
+batched encoding and paired rotation must reproduce bit for bit, the
+projection oracle is column-by-column Gram-Schmidt where the package uses
+Householder QR, the QP oracles are plain projected gradient descent,
 the Frank-Wolfe gap and a dual feasibility check, and the ranking-metric
 oracles recount precision/recall from scratch at every rank.
 """
@@ -19,7 +21,7 @@ from scipy.linalg import expm
 
 from qkad.kernel import DegenerateSignatureError
 from qkad.ocsvm import OCSVMModel
-from qkad.statevec import FeatureMapConfig, encode_iqp, iqp_layer_angles
+from qkad.statevec import FeatureMapConfig
 
 _I2 = np.eye(2, dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -72,6 +74,50 @@ def iqp_circuit_oracle(
     return state
 
 
+def apply_gates_unpaired(amps: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    """Apply a (d, 2, 2) stack of single-qubit gates to one state, pairing them per call.
+
+    The per-point form the package's :func:`qkad.statevec.apply_local` had
+    before settings were paired once: each step is one 2-D GEMM of a 4x4
+    Kronecker pair (or an odd last gate) on the leading qubits.
+    """
+    d = len(gates)
+    if amps.shape != (2**d,):
+        raise ValueError(f"setting has {d} qubits, state has shape {amps.shape}")
+    t = amps
+    for q in range(0, d, 2):
+        block = gates[q]
+        if q + 1 < d:
+            block = (block[:, None, :, None] * gates[q + 1][None, :, None, :]).reshape(4, 4)
+        t = (block @ t.reshape(len(block), -1)).T
+    return t.reshape(-1)
+
+
+def iqp_layer_angles_point(x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
+    """Per-basis-state angle of one diagonal layer for one point, one GEMV per call."""
+    x = np.asarray(x, dtype=float)
+    d = len(x)
+    lam = cfg.angle_scale
+    bits = (np.arange(2**d)[:, None] >> (d - 1 - np.arange(d))[None, :]) & 1
+    z = 1.0 - 2.0 * bits
+    angles = z @ (lam * x)
+    zx = z * (lam * x)[None, :]
+    total = zx.sum(axis=1)
+    angles += 0.5 * (total**2 - (zx**2).sum(axis=1))
+    return angles
+
+
+def encode_iqp_point(x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
+    """Feature-map state of one point, encoded on its own with per-call Hadamard pairs."""
+    phases = np.exp(-0.5j * iqp_layer_angles_point(x, cfg))
+    hadamards = np.broadcast_to(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), (len(x), 2, 2))
+    amps = np.zeros_like(phases)
+    amps[0] = 1.0
+    for _ in range(cfg.layers):
+        amps = apply_gates_unpaired(amps, hadamards) * phases
+    return amps
+
+
 def kron_apply_oracle(matrices: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """Apply a tensor product of single-qubit matrices via an explicit kron."""
     full = np.eye(1, dtype=complex)
@@ -90,7 +136,7 @@ def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
 def apply_iqp_adjoint(amps: np.ndarray, x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     """Apply the adjoint of the feature-map circuit for ``x`` to the amplitudes ``amps``.
 
-    Composing ``apply_iqp_adjoint(encode_iqp(x), x)`` recovers |0...0> up to
+    Composing ``apply_iqp_adjoint(encode_iqp_point(x), x)`` recovers |0...0> up to
     float error; the all-zeros amplitude of the mixed composition is the
     state overlap the inversion test samples.  Each layer undoes the diagonal
     phases, then applies the Hadamards as one explicit Kronecker product.
@@ -98,7 +144,7 @@ def apply_iqp_adjoint(amps: np.ndarray, x: np.ndarray, cfg: FeatureMapConfig) ->
     d = len(x)
     if amps.shape != (2**d,):
         raise ValueError(f"state has shape {amps.shape}, the input has {d} features")
-    phases = np.exp(+0.5j * iqp_layer_angles(x, cfg))
+    phases = np.exp(+0.5j * iqp_layer_angles_point(x, cfg))
     for _ in range(cfg.layers):
         amps = kron_apply_oracle([_H] * d, amps * phases)
     return amps
@@ -111,8 +157,8 @@ def apply_iqp_adjoint(amps: np.ndarray, x: np.ndarray, cfg: FeatureMapConfig) ->
 
 def exact_fidelity(x: np.ndarray, x_other: np.ndarray, fm: FeatureMapConfig) -> float:
     """Squared overlap of the two feature-map states."""
-    a = encode_iqp(x, fm)
-    b = encode_iqp(x_other, fm)
+    a = encode_iqp_point(x, fm)
+    b = encode_iqp_point(x_other, fm)
     return float(abs(inner_product(b, a)) ** 2)
 
 
@@ -133,7 +179,7 @@ def inversion_test(
         raise ValueError(f"shots must be >= 1, got {shots}")
     if np.array_equal(np.asarray(x, float), np.asarray(x_other, float)):
         return 1.0
-    composed = apply_iqp_adjoint(encode_iqp(x, fm), x_other, fm)
+    composed = apply_iqp_adjoint(encode_iqp_point(x, fm), x_other, fm)
     p_zero = min(max(float(abs(composed[0]) ** 2), 0.0), 1.0)
     return int(rng.binomial(shots, p_zero)) / shots
 

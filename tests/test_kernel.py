@@ -6,6 +6,7 @@ import pytest
 from qkad.statevec import (
     FeatureMapConfig,
     encode_iqp,
+    pair_gates,
     sample_haar_setting,
 )
 from qkad.kernel import (
@@ -59,7 +60,8 @@ def test_exact_fidelity_zero_points():
 
 def test_exact_fidelity_matches_inner_product_oracle():
     x, xp = np.array([0.3, -0.7]), np.array([1.1, 0.4])
-    overlap = inner_product(encode_iqp(xp, FM2), encode_iqp(x, FM2))
+    state_xp, state_x = encode_iqp(np.stack([xp, x]), FM2)
+    overlap = inner_product(state_xp, state_x)
     assert exact_fidelity(x, xp, FM2) == pytest.approx(abs(overlap) ** 2, abs=1e-12)
     assert 0.0 <= exact_fidelity(x, xp, FM2) <= 1.0 + 1e-12
 
@@ -95,7 +97,7 @@ def test_inversion_gram_probability_matches_composition_path(rng):
 
     for _ in range(5):
         x, xp = rng.uniform(-1, 1, size=2), rng.uniform(-1, 1, size=2)
-        composed = apply_iqp_adjoint(encode_iqp(x, FM2), xp, FM2)
+        composed = apply_iqp_adjoint(encode_iqp(x[None], FM2)[0], xp, FM2)
         p_circuit = abs(composed[0]) ** 2
         assert p_circuit == pytest.approx(exact_fidelity(x, xp, FM2), abs=1e-12)
 
@@ -105,9 +107,15 @@ def test_inversion_gram_probability_matches_composition_path(rng):
 # ---------------------------------------------------------------------------
 
 
+def signature(x, fm, settings, shots, rng):
+    """One point's shot counts, encoded and paired the way ``_represent`` does it."""
+    paired = [pair_gates(setting) for setting in settings]
+    return collect_signature(encode_iqp(x[None], fm)[0], paired, shots, rng)
+
+
 def test_collect_signature_shape_and_normalization(rng):
     settings = np.stack([sample_haar_setting(2, rng) for _ in range(5)])
-    counts = collect_signature(np.array([0.2, 0.8]), FM2, settings, 600, rng)
+    counts = signature(np.array([0.2, 0.8]), FM2, settings, 600, rng)
     assert counts.shape == (5, 4)
     assert np.max(np.abs((counts / 600.0).sum(axis=1) - 1.0)) < 1e-12
 
@@ -116,21 +124,21 @@ def test_collect_signature_zero_input_matches_born_oracle(rng):
     # x = 0 encodes |00>, so each stored distribution is the Born
     # distribution of U|00>, i.e. |first column of U|^2
     setting = sample_haar_setting(2, rng)
-    counts = collect_signature(np.zeros(2), FM2, setting[None], 10**5, rng)
+    counts = signature(np.zeros(2), FM2, setting[None], 10**5, rng)
     u_full = np.kron(setting[0], setting[1])
     born = np.abs(u_full[:, 0]) ** 2
     assert np.max(np.abs(counts[0] / 10**5 - born)) < 4 / math.sqrt(10**5)
 
 
 def test_collect_signature_rejects_mismatched_settings(rng):
-    settings = sample_haar_setting(3, rng)[None]
+    paired = [pair_gates(sample_haar_setting(3, rng))]
     with pytest.raises(ValueError, match="qubits"):
-        collect_signature(np.zeros(2), FM2, settings, 10, rng)
+        collect_signature(encode_iqp(np.zeros((1, 2)), FM2)[0], paired, 10, rng)
 
 
 def test_collect_signature_rejects_empty_settings(rng):
     with pytest.raises(ValueError, match="at least one measurement setting"):
-        collect_signature(np.zeros(2), FM2, np.empty((0, 2, 2, 2), dtype=complex), 10, rng)
+        collect_signature(encode_iqp(np.zeros((1, 2)), FM2)[0], [], 10, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +308,7 @@ def test_rm_purity_pure_states_across_seeds():
     for seed in range(15):
         rng = np.random.default_rng(500 + seed)
         settings = np.stack([sample_haar_setting(2, rng) for _ in range(30)])
-        counts = collect_signature(x, FM2, settings, 9000, rng)
+        counts = signature(x, FM2, settings, 9000, rng)
         estimates.append(rm_purity(counts, 9000))
     estimates = np.array(estimates)
     assert abs(estimates.mean() - 1.0) <= 0.05
@@ -514,16 +522,17 @@ def test_gram_cross_randomized_duplicated_points_near_one():
         assert abs(cross.entries[k, k] - 1.0) <= 0.05
 
 
-@pytest.mark.parametrize("kind", ["exact", "inversion_test"])
+@pytest.mark.parametrize("kind", ["exact", "inversion_test", "randomized"])
 def test_train_and_cross_encode_each_point_once(kind, monkeypatch):
-    # the cross pass reuses the training states: n + t encodings, not 2n + t
+    # the cross pass reuses the training states: n + t encoded rows, not 2n + t,
+    # in one call per point set
     import qkad.kernel
 
     calls = []
 
-    def counted(x, fm):
-        calls.append(x)
-        return encode_iqp(x, fm)
+    def counted(X, fm):
+        calls.append(len(X))
+        return encode_iqp(X, fm)
 
     monkeypatch.setattr(qkad.kernel, "encode_iqp", counted)
     rng = np.random.default_rng(8)
@@ -531,7 +540,7 @@ def test_train_and_cross_encode_each_point_once(kind, monkeypatch):
     cfg = make_cfg(kind)
     _, states = build_gram_train(X_train, cfg, rng)
     build_gram_cross(X_test, states, cfg, rng)
-    assert len(calls) == 7 + 3
+    assert calls == [7, 3]
 
 
 @pytest.mark.parametrize("kind", ["exact", "inversion_test"])
@@ -615,8 +624,8 @@ def test_estimator_spread_shrinks_with_more_settings():
         for k in range(25):
             rng = np.random.default_rng(base_seed + k)
             settings = np.stack([sample_haar_setting(2, rng) for _ in range(r)])
-            counts_a = collect_signature(x, fm, settings, 200, rng)
-            counts_b = collect_signature(xp, fm, settings, 200, rng)
+            counts_a = signature(x, fm, settings, 200, rng)
+            counts_b = signature(xp, fm, settings, 200, rng)
             vals.append(rm_kernel_entry(counts_a, counts_b, 200))
         return np.std(vals)
 

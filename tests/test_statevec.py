@@ -1,14 +1,30 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import apply_iqp_adjoint, inner_product, iqp_circuit_oracle, kron_apply_oracle
+import qkad.statevec
+from oracles import (
+    apply_gates_unpaired,
+    apply_iqp_adjoint,
+    encode_iqp_point,
+    inner_product,
+    iqp_circuit_oracle,
+    kron_apply_oracle,
+)
 from qkad.statevec import (
     FeatureMapConfig,
     apply_local,
     born_counts,
     encode_iqp,
+    pair_gates,
     sample_haar_setting,
 )
+
+
+def encode_one(x, cfg):
+    return encode_iqp(np.asarray(x)[None], cfg)[0]
 
 
 def random_state(d, rng):
@@ -22,7 +38,7 @@ def random_state(d, rng):
 
 
 def test_zero_input_two_layers_gives_all_zeros_state():
-    state = encode_iqp(np.zeros(2), FeatureMapConfig(layers=2))
+    state = encode_one(np.zeros(2), FeatureMapConfig(layers=2))
     assert np.allclose(state, [1, 0, 0, 0], atol=1e-12)
 
 
@@ -30,16 +46,16 @@ def test_zero_input_two_layers_gives_all_zeros_state():
 def test_encode_output_is_normalized(d, layers, lam, rng):
     cfg = FeatureMapConfig(layers=layers, angle_scale=lam)
     for _ in range(5):
-        state = encode_iqp(rng.uniform(-2, 2, size=d), cfg)
+        state = encode_one(rng.uniform(-2, 2, size=d), cfg)
         assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-10
 
 
 def test_states_and_settings_are_plain_arrays(rng):
-    state = encode_iqp(rng.uniform(-1, 1, size=3), FeatureMapConfig())
+    state = encode_one(rng.uniform(-1, 1, size=3), FeatureMapConfig())
     assert state.shape == (8,) and state.dtype == np.complex128
     setting = sample_haar_setting(3, rng)
     assert setting.shape == (3, 2, 2) and setting.dtype == np.complex128
-    rotated = apply_local(state, setting)
+    rotated = apply_local(state, pair_gates(setting))
     assert rotated.shape == (8,) and rotated.dtype == np.complex128
 
 
@@ -47,7 +63,7 @@ def test_encode_matches_dense_circuit_oracle_reference_point():
     x = np.array([0.3, -0.7])
     cfg = FeatureMapConfig(layers=2, angle_scale=3.0)
     expected = iqp_circuit_oracle(x, d=2, layers=2, lam=3.0)
-    assert np.max(np.abs(encode_iqp(x, cfg) - expected)) < 1e-12
+    assert np.max(np.abs(encode_one(x, cfg) - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -56,7 +72,7 @@ def test_encode_matches_dense_circuit_oracle_random(d, rng):
         x = rng.uniform(-1.5, 1.5, size=d)
         cfg = FeatureMapConfig(layers=layers, angle_scale=lam)
         expected = iqp_circuit_oracle(x, d=d, layers=layers, lam=lam)
-        assert np.max(np.abs(encode_iqp(x, cfg) - expected)) < 1e-12
+        assert np.max(np.abs(encode_one(x, cfg) - expected)) < 1e-12
 
 
 def test_diagonal_gates_commute_any_application_order(rng):
@@ -64,18 +80,70 @@ def test_diagonal_gates_commute_any_application_order(rng):
     # must reproduce the same amplitudes
     x = rng.uniform(-1, 1, size=3)
     cfg = FeatureMapConfig(layers=2, angle_scale=3.0)
-    got = encode_iqp(x, cfg)
+    got = encode_one(x, cfg)
     for k in range(4):
         shuffled = iqp_circuit_oracle(x, d=3, layers=2, lam=3.0, rng=np.random.default_rng(k))
         assert np.max(np.abs(got - shuffled)) < 1e-12
 
 
 def test_encode_dimension_mismatch():
-    # the qubit count is the input width, so only a 2-D or empty input is wrong
-    with pytest.raises(ValueError, match=r"got shape \(2, 3\)"):
-        encode_iqp(np.zeros((2, 3)), FeatureMapConfig())
-    with pytest.raises(ValueError, match=r"got shape \(0,\)"):
-        encode_iqp(np.zeros(0), FeatureMapConfig())
+    # the qubit count is the input width, so only an empty stack, a zero-width
+    # stack or an input that is not a 2-D row stack is wrong
+    for shape in [(0, 3), (2, 0), (3,), (2, 3, 4)]:
+        message = r"non-empty \(n, d\) row stack, got shape " + re.escape(str(shape))
+        with pytest.raises(ValueError, match=message):
+            encode_iqp(np.zeros(shape), FeatureMapConfig())
+    with pytest.raises(ValueError, match=r"got shape \(3,\)"):
+        qkad.statevec.iqp_layer_angles(np.zeros(3), FeatureMapConfig())
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_batched_encode_is_bit_identical_to_per_point_encode(d, monkeypatch):
+    # d=10 runs the real block of 204 rows; below that it holds hundreds to a
+    # million rows, so it shrinks to 3 and the row counts stay small
+    if d < 10:
+        monkeypatch.setattr(qkad.statevec, "_BLOCK_BYTES", 3 * 8 * 2**d * d)
+    block = qkad.statevec._BLOCK_BYTES // (8 * 2**d * d)
+    rng = np.random.default_rng(100 + d)
+    for cfg in (FeatureMapConfig(), FeatureMapConfig(layers=3, angle_scale=0.7)):
+        for n in sorted({1, block - 1, block, block + 1} - {0}):
+            X = rng.uniform(-2, 2, size=(n, d))
+            expected = np.stack([encode_iqp_point(x, cfg) for x in X])
+            assert np.array_equal(encode_iqp(X, cfg), expected)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_paired_apply_local_is_bit_identical_to_unpaired_form(d, rng):
+    for _ in range(3):
+        state, setting = random_state(d, rng), sample_haar_setting(d, rng)
+        expected = apply_gates_unpaired(state, setting)
+        assert np.array_equal(apply_local(state, pair_gates(setting)), expected)
+
+
+def test_cached_encoding_tables_are_read_only():
+    # every encode shares them, so a write through one would corrupt the next
+    tables = [qkad.statevec._basis_signs(3), *qkad.statevec._hadamard_pairs(3)]
+    assert qkad.statevec._basis_signs(3) is tables[0]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+
+
+def test_encode_memory_stays_near_its_output():
+    # the whole (256, 2^14, 14) float angle tensor would take 470 MB; encoded
+    # in blocks, the peak is the 64 MiB of states plus three block-sized
+    # temporaries (104.5 MiB measured with numpy 2.4)
+    n, d = 256, 14
+    assert 8 * n * 2**d * d >= 256 * 2**20
+    X = np.random.default_rng(0).uniform(-1, 1, size=(n, d))
+    qkad.statevec._basis_signs(d), qkad.statevec._hadamard_pairs(d)  # cached tables
+    tracemalloc.start()
+    try:
+        states = encode_iqp(X, FeatureMapConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= states.nbytes + 3 * qkad.statevec._BLOCK_BYTES
 
 
 def test_feature_map_config_validation():
@@ -88,7 +156,7 @@ def test_feature_map_config_validation():
 def test_adjoint_roundtrip_recovers_initial_state(rng):
     cfg = FeatureMapConfig()
     x = rng.uniform(-1, 1, size=3)
-    state = apply_iqp_adjoint(encode_iqp(x, cfg), x, cfg)
+    state = apply_iqp_adjoint(encode_one(x, cfg), x, cfg)
     assert abs(state[0]) ** 2 > 1.0 - 1e-12
 
 
@@ -126,14 +194,14 @@ def test_haar_first_moment_is_half():
 def test_apply_local_identity_is_noop(rng):
     state = random_state(3, rng)
     eye = np.stack([np.eye(2, dtype=complex)] * 3)
-    assert np.allclose(apply_local(state, eye), state, atol=1e-14)
+    assert np.allclose(apply_local(state, pair_gates(eye)), state, atol=1e-14)
 
 
 def test_apply_local_preserves_norm(rng):
     for _ in range(5):
         state = random_state(3, rng)
         setting = sample_haar_setting(3, rng)
-        out = apply_local(state, setting)
+        out = apply_local(state, pair_gates(setting))
         assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-10
 
 
@@ -143,12 +211,12 @@ def test_apply_local_matches_kron_oracle(rng):
         state = random_state(d, rng)
         setting = sample_haar_setting(d, rng)
         expected = kron_apply_oracle(setting, state)
-        assert np.max(np.abs(apply_local(state, setting) - expected)) < 1e-12
+        assert np.max(np.abs(apply_local(state, pair_gates(setting)) - expected)) < 1e-12
 
 
 def test_apply_local_dimension_mismatch(rng):
     with pytest.raises(ValueError, match="qubits"):
-        apply_local(random_state(2, rng), sample_haar_setting(3, rng))
+        apply_local(random_state(2, rng), pair_gates(sample_haar_setting(3, rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +253,8 @@ def test_measure_zero_shots_rejected(rng):
 def test_measure_bit_identical_given_seed():
     cfg = FeatureMapConfig()
     x = np.array([0.4, -1.2])
-    a = born_counts(encode_iqp(x, cfg), 5000, np.random.default_rng(42))
-    b = born_counts(encode_iqp(x, cfg), 5000, np.random.default_rng(42))
+    a = born_counts(encode_one(x, cfg), 5000, np.random.default_rng(42))
+    b = born_counts(encode_one(x, cfg), 5000, np.random.default_rng(42))
     assert np.array_equal(a, b)
 
 
