@@ -20,6 +20,7 @@ from .kernel import (  # noqa: F401
     GramMatrix,
     KernelConfig,
     SignatureCache,
+    TrainingSet,
     build_gram_cross,
     build_gram_train,
     rm_purity,

@@ -21,6 +21,7 @@ import logging
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -97,6 +98,13 @@ class RunConfig:
             raise ValueError("at least one seed is required")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
+        repeated = sorted(s for s, k in Counter(self.seeds).items() if k > 1)
+        if repeated:
+            raise ValueError(f"seeds must be distinct, got {repeated} more than once")
+        if self.fraud_csv is not None and self.dataset != "fraud":
+            raise ValueError(f"only the fraud dataset reads fraud_csv, got {self.fraud_csv!r}")
+        if not np.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
         if self.train_size < 1:
             raise ValueError(f"train_size must be >= 1, got {self.train_size}")
         kind, default_mitigate, is_ensemble, use_rfb = _METHOD_TABLE[self.method]
@@ -255,11 +263,11 @@ def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecor
         converged = all(c.model.converged for c in model.components)
     else:
         t0 = time.perf_counter()
-        gram, train_points = build_gram_train(X_train, kcfg, train_rng)
+        gram, train_set = build_gram_train(X_train, kcfg, train_rng)
         t1 = time.perf_counter()
         model = ocsvm.fit(gram, cfg.nu, SolverConfig(), solver_rng)
         t2 = time.perf_counter()
-        cross = build_gram_cross(X_test, train_points, kcfg, score_rng)
+        cross = build_gram_cross(X_test, train_set, score_rng)
         scores = ocsvm.decision_scores(model, cross)
         t3 = time.perf_counter()
         gram_time, solver_time = t1 - t0, t2 - t1

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ocsvm
-from .kernel import KernelConfig, SignatureCache, build_gram_cross, build_gram_train, eval_count
+from .kernel import KernelConfig, TrainingSet, build_gram_cross, build_gram_train, eval_count
 from .ocsvm import OCSVMModel, SolverConfig
 
 __all__ = [
@@ -65,19 +65,17 @@ class Component:
     """One fitted base detector plus everything needed to score new data."""
 
     subsample_indices: np.ndarray
-    train: np.ndarray | SignatureCache  # training point set of the cross kernel
+    train: TrainingSet
     projection: np.ndarray | None
     model: OCSVMModel
     train_score_mean: float
     train_score_std: float
     score_seed: int
-    train_eval_count: int
 
 
 @dataclass(frozen=True)
 class EnsembleModel:
     components: tuple[Component, ...]
-    kernel: KernelConfig
     aggregation: str
     num_features: int  # feature count the ensemble was fitted on
     gram_time_s: float
@@ -89,7 +87,8 @@ class EnsembleModel:
 
     @property
     def train_eval_count(self) -> int:
-        return sum(c.train_eval_count for c in self.components)
+        sizes = [(c.train.kernel, c.model.n_train) for c in self.components]
+        return sum(eval_count(kernel, n, n * (n - 1) // 2) for kernel, n in sizes)
 
 
 def component_count(n: int) -> int:
@@ -161,7 +160,6 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
                     train_score_mean=float(train_scores.mean()),
                     train_score_std=float(train_scores.std()),
                     score_seed=score_seed,
-                    train_eval_count=gram.eval_count,
                 )
             )
         except Exception as exc:
@@ -169,7 +167,6 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
 
     return EnsembleModel(
         components=tuple(components),
-        kernel=cfg.base_kernel,
         aggregation=cfg.aggregation,
         num_features=d,
         gram_time_s=gram_time,
@@ -177,9 +174,9 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
     )
 
 
-def _component_scores(comp: Component, kernel: KernelConfig, X_test: np.ndarray) -> np.ndarray:
+def _component_scores(comp: Component, X_test: np.ndarray) -> np.ndarray:
     X_proj = X_test @ comp.projection if comp.projection is not None else X_test
-    cross = build_gram_cross(X_proj, comp.train, kernel, np.random.default_rng(comp.score_seed))
+    cross = build_gram_cross(X_proj, comp.train, np.random.default_rng(comp.score_seed))
     raw = ocsvm.decision_scores(comp.model, cross)
     std = comp.train_score_std if comp.train_score_std >= _STD_FLOOR else 1.0
     return (raw - comp.train_score_mean) / std
@@ -196,7 +193,7 @@ def score_vs(model: EnsembleModel, X_test: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected (t, {model.num_features}) test matrix, got shape {X_test.shape}"
         )
-    stacked = np.stack([_component_scores(c, model.kernel, X_test) for c in model.components])
+    stacked = np.stack([_component_scores(c, X_test) for c in model.components])
     if model.aggregation == "mean":
         return stacked.mean(axis=0)
     return stacked.max(axis=0)
@@ -205,5 +202,5 @@ def score_vs(model: EnsembleModel, X_test: np.ndarray) -> np.ndarray:
 def cross_eval_count(model: EnsembleModel, n_test: int) -> int:
     """Kernel evaluations a scoring pass over ``n_test`` points performs."""
     return sum(
-        eval_count(model.kernel, n_test, n_test * comp.model.n_train) for comp in model.components
+        eval_count(c.train.kernel, n_test, n_test * c.model.n_train) for c in model.components
     )

@@ -12,8 +12,9 @@ Four interchangeable ways to fill a kernel matrix:
 * ``rbf``            - classical Gaussian kernel baseline.
 
 The quantum kinds encode each ``d``-feature row on ``d`` qubits, so the
-qubit count is read from the data, and a cross kernel checks that its test
-rows match the training set's width before any encoding or measurement.
+qubit count is read from the data.  A cross kernel takes its config from the
+:class:`TrainingSet` of the training Gram and checks that its test rows match
+that set's width before any encoding or measurement.
 Randomized-measurement records are weighted by the ``(-2)**(-H)`` Hamming
 table as two half-register Kronecker factors, never its ``2^d x 2^d`` form.
 Point sets whose arrays would exceed 1 GiB are rejected before any encoding
@@ -43,6 +44,7 @@ __all__ = [
     "KernelConfig",
     "GramMatrix",
     "SignatureCache",
+    "TrainingSet",
     "DegenerateSignatureError",
     "KERNEL_KINDS",
     "check_point_set",
@@ -128,9 +130,19 @@ class SignatureCache:
     shots: int
     purities: np.ndarray
 
-    @property
-    def num_qubits(self) -> int:
-        return self.settings.shape[1]
+
+@dataclass(frozen=True)
+class TrainingSet:
+    """A training point set together with the kernel and row width that built it.
+
+    ``points`` is what :func:`build_gram_cross` compares test points with:
+    the rows for rbf, the ``(n, 2^d)`` feature states for the pairwise kinds
+    and the :class:`SignatureCache` for the randomized kind.
+    """
+
+    kernel: KernelConfig
+    points: np.ndarray | SignatureCache
+    num_features: int
 
 
 # ---------------------------------------------------------------------------
@@ -315,40 +327,6 @@ def _represent(
     return SignatureCache(settings, counts, shots, estimates)
 
 
-def _check_train(cfg: KernelConfig, train: np.ndarray | SignatureCache, width: int) -> None:
-    """Reject a training point set that ``cfg`` would not have built.
-
-    ``width`` is the feature count of the test rows; the training set must
-    have been built from rows of the same width.
-    """
-    if cfg.kind == "randomized":
-        if not isinstance(train, SignatureCache):
-            raise ValueError(
-                "randomized cross kernel requires the training signature cache, "
-                f"got {type(train).__name__}"
-            )
-        if train.num_qubits != width:
-            raise ValueError(
-                f"cache encodes {train.num_qubits} qubits, the test rows have {width} features"
-            )
-        if len(train.settings) != cfg.rm_settings:
-            raise ValueError(
-                f"cache holds {len(train.settings)} settings, config expects {cfg.rm_settings}"
-            )
-        if cfg.mitigate and np.any(train.purities <= 0):
-            raise DegenerateSignatureError("training signature cache holds a nonpositive purity")
-        return
-    if cfg.kind == "rbf":
-        what, cols = "rows", width
-    else:
-        what, cols = "feature states", 2**width
-    if np.ndim(train) != 2 or np.shape(train)[1] != cols:
-        raise ValueError(
-            f"{cfg.kind} cross kernel on {width}-feature test rows expects training {what} "
-            f"of shape (n, {cols}), got {np.shape(train)}"
-        )
-
-
 def _kernel_block(
     cfg: KernelConfig, a: np.ndarray | SignatureCache, b: np.ndarray | SignatureCache
 ) -> np.ndarray:
@@ -393,18 +371,16 @@ def build_gram_train(
     X: np.ndarray,
     cfg: KernelConfig,
     rng: np.random.Generator,
-) -> tuple[GramMatrix, np.ndarray | SignatureCache]:
+) -> tuple[GramMatrix, TrainingSet]:
     """Symmetric training kernel matrix for the configured strategy.
 
-    Returns the Gram matrix together with the training point set that
-    :func:`build_gram_cross` reads at prediction time: the rows for rbf, the
-    ``(n, 2^d)`` feature states for the pairwise kinds, and the
-    :class:`SignatureCache` for the randomized kind.
+    Returns the Gram matrix together with the :class:`TrainingSet` that
+    :func:`build_gram_cross` reads at prediction time.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError(f"expected an (n, d) matrix with n >= 2, got shape {X.shape}")
-    n = X.shape[0]
+    n, d = X.shape
     train = _represent(X, cfg, rng, purities=True)
     block = _kernel_block(cfg, train, train)
     if cfg.kind == "inversion_test":
@@ -419,32 +395,36 @@ def build_gram_train(
     unmitigated_rm = cfg.kind == "randomized" and not cfg.mitigate
     np.fill_diagonal(entries, train.purities if unmitigated_rm else 1.0)
     evals = eval_count(cfg, n, n * (n - 1) // 2)
-    return GramMatrix(entries=entries, symmetric=True, eval_count=evals), train
+    gram = GramMatrix(entries=entries, symmetric=True, eval_count=evals)
+    return gram, TrainingSet(cfg, train, d)
 
 
 def build_gram_cross(
     X_test: np.ndarray,
-    train: np.ndarray | SignatureCache,
-    cfg: KernelConfig,
-    rng: np.random.Generator | None = None,
+    train: TrainingSet,
+    rng: np.random.Generator,
 ) -> GramMatrix:
     """Prediction kernel matrix of shape (len(X_test), training points).
 
-    ``train`` is the point set :func:`build_gram_train` returned, so only the
-    test points are encoded or measured (the randomized kind measures them in
-    the cached settings).  The shot-based strategies need ``rng``.
+    ``train`` is the :class:`TrainingSet` :func:`build_gram_train` returned, and
+    its kernel config is the one applied, so only the test points are encoded
+    or measured (the randomized kind measures them in the cached settings).
     """
     X_test = np.asarray(X_test, dtype=float)
     if X_test.ndim != 2:
         raise ValueError(f"expected a (t, d) test matrix, got shape {X_test.shape}")
-    _check_train(cfg, train, X_test.shape[1])
-    if rng is None and cfg.kind not in ("exact", "rbf"):
-        raise ValueError(f"kernel kind {cfg.kind!r} needs an rng for shot sampling")
-    settings = train.settings if cfg.kind == "randomized" else None
+    if not isinstance(train, TrainingSet):
+        raise TypeError(f"train must be a TrainingSet, got {type(train).__name__}")
+    if X_test.shape[1] != train.num_features:
+        raise ValueError(
+            f"the test rows have {X_test.shape[1]} features, "
+            f"the training set was built from {train.num_features}"
+        )
+    cfg, points = train.kernel, train.points
+    settings = points.settings if cfg.kind == "randomized" else None
     test = _represent(X_test, cfg, rng, purities=cfg.mitigate, settings=settings)
-    entries = _kernel_block(cfg, test, train)
+    entries = _kernel_block(cfg, test, points)
     if cfg.kind == "inversion_test":
         entries = _shot_noise(cfg, entries, rng)
     t, n = entries.shape
     return GramMatrix(entries=entries, symmetric=False, eval_count=eval_count(cfg, t, t * n))
-

@@ -59,8 +59,8 @@ class FeatureMapConfig:
     def __post_init__(self) -> None:
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
-        if not self.angle_scale > 0:
-            raise ValueError(f"angle_scale must be > 0, got {self.angle_scale}")
+        if not 0 < self.angle_scale < math.inf:
+            raise ValueError(f"angle_scale must be > 0 and finite, got {self.angle_scale}")
 
 
 def _apply_pairs(amps: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:

@@ -45,7 +45,7 @@ def exact_gram(X):
 
 def pipeline_scores(seed: int, n_train: int = 100, nu: float = 0.1):
     """Exact-kernel single-model run over the full preprocessing chain."""
-    data_rng, train_rng, solver_rng, _ = (
+    data_rng, train_rng, solver_rng, score_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
     )
     spec = SplitSpec(train_size=n_train, test_size=125, test_anomaly_ratio=0.3)
@@ -56,7 +56,7 @@ def pipeline_scores(seed: int, n_train: int = 100, nu: float = 0.1):
     gram, states = build_gram_train(X_train, EXACT, train_rng)
     model = fit(gram, nu, SolverConfig(), solver_rng)
     train_scores = decision_scores(model, GramMatrix(gram.entries, False, 0))
-    test_scores = decision_scores(model, build_gram_cross(X_test, states, EXACT))
+    test_scores = decision_scores(model, build_gram_cross(X_test, states, score_rng))
     return model, train_scores, test_scores, test.labels
 
 
@@ -194,7 +194,7 @@ def test_criterion_6_rotated_feature_bagging(announce):
         for comp in model.components:
             r_prime = comp.projection.shape[1]
             assert np.max(np.abs(comp.projection.T @ comp.projection - np.eye(r_prime))) <= 1e-10
-            assert comp.train.num_qubits == rotation_dim(d)
+            assert comp.train.num_features == rotation_dim(d)
         return elapsed / len(model.components), model
 
     # one fit seed gives identical subsample sizes and both widths project

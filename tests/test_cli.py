@@ -141,6 +141,17 @@ def test_run_config_validation():
         RunConfig(method="rbf", dataset="synthetic", seeds=())
     with pytest.raises(ValueError, match="seeds must be >= 0, got -1"):
         RunConfig(method="rbf", dataset="synthetic", seeds=(0, -1))
+    # a repeated seed would reproduce its record and shrink the summary's spread
+    with pytest.raises(ValueError, match=r"seeds must be distinct, got \[0, 2\] more than once"):
+        RunConfig(method="rbf", dataset="synthetic", seeds=(2, 0, 1, 0, 2))
+    # the record echoes fraud_csv, so a run that never reads it must not take it
+    with pytest.raises(ValueError, match="only the fraud dataset reads fraud_csv, got 'x.csv'"):
+        RunConfig(method="rbf", dataset="synthetic", fraud_csv="x.csv")
+    assert RunConfig(method="rbf", dataset="fraud", fraud_csv="x.csv").fraud_csv == "x.csv"
+    # nan flags no point and inf every point, and nan is not valid JSON
+    for threshold in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=f"threshold must be finite, got {threshold}"):
+            RunConfig(method="rbf", dataset="synthetic", threshold=threshold)
     # component sizes are random, so an ensemble's nu is checked per component at fit time
     assert RunConfig(method="vs-it", dataset="synthetic", train_size=60, nu=0.01).nu == 0.01
     with pytest.raises(ValueError, match="feature bagging"):
@@ -328,6 +339,14 @@ def test_main_rejects_invalid_config_with_usage(method, features, message, capsy
         ("rbf", "--seeds", "0,5-3", "argument --seeds: bad seed range '5-3'"),
         ("rbf", "--seeds", "0,x", "argument --seeds: bad seed value 'x'"),
         ("rbf", "--seeds", "1-y", "argument --seeds: bad seed range '1-y'"),
+        ("rbf", "--seeds", "0,0,0-1", "seeds must be distinct, got [0] more than once"),
+        # an infinite angle scale makes every seed fail inside the sampler
+        ("it", "--lambda", "inf", "angle_scale must be > 0 and finite, got inf"),
+        ("rbf", "--threshold", "nan", "threshold must be finite, got nan"),
+        ("rbf", "--threshold", "inf", "threshold must be finite, got inf"),
+        # the synthetic data is generated, so a CSV path would only misdescribe the run
+        ("rbf", "--fraud-csv", "/nonexistent.csv",
+         "only the fraud dataset reads fraud_csv, got '/nonexistent.csv'"),
         # only the randomized ensembles may change their mitigation default
         ("it", "--mitigate --seeds", "0", "it always runs with mitigate=False"),
         ("rm-unmitigated", "--mitigate --seeds", "0",

@@ -128,7 +128,7 @@ def test_fit_vs_rfb_components_train_on_projected_features(rng):
     model = fit_vs(X, VSConfig(base_kernel=rm_cfg(), nu=0.1, rfb_enabled=True), rng)
     for comp in model.components:
         assert comp.projection.shape == (6, 4)  # rotation_dim(6) = 4
-        assert comp.train.num_qubits == 4
+        assert comp.train.num_features == 4
         assert np.max(np.abs(comp.projection.T @ comp.projection - np.eye(4))) < 1e-10
 
 
@@ -187,7 +187,7 @@ def test_score_vs_single_component_equals_normalized_scores(rng):
     assert comp.subsample_indices.size == 50
     from qkad.kernel import build_gram_cross
 
-    cross = build_gram_cross(X_test, comp.train, model.kernel)
+    cross = build_gram_cross(X_test, comp.train, np.random.default_rng(comp.score_seed))
     expected = (decision_scores(comp.model, cross) - comp.train_score_mean) / comp.train_score_std
     assert np.allclose(score_vs(model, X_test), expected, atol=1e-12)
 
@@ -215,8 +215,7 @@ def test_score_vs_reuses_stored_projection_bit_exactly(rng):
     stacked = []
     for comp in model.components:
         cross = build_gram_cross(
-            X_test @ comp.projection, comp.train, model.kernel,
-            rng=np.random.default_rng(comp.score_seed),
+            X_test @ comp.projection, comp.train, np.random.default_rng(comp.score_seed)
         )
         raw = decision_scores(comp.model, cross)
         std = comp.train_score_std if comp.train_score_std >= 1e-12 else 1.0
@@ -248,9 +247,6 @@ def test_cross_eval_count_matches_measured(rng):
         model = fit_vs(X, VSConfig(base_kernel=base, nu=0.1), np.random.default_rng(6))
         measured = 0
         for comp in model.components:
-            cross = build_gram_cross(
-                X_test, comp.train, model.kernel,
-                rng=np.random.default_rng(0),
-            )
+            cross = build_gram_cross(X_test, comp.train, np.random.default_rng(0))
             measured += cross.eval_count
         assert cross_eval_count(model, 9) == measured

@@ -47,7 +47,7 @@ def gram_values(case: str) -> dict:
     cfg = GRAM_CASES[case]
     X_train, X_test = gram_inputs()
     train, points = build_gram_train(X_train, cfg, np.random.default_rng(1))
-    cross = build_gram_cross(X_test, points, cfg, np.random.default_rng(2))
+    cross = build_gram_cross(X_test, points, np.random.default_rng(2))
     return {
         "train": train.entries.tolist(),
         "train_evals": train.eval_count,

@@ -207,7 +207,7 @@ def test_randomized_gram_builds_at_14_qubits():
     X = np.random.default_rng(3).uniform(-0.1, 0.1, size=(2, 14))
     gram, train = build_gram_train(X, cfg, np.random.default_rng(0))
     assert gram.entries.shape == (2, 2)
-    assert train.counts.shape == (2, 2, 2**14)
+    assert train.points.counts.shape == (2, 2, 2**14)
 
 
 @pytest.mark.parametrize(
@@ -421,19 +421,20 @@ def test_gram_train_randomized_diagonal_semantics(rng):
     mit, cache = build_gram_train(X, make_cfg("randomized", mitigate=True), np.random.default_rng(1))
     assert np.array_equal(np.diag(mit.entries), np.ones(5))
     raw, cache2 = build_gram_train(X, make_cfg("randomized", mitigate=False), np.random.default_rng(1))
-    assert np.array_equal(np.diag(raw.entries), cache2.purities)
-    assert cache is not None and cache.counts.shape[0] == 5
+    assert np.array_equal(np.diag(raw.entries), cache2.points.purities)
+    assert cache.points.counts.shape[0] == 5
 
 
 def test_randomized_cache_settings_are_one_array_drawn_in_order(rng):
     # the r settings come first off the stream, one sample_haar_setting call each
     X = rng.uniform(-0.5, 0.5, size=(3, 2))
-    _, cache = build_gram_train(X, make_cfg("randomized"), np.random.default_rng(4))
+    _, train = build_gram_train(X, make_cfg("randomized"), np.random.default_rng(4))
     replay = np.random.default_rng(4)
     expected = np.stack([sample_haar_setting(2, replay) for _ in range(6)])
-    assert cache.settings.shape == (6, 2, 2, 2) and cache.settings.dtype == complex
-    assert np.array_equal(cache.settings, expected)
-    assert cache.num_qubits == 2
+    settings = train.points.settings
+    assert settings.shape == (6, 2, 2, 2) and settings.dtype == complex
+    assert np.array_equal(settings, expected)
+    assert train.num_features == 2
 
 
 def test_gram_train_deterministic_given_seed(rng):
@@ -462,7 +463,8 @@ def test_unmitigated_raw_rm_block_is_symmetric_psd(seed):
 
 def test_gram_train_entry_matches_scalar_op(rng):
     X = rng.uniform(-0.4, 0.4, size=(4, 2))
-    gram, cache = build_gram_train(X, make_cfg("randomized", mitigate=False), rng)
+    gram, train = build_gram_train(X, make_cfg("randomized", mitigate=False), rng)
+    cache = train.points
     for i in range(4):
         for j in range(i + 1, 4):
             expected = rm_kernel_entry(cache.counts[i], cache.counts[j], cache.shots)
@@ -490,25 +492,31 @@ def test_rm_raw_block_rows_match_the_pair_oracle(rows, monkeypatch):
 
 
 def test_gram_cross_exact_equals_train_gram(rng):
-    X = rng.uniform(-1, 1, size=(5, 2))
-    train, states = build_gram_train(X, make_cfg("exact"), rng)
-    cross = build_gram_cross(X, states, make_cfg("exact"))
-    assert np.max(np.abs(cross.entries - train.entries)) < 1e-12
-    assert cross.entries.shape == (5, 5)
-    assert not cross.symmetric
+    # the cross kernel has no config of its own: it encodes the test rows with
+    # the feature map the training set was built with
+    X, X_test = rng.uniform(-1, 1, size=(5, 2)), rng.uniform(-1, 1, size=(3, 2))
+    for fm in (FM2, FeatureMapConfig(layers=1), FeatureMapConfig(angle_scale=0.5)):
+        train, states = build_gram_train(X, make_cfg("exact", feature_map=fm), rng)
+        cross = build_gram_cross(X, states, rng)
+        assert np.max(np.abs(cross.entries - train.entries)) < 1e-12
+        assert cross.entries.shape == (5, 5)
+        assert not cross.symmetric
+        expected = [[exact_fidelity(x, xp, fm) for xp in X] for x in X_test]
+        actual = build_gram_cross(X_test, states, rng).entries
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
 
 
 def test_gram_cross_shape_and_eval_counts(rng):
     X_train = rng.uniform(-1, 1, size=(6, 2))
     X_test = rng.uniform(-1, 1, size=(3, 2))
     _, states = build_gram_train(X_train, make_cfg("inversion_test"), np.random.default_rng(1))
-    cross = build_gram_cross(X_test, states, make_cfg("inversion_test"), rng)
+    cross = build_gram_cross(X_test, states, rng)
     assert cross.entries.shape == (3, 6)
     assert cross.eval_count == 3 * 6
 
     cfg = make_cfg("randomized")
     _, cache = build_gram_train(X_train, cfg, np.random.default_rng(2))
-    rm_cross = build_gram_cross(X_test, cache, cfg, np.random.default_rng(3))
+    rm_cross = build_gram_cross(X_test, cache, np.random.default_rng(3))
     assert rm_cross.entries.shape == (3, 6)
     assert rm_cross.eval_count == 3 * cfg.rm_settings
 
@@ -517,7 +525,7 @@ def test_gram_cross_randomized_duplicated_points_near_one():
     X_train = np.random.default_rng(4).uniform(-0.1, 0.1, size=(5, 2))
     cfg = make_cfg("randomized", rm_settings=30, rm_shots=9000, mitigate=True)
     _, cache = build_gram_train(X_train, cfg, np.random.default_rng(5))
-    cross = build_gram_cross(X_train[:3], cache, cfg, np.random.default_rng(6))
+    cross = build_gram_cross(X_train[:3], cache, np.random.default_rng(6))
     for k in range(3):
         assert abs(cross.entries[k, k] - 1.0) <= 0.05
 
@@ -539,26 +547,22 @@ def test_train_and_cross_encode_each_point_once(kind, monkeypatch):
     X_train, X_test = rng.uniform(-1, 1, size=(7, 2)), rng.uniform(-1, 1, size=(3, 2))
     cfg = make_cfg(kind)
     _, states = build_gram_train(X_train, cfg, rng)
-    build_gram_cross(X_test, states, cfg, rng)
+    build_gram_cross(X_test, states, rng)
     assert calls == [7, 3]
 
 
 @pytest.mark.parametrize("kind", ["exact", "inversion_test"])
 def test_gram_cross_rejects_raw_training_rows(kind, rng):
+    # neither the rows nor the bare feature states say which kernel built them
     X = rng.uniform(-1, 1, size=(4, 2))
-    with pytest.raises(ValueError, match=r"shape \(n, 4\), got \(4, 2\)"):
-        build_gram_cross(X, X, make_cfg(kind), rng)
+    _, train = build_gram_train(X, make_cfg(kind), rng)
+    for points in (X, train.points):
+        with pytest.raises(TypeError, match="train must be a TrainingSet, got ndarray"):
+            build_gram_cross(X, points, rng)
 
 
-@pytest.mark.parametrize(
-    "kind, message",
-    [
-        ("exact", r"3-feature test rows expects .* \(n, 8\), got \(4, 4\)"),
-        ("inversion_test", r"3-feature test rows expects .* \(n, 8\), got \(4, 4\)"),
-        ("randomized", r"cache encodes 2 qubits, the test rows have 3 features"),
-    ],
-)
-def test_gram_cross_rejects_test_rows_wider_than_training(kind, message, monkeypatch):
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_gram_cross_rejects_test_rows_wider_than_training(kind, monkeypatch):
     # the width check runs before any test point is encoded or measured
     import qkad.kernel
 
@@ -571,20 +575,18 @@ def test_gram_cross_rejects_test_rows_wider_than_training(kind, message, monkeyp
         monkeypatch.setattr(
             qkad.kernel, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
         )
-    with pytest.raises(ValueError, match=message):
-        build_gram_cross(rng.uniform(-1, 1, size=(3, 3)), train, cfg, rng)
+    with pytest.raises(ValueError, match="test rows have 3 features, the training set was "
+                       "built from 2"):
+        build_gram_cross(rng.uniform(-1, 1, size=(3, 3)), train, rng)
     assert calls == []
 
 
 def test_gram_cross_requires_matching_cache(rng):
+    # the cache alone does not say which feature map or mitigation built it
     X = rng.uniform(-1, 1, size=(4, 2))
-    cfg = make_cfg("randomized")
-    _, cache = build_gram_train(X, cfg, rng)
-    with pytest.raises(ValueError, match="cache"):
-        build_gram_cross(X, X, cfg, rng)
-    mismatched = make_cfg("randomized", rm_settings=8)
-    with pytest.raises(ValueError, match="settings"):
-        build_gram_cross(X, cache, mismatched, rng)
+    _, train = build_gram_train(X, make_cfg("randomized"), rng)
+    with pytest.raises(TypeError, match="got SignatureCache"):
+        build_gram_cross(X, train.points, rng)
 
 
 def test_inversion_error_decreases_with_shots():

@@ -162,7 +162,7 @@ def test_fit_is_invariant_to_training_row_order():
     X, X_test = rng.normal(size=(60, 2)) * 0.1, rng.normal(size=(15, 2)) * 0.1
     cfg = KernelConfig(kind="exact")
     gram, states = build_gram_train(X, cfg, rng)
-    cross = build_gram_cross(X_test, states, cfg)
+    cross = build_gram_cross(X_test, states, rng)
     perm = rng.permutation(60)
     permuted = sym_gram(gram.entries[np.ix_(perm, perm)])
     permuted_cross = GramMatrix(entries=cross.entries[:, perm], symmetric=False, eval_count=0)

@@ -151,6 +151,10 @@ def test_feature_map_config_validation():
         FeatureMapConfig(layers=0)
     with pytest.raises(ValueError):
         FeatureMapConfig(angle_scale=0.0)
+    # an infinite scale makes every angle NaN, so the encoded states are NaN
+    for scale in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"angle_scale must be > 0 and finite, got {scale}"):
+            FeatureMapConfig(angle_scale=scale)
 
 
 def test_adjoint_roundtrip_recovers_initial_state(rng):
