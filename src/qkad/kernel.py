@@ -19,6 +19,9 @@ Randomized-measurement records are weighted by the ``(-2)**(-H)`` Hamming
 table as two half-register Kronecker factors, never its ``2^d x 2^d`` form.
 Point sets whose arrays would exceed 1 GiB are rejected before any encoding
 or measurement.
+A training Gram is made exactly symmetric by copying its strict upper
+triangle into the lower one, in place, in ``_TILE``-square tiles; the
+symmetry check of :class:`GramMatrix` compares the same tile pairs.
 
 Shot-based entries may leave [0, 1], and a shot-based Gram may be
 indefinite; neither is repaired.
@@ -59,7 +62,7 @@ __all__ = [
 KERNEL_KINDS = ("exact", "inversion_test", "randomized", "rbf")
 
 _MAX_ARRAY_BYTES = 2**30
-_DIST_BLOCK_ROWS = 256
+_TILE = 256
 _RM_BLOCK_BYTES = 2**24
 
 
@@ -84,7 +87,10 @@ class GramMatrix:
         if self.symmetric:
             if entries.shape[0] != entries.shape[1]:
                 raise ValueError("symmetric Gram must be square")
-            if not np.array_equal(entries, entries.T):
+            if not all(
+                np.array_equal(entries[cols, rows], entries[rows, cols].T)
+                for rows, cols in _upper_tiles(len(entries))
+            ):
                 raise ValueError("symmetric flag set but entries differ from transpose")
         object.__setattr__(self, "entries", entries)
 
@@ -143,6 +149,32 @@ class TrainingSet:
     kernel: KernelConfig
     points: np.ndarray | SignatureCache
     num_features: int
+
+
+# ---------------------------------------------------------------------------
+# symmetric matrices by tiles
+# ---------------------------------------------------------------------------
+
+
+def _upper_tiles(n: int) -> list[tuple[slice, slice]]:
+    """``(rows, cols)`` slices of the ``_TILE``-square tiles on and above an n x n diagonal."""
+    starts = range(0, n, _TILE)
+    return [(slice(i, i + _TILE), slice(j, j + _TILE)) for i in starts for j in starts if j >= i]
+
+
+def _mirror_upper(m: np.ndarray) -> None:
+    """Copy the strict upper triangle of the square ``m`` into its lower one, in place, by tiles.
+
+    An off-diagonal tile below the diagonal gets its upper partner's transpose.
+    A diagonal tile gets only its strict lower part written: a block that is not
+    symmetric in floating point must keep its own upper part.
+    """
+    for rows, cols in _upper_tiles(len(m)):
+        if rows == cols:
+            tile = m[rows, cols]
+            np.copyto(tile, tile.T, where=np.tri(len(tile), k=-1, dtype=bool))
+        else:
+            m[cols, rows] = m[rows, cols].T
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +275,22 @@ def rbf_auto_gamma(X_train: np.ndarray) -> float:
 def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of ``A`` and ``B``.
 
-    Filled in blocks of rows, so the difference tensor is at most
-    ``(_DIST_BLOCK_ROWS, len(B), d)`` instead of ``(len(A), len(B), d)``.
+    Filled in blocks of ``_TILE`` rows, so the difference tensor is at most
+    ``(_TILE, len(B), d)`` instead of ``(len(A), len(B), d)``.  For a training
+    block (``B is A``) each row block fills only the columns at or right of its
+    first row, and the upper triangle is then mirrored in place.  IEEE
+    subtraction is exactly antisymmetric, so the result equals the full
+    computation bit for bit.
     """
+    same = B is A
     out = np.empty((A.shape[0], B.shape[0]))
-    for start in range(0, A.shape[0], _DIST_BLOCK_ROWS):
-        stop = start + _DIST_BLOCK_ROWS
-        diff = A[start:stop, None, :] - B[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[start:stop])
+    for start in range(0, A.shape[0], _TILE):
+        stop = start + _TILE
+        first = start if same else 0
+        diff = A[start:stop, None, :] - B[None, first:, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[start:stop, first:])
+    if same:
+        _mirror_upper(out)
     return out
 
 
@@ -382,15 +422,13 @@ def build_gram_train(
         raise ValueError(f"expected an (n, d) matrix with n >= 2, got shape {X.shape}")
     n, d = X.shape
     train = _represent(X, cfg, rng, purities=True)
-    block = _kernel_block(cfg, train, train)
+    entries = _kernel_block(cfg, train, train)
     if cfg.kind == "inversion_test":
         # one estimate per unordered pair, drawn in row-major upper order
         iu, ju = np.triu_indices(n, k=1)
-        block[iu, ju] = _shot_noise(cfg, block[iu, ju], rng)
+        entries[iu, ju] = _shot_noise(cfg, entries[iu, ju], rng)
     # mirror the strict upper triangle, so the result is exactly symmetric
-    entries = np.triu(block, 1)
-    del block  # free it before the transpose copy below, lowering peak memory
-    entries += entries.T
+    _mirror_upper(entries)
     # unmitigated RM keeps its purity estimates on the diagonal
     unmitigated_rm = cfg.kind == "randomized" and not cfg.mitigate
     np.fill_diagonal(entries, train.purities if unmitigated_rm else 1.0)

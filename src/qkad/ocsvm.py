@@ -33,7 +33,6 @@ __all__ = [
     "SolverConfig",
     "fit",
     "decision_scores",
-    "predict",
 ]
 
 logger = logging.getLogger(__name__)
@@ -157,7 +156,7 @@ def fit(
             alpha[i] = cap
         if alpha[j] < 1e-12 * cap:
             alpha[j] = 0.0
-        grad = grad + step * (G[:, i] - G[:, j])
+        grad += step * (G[i] - G[j])
 
     if not converged:
         logger.warning(
@@ -186,9 +185,3 @@ def decision_scores(model: OCSVMModel, cross: GramMatrix) -> np.ndarray:
             f"cross Gram has {cross.cols} columns, model was trained on {model.n_train} points"
         )
     return cross.entries @ model.alphas - model.rho
-
-
-def predict(scores: np.ndarray) -> np.ndarray:
-    """Label scores: 1 (anomaly) when negative, 0 (normal) otherwise."""
-    scores = np.asarray(scores, dtype=float)
-    return (scores < 0).astype(np.int64)

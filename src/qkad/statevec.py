@@ -35,7 +35,6 @@ import numpy as np
 __all__ = [
     "FeatureMapConfig",
     "encode_iqp",
-    "iqp_layer_angles",
     "sample_haar_setting",
     "pair_gates",
     "apply_local",
@@ -125,7 +124,7 @@ def _check_rows(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def iqp_layer_angles(X: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
+def _iqp_layer_angles(X: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     """Total rotation angle of one diagonal layer, per (row, basis state).
 
     Each layer applies ``Rz(lam * x_j)`` on every qubit j plus
@@ -151,7 +150,7 @@ def encode_iqp(X: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
 
     Starting from |0...0>, repeats ``cfg.layers`` times: Hadamards on every
     qubit, then the commuting diagonal rotation layer whose angles are given
-    by :func:`iqp_layer_angles`.  Each state has one qubit per column of
+    by :func:`_iqp_layer_angles`.  Each state has one qubit per column of
     ``X``.  Rows are encoded in blocks whose ``(rows, 2^d, d)`` angle
     temporaries hold about ``_BLOCK_BYTES``.
     """
@@ -161,7 +160,7 @@ def encode_iqp(X: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     states = np.empty((n, 2**d), dtype=complex)
     step = max(1, _BLOCK_BYTES // (8 * 2**d * d))
     for start in range(0, n, step):
-        phases = np.exp(-0.5j * iqp_layer_angles(X[start : start + step], cfg))
+        phases = np.exp(-0.5j * _iqp_layer_angles(X[start : start + step], cfg))
         amps = np.zeros_like(phases)
         amps[:, 0] = 1.0
         for _ in range(cfg.layers):

@@ -11,6 +11,7 @@ from qkad.statevec import (
 )
 from qkad.kernel import (
     DegenerateSignatureError,
+    GramMatrix,
     KernelConfig,
     build_gram_cross,
     build_gram_train,
@@ -397,6 +398,60 @@ def test_gram_train_exactly_symmetric(kind, rng):
     gram, _ = build_gram_train(X, make_cfg(kind), rng)
     assert gram.symmetric
     assert np.array_equal(gram.entries, gram.entries.T)
+
+
+def triu_mirror(block, diagonal):
+    # the copy-and-add formula the tiled in-place mirror replaced; it would
+    # turn an upper -0.0 into +0.0, and these blocks hold no signed zeros
+    entries = np.triu(block, 1) + np.triu(block, 1).T
+    np.fill_diagonal(entries, diagonal)
+    return entries
+
+
+@pytest.mark.parametrize("n", [2, 255, 256, 257, 600])
+def test_tiled_mirror_matches_the_triu_formula(n, rng):
+    # below, at and above a multiple of the 256-row tile
+    from qkad.kernel import _mirror_upper
+
+    block = rng.normal(size=(n, n))
+    assert not np.array_equal(block, block.T)
+    mirrored = block.copy()
+    _mirror_upper(mirrored)
+    # the diagonal and the upper triangle are read, never rewritten
+    upper = np.triu_indices(n)
+    assert mirrored[upper].tobytes() == block[upper].tobytes()
+    diagonal = rng.normal(size=n)
+    np.fill_diagonal(mirrored, diagonal)
+    assert mirrored.tobytes() == triu_mirror(block, diagonal).tobytes()
+
+
+def test_unmitigated_rm_training_gram_matches_the_triu_formula():
+    # the raw RM block is not symmetric in floating point, so a diagonal tile
+    # must keep its own upper part instead of taking its transpose
+    from qkad.kernel import _kernel_block, _represent
+
+    cfg = make_cfg("randomized", mitigate=False)
+    X = np.random.default_rng(3).uniform(-0.5, 0.5, size=(300, 3))
+    gram, train = build_gram_train(X, cfg, np.random.default_rng(5))
+    replay = _represent(X, cfg, np.random.default_rng(5), purities=True)
+    raw = _kernel_block(cfg, replay, replay)
+    assert not np.array_equal(raw, raw.T)
+    assert gram.entries.tobytes() == triu_mirror(raw, train.points.purities).tobytes()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [(3, 100), (100, 3), (590, 520), (10, 400), (599, 300)],
+    ids=["diagonal-tile-upper", "diagonal-tile-lower", "last-diagonal-tile",
+         "off-diagonal-tile-upper", "off-diagonal-tile-lower"],
+)
+def test_symmetric_gram_rejects_one_asymmetric_entry(entry, rng):
+    block = rng.normal(size=(600, 600))
+    entries = block + block.T
+    GramMatrix(entries=entries, symmetric=True, eval_count=0)
+    entries[entry] += 1e-9
+    with pytest.raises(ValueError, match="symmetric flag set but entries differ from transpose"):
+        GramMatrix(entries=entries, symmetric=True, eval_count=0)
 
 
 def test_gram_train_exact_is_psd(rng):

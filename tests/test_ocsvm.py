@@ -12,7 +12,6 @@ from qkad.ocsvm import (
     _initial_alpha,
     decision_scores,
     fit,
-    predict,
 )
 
 
@@ -182,7 +181,7 @@ def test_support_indices_match_threshold(rng):
 
 
 # ---------------------------------------------------------------------------
-# decision_scores / predict
+# decision_scores
 # ---------------------------------------------------------------------------
 
 
@@ -202,12 +201,6 @@ def test_decision_scores_column_mismatch(rng):
     bad = GramMatrix(entries=np.ones((2, 5)), symmetric=False, eval_count=0)
     with pytest.raises(ValueError, match="columns"):
         decision_scores(model, bad)
-
-
-def test_predict_sign_rule():
-    assert predict(np.array([-0.1]))[0] == 1
-    assert predict(np.array([0.0]))[0] == 0
-    assert predict(np.array([0.7]))[0] == 0
 
 
 # ---------------------------------------------------------------------------

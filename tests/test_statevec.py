@@ -94,7 +94,7 @@ def test_encode_dimension_mismatch():
         with pytest.raises(ValueError, match=message):
             encode_iqp(np.zeros(shape), FeatureMapConfig())
     with pytest.raises(ValueError, match=r"got shape \(3,\)"):
-        qkad.statevec.iqp_layer_angles(np.zeros(3), FeatureMapConfig())
+        qkad.statevec._iqp_layer_angles(np.zeros(3), FeatureMapConfig())
 
 
 @pytest.mark.parametrize("d", range(1, 11))
