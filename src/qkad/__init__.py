@@ -25,7 +25,7 @@ from .kernel import (  # noqa: F401
     build_gram_train,
     rm_purity,
 )
-from .ocsvm import OCSVMModel, SolverConfig, decision_scores, fit  # noqa: F401
+from .ocsvm import OCSVMModel, decision_scores, fit  # noqa: F401
 from .ensemble import (  # noqa: F401
     Component,
     EnsembleModel,

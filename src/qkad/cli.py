@@ -34,7 +34,6 @@ from .ensemble import (
 )
 from .kernel import KernelConfig, build_gram_cross, build_gram_train, check_point_set
 from .metrics import average_precision, confusion, f1, precision_recall
-from .ocsvm import SolverConfig
 from .statevec import FeatureMapConfig
 
 __all__ = ["RunConfig", "RunRecord", "run_experiment", "summarize", "records_to_jsonl", "main"]
@@ -265,7 +264,7 @@ def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecor
         t0 = time.perf_counter()
         gram, train_set = build_gram_train(X_train, kcfg, train_rng)
         t1 = time.perf_counter()
-        model = ocsvm.fit(gram, cfg.nu, SolverConfig(), solver_rng)
+        model = ocsvm.fit(gram, cfg.nu, solver_rng)
         t2 = time.perf_counter()
         cross = build_gram_cross(X_test, train_set, score_rng)
         scores = ocsvm.decision_scores(model, cross)
@@ -385,7 +384,11 @@ def load_records_jsonl(path: str | Path) -> list[RunRecord]:
 
 
 def summarize(records: list[RunRecord]) -> list[dict]:
-    """Per-(method, dataset, n_train, d) means and sample standard deviations."""
+    """Per-(method, dataset, n_train, d) means and sample standard deviations.
+
+    A group averages one experiment: its records must echo equal configs and
+    carry distinct seeds, or no group is summarized.
+    """
     ok = [r for r in records if r.ok]
     if not ok:
         raise ValueError("no successful records to summarize")
@@ -395,6 +398,16 @@ def summarize(records: list[RunRecord]) -> list[dict]:
 
     rows = []
     for (method, dataset, n_train, d), members in sorted(groups.items()):
+        group = f"{method} on {dataset} (n_train={n_train}, d={d})"
+        first = members[0].config
+        for r in members[1:]:
+            keys = first.keys() | r.config.keys()
+            differing = sorted(k for k in keys if first.get(k) != r.config.get(k))
+            if differing:
+                raise ValueError(f"{group} mixes records whose configs differ in {differing}")
+        repeated = sorted(s for s, k in Counter(r.seed for r in members).items() if k > 1)
+        if repeated:
+            raise ValueError(f"{group} has seeds {repeated} more than once")
         row: dict = {
             "method": method,
             "dataset": dataset,
@@ -516,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
         if failed:
             logger.error("failed seeds: %s", failed)
 
-    # error records in a summarized file are skipped, and only an empty summary fails
+    # error records in a summarized file are skipped; an empty or mixed summary fails
     if args.summarize_records or args.summary:
         try:
             rows = summarize(records)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import ocsvm
 from .kernel import KernelConfig, TrainingSet, build_gram_cross, build_gram_train, eval_count
-from .ocsvm import OCSVMModel, SolverConfig
+from .ocsvm import OCSVMModel
 
 __all__ = [
     "VSConfig",
@@ -145,7 +145,7 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
             t0 = time.perf_counter()
             gram, train = build_gram_train(sub, cfg.base_kernel, np.random.default_rng(fit_seed))
             t1 = time.perf_counter()
-            model = ocsvm.fit(gram, cfg.nu, SolverConfig(), np.random.default_rng(solver_seed))
+            model = ocsvm.fit(gram, cfg.nu, np.random.default_rng(solver_seed))
             t2 = time.perf_counter()
             gram_time += t1 - t0
             solver_time += t2 - t1
@@ -163,7 +163,9 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
                 )
             )
         except Exception as exc:
-            raise RuntimeError(f"ensemble component {idx} failed to fit") from exc
+            raise RuntimeError(
+                f"ensemble component {idx} failed to fit: {type(exc).__name__}: {exc}"
+            ) from exc
 
     return EnsembleModel(
         components=tuple(components),

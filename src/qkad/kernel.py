@@ -361,7 +361,7 @@ def _represent(
     if cfg.mitigate and np.any(estimates <= 0):
         bad = int(np.argmax(estimates <= 0))
         raise DegenerateSignatureError(
-            f"point {bad} has nonpositive purity estimate {estimates[bad]!r}; "
+            f"point {bad} has nonpositive purity estimate {float(estimates[bad])}; "
             "its signature is unusable for mitigation"
         )
     return SignatureCache(settings, counts, shots, estimates)

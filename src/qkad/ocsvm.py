@@ -8,6 +8,8 @@ Solves the dual problem
 by pairwise coordinate updates: each step picks the pair with the largest
 KKT violation (ties broken at random from the caller's seeded stream) and
 moves mass between the two coordinates, which keeps both constraints intact.
+It stops converged once that violation is at most ``TOLERANCE``, and
+unconverged after ``MAX_ITERATIONS`` updates; every run uses these two values.
 A selected pair has a positive KKT gap and room to move, so every step lowers
 the objective, also on the indefinite Grams that shot-noise kernels produce.
 Only a float overflow of the pair's curvature can defeat that; a step that
@@ -30,7 +32,6 @@ from .kernel import GramMatrix
 
 __all__ = [
     "OCSVMModel",
-    "SolverConfig",
     "fit",
     "decision_scores",
 ]
@@ -38,18 +39,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 SUPPORT_THRESHOLD = 1e-8
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tolerance: float = 1e-3
-    max_iterations: int = 100_000
-
-    def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+TOLERANCE = 1e-3
+MAX_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -90,12 +81,7 @@ def _compute_rho(G: np.ndarray, alpha: np.ndarray, cap: float) -> float:
     return float(margins[chosen].mean())
 
 
-def fit(
-    gram: GramMatrix,
-    nu: float,
-    cfg: SolverConfig = SolverConfig(),
-    rng: np.random.Generator | None = None,
-) -> OCSVMModel:
+def fit(gram: GramMatrix, nu: float, rng: np.random.Generator) -> OCSVMModel:
     """Solve the dual on a symmetric training Gram.
 
     Raises on non-square or asymmetric input and on infeasible ``nu``
@@ -111,8 +97,6 @@ def fit(
         raise ValueError(f"nu must be in (0, 1], got {nu}")
     if nu * n < 1:
         raise ValueError(f"infeasible nu: nu*n = {nu * n} < 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     cap = 1.0 / (nu * n)
     alpha = _initial_alpha(n, nu)
@@ -120,7 +104,7 @@ def fit(
 
     converged = False
     iterations = 0
-    while iterations < cfg.max_iterations:
+    while iterations < MAX_ITERATIONS:
         up = alpha < cap
         low = alpha > 0.0
         if not np.any(up) or not np.any(low):
@@ -129,7 +113,7 @@ def fit(
         neg_grad = -grad
         up_best = np.max(neg_grad[up])
         low_best = np.min(neg_grad[low])
-        if up_best - low_best <= cfg.tolerance:
+        if up_best - low_best <= TOLERANCE:
             converged = True
             break
 
@@ -162,7 +146,7 @@ def fit(
         logger.warning(
             "OC-SVM solver stopped after %d updates without reaching KKT tolerance %g",
             iterations,
-            cfg.tolerance,
+            TOLERANCE,
         )
 
     rho = _compute_rho(G, alpha, cap)

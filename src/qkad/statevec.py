@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,24 +95,17 @@ def pair_gates(setting: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(pairs)
 
 
-@lru_cache(maxsize=16)
 def _basis_signs(d: int) -> np.ndarray:
-    """Cached Z eigenvalues per (basis state, qubit): +1 for bit 0, -1 for bit 1."""
+    """Z eigenvalues per (basis state, qubit): +1 for bit 0, -1 for bit 1."""
     idx = np.arange(2**d)
     bits = (idx[:, None] >> (d - 1 - np.arange(d))[None, :]) & 1
-    signs = 1.0 - 2.0 * bits
-    signs.setflags(write=False)
-    return signs
+    return 1.0 - 2.0 * bits
 
 
-@lru_cache(maxsize=16)
 def _hadamard_pairs(d: int) -> tuple[np.ndarray, ...]:
-    """Cached paired form of a Hadamard on each of ``d`` qubits."""
+    """Paired form of a Hadamard on each of ``d`` qubits."""
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    pairs = pair_gates(np.broadcast_to(hadamard, (d, 2, 2)))
-    for block in pairs:
-        block.setflags(write=False)
-    return pairs
+    return pair_gates(np.broadcast_to(hadamard, (d, 2, 2)))
 
 
 def _check_rows(X: np.ndarray) -> np.ndarray:

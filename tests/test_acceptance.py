@@ -18,13 +18,13 @@ from oracles import (
     f1_oracle,
     frank_wolfe_gap,
 )
-from qkad import pipeline
+from qkad import ocsvm, pipeline
 from qkad.cli import RunConfig, records_to_jsonl, run_experiment
 from qkad.data import SplitSpec, generate_synthetic
 from qkad.ensemble import VSConfig, component_count, fit_vs, rotation_dim, sample_sizes
 from qkad.kernel import GramMatrix, KernelConfig, build_gram_cross, build_gram_train
 from qkad.metrics import average_precision, confusion, f1, precision_recall
-from qkad.ocsvm import SolverConfig, decision_scores, fit
+from qkad.ocsvm import decision_scores, fit
 
 EXACT = KernelConfig(kind="exact")
 
@@ -54,7 +54,7 @@ def pipeline_scores(seed: int, n_train: int = 100, nu: float = 0.1):
     X_train = pipeline.apply_preprocess(prep, train.features)
     X_test = pipeline.apply_preprocess(prep, test.features)
     gram, states = build_gram_train(X_train, EXACT, train_rng)
-    model = fit(gram, nu, SolverConfig(), solver_rng)
+    model = fit(gram, nu, solver_rng)
     train_scores = decision_scores(model, GramMatrix(gram.entries, False, 0))
     test_scores = decision_scores(model, build_gram_cross(X_test, states, score_rng))
     return model, train_scores, test_scores, test.labels
@@ -103,7 +103,8 @@ def test_criterion_2_error_decreases_with_shots(announce):
                 + " > ".join(f"{m:.5f}" for m in means))
 
 
-def test_criterion_3_solver_matches_projected_gradient_oracle(announce):
+def test_criterion_3_solver_matches_projected_gradient_oracle(announce, monkeypatch):
+    monkeypatch.setattr(ocsvm, "TOLERANCE", 1e-6)
     rng = np.random.default_rng(123)
     problems = []
     for k in range(20):
@@ -117,8 +118,7 @@ def test_criterion_3_solver_matches_projected_gradient_oracle(announce):
     # optimum, so no approximate reference solution is needed
     worst = 0.0
     for G, n, nu in problems:
-        model = fit(GramMatrix(G, True, 0), nu, SolverConfig(tolerance=1e-6),
-                    np.random.default_rng(0))
+        model = fit(GramMatrix(G, True, 0), nu, np.random.default_rng(0))
         assert_dual_feasible(model)
         gap = frank_wolfe_gap(G, model.alphas, 1.0 / (nu * n))
         assert gap <= 1e-4

@@ -123,6 +123,23 @@ def test_failed_seed_recorded_without_stopping_sweep(monkeypatch):
     assert "injected failure" in records[1].error
 
 
+def test_ensemble_error_record_names_the_component_cause():
+    # nu * train_size is only checked up front for a single model; each
+    # component fails at fit time, and its record keeps the reason
+    cfg = RunConfig(method="vs-it", dataset="synthetic", train_size=100, nu=0.005, seeds=(0,))
+    (record,) = run_experiment(cfg)
+    assert record.error.startswith("RuntimeError: ensemble component 0 failed to fit: ")
+    assert "ValueError: infeasible nu" in record.error
+
+
+def test_degenerate_signature_error_shows_a_plain_float():
+    cfg = RunConfig(method="rm", dataset="synthetic", train_size=60, rm_settings=2, rm_shots=2,
+                    seeds=(0,))
+    (record,) = run_experiment(cfg)
+    assert "nonpositive purity estimate -0.5;" in record.error
+    assert "np.float64" not in record.error
+
+
 def test_threshold_override_changes_labelling():
     base = dict(method="rbf", dataset="synthetic", train_size=100, seeds=(0,))
     (low,) = run_experiment(RunConfig(**base, threshold=-1e9))
@@ -458,6 +475,30 @@ def test_summarize_records_skips_error_records_and_exits_0(tmp_path):
     assert main(["--summarize-records", str(path), "--summary", str(summary)]) == 0
     rows = summary.read_text().splitlines()
     assert len(rows) == 2 and rows[1].startswith("rbf,synthetic,100,2,1,")
+
+
+def test_summarize_records_refuses_runs_with_different_configs(tmp_path, caplog):
+    paths = []
+    for shots in (10, 1000):
+        out = tmp_path / f"it{shots}.jsonl"
+        assert main([
+            "--method", "it", "--dataset", "synthetic", "--train-size", "50",
+            "--it-shots", str(shots), "--seeds", "0-2", "--output", str(out),
+        ]) == 0
+        paths.append(str(out))
+    summary = tmp_path / "s.csv"
+    assert main(["--summarize-records", *paths, "--summary", str(summary)]) == 1
+    assert not summary.exists()
+    assert "it on synthetic (n_train=50, d=2)" in caplog.text
+    assert "configs differ in ['it_shots']" in caplog.text
+
+
+def test_summarize_records_refuses_a_seed_counted_twice(tmp_path, caplog):
+    path, summary = tmp_path / "r.jsonl", tmp_path / "s.csv"
+    path.write_text(records_to_jsonl([fake_record(0, 0.4), fake_record(1, 0.6)]))
+    assert main(["--summarize-records", str(path), str(path), "--summary", str(summary)]) == 1
+    assert not summary.exists()
+    assert "rbf on synthetic (n_train=100, d=2) has seeds [0, 1] more than once" in caplog.text
 
 
 def test_module_entry_point_runs_without_runtime_warning():

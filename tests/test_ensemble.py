@@ -151,7 +151,7 @@ def test_fit_vs_component_failure_is_fatal_with_index(rng, monkeypatch):
 
     monkeypatch.setattr(ensemble, "build_gram_train", failing_gram)
     X = cluster_data(100, 2, rng)
-    with pytest.raises(RuntimeError, match="component 0"):
+    with pytest.raises(RuntimeError, match="component 0 failed to fit: ValueError: gram failed"):
         fit_vs(X, VSConfig(base_kernel=rm_cfg(), nu=0.1), rng)
 
 

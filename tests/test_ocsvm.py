@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import assert_dual_feasible, dual_objective, projected_gradient_qp
+from qkad import ocsvm
 from qkad.data import SplitSpec, generate_synthetic
 from qkad.kernel import GramMatrix, KernelConfig, build_gram_cross, build_gram_train
 from qkad.ocsvm import (
     OCSVMModel,
-    SolverConfig,
     _initial_alpha,
     decision_scores,
     fit,
@@ -54,10 +54,11 @@ def test_degenerate_identical_points(rng):
     assert model.rho == pytest.approx(1.0, abs=1e-9)
 
 
-def test_eight_point_gram_matches_projected_gradient_oracle(rng):
+def test_eight_point_gram_matches_projected_gradient_oracle(rng, monkeypatch):
+    monkeypatch.setattr(ocsvm, "TOLERANCE", 1e-6)
     gram = random_psd_gram(8, rng)
     nu = 0.25
-    model = fit(gram, nu, SolverConfig(tolerance=1e-6), np.random.default_rng(1))
+    model = fit(gram, nu, np.random.default_rng(1))
     alpha_oracle = projected_gradient_qp(gram.entries, cap=1.0 / (nu * 8))
     obj_solver = dual_objective(gram.entries, model.alphas)
     obj_oracle = dual_objective(gram.entries, alpha_oracle)
@@ -81,16 +82,17 @@ def test_fit_feasible_across_random_problems(rng):
         assert_dual_feasible(model)
 
 
-def test_objective_monotone_over_accepted_updates(rng):
+def test_objective_monotone_over_accepted_updates(rng, monkeypatch):
     # replaying fit capped at k updates on the same seed gives the alphas
     # after each accepted update; the objective must never rise along them
+    monkeypatch.setattr(ocsvm, "TOLERANCE", 1e-8)
     gram = random_psd_gram(10, rng)
-    model = fit(gram, 0.3, SolverConfig(tolerance=1e-8), np.random.default_rng(3))
+    model = fit(gram, 0.3, np.random.default_rng(3))
     assert model.iterations > 10
     history = [dual_objective(gram.entries, _initial_alpha(10, 0.3))]
     for k in range(1, model.iterations + 1):
-        replay = fit(gram, 0.3, SolverConfig(tolerance=1e-8, max_iterations=k),
-                     np.random.default_rng(3))
+        monkeypatch.setattr(ocsvm, "MAX_ITERATIONS", k)
+        replay = fit(gram, 0.3, np.random.default_rng(3))
         assert replay.iterations == k
         history.append(dual_objective(gram.entries, replay.alphas))
     assert np.array_equal(replay.alphas, model.alphas)
@@ -118,17 +120,19 @@ def test_step_that_cannot_lower_objective_stops_unconverged(caplog):
     assert np.linalg.eigvalsh(entries[:3, :3]).min() < 0
     with caplog.at_level(logging.WARNING, logger="qkad.ocsvm"):
         with np.errstate(over="ignore", invalid="ignore"):
-            model = fit(sym_gram(entries), 0.5, SolverConfig(), np.random.default_rng(0))
+            model = fit(sym_gram(entries), 0.5, np.random.default_rng(0))
     assert not model.converged
-    assert model.iterations < SolverConfig().max_iterations
+    assert model.iterations < ocsvm.MAX_ITERATIONS
     assert any("KKT tolerance" in r.message for r in caplog.records)
     assert_dual_feasible(model)
 
 
-def test_iteration_cap_flags_result(rng, caplog):
+def test_iteration_cap_flags_result(rng, caplog, monkeypatch):
+    monkeypatch.setattr(ocsvm, "TOLERANCE", 1e-12)
+    monkeypatch.setattr(ocsvm, "MAX_ITERATIONS", 2)
     gram = random_psd_gram(10, rng)
     with caplog.at_level(logging.WARNING, logger="qkad.ocsvm"):
-        model = fit(gram, 0.3, SolverConfig(tolerance=1e-12, max_iterations=2), rng)
+        model = fit(gram, 0.3, rng)
     assert not model.converged
     assert model.iterations == 2
     assert any("KKT tolerance" in r.message for r in caplog.records)
@@ -154,9 +158,10 @@ def test_fit_deterministic_given_seed(rng):
     assert a.rho == b.rho
 
 
-def test_fit_is_invariant_to_training_row_order():
+def test_fit_is_invariant_to_training_row_order(monkeypatch):
     # a row-and-column permutation of the Gram describes the same problem,
     # so a tightly converged fit scores test points the same either way
+    monkeypatch.setattr(ocsvm, "TOLERANCE", 1e-10)
     rng = np.random.default_rng(3)
     X, X_test = rng.normal(size=(60, 2)) * 0.1, rng.normal(size=(15, 2)) * 0.1
     cfg = KernelConfig(kind="exact")
@@ -165,9 +170,8 @@ def test_fit_is_invariant_to_training_row_order():
     perm = rng.permutation(60)
     permuted = sym_gram(gram.entries[np.ix_(perm, perm)])
     permuted_cross = GramMatrix(entries=cross.entries[:, perm], symmetric=False, eval_count=0)
-    solver = SolverConfig(tolerance=1e-10)
-    model = fit(gram, 0.2, solver, np.random.default_rng(5))
-    permuted_model = fit(permuted, 0.2, solver, np.random.default_rng(6))
+    model = fit(gram, 0.2, np.random.default_rng(5))
+    permuted_model = fit(permuted, 0.2, np.random.default_rng(6))
     np.testing.assert_allclose(
         decision_scores(permuted_model, permuted_cross), decision_scores(model, cross),
         rtol=0, atol=1e-7,

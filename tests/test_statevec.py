@@ -120,23 +120,14 @@ def test_paired_apply_local_is_bit_identical_to_unpaired_form(d, rng):
         assert np.array_equal(apply_local(state, pair_gates(setting)), expected)
 
 
-def test_cached_encoding_tables_are_read_only():
-    # every encode shares them, so a write through one would corrupt the next
-    tables = [qkad.statevec._basis_signs(3), *qkad.statevec._hadamard_pairs(3)]
-    assert qkad.statevec._basis_signs(3) is tables[0]
-    for table in tables:
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 0.0
-
-
 def test_encode_memory_stays_near_its_output():
     # the whole (256, 2^14, 14) float angle tensor would take 470 MB; encoded
     # in blocks, the peak is the 64 MiB of states plus three block-sized
-    # temporaries (104.5 MiB measured with numpy 2.4)
+    # temporaries; the peak also counts the encoding's own (2^d, d) sign
+    # table (106.3 MiB measured with numpy 2.4)
     n, d = 256, 14
     assert 8 * n * 2**d * d >= 256 * 2**20
     X = np.random.default_rng(0).uniform(-1, 1, size=(n, d))
-    qkad.statevec._basis_signs(d), qkad.statevec._hadamard_pairs(d)  # cached tables
     tracemalloc.start()
     try:
         states = encode_iqp(X, FeatureMapConfig())
