@@ -133,9 +133,11 @@ class RunConfig:
                 f"num_features must be <= {limit} (source width {width}, train_size - 1), "
                 f"got {self.num_features}"
             )
-        # an ensemble's component sizes are random, so only a single model is checked
-        if not is_ensemble and self.nu * self.train_size < 1:
-            raise ValueError(f"infeasible nu: nu * train_size = {self.nu * self.train_size} < 1")
+        # an ensemble component has at most min(SUBSAMPLE_MAX, train_size) points
+        train_points = min(SUBSAMPLE_MAX, self.train_size) if is_ensemble else self.train_size
+        if self.nu * train_points < 1:
+            size = f"min({SUBSAMPLE_MAX}, train_size)" if is_ensemble else "train_size"
+            raise ValueError(f"infeasible nu: nu * {size} = {self.nu * train_points} < 1")
         if use_rfb and self.num_features < 2:
             raise ValueError("rotated feature bagging needs at least 2 post-PCA features")
         kernel = KernelConfig(
@@ -150,7 +152,6 @@ class RunConfig:
         if is_ensemble:
             vs = VSConfig(kernel, nu=self.nu, aggregation=self.aggregation, rfb_enabled=use_rfb)
         split = data.SplitSpec(self.train_size, test_size=TEST_SIZE, test_anomaly_ratio=ratio)
-        train_points = min(SUBSAMPLE_MAX, self.train_size) if is_ensemble else self.train_size
         qubits = rotation_dim(self.num_features) if use_rfb else self.num_features
         check_point_set(kernel, max(train_points, split.test_size), qubits)
         object.__setattr__(self, "kernel", kernel)

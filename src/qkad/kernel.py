@@ -19,8 +19,9 @@ Randomized-measurement records are weighted by the ``(-2)**(-H)`` Hamming
 table as two half-register Kronecker factors, never its ``2^d x 2^d`` form.
 Point sets whose arrays would exceed 1 GiB are rejected before any encoding
 or measurement.
-A training Gram is made exactly symmetric by copying its strict upper
-triangle into the lower one, in place, in ``_TILE``-square tiles; the
+Every kind fills a block in row bands of about ``_BLOCK_BYTES`` of
+temporaries.  A training Gram is made exactly symmetric by copying the strict
+upper triangle into the lower one, in place, in ``_TILE``-square tiles; the
 symmetry check of :class:`GramMatrix` compares the same tile pairs.
 
 Shot-based entries may leave [0, 1], and a shot-based Gram may be
@@ -63,7 +64,8 @@ KERNEL_KINDS = ("exact", "inversion_test", "randomized", "rbf")
 
 _MAX_ARRAY_BYTES = 2**30
 _TILE = 256
-_RM_BLOCK_BYTES = 2**24
+_BLOCK_BYTES = 2**24
+_PANEL = 8
 
 
 class DegenerateSignatureError(ValueError):
@@ -241,22 +243,6 @@ def rm_purity(counts: np.ndarray, shots: int) -> float:
     return float(dim * per_setting.mean())
 
 
-def _rm_raw_matrix(a: SignatureCache, b: SignatureCache) -> np.ndarray:
-    """All-pairs raw randomized-measurement estimates, averaged over settings.
-
-    The frequencies of ``a`` are weighted in blocks of about ``_RM_BLOCK_BYTES``,
-    each one GEMM against all of ``b`` over the flattened (setting, outcome) axis.
-    """
-    n, r, dim = a.counts.shape
-    flat_b = (b.counts / float(b.shots)).reshape(len(b.counts), r * dim).T
-    raw = np.empty((n, len(b.counts)))
-    step = max(1, _RM_BLOCK_BYTES // (8 * r * dim))
-    for start in range(0, n, step):
-        freqs = a.counts[start : start + step] / float(a.shots)
-        raw[start : start + step] = _hamming_weighted(freqs).reshape(len(freqs), r * dim) @ flat_b
-    return dim * raw / r
-
-
 # ---------------------------------------------------------------------------
 # classical baseline
 # ---------------------------------------------------------------------------
@@ -270,28 +256,6 @@ def rbf_auto_gamma(X_train: np.ndarray) -> float:
     if var <= 0:
         return 1.0 / d
     return 1.0 / (d * var)
-
-
-def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of ``A`` and ``B``.
-
-    Filled in blocks of ``_TILE`` rows, so the difference tensor is at most
-    ``(_TILE, len(B), d)`` instead of ``(len(A), len(B), d)``.  For a training
-    block (``B is A``) each row block fills only the columns at or right of its
-    first row, and the upper triangle is then mirrored in place.  IEEE
-    subtraction is exactly antisymmetric, so the result equals the full
-    computation bit for bit.
-    """
-    same = B is A
-    out = np.empty((A.shape[0], B.shape[0]))
-    for start in range(0, A.shape[0], _TILE):
-        stop = start + _TILE
-        first = start if same else 0
-        diff = A[start:stop, None, :] - B[None, first:, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[start:stop, first:])
-    if same:
-        _mirror_upper(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -367,23 +331,57 @@ def _represent(
     return SignatureCache(settings, counts, shots, estimates)
 
 
+def _bands(n: int, row_bytes: int, upper: bool) -> list[tuple[slice, slice]]:
+    """``(rows, cols)`` of the bands of an n-row block, ``_BLOCK_BYTES // row_bytes`` rows each.
+
+    With ``upper`` a band's columns start at its first row's multiple of
+    ``_PANEL``: that covers the upper triangle, and a complex GEMM computes a
+    band starting on a panel boundary bit for bit as the full-width product.
+    """
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    starts = range(0, n, step)
+    return [(slice(i, i + step), slice(i - i % _PANEL if upper else 0, None)) for i in starts]
+
+
 def _kernel_block(
     cfg: KernelConfig, a: np.ndarray | SignatureCache, b: np.ndarray | SignatureCache
 ) -> np.ndarray:
-    """Kernel values between two point sets, before shot noise and mirroring.
+    """Kernel values between two point sets, before shot noise, filled by row bands.
 
-    Both sets are :func:`_represent` outputs.  Pass the same object twice for
-    a training block.
+    Both sets are :func:`_represent` outputs.  The same object twice makes a
+    training block, which fills only its upper triangle and diagonal, except
+    for the randomized kind: its real GEMM rounds a product's last, partial
+    column panel by the product's width, so it fills every column.
     """
+    rm = cfg.kind == "randomized"
+    n, m = (len(a.counts), len(b.counts)) if rm else (len(a), len(b))
     if cfg.kind == "rbf":
-        scaled = _pairwise_sq_dists(a, b)
-        scaled *= -rbf_auto_gamma(b)
-        return np.exp(scaled, out=scaled)
-    if cfg.kind == "randomized":
-        raw = _rm_raw_matrix(a, b)
-        return raw / np.sqrt(np.outer(a.purities, b.purities)) if cfg.mitigate else raw
-    # squared overlaps: exact, and the inversion test's all-zeros probabilities
-    return np.clip(np.abs(a.conj() @ b.T) ** 2, 0.0, 1.0)
+        gamma, row_bytes = rbf_auto_gamma(b), 8 * b.size  # the (rows, m, d) difference
+    elif rm:
+        _, r, dim = a.counts.shape
+        flat_b = (b.counts / float(b.shots)).reshape(m, r * dim).T
+        row_bytes = 8 * r * dim  # the weighted frequencies
+    else:
+        row_bytes = 16 * m  # the complex overlaps
+    out = np.empty((n, m))
+    for rows, cols in _bands(n, row_bytes, upper=a is b and not rm):
+        band = out[rows, cols]
+        if cfg.kind == "rbf":
+            diff = a[rows, None, :] - b[None, cols, :]
+            np.einsum("ijk,ijk->ij", diff, diff, out=band)
+            band *= -gamma
+            np.exp(band, out=band)
+        elif rm:
+            # the (setting, outcome)-flattened frequencies, Hamming-weighted, in one GEMM
+            freqs = a.counts[rows] / float(a.shots)
+            raw = _hamming_weighted(freqs).reshape(len(freqs), r * dim) @ flat_b[:, cols]
+            np.divide(dim * raw, r, out=band)
+            if cfg.mitigate:
+                band /= np.sqrt(np.outer(a.purities[rows], b.purities[cols]))
+        else:
+            # squared overlaps: exact, and the inversion test's all-zeros probabilities
+            np.clip(np.abs(a[rows].conj() @ b[cols].T) ** 2, 0.0, 1.0, out=band)
+    return out
 
 
 def _shot_noise(cfg: KernelConfig, fidelity: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -424,10 +422,10 @@ def build_gram_train(
     train = _represent(X, cfg, rng, purities=True)
     entries = _kernel_block(cfg, train, train)
     if cfg.kind == "inversion_test":
-        # one estimate per unordered pair, drawn in row-major upper order
-        iu, ju = np.triu_indices(n, k=1)
-        entries[iu, ju] = _shot_noise(cfg, entries[iu, ju], rng)
-    # mirror the strict upper triangle, so the result is exactly symmetric
+        # one estimate per unordered pair, drawn row by row in row-major upper order
+        for i in range(n - 1):
+            entries[i, i + 1 :] = _shot_noise(cfg, entries[i, i + 1 :], rng)
+    # mirror the strict upper triangle every block fills, so the result is exactly symmetric
     _mirror_upper(entries)
     # unmitigated RM keeps its purity estimates on the diagonal
     unmitigated_rm = cfg.kind == "randomized" and not cfg.mitigate

@@ -370,3 +370,12 @@ def f1_oracle(labels, predictions) -> float:
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 2 * precision * recall / (precision + recall)
+
+
+def inversion_test_gram(fidelity: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Inversion-test training Gram of exact ``fidelity``: the strict upper triangle
+    drawn in one binomial call in row-major order, mirrored, with a unit diagonal."""
+    iu, ju = np.triu_indices(len(fidelity), k=1)
+    entries = np.ones_like(fidelity)
+    entries[iu, ju] = entries[ju, iu] = rng.binomial(shots, fidelity[iu, ju]) / shots
+    return entries

@@ -124,9 +124,9 @@ def test_failed_seed_recorded_without_stopping_sweep(monkeypatch):
 
 
 def test_ensemble_error_record_names_the_component_cause():
-    # nu * train_size is only checked up front for a single model; each
-    # component fails at fit time, and its record keeps the reason
-    cfg = RunConfig(method="vs-it", dataset="synthetic", train_size=100, nu=0.005, seeds=(0,))
+    # nu * 100 = 1 passes the up-front check, but seed 0 draws an 83-row
+    # component 0, which fails at fit time, and its record keeps the reason
+    cfg = RunConfig(method="vs-it", dataset="synthetic", train_size=100, nu=0.01, seeds=(0,))
     (record,) = run_experiment(cfg)
     assert record.error.startswith("RuntimeError: ensemble component 0 failed to fit: ")
     assert "ValueError: infeasible nu" in record.error
@@ -169,8 +169,10 @@ def test_run_config_validation():
     for threshold in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match=f"threshold must be finite, got {threshold}"):
             RunConfig(method="rbf", dataset="synthetic", threshold=threshold)
-    # component sizes are random, so an ensemble's nu is checked per component at fit time
-    assert RunConfig(method="vs-it", dataset="synthetic", train_size=60, nu=0.01).nu == 0.01
+    # no component has more than min(100, train_size) points, which bounds an ensemble's nu
+    assert RunConfig(method="vs-it", dataset="synthetic", train_size=200, nu=0.01).nu == 0.01
+    with pytest.raises(ValueError, match=r"infeasible nu: nu \* min\(100, train_size\) = 0.6 < 1"):
+        RunConfig(method="vs-it", dataset="synthetic", train_size=60, nu=0.01)
     with pytest.raises(ValueError, match="feature bagging"):
         RunConfig(method="vs-rfb-rm", dataset="synthetic", num_features=1)
     # bagging measures rotation_dim(28) = 5 qubits, far below the table limit
@@ -352,6 +354,9 @@ def test_main_rejects_invalid_config_with_usage(method, features, message, capsy
         ("vs-it", "--dataset fraud --num-features", "20",
          "inversion_test kernel at d=20 qubits and n=125 points needs 2097152000 bytes"),
         ("rbf", "--train-size 60 --nu", "0.01", "infeasible nu: nu * train_size = 0.6 < 1"),
+        # no component of an ensemble has more than 100 points
+        ("vs-it", "--train-size 100 --nu", "0.005",
+         "infeasible nu: nu * min(100, train_size) = 0.5 < 1"),
         ("rbf", "--seeds", "-3", "bad seed range '-3'"),
         ("rbf", "--seeds", "0,5-3", "argument --seeds: bad seed range '5-3'"),
         ("rbf", "--seeds", "0,x", "argument --seeds: bad seed value 'x'"),

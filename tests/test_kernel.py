@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from qkad.kernel import (
     DegenerateSignatureError,
     GramMatrix,
     KernelConfig,
+    SignatureCache,
     build_gram_cross,
     build_gram_train,
     collect_signature,
@@ -25,6 +28,7 @@ from oracles import (
     hamming,
     inner_product,
     inversion_test,
+    inversion_test_gram,
     mitigate,
     rbf_entry,
     rm_kernel_entry,
@@ -365,16 +369,18 @@ def test_rbf_auto_gamma_matches_total_variance(rng):
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
-def test_rbf_row_blocks_equal_the_full_difference_tensor(n, rng):
-    # blocking changes only how much of the (n, m, d) tensor exists at once
-    from qkad.kernel import _kernel_block, _pairwise_sq_dists
+def test_rbf_row_blocks_equal_the_full_difference_tensor(n, rng, monkeypatch):
+    # row bands change only how much of the (n, m, d) tensor exists at once;
+    # bands of 256 rows put n below, at and above one band
+    import qkad.kernel
+    from qkad.kernel import _kernel_block
 
     A = rng.normal(size=(n, 5))
     B = rng.normal(size=(70, 5))
-    for a, b in ((A, A), (A, B)):
+    for a, b in ((A, A.copy()), (A, B)):
+        monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", 256 * 8 * b.size)
         diff = a[:, None, :] - b[None, :, :]
         full = np.einsum("ijk,ijk->ij", diff, diff)
-        assert _pairwise_sq_dists(a, b).tobytes() == full.tobytes()
         gram = np.exp(-rbf_auto_gamma(b) * full)
         assert _kernel_block(make_cfg("rbf"), a, b).tobytes() == gram.tobytes()
 
@@ -434,9 +440,52 @@ def test_unmitigated_rm_training_gram_matches_the_triu_formula():
     X = np.random.default_rng(3).uniform(-0.5, 0.5, size=(300, 3))
     gram, train = build_gram_train(X, cfg, np.random.default_rng(5))
     replay = _represent(X, cfg, np.random.default_rng(5), purities=True)
-    raw = _kernel_block(cfg, replay, replay)
+    raw = _kernel_block(cfg, replay, dataclasses.replace(replay))
     assert not np.array_equal(raw, raw.T)
     assert gram.entries.tobytes() == triu_mirror(raw, train.points.purities).tobytes()
+
+
+# bytes of temporaries per band row for 21 points of 3 features and 6 settings
+ROW_BYTES = {"rbf": 8 * 21 * 3, "exact": 16 * 21, "inversion_test": 16 * 21,
+             "randomized": 8 * 6 * 2**3}
+
+
+@pytest.mark.parametrize("rows", [1, 4, 21], ids=["one-row", "partial-last", "single"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_training_block_upper_triangle_equals_the_full_block(kind, rows, monkeypatch):
+    # the same object twice fills only the upper part of each band; its
+    # upper triangle, diagonal included, must not change by a bit
+    import qkad.kernel
+    from qkad.kernel import _kernel_block, _represent
+
+    monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", rows * ROW_BYTES[kind])
+    cfg = make_cfg(kind)
+    rng = np.random.default_rng(21)
+    points = _represent(rng.uniform(-0.5, 0.5, size=(21, 3)), cfg, rng, purities=True)
+    twin = dataclasses.replace(points) if isinstance(points, SignatureCache) else points.copy()
+    upper = np.triu_indices(21)
+    same = _kernel_block(cfg, points, points)
+    assert same[upper].tobytes() == _kernel_block(cfg, points, twin)[upper].tobytes()
+
+
+def test_inversion_gram_draws_the_upper_triangle_in_row_major_order():
+    X = np.random.default_rng(6).uniform(-1, 1, size=(600, 3))
+    gram, _ = build_gram_train(X, make_cfg("inversion_test"), np.random.default_rng(7))
+    fidelity, _ = build_gram_train(X, make_cfg("exact"), np.random.default_rng(0))
+    expected = inversion_test_gram(fidelity.entries, 200, np.random.default_rng(7))
+    assert gram.entries.tobytes() == expected.tobytes()
+
+
+def test_inversion_gram_memory_stays_near_its_output():
+    # the n x n entries take 30.5 MiB; the complex overlaps exist one band at a time
+    X = np.random.default_rng(8).uniform(-1, 1, size=(2000, 6))
+    tracemalloc.start()
+    try:
+        build_gram_train(X, make_cfg("inversion_test"), np.random.default_rng(9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 72 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -510,7 +559,7 @@ def test_unmitigated_raw_rm_block_is_symmetric_psd(seed):
     X = rng.uniform(-0.5, 0.5, size=(12, 3))
     cfg = make_cfg("randomized", mitigate=False)
     train = _represent(X, cfg, rng, purities=False)
-    raw = _kernel_block(cfg, train, train)
+    raw = _kernel_block(cfg, train, dataclasses.replace(train))
     scale = np.max(np.abs(raw))
     assert np.max(np.abs(raw - raw.T)) <= 1e-12 * scale
     assert np.linalg.eigvalsh(raw).min() >= -1e-12 * scale
@@ -533,7 +582,7 @@ def test_rm_raw_block_rows_match_the_pair_oracle(rows, monkeypatch):
     from qkad.kernel import _kernel_block, _represent
 
     cfg = make_cfg("randomized", mitigate=False)
-    monkeypatch.setattr(qkad.kernel, "_RM_BLOCK_BYTES", rows * 8 * cfg.rm_settings * 2**3)
+    monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", rows * 8 * cfg.rm_settings * 2**3)
     rng = np.random.default_rng(rows)
     train = _represent(rng.uniform(-0.5, 0.5, size=(4, 3)), cfg, rng, purities=False)
     test = _represent(
