@@ -20,7 +20,9 @@ table as two half-register Kronecker factors, never its ``2^d x 2^d`` form.
 Point sets whose arrays would exceed 1 GiB are rejected before any encoding
 or measurement.
 Every kind fills a block in row bands of about ``_BLOCK_BYTES`` of
-temporaries.  A training Gram is made exactly symmetric by copying the strict
+temporaries; rbf sums its squared distances one feature at a time, in feature
+order, into two 2-D arrays, the band and one scratch band, each 1/32 of that
+size.  A training Gram is made exactly symmetric by copying the strict
 upper triangle into the lower one, in place, in ``_TILE``-square tiles; the
 symmetry check of :class:`GramMatrix` compares the same tile pairs.
 
@@ -334,13 +336,17 @@ def _represent(
 def _bands(n: int, row_bytes: int, upper: bool) -> list[tuple[slice, slice]]:
     """``(rows, cols)`` of the bands of an n-row block, ``_BLOCK_BYTES // row_bytes`` rows each.
 
+    The last band also takes a 1-row remainder, unless every band has one row.
+
     With ``upper`` a band's columns start at its first row's multiple of
     ``_PANEL``: that covers the upper triangle, and a complex GEMM computes a
     band starting on a panel boundary bit for bit as the full-width product.
     """
     step = max(1, _BLOCK_BYTES // row_bytes)
-    starts = range(0, n, step)
-    return [(slice(i, i + step), slice(i - i % _PANEL if upper else 0, None)) for i in starts]
+    # numpy runs a 1-row product as a matrix-vector product, which rounds differently
+    starts = [i for i in range(0, n, step) if step == 1 or i == 0 or i != n - 1]
+    ends = starts[1:] + [n]
+    return [(slice(i, j), slice(i - i % _PANEL if upper else 0, None)) for i, j in zip(starts, ends)]
 
 
 def _kernel_block(
@@ -348,15 +354,22 @@ def _kernel_block(
 ) -> np.ndarray:
     """Kernel values between two point sets, before shot noise, filled by row bands.
 
-    Both sets are :func:`_represent` outputs.  The same object twice makes a
-    training block, which fills only its upper triangle and diagonal, except
-    for the randomized kind: its real GEMM rounds a product's last, partial
-    column panel by the product's width, so it fills every column.
+    Both sets are :func:`_represent` outputs.  rbf adds one feature's squared
+    differences at a time, in feature order, into the band through a scratch
+    band of the same shape, and builds no ``(rows, m, d)`` tensor.  The same
+    object twice makes a training block, which fills only its upper triangle
+    and diagonal, except for the randomized kind: its real GEMM rounds a
+    product's last, partial column panel by the product's width, so it fills
+    every column.
     """
     rm = cfg.kind == "randomized"
     n, m = (len(a.counts), len(b.counts)) if rm else (len(a), len(b))
     if cfg.kind == "rbf":
-        gamma, row_bytes = rbf_auto_gamma(b), 8 * b.size  # the (rows, m, d) difference
+        # feature-major copies; bands of 1/32 the budget keep a band and its
+        # scratch in cache through the d passes
+        gamma, row_bytes = rbf_auto_gamma(b), 32 * 8 * m
+        b_t = np.ascontiguousarray(b.T)
+        a_t = b_t if a is b else np.ascontiguousarray(a.T)
     elif rm:
         _, r, dim = a.counts.shape
         flat_b = (b.counts / float(b.shots)).reshape(m, r * dim).T
@@ -367,8 +380,13 @@ def _kernel_block(
     for rows, cols in _bands(n, row_bytes, upper=a is b and not rm):
         band = out[rows, cols]
         if cfg.kind == "rbf":
-            diff = a[rows, None, :] - b[None, cols, :]
-            np.einsum("ijk,ijk->ij", diff, diff, out=band)
+            scratch = np.empty(band.shape)
+            for k in range(len(b_t)):
+                term = scratch if k else band
+                np.subtract(a_t[k, rows, None], b_t[None, k, cols], out=term)
+                np.square(term, out=term)
+                if k:
+                    band += scratch
             band *= -gamma
             np.exp(band, out=band)
         elif rm:

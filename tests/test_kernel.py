@@ -368,21 +368,73 @@ def test_rbf_auto_gamma_matches_total_variance(rng):
     assert rbf_auto_gamma(X) == pytest.approx(1.0 / (3 * X.var()), abs=1e-15)
 
 
+def einsum_rbf(a, b):
+    # the formula the per-feature sum replaced: the (n, m, d) difference
+    # tensor reduced by einsum
+    diff = a[:, None, :] - b[None, :, :]
+    return np.exp(-rbf_auto_gamma(b) * np.einsum("ijk,ijk->ij", diff, diff))
+
+
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
 def test_rbf_row_blocks_equal_the_full_difference_tensor(n, rng, monkeypatch):
-    # row bands change only how much of the (n, m, d) tensor exists at once;
-    # bands of 256 rows put n below, at and above one band
+    # row bands change only how many rows exist at once; bands of 256 rows
+    # put n below, at and above one band.  The reference squares the whole
+    # difference tensor and sums its features in order, as the bands do.
     import qkad.kernel
     from qkad.kernel import _kernel_block
 
     A = rng.normal(size=(n, 5))
     B = rng.normal(size=(70, 5))
     for a, b in ((A, A.copy()), (A, B)):
-        monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", 256 * 8 * b.size)
-        diff = a[:, None, :] - b[None, :, :]
-        full = np.einsum("ijk,ijk->ij", diff, diff)
+        monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", 256 * 32 * 8 * len(b))
+        squares = (a[:, None, :] - b[None, :, :]) ** 2
+        full = squares[..., 0].copy()
+        for k in range(1, a.shape[1]):
+            full += squares[..., k]
         gram = np.exp(-rbf_auto_gamma(b) * full)
         assert _kernel_block(make_cfg("rbf"), a, b).tobytes() == gram.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_rbf_blocks_up_to_two_features_equal_the_einsum_formula(d, monkeypatch):
+    # one or two squares sum the same in any order, so the synthetic records
+    # cannot move; bands of 16 rows leave a partial last band
+    import qkad.kernel
+    from qkad.kernel import _kernel_block
+
+    monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", 16 * 32 * 8 * 300)
+    rng = np.random.default_rng(d)
+    X, T = rng.normal(size=(300, d)), rng.normal(size=(45, d))
+    upper = np.triu_indices(300)
+    train = _kernel_block(make_cfg("rbf"), X, X)
+    assert train[upper].tobytes() == einsum_rbf(X, X)[upper].tobytes()
+    assert _kernel_block(make_cfg("rbf"), T, X).tobytes() == einsum_rbf(T, X).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 28])
+def test_rbf_gram_entries_match_the_pair_oracle(d):
+    rng = np.random.default_rng(30 + d)
+    X, T = rng.normal(size=(40, d)), rng.normal(size=(7, d))
+    gram, train = build_gram_train(X, make_cfg("rbf"), rng)
+    cross = build_gram_cross(T, train, rng)
+    gamma = rbf_auto_gamma(X)
+    for rows, entries in ((X, gram.entries), (T, cross.entries)):
+        expected = [[rbf_entry(x, y, gamma) for y in X] for x in rows]
+        assert np.max(np.abs(entries - expected)) <= 1e-12
+
+
+def test_rbf_gram_memory_stays_near_its_output():
+    # the features are summed in 2-D bands, never in an (n, n, d) tensor
+    from qkad.kernel import _BLOCK_BYTES
+
+    X = np.random.default_rng(10).normal(size=(1500, 28))
+    tracemalloc.start()
+    try:
+        gram, _ = build_gram_train(X, make_cfg("rbf"), np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= gram.entries.nbytes + _BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +497,9 @@ def test_unmitigated_rm_training_gram_matches_the_triu_formula():
     assert gram.entries.tobytes() == triu_mirror(raw, train.points.purities).tobytes()
 
 
-# bytes of temporaries per band row for 21 points of 3 features and 6 settings
-ROW_BYTES = {"rbf": 8 * 21 * 3, "exact": 16 * 21, "inversion_test": 16 * 21,
+# bytes of temporaries per band row for 21 points of 3 features and 6
+# settings; rbf bands are sized at 32 times their 8 * 21 bytes per row
+ROW_BYTES = {"rbf": 32 * 8 * 21, "exact": 16 * 21, "inversion_test": 16 * 21,
              "randomized": 8 * 6 * 2**3}
 
 
@@ -466,6 +519,21 @@ def test_training_block_upper_triangle_equals_the_full_block(kind, rows, monkeyp
     upper = np.triu_indices(21)
     same = _kernel_block(cfg, points, points)
     assert same[upper].tobytes() == _kernel_block(cfg, points, twin)[upper].tobytes()
+
+
+def test_cross_block_folds_a_one_row_remainder_into_the_last_band(monkeypatch):
+    # 9 rows in bands of 4 would leave a 1-row band, whose complex product
+    # numpy runs as a matrix-vector product that rounds differently
+    import qkad.kernel
+    from qkad.kernel import _kernel_block, _represent
+
+    monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", 4 * ROW_BYTES["exact"])
+    cfg = make_cfg("exact")
+    rng = np.random.default_rng(0)
+    train = _represent(rng.uniform(-0.5, 0.5, size=(21, 3)), cfg, rng, purities=True)
+    test = _represent(rng.uniform(-0.5, 0.5, size=(9, 3)), cfg, rng, purities=True)
+    unbanded = np.clip(np.abs(test.conj() @ train.T) ** 2, 0.0, 1.0)
+    assert _kernel_block(cfg, test, train).tobytes() == unbanded.tobytes()
 
 
 def test_inversion_gram_draws_the_upper_triangle_in_row_major_order():
