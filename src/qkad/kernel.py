@@ -22,9 +22,10 @@ or measurement.
 Every kind fills a block in row bands of about ``_BLOCK_BYTES`` of
 temporaries; rbf sums its squared distances one feature at a time, in feature
 order, into two 2-D arrays, the band and one scratch band, each 1/32 of that
-size.  A training Gram is made exactly symmetric by copying the strict
-upper triangle into the lower one, in place, in ``_TILE``-square tiles; the
-symmetry check of :class:`GramMatrix` compares the same tile pairs.
+size.  Each band is checked for finite entries while it is in cache.  A
+training Gram is made exactly symmetric by copying the strict upper triangle
+into the lower one, in place, in ``_TILE``-square tiles, so it is finite and
+symmetric by construction and is not checked again.
 
 Shot-based entries may leave [0, 1], and a shot-based Gram may be
 indefinite; neither is repaired.
@@ -76,13 +77,20 @@ class DegenerateSignatureError(ValueError):
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Kernel matrix plus bookkeeping of how many circuit runs produced it."""
+    """Kernel matrix plus bookkeeping of how many circuit runs produced it.
+
+    The constructor checks a caller's entries: real, finite, a matrix, and
+    square and equal to their transpose when ``symmetric``.  Training Grams
+    skip it: :func:`_mirrored_gram` makes them so by construction.
+    """
 
     entries: np.ndarray
     symmetric: bool
     eval_count: int
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.entries):
+            raise ValueError("Gram entries must be real, got complex entries")
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2:
             raise ValueError(f"entries must be a matrix, got shape {entries.shape}")
@@ -179,6 +187,20 @@ def _mirror_upper(m: np.ndarray) -> None:
             np.copyto(tile, tile.T, where=np.tri(len(tile), k=-1, dtype=bool))
         else:
             m[cols, rows] = m[rows, cols].T
+
+
+def _mirrored_gram(upper: np.ndarray, diagonal: np.ndarray | float, eval_count: int) -> GramMatrix:
+    """``upper`` mirrored in place, with the finite ``diagonal``, as a symmetric :class:`GramMatrix`.
+
+    ``upper`` is a square :func:`_kernel_block` output, whose bands were checked
+    for finite entries, so the result is finite and exactly symmetric by
+    construction and skips the n^2 checks of the public constructor.
+    """
+    _mirror_upper(upper)
+    np.fill_diagonal(upper, diagonal)
+    gram = object.__new__(GramMatrix)
+    vars(gram).update(entries=upper, symmetric=True, eval_count=eval_count)
+    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +376,8 @@ def _kernel_block(
 ) -> np.ndarray:
     """Kernel values between two point sets, before shot noise, filled by row bands.
 
-    Both sets are :func:`_represent` outputs.  rbf adds one feature's squared
+    Both sets are :func:`_represent` outputs, and a band with a non-finite
+    entry raises ``ValueError``.  rbf adds one feature's squared
     differences at a time, in feature order, into the band through a scratch
     band of the same shape, and builds no ``(rows, m, d)`` tensor.  The same
     object twice makes a training block, which fills only its upper triangle
@@ -399,6 +422,8 @@ def _kernel_block(
         else:
             # squared overlaps: exact, and the inversion test's all-zeros probabilities
             np.clip(np.abs(a[rows].conj() @ b[cols].T) ** 2, 0.0, 1.0, out=band)
+        if not np.isfinite(band).all():
+            raise ValueError("Gram entries must be finite")
     return out
 
 
@@ -443,13 +468,12 @@ def build_gram_train(
         # one estimate per unordered pair, drawn row by row in row-major upper order
         for i in range(n - 1):
             entries[i, i + 1 :] = _shot_noise(cfg, entries[i, i + 1 :], rng)
-    # mirror the strict upper triangle every block fills, so the result is exactly symmetric
-    _mirror_upper(entries)
-    # unmitigated RM keeps its purity estimates on the diagonal
+    # binomial draws of finite fidelities are finite, and so are purities: the
+    # block's band checks cover the whole Gram.  Unmitigated RM keeps its
+    # purity estimates on the diagonal.
     unmitigated_rm = cfg.kind == "randomized" and not cfg.mitigate
-    np.fill_diagonal(entries, train.purities if unmitigated_rm else 1.0)
-    evals = eval_count(cfg, n, n * (n - 1) // 2)
-    gram = GramMatrix(entries=entries, symmetric=True, eval_count=evals)
+    diagonal = train.purities if unmitigated_rm else 1.0
+    gram = _mirrored_gram(entries, diagonal, eval_count(cfg, n, n * (n - 1) // 2))
     return gram, TrainingSet(cfg, train, d)
 
 

@@ -450,12 +450,70 @@ def make_cfg(kind, **kwargs):
     return KernelConfig(kind=kind, **defaults)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_gram_train_exactly_symmetric(kind, rng):
-    X = rng.uniform(-0.5, 0.5, size=(7, 2))
-    gram, _ = build_gram_train(X, make_cfg(kind), rng)
+def row_bytes(kind, m, d):
+    # bytes of temporaries per band row against m points of d features with
+    # make_cfg's 6 settings; rbf bands are sized at 32 times their 8 * m bytes
+    return {"rbf": 32 * 8 * m, "randomized": 8 * 6 * 2**d}.get(kind, 16 * m)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [pytest.param(kind, n, id=kind if n == 7 else f"{kind}-{n}")
+     for kind in ALL_KINDS + ["randomized-unmitigated"] for n in (7, 257, 600)],
+)
+def test_gram_train_exactly_symmetric(kind, n, rng, monkeypatch):
+    # one tile and band, then several 256-square tiles and 100-row bands: the
+    # Gram is symmetric by construction and is not checked again, so compare
+    # every bit here, and let the public constructor check it as well
+    import qkad.kernel
+
+    cfg = make_cfg("randomized", mitigate=False) if kind == "randomized-unmitigated" else make_cfg(kind)
+    monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", 100 * row_bytes(cfg.kind, n, 2))
+    X = rng.uniform(-0.5, 0.5, size=(n, 2))
+    gram, _ = build_gram_train(X, cfg, rng)
     assert gram.symmetric
-    assert np.array_equal(gram.entries, gram.entries.T)
+    assert gram.entries.tobytes() == gram.entries.T.tobytes()
+    GramMatrix(entries=gram.entries, symmetric=True, eval_count=gram.eval_count)
+
+
+@pytest.mark.parametrize("kind", ["rbf", "exact"])
+def test_gram_train_rejects_a_nan_row(kind):
+    X = np.random.default_rng(12).uniform(-0.5, 0.5, size=(300, 2))
+    X[150] = np.nan
+    with pytest.raises(ValueError, match="Gram entries must be finite"):
+        build_gram_train(X, make_cfg(kind), np.random.default_rng(0))
+
+
+def test_rbf_gram_train_rejects_rows_whose_variance_overflows():
+    # near 1e200 the variance is inf, so gamma is 0 and 0 * inf is NaN
+    X = np.random.default_rng(13).uniform(-1, 1, size=(300, 2)) * 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert rbf_auto_gamma(X) == 0.0
+        with pytest.raises(ValueError, match="Gram entries must be finite"):
+            build_gram_train(X, make_cfg("rbf"), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind", ["rbf", "exact", "inversion_test"])
+def test_gram_cross_rejects_a_nan_test_row(kind):
+    rng = np.random.default_rng(14)
+    _, train = build_gram_train(rng.uniform(-0.5, 0.5, size=(40, 2)), make_cfg(kind), rng)
+    T = rng.uniform(-0.5, 0.5, size=(9, 2))
+    T[4] = np.nan
+    with pytest.raises(ValueError, match="Gram entries must be finite"):
+        build_gram_cross(T, train, rng)
+
+
+def test_rbf_gram_train_memory_stays_near_its_entries():
+    # the n x n entries take 30.5 MiB; finiteness is checked band by band,
+    # with no n x n bool array
+    X = np.random.default_rng(15).normal(size=(2000, 2))
+    tracemalloc.start()
+    try:
+        build_gram_train(X, make_cfg("rbf"), np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 33 * 2**20
 
 
 def triu_mirror(block, diagonal):
@@ -497,12 +555,6 @@ def test_unmitigated_rm_training_gram_matches_the_triu_formula():
     assert gram.entries.tobytes() == triu_mirror(raw, train.points.purities).tobytes()
 
 
-# bytes of temporaries per band row for 21 points of 3 features and 6
-# settings; rbf bands are sized at 32 times their 8 * 21 bytes per row
-ROW_BYTES = {"rbf": 32 * 8 * 21, "exact": 16 * 21, "inversion_test": 16 * 21,
-             "randomized": 8 * 6 * 2**3}
-
-
 @pytest.mark.parametrize("rows", [1, 4, 21], ids=["one-row", "partial-last", "single"])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_training_block_upper_triangle_equals_the_full_block(kind, rows, monkeypatch):
@@ -511,7 +563,7 @@ def test_training_block_upper_triangle_equals_the_full_block(kind, rows, monkeyp
     import qkad.kernel
     from qkad.kernel import _kernel_block, _represent
 
-    monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", rows * ROW_BYTES[kind])
+    monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", rows * row_bytes(kind, 21, 3))
     cfg = make_cfg(kind)
     rng = np.random.default_rng(21)
     points = _represent(rng.uniform(-0.5, 0.5, size=(21, 3)), cfg, rng, purities=True)
@@ -527,7 +579,7 @@ def test_cross_block_folds_a_one_row_remainder_into_the_last_band(monkeypatch):
     import qkad.kernel
     from qkad.kernel import _kernel_block, _represent
 
-    monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", 4 * ROW_BYTES["exact"])
+    monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", 4 * row_bytes("exact", 21, 3))
     cfg = make_cfg("exact")
     rng = np.random.default_rng(0)
     train = _represent(rng.uniform(-0.5, 0.5, size=(21, 3)), cfg, rng, purities=True)
@@ -569,6 +621,23 @@ def test_symmetric_gram_rejects_one_asymmetric_entry(entry, rng):
     entries[entry] += 1e-9
     with pytest.raises(ValueError, match="symmetric flag set but entries differ from transpose"):
         GramMatrix(entries=entries, symmetric=True, eval_count=0)
+
+
+@pytest.mark.parametrize(
+    "entries, symmetric, message",
+    [
+        # a cast to float would drop the imaginary part with only a ComplexWarning
+        (np.array([[1 + 1j, 0], [0, 1]]), True, "Gram entries must be real, got complex entries"),
+        (np.ones((2, 3), dtype=complex), False, "Gram entries must be real, got complex entries"),
+        (np.ones(3), False, "entries must be a matrix"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), True, "Gram entries must be finite"),
+        (np.ones((2, 3)), True, "symmetric Gram must be square"),
+    ],
+    ids=["complex", "complex-cross", "vector", "nan", "non-square"],
+)
+def test_gram_matrix_rejects_what_a_caller_passes(entries, symmetric, message):
+    with pytest.raises(ValueError, match=message):
+        GramMatrix(entries=entries, symmetric=symmetric, eval_count=0)
 
 
 def test_gram_train_exact_is_psd(rng):
