@@ -23,7 +23,6 @@ from .kernel import (  # noqa: F401
     TrainingSet,
     build_gram_cross,
     build_gram_train,
-    rm_purity,
 )
 from .ocsvm import OCSVMModel, decision_scores, fit  # noqa: F401
 from .ensemble import (  # noqa: F401

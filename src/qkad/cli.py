@@ -87,6 +87,7 @@ class RunConfig:
     kernel: KernelConfig = field(init=False, repr=False, compare=False)
     vs: VSConfig | None = field(init=False, repr=False, compare=False)  # None: one model
     split: data.SplitSpec = field(init=False, repr=False, compare=False)
+    r_prime: int | None = field(init=False, repr=False, compare=False)  # None: no bagging
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -152,11 +153,9 @@ class RunConfig:
         if is_ensemble:
             vs = VSConfig(kernel, nu=self.nu, aggregation=self.aggregation, rfb_enabled=use_rfb)
         split = data.SplitSpec(self.train_size, test_size=TEST_SIZE, test_anomaly_ratio=ratio)
-        qubits = rotation_dim(self.num_features) if use_rfb else self.num_features
-        check_point_set(kernel, max(train_points, split.test_size), qubits)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "vs", vs)
-        object.__setattr__(self, "split", split)
+        r_prime = rotation_dim(self.num_features) if use_rfb else None
+        check_point_set(kernel, max(train_points, split.test_size), r_prime or self.num_features)
+        vars(self).update(kernel=kernel, vs=vs, split=split, r_prime=r_prime)
 
 
 @dataclass(frozen=True)
@@ -248,7 +247,6 @@ def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecor
     X_train = pipeline.apply_preprocess(prep, train.features)
     X_test = pipeline.apply_preprocess(prep, test.features)
 
-    r_prime = rotation_dim(m) if cfg.vs is not None and cfg.vs.rfb_enabled else None
     if cfg.vs is not None:
         t0 = time.perf_counter()
         model = fit_vs(X_train, cfg.vs, train_rng)
@@ -298,7 +296,7 @@ def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecor
         test_time_s=test_time,
         kernel_evals=train_evals + test_evals,
         components=n_components,
-        r_prime=r_prime,
+        r_prime=cfg.r_prime,
         tp=counts.tp,
         fp=counts.fp,
         tn=counts.tn,

@@ -18,7 +18,7 @@ that set's width before any encoding or measurement.
 Randomized-measurement records are weighted by the ``(-2)**(-H)`` Hamming
 table as two half-register Kronecker factors, never its ``2^d x 2^d`` form.
 Point sets whose arrays would exceed 1 GiB are rejected before any encoding
-or measurement.
+or measurement, and so are rows with a non-finite feature.
 Every kind fills a block in row bands of about ``_BLOCK_BYTES`` of
 temporaries; rbf sums its squared distances one feature at a time, in feature
 order, into two 2-D arrays, the band and one scratch band, each 1/32 of that
@@ -324,9 +324,13 @@ def _represent(
     ``rng`` when ``None``), paired once for all points, and returns their
     :class:`SignatureCache`.  Without
     ``purities`` its purity estimates are left NaN; only mitigation and the
-    unmitigated training diagonal read them.
+    unmitigated training diagonal read them.  A row with a non-finite feature
+    is rejected first, for every kind, with the band checks' message.
     """
     n, d = X.shape
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if len(bad):
+        raise ValueError(f"Gram entries must be finite; row {bad[0]} has a non-finite feature")
     check_point_set(cfg, n, d)
     if cfg.kind == "rbf":
         return X
@@ -337,8 +341,8 @@ def _represent(
         settings = np.stack([sample_haar_setting(d, rng) for _ in range(cfg.rm_settings)])
     paired = [pair_gates(setting) for setting in settings]
     shots = cfg.rm_shots
-    # one child stream per point, derived serially, so per-point collection
-    # could run concurrently without changing any outcome
+    # one child stream per point, derived serially, so blocks of points could
+    # be collected concurrently without changing any outcome
     seeds = rng.integers(0, 2**63 - 1, size=n)
     counts = np.empty((n, len(settings), 2**d), dtype=np.int64)
     for i, (state, seed) in enumerate(zip(states, seeds.tolist())):

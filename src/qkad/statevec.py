@@ -16,7 +16,9 @@ Conventions used throughout the package:
   states of a point set are one ``(n, 2**d)`` stack.  A local measurement
   setting is a ``(d, 2, 2)`` array of single-qubit unitaries, one per
   qubit; :func:`pair_gates` turns it into the paired form that
-  :func:`apply_local` takes.
+  :func:`apply_local` takes.  :func:`apply_local` is the one rotation
+  routine: it rotates a state or a stack, and the encoding's Hadamard
+  layers go through it too.
 * Global phase is not tracked beyond what the gate definitions imply; all
   downstream quantities are fidelities, which ignore it.
 
@@ -61,25 +63,6 @@ class FeatureMapConfig:
             raise ValueError(f"angle_scale must be > 0 and finite, got {self.angle_scale}")
 
 
-def _apply_pairs(amps: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Apply paired gates (see :func:`pair_gates`) to one state or an ``(n, 2^d)`` stack.
-
-    Each step is one GEMM of a block on the leading qubits of every state; the
-    transpose then moves the next qubits to the front, so after the last step
-    the order is restored.  A stack takes one stacked GEMM per block, which
-    gives each state the result a single state's 2-D GEMM gives it; a single
-    state keeps the 2-D GEMM, whose per-call cost is lower.
-    """
-    t = amps
-    if amps.ndim == 1:
-        for block in pairs:
-            t = (block @ t.reshape(len(block), -1)).T
-    else:
-        for block in pairs:
-            t = np.matmul(block, t.reshape(len(t), len(block), -1)).swapaxes(1, 2)
-    return t.reshape(amps.shape)
-
-
 def pair_gates(setting: np.ndarray) -> tuple[np.ndarray, ...]:
     """The paired form of a (d, 2, 2) setting that :func:`apply_local` takes.
 
@@ -93,6 +76,28 @@ def pair_gates(setting: np.ndarray) -> tuple[np.ndarray, ...]:
             block = (block[:, None, :, None] * setting[q + 1][None, :, None, :]).reshape(4, 4)
         pairs.append(block)
     return tuple(pairs)
+
+
+def apply_local(amps: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Rotate a ``(2^d,)`` state, or each state of an ``(n, 2^d)`` stack, by a setting.
+
+    ``pairs`` is the setting's :func:`pair_gates` form, built once and shared
+    by every state measured in that setting.  Each step is one GEMM of a block
+    on the leading qubits; the transpose then moves the next qubits to the
+    front, so after the last step the order is restored.  A lone state takes a
+    2-D GEMM, whose per-call cost is lower, and a stack one stacked GEMM, which
+    gives each state the result the 2-D GEMM gives it.
+    """
+    dim = math.prod(map(len, pairs))
+    shape = amps.shape
+    lead = shape[:-1]
+    if shape != lead + (dim,) or len(lead) > 1:
+        d = dim.bit_length() - 1
+        raise ValueError(f"setting has {d} qubits, state or stack has shape {shape}")
+    t = amps
+    for block in pairs:
+        t = (block @ t.reshape(lead + (len(block), -1))).mT
+    return t.reshape(shape)
 
 
 def _basis_signs(d: int) -> np.ndarray:
@@ -156,7 +161,7 @@ def encode_iqp(X: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
         amps = np.zeros_like(phases)
         amps[:, 0] = 1.0
         for _ in range(cfg.layers):
-            amps = _apply_pairs(amps, hadamards) * phases
+            amps = apply_local(amps, hadamards) * phases
         states[start : start + step] = amps
     return states
 
@@ -172,19 +177,6 @@ def sample_haar_setting(d: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]
-
-
-def apply_local(amps: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Rotate one state by the tensor product of a setting's unitaries.
-
-    ``pairs`` is the setting's :func:`pair_gates` form, built once and shared
-    by every state measured in that setting.
-    """
-    dim = math.prod(map(len, pairs))
-    if amps.shape != (dim,):
-        d = dim.bit_length() - 1
-        raise ValueError(f"setting has {d} qubits, state has shape {amps.shape}")
-    return _apply_pairs(amps, pairs)
 
 
 def born_counts(amps: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:

@@ -182,10 +182,13 @@ def test_run_config_validation():
     # an ensemble's aggregation is checked when the run is planned, not per seed
     with pytest.raises(ValueError, match="aggregation must be 'mean' or 'max', got 'median'"):
         RunConfig(method="vs-it", dataset="synthetic", aggregation="median")
-    # the plan: one model or an ensemble config, and the split each seed draws
+    # the plan: one model or an ensemble config, the split each seed draws and
+    # the bagged width, rotation_dim(2) = 2 and rotation_dim(6) = 4
     for method in cli.METHODS:
         for dataset, ratio in (("synthetic", 0.3), ("fraud", 0.05)):
             cfg = RunConfig(method=method, dataset=dataset, train_size=60)
+            bagged = {"synthetic": 2, "fraud": 4}[dataset] if method == "vs-rfb-rm" else None
+            assert cfg.r_prime == bagged
             if method.startswith("vs-"):
                 assert cfg.vs.base_kernel is cfg.kernel
                 assert (cfg.vs.nu, cfg.vs.aggregation) == (cfg.nu, cfg.aggregation)

@@ -12,6 +12,7 @@ from qkad.statevec import (
     sample_haar_setting,
 )
 from qkad.kernel import (
+    KERNEL_KINDS,
     DegenerateSignatureError,
     GramMatrix,
     KernelConfig,
@@ -476,12 +477,15 @@ def test_gram_train_exactly_symmetric(kind, n, rng, monkeypatch):
     GramMatrix(entries=gram.entries, symmetric=True, eval_count=gram.eval_count)
 
 
-@pytest.mark.parametrize("kind", ["rbf", "exact"])
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_gram_train_rejects_a_nan_row(kind):
-    X = np.random.default_rng(12).uniform(-0.5, 0.5, size=(300, 2))
-    X[150] = np.nan
-    with pytest.raises(ValueError, match="Gram entries must be finite"):
-        build_gram_train(X, make_cfg(kind), np.random.default_rng(0))
+    # every kind rejects the row before encoding, with one message naming it
+    for value, row in [(np.nan, 150), (np.inf, 0), (-np.inf, 299)]:
+        X = np.random.default_rng(12).uniform(-0.5, 0.5, size=(300, 2))
+        X[row, 1] = value
+        message = f"Gram entries must be finite; row {row} has a non-finite feature"
+        with pytest.raises(ValueError, match=message):
+            build_gram_train(X, make_cfg(kind), np.random.default_rng(0))
 
 
 def test_rbf_gram_train_rejects_rows_whose_variance_overflows():
@@ -493,13 +497,14 @@ def test_rbf_gram_train_rejects_rows_whose_variance_overflows():
             build_gram_train(X, make_cfg("rbf"), np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("kind", ["rbf", "exact", "inversion_test"])
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_gram_cross_rejects_a_nan_test_row(kind):
     rng = np.random.default_rng(14)
     _, train = build_gram_train(rng.uniform(-0.5, 0.5, size=(40, 2)), make_cfg(kind), rng)
     T = rng.uniform(-0.5, 0.5, size=(9, 2))
-    T[4] = np.nan
-    with pytest.raises(ValueError, match="Gram entries must be finite"):
+    T[4], T[7, 0] = np.nan, np.inf
+    # the first bad row is named, whatever its value
+    with pytest.raises(ValueError, match="Gram entries must be finite; row 4 has a non-finite"):
         build_gram_cross(T, train, rng)
 
 

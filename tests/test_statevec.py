@@ -118,6 +118,14 @@ def test_paired_apply_local_is_bit_identical_to_unpaired_form(d, rng):
         state, setting = random_state(d, rng), sample_haar_setting(d, rng)
         expected = apply_gates_unpaired(state, setting)
         assert np.array_equal(apply_local(state, pair_gates(setting)), expected)
+    # a stack is rotated row by row as a lone state would be
+    setting = sample_haar_setting(d, rng)
+    for n in (1, 2, 16):
+        stack = np.stack([random_state(d, rng) for _ in range(n)])
+        rotated = apply_local(stack, pair_gates(setting))
+        assert rotated.shape == stack.shape
+        for row, state in zip(rotated, stack):
+            assert np.array_equal(row, apply_gates_unpaired(state, setting))
 
 
 def test_encode_memory_stays_near_its_output():
@@ -210,8 +218,11 @@ def test_apply_local_matches_kron_oracle(rng):
 
 
 def test_apply_local_dimension_mismatch(rng):
-    with pytest.raises(ValueError, match="qubits"):
-        apply_local(random_state(2, rng), pair_gates(sample_haar_setting(3, rng)))
+    pairs = pair_gates(sample_haar_setting(3, rng))
+    for amps in (random_state(2, rng), np.zeros((5, 4), complex), np.zeros((2, 3, 8), complex)):
+        message = "setting has 3 qubits, state or stack has shape " + re.escape(str(amps.shape))
+        with pytest.raises(ValueError, match=message):
+            apply_local(amps, pairs)
 
 
 # ---------------------------------------------------------------------------
