@@ -9,8 +9,13 @@ process exit code is zero only when every seed succeeded, one when some seed
 failed or no record was left to summarize, and two (with usage) on invalid
 options or a malformed records file, before any seed runs.
 
+Every method is timed alike: the clock is read before fitting, after the fit
+(the solver, or ``fit_vs``) and right after scoring, for ``train_time_s`` and
+``test_time_s``; ``gram_time_s`` and ``solver_time_s`` split the fit.
+
 Seeds run sequentially by default; ``--parallel`` fans them out over threads
 without changing any numeric output, because every seed owns its streams.
+``--output`` is a command-line option, not a :class:`RunConfig` field.
 """
 
 from __future__ import annotations
@@ -78,7 +83,6 @@ class RunConfig:
     aggregation: str = "mean"
     seeds: tuple[int, ...] = tuple(range(15))
     fraud_csv: str | None = None
-    output: str | None = None
     threshold: float = 0.0
     mitigate: bool | None = None  # None -> method default, resolved at init
     record_timings: bool = True
@@ -193,8 +197,9 @@ class RunRecord:
         return self.error is None
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    return {
+def _record_fields(cfg: RunConfig, seed: int) -> dict:
+    """The fields every record of a run carries, with a config echo of its own."""
+    config = {
         "method": cfg.method,
         "dataset": cfg.dataset,
         "train_size": cfg.train_size,
@@ -212,6 +217,8 @@ def _config_echo(cfg: RunConfig) -> dict:
         "preprocessing": "standard_scaler+pca+kind_rescale",
         "score_normalization": "train-zscore",
     }
+    return dict(method=cfg.method, dataset=cfg.dataset, seed=seed, n_train=cfg.train_size,
+                d=cfg.num_features, config=config)
 
 
 def _synthetic_constants() -> dict:
@@ -225,16 +232,11 @@ def _synthetic_constants() -> dict:
 def _load_fraud(cfg: RunConfig) -> data.Dataset:
     path = cfg.fraud_csv or os.environ.get(FRAUD_CSV_ENV)
     if not path:
-        raise ValueError(
-            f"fraud dataset needs a CSV path (--fraud-csv or ${FRAUD_CSV_ENV})"
-        )
+        raise ValueError(f"fraud dataset needs a CSV path (--fraud-csv or ${FRAUD_CSV_ENV})")
     return data.load_fraud_csv(path)
 
 
 def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecord:
-    kcfg = cfg.kernel
-    m = cfg.num_features
-
     data_rng, train_rng, solver_rng, score_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
     )
@@ -243,51 +245,40 @@ def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecor
     else:
         train, test = data.make_split(fraud, cfg.split, data_rng)
 
-    prep = pipeline.fit_preprocess(train.features, kcfg.kind, m)
+    prep = pipeline.fit_preprocess(train.features, cfg.kernel.kind, cfg.num_features)
     X_train = pipeline.apply_preprocess(prep, train.features)
     X_test = pipeline.apply_preprocess(prep, test.features)
 
+    # t0 before fitting, t1 after fit_vs or the solver, t2 right after scoring
+    t0 = time.perf_counter()
     if cfg.vs is not None:
-        t0 = time.perf_counter()
-        model = fit_vs(X_train, cfg.vs, train_rng)
+        ensemble = fit_vs(X_train, cfg.vs, train_rng)
         t1 = time.perf_counter()
-        scores = score_vs(model, X_test)
+        scores = score_vs(ensemble, X_test)
         t2 = time.perf_counter()
-        gram_time, solver_time = model.gram_time_s, model.solver_time_s
-        train_time, test_time = t1 - t0, t2 - t1
-        train_evals = model.train_eval_count
-        test_evals = cross_eval_count(model, X_test.shape[0])
-        n_components = len(model.components)
-        converged = all(c.model.converged for c in model.components)
+        gram_time, solver_time = ensemble.gram_time_s, ensemble.solver_time_s
+        train_evals = ensemble.train_eval_count
+        test_evals = cross_eval_count(ensemble, X_test.shape[0])
+        models = [c.model for c in ensemble.components]
     else:
-        t0 = time.perf_counter()
-        gram, train_set = build_gram_train(X_train, kcfg, train_rng)
+        gram, train_set = build_gram_train(X_train, cfg.kernel, train_rng)
+        t_gram = time.perf_counter()
+        models = [ocsvm.fit(gram, cfg.nu, solver_rng)]
         t1 = time.perf_counter()
-        model = ocsvm.fit(gram, cfg.nu, solver_rng)
-        t2 = time.perf_counter()
         cross = build_gram_cross(X_test, train_set, score_rng)
-        scores = ocsvm.decision_scores(model, cross)
-        t3 = time.perf_counter()
-        gram_time, solver_time = t1 - t0, t2 - t1
-        train_time, test_time = t2 - t0, t3 - t2
-        train_evals = gram.eval_count
-        test_evals = cross.eval_count
-        n_components = 1
-        converged = model.converged
+        scores = ocsvm.decision_scores(models[0], cross)
+        t2 = time.perf_counter()
+        gram_time, solver_time = t_gram - t0, t1 - t_gram
+        train_evals, test_evals = gram.eval_count, cross.eval_count
+    train_time, test_time = t1 - t0, t2 - t1
+    if not cfg.record_timings:
+        gram_time = solver_time = train_time = test_time = 0.0
 
     predictions = (scores < cfg.threshold).astype(np.int64)
     counts = confusion(test.labels, predictions)
     prec, rec = precision_recall(counts)
-
-    if not cfg.record_timings:
-        gram_time = solver_time = train_time = test_time = 0.0
-
     return RunRecord(
-        method=cfg.method,
-        dataset=cfg.dataset,
-        seed=seed,
-        n_train=cfg.train_size,
-        d=m,
+        **_record_fields(cfg, seed),
         ap=average_precision(-scores, test.labels),
         f1=f1(prec, rec),
         precision=prec,
@@ -295,32 +286,20 @@ def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecor
         train_time_s=train_time,
         test_time_s=test_time,
         kernel_evals=train_evals + test_evals,
-        components=n_components,
+        components=len(models),
         r_prime=cfg.r_prime,
-        tp=counts.tp,
-        fp=counts.fp,
-        tn=counts.tn,
-        fn=counts.fn,
+        **asdict(counts),
         gram_time_s=gram_time,
         solver_time_s=solver_time,
         train_kernel_evals=train_evals,
         test_kernel_evals=test_evals,
-        converged=converged,
-        config=_config_echo(cfg),
+        converged=all(m.converged for m in models),
         synthetic_generator=_synthetic_constants() if cfg.dataset == "synthetic" else None,
     )
 
 
 def _error_record(cfg: RunConfig, seed: int, exc: Exception) -> RunRecord:
-    return RunRecord(
-        method=cfg.method,
-        dataset=cfg.dataset,
-        seed=seed,
-        n_train=cfg.train_size,
-        d=cfg.num_features,
-        error=f"{type(exc).__name__}: {exc}",
-        config=_config_echo(cfg),
-    )
+    return RunRecord(**_record_fields(cfg, seed), error=f"{type(exc).__name__}: {exc}")
 
 
 def run_experiment(cfg: RunConfig) -> list[RunRecord]:
@@ -523,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         records = run_experiment(cfg)
-        _write(records_to_jsonl(records), cfg.output, f"{len(records)} records")
+        _write(records_to_jsonl(records), args.output, f"{len(records)} records")
         failed = [r.seed for r in records if not r.ok]
         if failed:
             logger.error("failed seeds: %s", failed)

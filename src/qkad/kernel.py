@@ -137,15 +137,14 @@ class KernelConfig:
 class SignatureCache:
     """Measurement settings and per-point shot counts persisted from training.
 
-    ``counts[i, m, s]`` is the number of the ``shots`` shots of point ``i``
-    under setting ``m`` that produced basis state ``s``.  Prediction-time
-    kernels against the training set must reuse exactly these settings, so
-    the cache travels with the fitted model.
+    ``counts[i, m, s]`` is the number of the kernel config's ``rm_shots``
+    shots of point ``i`` under setting ``m`` that produced basis state
+    ``s``.  Prediction-time kernels against the training set must reuse
+    exactly these settings, so the cache travels with the fitted model.
     """
 
     settings: np.ndarray  # (r, d, 2, 2) complex
     counts: np.ndarray  # (n, r, 2^d) int64
-    shots: int
     purities: np.ndarray
 
 
@@ -348,7 +347,7 @@ def _represent(
     for i, (state, seed) in enumerate(zip(states, seeds.tolist())):
         counts[i] = collect_signature(state, paired, shots, np.random.default_rng(seed))
     if not purities:
-        return SignatureCache(settings, counts, shots, np.full(n, np.nan))
+        return SignatureCache(settings, counts, np.full(n, np.nan))
     estimates = np.array([rm_purity(c, shots) for c in counts])
     if cfg.mitigate and np.any(estimates <= 0):
         bad = int(np.argmax(estimates <= 0))
@@ -356,7 +355,7 @@ def _represent(
             f"point {bad} has nonpositive purity estimate {float(estimates[bad])}; "
             "its signature is unusable for mitigation"
         )
-    return SignatureCache(settings, counts, shots, estimates)
+    return SignatureCache(settings, counts, estimates)
 
 
 def _bands(n: int, row_bytes: int, upper: bool) -> list[tuple[slice, slice]]:
@@ -399,7 +398,7 @@ def _kernel_block(
         a_t = b_t if a is b else np.ascontiguousarray(a.T)
     elif rm:
         _, r, dim = a.counts.shape
-        flat_b = (b.counts / float(b.shots)).reshape(m, r * dim).T
+        flat_b = (b.counts / float(cfg.rm_shots)).reshape(m, r * dim).T
         row_bytes = 8 * r * dim  # the weighted frequencies
     else:
         row_bytes = 16 * m  # the complex overlaps
@@ -418,7 +417,7 @@ def _kernel_block(
             np.exp(band, out=band)
         elif rm:
             # the (setting, outcome)-flattened frequencies, Hamming-weighted, in one GEMM
-            freqs = a.counts[rows] / float(a.shots)
+            freqs = a.counts[rows] / float(cfg.rm_shots)
             raw = _hamming_weighted(freqs).reshape(len(freqs), r * dim) @ flat_b[:, cols]
             np.divide(dim * raw, r, out=band)
             if cfg.mitigate:

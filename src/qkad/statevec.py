@@ -136,9 +136,10 @@ def _iqp_layer_angles(X: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     # one GEMV per row, as z @ lx[i] would be; a single GEMM rounds differently
     angles = np.matmul(z[None], lx[:, :, None])[:, :, 0]
     zx = z[None] * lx[:, None, :]  # [i, :, j] holds lam*x_ij*z_j per basis state
-    # sum over pairs j<k of (lam*x_j*z_j)*(lam*x_k*z_k)
+    # sum over pairs j<k of (lam*x_j*z_j)*(lam*x_k*z_k); z_j = +-1, so the
+    # squares (lam*x_j*z_j)^2 are (lam*x_j)^2 and are summed once per row
     total = zx.sum(axis=2)
-    angles += 0.5 * (total**2 - (zx**2).sum(axis=2))
+    angles += 0.5 * (total**2 - (lx**2).sum(axis=1)[:, None])
     return angles
 
 

@@ -98,14 +98,18 @@ def test_jsonl_byte_identical_across_runs():
     assert a == b
 
 
-def test_parallel_runs_match_sequential_numerics():
-    base = dict(
-        method="it", dataset="synthetic", train_size=50, seeds=(0, 1, 2, 3),
-        it_shots=32, record_timings=False,
-    )
-    seq = run_experiment(RunConfig(**base))
-    par = run_experiment(RunConfig(**base, parallel=True))
-    assert records_to_jsonl(seq) == records_to_jsonl(par)
+def test_parallel_runs_match_sequential_numerics(fraud_csv):
+    small = dict(seeds=(0, 1, 2, 3), it_shots=64, rm_settings=4, rm_shots=64,
+                 record_timings=False)
+    runs = [
+        dict(method=method, dataset="synthetic", train_size=200 if method.startswith("vs") else 60)
+        for method in cli.METHODS
+    ] + [dict(method="vs-rm", dataset="fraud", train_size=80, fraud_csv=fraud_csv)]
+    for run in runs:
+        seq = run_experiment(RunConfig(**run, **small))
+        par = run_experiment(RunConfig(**run, **small, parallel=True))
+        assert all(r.ok for r in seq), run
+        assert records_to_jsonl(seq) == records_to_jsonl(par), run
 
 
 def test_failed_seed_recorded_without_stopping_sweep(monkeypatch):

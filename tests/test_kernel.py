@@ -713,7 +713,7 @@ def test_gram_train_entry_matches_scalar_op(rng):
     cache = train.points
     for i in range(4):
         for j in range(i + 1, 4):
-            expected = rm_kernel_entry(cache.counts[i], cache.counts[j], cache.shots)
+            expected = rm_kernel_entry(cache.counts[i], cache.counts[j], train.kernel.rm_shots)
             assert gram.entries[i, j] == pytest.approx(expected, abs=1e-12)
 
 
@@ -733,7 +733,7 @@ def test_rm_raw_block_rows_match_the_pair_oracle(rows, monkeypatch):
     raw = _kernel_block(cfg, test, train)
     for i in range(5):
         for j in range(4):
-            expected = rm_kernel_entry(test.counts[i], train.counts[j], train.shots)
+            expected = rm_kernel_entry(test.counts[i], train.counts[j], cfg.rm_shots)
             assert raw[i, j] == pytest.approx(expected, abs=1e-12)
 
 
