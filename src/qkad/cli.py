@@ -34,9 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data, ocsvm, pipeline
-from .ensemble import (
-    SUBSAMPLE_MAX, SUBSAMPLE_MIN, VSConfig, cross_eval_count, fit_vs, rotation_dim, score_vs,
-)
+from .ensemble import SUBSAMPLE_MAX, SUBSAMPLE_MIN, VSConfig, fit_vs, rotation_dim, score_vs
 from .kernel import KernelConfig, build_gram_cross, build_gram_train, check_point_set
 from .metrics import average_precision, confusion, f1, precision_recall
 from .statevec import FeatureMapConfig
@@ -254,11 +252,10 @@ def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecor
     if cfg.vs is not None:
         ensemble = fit_vs(X_train, cfg.vs, train_rng)
         t1 = time.perf_counter()
-        scores = score_vs(ensemble, X_test)
+        scores, test_evals = score_vs(ensemble, X_test)
         t2 = time.perf_counter()
         gram_time, solver_time = ensemble.gram_time_s, ensemble.solver_time_s
         train_evals = ensemble.train_eval_count
-        test_evals = cross_eval_count(ensemble, X_test.shape[0])
         models = [c.model for c in ensemble.components]
     else:
         gram, train_set = build_gram_train(X_train, cfg.kernel, train_rng)

@@ -8,6 +8,8 @@ orthonormal axis system of ``rotation_dim(d)`` columns; the projection matrix
 is stored and reused at scoring time, and the component's circuits have one
 qubit per projected feature.  Component scores are z-normalized against the
 component's own training-score statistics and aggregated by mean or max.
+A fit sums its components' training Grams' evaluation counts, and a scoring
+pass returns the sum of its cross Grams' counts with the scores.
 
 The component count is ``floor(n / 100)``, at least 1; it is not an option.
 The caller's generator first draws all subsample sizes at once; then, for
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ocsvm
-from .kernel import KernelConfig, TrainingSet, build_gram_cross, build_gram_train, eval_count
+from .kernel import KernelConfig, TrainingSet, build_gram_cross, build_gram_train
 from .ocsvm import OCSVMModel
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
     "random_rotation",
     "fit_vs",
     "score_vs",
-    "cross_eval_count",
 ]
 
 SUBSAMPLE_MIN = 50
@@ -80,15 +81,11 @@ class EnsembleModel:
     num_features: int  # feature count the ensemble was fitted on
     gram_time_s: float
     solver_time_s: float
+    train_eval_count: int  # summed over the components' training Grams
 
     def __post_init__(self) -> None:
         if len(self.components) < 1:
             raise ValueError("an ensemble needs at least one component")
-
-    @property
-    def train_eval_count(self) -> int:
-        sizes = [(c.train.kernel, c.model.n_train) for c in self.components]
-        return sum(eval_count(kernel, n, n * (n - 1) // 2) for kernel, n in sizes)
 
 
 def component_count(n: int) -> int:
@@ -131,8 +128,8 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
 
     sizes = sample_sizes(component_count(n), rng)
     components: list[Component] = []
-    gram_time = 0.0
-    solver_time = 0.0
+    gram_time = solver_time = 0.0
+    train_evals = 0
     for idx, size in enumerate(sizes):
         indices = rng.choice(n, size=min(size, n), replace=False)
         projection = random_rotation(d, rotation_dim(d), rng) if cfg.rfb_enabled else None
@@ -149,6 +146,7 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
             t2 = time.perf_counter()
             gram_time += t1 - t0
             solver_time += t2 - t1
+            train_evals += gram.eval_count
 
             train_scores = ocsvm.decision_scores(model, gram)
             components.append(
@@ -173,19 +171,22 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
         num_features=d,
         gram_time_s=gram_time,
         solver_time_s=solver_time,
+        train_eval_count=train_evals,
     )
 
 
-def _component_scores(comp: Component, X_test: np.ndarray) -> np.ndarray:
+def _component_scores(comp: Component, X_test: np.ndarray) -> tuple[np.ndarray, int]:
+    """The component's normalized scores and its cross Gram's evaluation count."""
     X_proj = X_test @ comp.projection if comp.projection is not None else X_test
     cross = build_gram_cross(X_proj, comp.train, np.random.default_rng(comp.score_seed))
     raw = ocsvm.decision_scores(comp.model, cross)
     std = comp.train_score_std if comp.train_score_std >= _STD_FLOOR else 1.0
-    return (raw - comp.train_score_mean) / std
+    return (raw - comp.train_score_mean) / std, cross.eval_count
 
 
-def score_vs(model: EnsembleModel, X_test: np.ndarray) -> np.ndarray:
-    """Aggregated normalized decision scores; negative means anomaly.
+def score_vs(model: EnsembleModel, X_test: np.ndarray) -> tuple[np.ndarray, int]:
+    """Aggregated normalized decision scores (negative means anomaly) and the
+    kernel evaluations the pass spent, summed over its cross Grams.
 
     Scoring is repeatable: each component reuses the measurement stream seed
     stored at fit time, so calling twice gives identical scores.
@@ -195,14 +196,7 @@ def score_vs(model: EnsembleModel, X_test: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected (t, {model.num_features}) test matrix, got shape {X_test.shape}"
         )
-    stacked = np.stack([_component_scores(c, X_test) for c in model.components])
-    if model.aggregation == "mean":
-        return stacked.mean(axis=0)
-    return stacked.max(axis=0)
-
-
-def cross_eval_count(model: EnsembleModel, n_test: int) -> int:
-    """Kernel evaluations a scoring pass over ``n_test`` points performs."""
-    return sum(
-        eval_count(c.train.kernel, n_test, n_test * c.model.n_train) for c in model.components
-    )
+    scores, evals = zip(*(_component_scores(c, X_test) for c in model.components))
+    stacked = np.stack(scores)
+    aggregated = stacked.mean(axis=0) if model.aggregation == "mean" else stacked.max(axis=0)
+    return aggregated, sum(evals)

@@ -58,7 +58,6 @@ __all__ = [
     "collect_signature",
     "rm_purity",
     "rbf_auto_gamma",
-    "eval_count",
     "build_gram_train",
     "build_gram_cross",
 ]
@@ -438,7 +437,7 @@ def _shot_noise(cfg: KernelConfig, fidelity: np.ndarray, rng: np.random.Generato
     return rng.binomial(cfg.it_shots, fidelity) / cfg.it_shots
 
 
-def eval_count(cfg: KernelConfig, points: int, pairs: int) -> int:
+def _eval_count(cfg: KernelConfig, points: int, pairs: int) -> int:
     """Kernel evaluations a Gram over ``points`` row points and ``pairs`` point pairs costs.
 
     The pairwise kinds run one circuit per pair, randomized measurements one
@@ -476,7 +475,7 @@ def build_gram_train(
     # purity estimates on the diagonal.
     unmitigated_rm = cfg.kind == "randomized" and not cfg.mitigate
     diagonal = train.purities if unmitigated_rm else 1.0
-    gram = _mirrored_gram(entries, diagonal, eval_count(cfg, n, n * (n - 1) // 2))
+    gram = _mirrored_gram(entries, diagonal, _eval_count(cfg, n, n * (n - 1) // 2))
     return gram, TrainingSet(cfg, train, d)
 
 
@@ -508,4 +507,4 @@ def build_gram_cross(
     if cfg.kind == "inversion_test":
         entries = _shot_noise(cfg, entries, rng)
     t, n = entries.shape
-    return GramMatrix(entries=entries, symmetric=False, eval_count=eval_count(cfg, t, t * n))
+    return GramMatrix(entries=entries, symmetric=False, eval_count=_eval_count(cfg, t, t * n))

@@ -6,7 +6,6 @@ from qkad import ensemble
 from qkad.ensemble import (
     VSConfig,
     component_count,
-    cross_eval_count,
     fit_vs,
     random_rotation,
     rotation_dim,
@@ -161,7 +160,7 @@ def test_fit_vs_deterministic(rng):
     a = fit_vs(X, cfg, np.random.default_rng(4))
     b = fit_vs(X, cfg, np.random.default_rng(4))
     X_test = cluster_data(20, 2, np.random.default_rng(1))
-    assert np.array_equal(score_vs(a, X_test), score_vs(b, X_test))
+    assert np.array_equal(score_vs(a, X_test)[0], score_vs(b, X_test)[0])
     for ca, cb in zip(a.components, b.components):
         assert np.array_equal(ca.subsample_indices, cb.subsample_indices)
 
@@ -189,7 +188,7 @@ def test_score_vs_single_component_equals_normalized_scores(rng):
 
     cross = build_gram_cross(X_test, comp.train, np.random.default_rng(comp.score_seed))
     expected = (decision_scores(comp.model, cross) - comp.train_score_mean) / comp.train_score_std
-    assert np.allclose(score_vs(model, X_test), expected, atol=1e-12)
+    assert np.allclose(score_vs(model, X_test)[0], expected, atol=1e-12)
 
 
 def test_score_vs_max_dominates_mean(rng):
@@ -201,7 +200,7 @@ def test_score_vs_max_dominates_mean(rng):
     from dataclasses import replace
 
     max_model = fit_vs(X, replace(base, aggregation="max"), np.random.default_rng(seed))
-    assert np.all(score_vs(max_model, X_test) >= score_vs(mean_model, X_test) - 1e-12)
+    assert np.all(score_vs(max_model, X_test)[0] >= score_vs(mean_model, X_test)[0] - 1e-12)
 
 
 def test_score_vs_reuses_stored_projection_bit_exactly(rng):
@@ -221,14 +220,14 @@ def test_score_vs_reuses_stored_projection_bit_exactly(rng):
         std = comp.train_score_std if comp.train_score_std >= 1e-12 else 1.0
         stacked.append((raw - comp.train_score_mean) / std)
     expected = np.mean(stacked, axis=0)
-    assert np.array_equal(score_vs(model, X_test), expected)
+    assert np.array_equal(score_vs(model, X_test)[0], expected)
 
 
 def test_score_vs_repeated_calls_identical(rng):
     X = cluster_data(100, 2, rng)
     X_test = cluster_data(12, 2, rng)
     model = fit_vs(X, VSConfig(base_kernel=rm_cfg(), nu=0.1), rng)
-    assert np.array_equal(score_vs(model, X_test), score_vs(model, X_test))
+    assert np.array_equal(score_vs(model, X_test)[0], score_vs(model, X_test)[0])
 
 
 def test_score_vs_dimension_mismatch(rng):
@@ -239,6 +238,7 @@ def test_score_vs_dimension_mismatch(rng):
 
 
 def test_cross_eval_count_matches_measured(rng):
+    # the count score_vs reports is the sum of its components' build_gram_cross counts
     X = cluster_data(130, 2, rng)
     X_test = cluster_data(9, 2, rng)
     from qkad.kernel import build_gram_cross
@@ -249,4 +249,4 @@ def test_cross_eval_count_matches_measured(rng):
         for comp in model.components:
             cross = build_gram_cross(X_test, comp.train, np.random.default_rng(0))
             measured += cross.eval_count
-        assert cross_eval_count(model, 9) == measured
+        assert score_vs(model, X_test)[1] == measured

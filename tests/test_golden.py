@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from qkad.cli import FRAUD_CSV_ENV, METHODS, RunConfig, records_to_jsonl, run_experiment
-from qkad.ensemble import VSConfig, cross_eval_count, fit_vs, score_vs
+from qkad.ensemble import VSConfig, fit_vs, score_vs
 from qkad.kernel import KernelConfig, build_gram_cross, build_gram_train
 
 GOLDEN_PATH = Path(__file__).with_name("golden_values.json")
@@ -76,10 +76,11 @@ def rfb_ensemble_values() -> dict:
     cfg = KernelConfig(kind="randomized", rm_settings=4, rm_shots=64, mitigate=False)
     model = fit_vs(X_train, VSConfig(base_kernel=cfg, nu=0.1, rfb_enabled=True),
                    np.random.default_rng(3))
+    scores, cross_evals = score_vs(model, X_test)
     return {
-        "scores": score_vs(model, X_test).tolist(),
+        "scores": scores.tolist(),
         "train_evals": model.train_eval_count,
-        "cross_evals": cross_eval_count(model, len(X_test)),
+        "cross_evals": cross_evals,
     }
 
 
