@@ -7,7 +7,8 @@ metrics, phase timings and kernel-evaluation counts.  A failing seed yields a
 record with the error message while the remaining seeds still run; the
 process exit code is zero only when every seed succeeded, one when some seed
 failed or no record was left to summarize, and two (with usage) on invalid
-options or a malformed records file, before any seed runs.
+options, an output path in a missing directory, or an unreadable or malformed
+records file, before any seed runs.
 
 Every method is timed alike: the clock is read before fitting, after the fit
 (the solver, or ``fit_vs``) and right after scoring, for ``train_time_s`` and
@@ -338,8 +339,12 @@ SUMMARY_METRICS = ("ap", "f1", "precision", "recall", "train_time_s", "test_time
 
 def load_records_jsonl(path: str | Path) -> list[RunRecord]:
     """Read records written by the harness (unknown keys are ignored)."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read records file: {exc.strerror}") from None
     records = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -354,6 +359,10 @@ def load_records_jsonl(path: str | Path) -> list[RunRecord]:
         unset = [k for k in SUMMARY_METRICS if payload.get(k) is None]
         if payload.get("error") is None and unset:
             raise ValueError(f"{path}: line {line_no} has neither an error nor values for {unset}")
+        for key in SUMMARY_METRICS:
+            value = payload.get(key)
+            if value is not None and type(value) not in (int, float):  # bool is not a number
+                raise ValueError(f"{path}: line {line_no} has a non-numeric {key}: {value!r}")
         records.append(RunRecord(**{k: v for k, v in payload.items() if k in _RECORD_FIELDS}))
     return records
 
@@ -481,6 +490,9 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    for option, path in (("--output", args.output), ("--summary", args.summary)):
+        if path and not Path(path).parent.is_dir():
+            parser.error(f"{option} {path}: directory {Path(path).parent} does not exist")
 
     failed: list[int] = []
     if args.summarize_records:

@@ -62,17 +62,22 @@ class Dataset:
 
     def __post_init__(self) -> None:
         features = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if features.ndim != 2 or labels.shape != (features.shape[0],):
             raise ValueError(
                 f"features {features.shape} and labels {labels.shape} are inconsistent"
             )
         if not np.all(np.isfinite(features)):
             raise ValueError("features must be finite")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise ValueError("labels must be 0 (normal) or 1 (anomaly)")
+        # checked before the cast, which would truncate 0.5 to 0 and warn on NaN
+        bad = np.flatnonzero((labels != 0) & (labels != 1))
+        if len(bad):
+            raise ValueError(
+                "labels must be 0 (normal) or 1 (anomaly), "
+                f"got {labels[bad[0]].item()!r} at index {bad[0]}"
+            )
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels.astype(np.int64))
 
     @property
     def n_points(self) -> int:

@@ -441,12 +441,56 @@ def test_load_records_rejects_a_record_with_neither_metrics_nor_an_error(tmp_pat
 
 
 def test_summarize_records_rejects_a_bad_file_with_usage(tmp_path, capsys):
+    cases = [
+        ("[1]\n", "line 1 is not a JSON object"),
+        (None, "cannot read records file: No such file or directory"),  # no file at all
+    ]
+    for i, (content, message) in enumerate(cases):
+        path = tmp_path / f"records{i}.jsonl"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["--summarize-records", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"{path}: {message}" in err
+
+
+@pytest.mark.parametrize("value", ['"x"', "true", "[0.5]"])
+def test_load_records_rejects_a_non_numeric_metric(value, tmp_path, capsys):
     path = tmp_path / "records.jsonl"
-    path.write_text("[1]\n")
+    good, bad = records_to_jsonl([fake_record(0, 0.4), fake_record(1, 0.4)]).splitlines()
+    path.write_text(good + "\n" + bad.replace('"ap": 0.4', f'"ap": {value}') + "\n")
+    message = f"{path}: line 2 has a non-numeric ap: {json.loads(value)!r}"
+    with pytest.raises(ValueError) as exc:
+        cli.load_records_jsonl(path)
+    assert str(exc.value) == message
     with pytest.raises(SystemExit) as exc:
         main(["--summarize-records", str(path)])
     assert exc.value.code == 2
-    assert f"{path}: line 1 is not a JSON object" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert message in err
+
+
+@pytest.mark.parametrize("option", ["--output", "--summary"])
+def test_main_rejects_an_output_path_in_a_missing_directory_before_any_seed(
+    option, tmp_path, capsys, monkeypatch
+):
+    def no_seed(*args):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(cli, "_run_seed", no_seed)
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as exc:
+        main(["--method", "rbf", "--dataset", "synthetic", "--train-size", "60",
+              "--seeds", "0", option, str(missing / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"{option} {missing / 'out'}: directory {missing} does not exist" in err
+    assert not missing.exists()
 
 
 def test_main_exit_code_on_failure(tmp_path, monkeypatch):

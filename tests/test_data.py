@@ -354,3 +354,15 @@ def test_dataset_validation():
         Dataset(features=np.ones((3, 2)), labels=np.array([0, 1, 2]))
     with pytest.raises(ValueError, match="finite"):
         Dataset(features=np.array([[np.inf, 0.0]]), labels=np.array([0]))
+
+
+@pytest.mark.parametrize(
+    "label, shown", [(0.5, "0.5"), (1.9, "1.9"), (np.nan, "nan"), (2, "2")]
+)
+def test_dataset_rejects_a_label_other_than_0_or_1_before_the_cast(label, shown):
+    # the raw value is checked, so 0.5 and 1.9 are not truncated to 0 and 1 and
+    # NaN fails with this message, not the cast's RuntimeWarning
+    message = f"labels must be 0 (normal) or 1 (anomaly), got {shown} at index 1"
+    with pytest.raises(ValueError) as exc:
+        Dataset(features=np.zeros((3, 2)), labels=np.array([0, label, 1]))
+    assert str(exc.value) == message
