@@ -128,7 +128,8 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
 
     sizes = sample_sizes(component_count(n), rng)
     components: list[Component] = []
-    gram_time = solver_time = 0.0
+    gram_time = 0.0
+    solver_time = 0.0
     train_evals = 0
     for idx, size in enumerate(sizes):
         indices = rng.choice(n, size=min(size, n), replace=False)
