@@ -361,8 +361,9 @@ def load_records_jsonl(path: str | Path) -> list[RunRecord]:
             raise ValueError(f"{path}: line {line_no} has neither an error nor values for {unset}")
         for key in SUMMARY_METRICS:
             value = payload.get(key)
-            if value is not None and type(value) not in (int, float):  # bool is not a number
-                raise ValueError(f"{path}: line {line_no} has a non-numeric {key}: {value!r}")
+            # bool is not a number, and NaN and Infinity are not JSON numbers
+            if value is not None and (type(value) not in (int, float) or not np.isfinite(value)):
+                raise ValueError(f"{path}: line {line_no}: {key} is not a finite number: {value!r}")
         records.append(RunRecord(**{k: v for k, v in payload.items() if k in _RECORD_FIELDS}))
     return records
 

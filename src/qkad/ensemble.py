@@ -186,11 +186,12 @@ def _component_scores(comp: Component, X_test: np.ndarray) -> tuple[np.ndarray, 
 
 
 def score_vs(model: EnsembleModel, X_test: np.ndarray) -> tuple[np.ndarray, int]:
-    """Aggregated normalized decision scores (negative means anomaly) and the
-    kernel evaluations the pass spent, summed over its cross Grams.
+    """Aggregated normalized decision scores and the kernel evaluations they cost.
 
-    Scoring is repeatable: each component reuses the measurement stream seed
-    stored at fit time, so calling twice gives identical scores.
+    Negative scores mean anomaly.  The count sums the ``eval_count`` of the
+    components' cross Grams.  Scoring is repeatable: each component reuses
+    the measurement stream seed stored at fit time, so calling twice gives
+    identical scores.
     """
     X_test = np.asarray(X_test, dtype=float)
     if X_test.ndim != 2 or X_test.shape[1] != model.num_features:

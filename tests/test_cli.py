@@ -457,12 +457,12 @@ def test_summarize_records_rejects_a_bad_file_with_usage(tmp_path, capsys):
         assert f"{path}: {message}" in err
 
 
-@pytest.mark.parametrize("value", ['"x"', "true", "[0.5]"])
+@pytest.mark.parametrize("value", ['"x"', "true", "[0.5]", "NaN", "-Infinity"])
 def test_load_records_rejects_a_non_numeric_metric(value, tmp_path, capsys):
     path = tmp_path / "records.jsonl"
     good, bad = records_to_jsonl([fake_record(0, 0.4), fake_record(1, 0.4)]).splitlines()
     path.write_text(good + "\n" + bad.replace('"ap": 0.4', f'"ap": {value}') + "\n")
-    message = f"{path}: line 2 has a non-numeric ap: {json.loads(value)!r}"
+    message = f"{path}: line 2: ap is not a finite number: {json.loads(value)!r}"
     with pytest.raises(ValueError) as exc:
         cli.load_records_jsonl(path)
     assert str(exc.value) == message
