@@ -7,15 +7,21 @@ sets contain normal points only; test sets mix a fixed anomaly fraction in
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
+import os
+import stat
 import warnings
+import zipfile
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 import numpy as np
+from numpy.lib import format as npy_format
+from numpy.lib.npyio import NpzFile
 
 __all__ = [
     "Dataset",
@@ -149,7 +155,7 @@ def generate_synthetic(spec: SplitSpec, rng: np.random.Generator) -> tuple[Datas
 
 
 def load_fraud_csv(path: str | Path) -> Dataset:
-    """Parse the credit-card fraud CSV; keeps V1..V28 and the Class label.
+    """Load the credit-card fraud CSV; keeps V1..V28 and the Class label.
 
     The Time and Amount columns are dropped.  The header is validated first.
     The data rows are then parsed by numpy's C reader; when it raises, finds
@@ -157,8 +163,39 @@ def load_fraud_csv(path: str | Path) -> Dataset:
     parsed again by a checked row loop.  That loop raises with the offending
     row and column named, and returns the same table for cells that
     Python's ``float`` reads but numpy does not (such as ``1_0``).
+
+    A regular file's parse is cached beside it in ``<csv>.qkad.npz``, which
+    holds the sha256 of the CSV's bytes, a format tag, ``features`` and
+    ``labels``.  When both the digest and the tag match, the table is read
+    from there and the ``Dataset`` checks run on it; any other sidecar is
+    ignored, and the file is parsed and the sidecar rewritten.  A failed
+    write is logged and skipped, and a file that raises is never cached.
     """
     path = Path(path)
+    sidecar = path.with_name(path.name + _CACHE_SUFFIX)
+    before = _regular_file_state(path)
+    digest = _file_digest(path) if before is not None else None
+    dataset = _read_cache(sidecar, digest) if digest is not None else None
+    how = "from its parse cache"
+    if dataset is None:
+        how = "parsed"
+        dataset = _parse_fraud_csv(path)
+        # a file edited during the parse may not match the digest taken before it
+        if digest is not None and _regular_file_state(path) == before:
+            _write_cache(sidecar, digest, dataset)
+    logger.info(
+        "loaded %s (%s): %d rows, %d anomalies, %d features",
+        path.name,
+        how,
+        dataset.n_points,
+        dataset.n_anomalies,
+        dataset.n_features,
+    )
+    return dataset
+
+
+def _parse_fraud_csv(path: Path) -> Dataset:
+    """Parse the CSV with no cache: the header, then the fast or the checked row parse."""
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -179,15 +216,129 @@ def load_fraud_csv(path: str | Path) -> Dataset:
             next(reader)
             parsed = _parse_rows_checked(path, reader, len(header), feature_pos, class_pos)
     features, labels = parsed
-    dataset = Dataset(features=features, labels=labels)
-    logger.info(
-        "loaded %s: %d rows, %d anomalies, %d features",
-        path.name,
-        dataset.n_points,
-        dataset.n_anomalies,
-        dataset.n_features,
-    )
-    return dataset
+    return Dataset(features=features, labels=labels)
+
+
+# The parse cache.  Bump the format tag whenever the parse could return a
+# different table for the same bytes, so older sidecars are re-parsed.
+_CACHE_SUFFIX = ".qkad.npz"
+_CACHE_FORMAT = "qkad-fraud-csv-1"
+_CACHE_KEYS = ("digest", "features", "format", "labels")
+_IO_CHUNK_BYTES = 1 << 20
+
+
+def _regular_file_state(path: Path) -> tuple[int, int, int, int] | None:
+    """(device, inode, size, mtime) of a regular file, or ``None`` for anything else.
+
+    Pipes and devices are not cached: hashing them would consume the input.
+    """
+    try:
+        st = path.stat()
+    except OSError:
+        return None  # the parse raises the error the loader always raised
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _file_digest(path: Path) -> str | None:
+    """The hex sha256 of the file's bytes, or ``None`` when it cannot be read."""
+    # imported here: loading OpenSSL takes about 4 ms of every ``import qkad``,
+    # and synthetic runs never hash a file
+    import hashlib
+
+    digest = hashlib.sha256()
+    buffer = bytearray(_IO_CHUNK_BYTES)
+    view = memoryview(buffer)
+    try:
+        with path.open("rb", buffering=0) as handle:
+            while size := handle.readinto(buffer):
+                digest.update(view[:size])
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+def _stored_text(stored: NpzFile, key: str) -> str | None:
+    value = stored[key]
+    return str(value) if value.dtype.kind == "U" and value.ndim == 0 else None
+
+
+def _read_cache(sidecar: Path, digest: str) -> Dataset | None:
+    """The cached table when the sidecar is well formed and matches ``digest``, else ``None``."""
+    try:
+        # np.load leaks a file it opened itself when the archive is truncated
+        with sidecar.open("rb") as handle:
+            stored = np.load(handle, allow_pickle=False)
+            if not isinstance(stored, NpzFile):
+                return None  # a lone .npy array
+            with stored:
+                if (
+                    sorted(stored.files) != list(_CACHE_KEYS)
+                    or _stored_text(stored, "format") != _CACHE_FORMAT
+                    or _stored_text(stored, "digest") != digest
+                ):
+                    return None
+                features, labels = stored["features"], stored["labels"]
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+        return None  # missing, unreadable or truncated; the parse rewrites it
+    if (
+        features.dtype != np.float64
+        or labels.dtype != np.int64
+        or features.shape[1:] != (len(FRAUD_FEATURE_COLUMNS),)
+        or not len(features)
+    ):
+        return None
+    try:
+        # the Dataset checks: label shape, finite features, labels 0 or 1
+        return Dataset(features=features, labels=labels)
+    except ValueError:
+        return None
+
+
+def _create_temp(sidecar: Path) -> tuple[int, Path]:
+    """A new file beside ``sidecar``, open for writing; its mode follows the umask."""
+    temp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), temp
+
+
+def _save_npz(handle: BinaryIO, **arrays: np.ndarray) -> None:
+    """Write ``arrays`` in ``np.savez``'s layout, copying one block of rows at a time.
+
+    ``np.savez`` copies through 16 MiB buffers, which lifts the peak memory of
+    a cache miss by about a third over the parse's own.
+    """
+    with zipfile.ZipFile(handle, "w", allowZip64=True) as archive:
+        for name, array in arrays.items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                npy_format.write_array_header_1_0(
+                    member, npy_format.header_data_from_array_1_0(array)
+                )
+                rows = np.atleast_1d(array)
+                step = max(1, _IO_CHUNK_BYTES * len(rows) // max(1, rows.nbytes))
+                for start in range(0, len(rows), step):
+                    member.write(np.ascontiguousarray(rows[start : start + step]).tobytes())
+
+
+def _write_cache(sidecar: Path, digest: str, dataset: Dataset) -> None:
+    """Write the sidecar through a temporary file and ``os.replace``; log and skip on failure."""
+    temp = None
+    try:
+        fd, temp = _create_temp(sidecar)
+        with os.fdopen(fd, "wb") as handle:
+            _save_npz(
+                handle,
+                format=np.array(_CACHE_FORMAT),
+                digest=np.array(digest),
+                features=dataset.features,
+                labels=dataset.labels,
+            )
+        os.replace(temp, sidecar)
+    except OSError as exc:
+        logger.warning("parse cache %s not written: %s", sidecar, exc)
+        if temp is not None:
+            with contextlib.suppress(OSError):
+                temp.unlink(missing_ok=True)
 
 
 def _parse_rows_fast(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qkad
-from qkad import cli
+from qkad import cli, data
 from qkad.cli import (
     RunConfig,
     RunRecord,
@@ -96,6 +96,32 @@ def test_jsonl_byte_identical_across_runs():
     a = records_to_jsonl(run_experiment(cfg))
     b = records_to_jsonl(run_experiment(cfg))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "method, options",
+    [("rbf", ()), ("rm", ("--rm-settings", "4", "--rm-shots", "64", "--num-features", "4"))],
+)
+def test_fraud_run_repeated_on_one_csv_reads_the_parse_cache(
+    method, options, fraud_csv, tmp_path, monkeypatch
+):
+    parses = []
+    parse = data._parse_fraud_csv
+    monkeypatch.setattr(data, "_parse_fraud_csv", lambda path: parses.append(path) or parse(path))
+    outputs = []
+    for run in ("cold", "warm"):
+        out = tmp_path / f"{run}.jsonl"
+        code = main([
+            "--method", method, "--dataset", "fraud", "--fraud-csv", fraud_csv,
+            "--train-size", "60", "--seeds", "0-1", *options,
+            "--omit-timings", "--output", str(out),
+        ])
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert all(json.loads(line)["error"] is None for line in outputs[0].splitlines())
+    assert len(parses) == 1  # the warm run read the sidecar
+    assert Path(fraud_csv + ".qkad.npz").is_file()
 
 
 def test_parallel_runs_match_sequential_numerics(fraud_csv):

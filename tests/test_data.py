@@ -1,3 +1,6 @@
+import logging
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -166,9 +169,12 @@ def test_fraud_csv_quoted_header_accepted(tmp_path):
 
 
 def load_outcome(path):
-    """What loading ``path`` gives: the exact arrays, or the exception type and message."""
+    """What parsing ``path`` gives: the exact arrays, or the exception type and message.
+
+    It parses with no parse cache, so a second call on the same file parses again.
+    """
     try:
-        loaded = load_fraud_csv(path)
+        loaded = data._parse_fraud_csv(path)
     except Exception as exc:  # any outcome is compared, including unexpected ones
         return type(exc), str(exc)
     return Dataset, loaded.features.shape, loaded.features.tobytes(), loaded.labels.tobytes()
@@ -284,9 +290,9 @@ def test_fraud_csv_decimal_strings_parse_bit_equal_on_both_paths(tmp_path, monke
     path.write_text("\n".join(lines) + "\n")
     with monkeypatch.context() as patched:
         patched.setattr(data, "_parse_rows_fast", lambda *args: None)
-        checked = load_fraud_csv(path)
+        checked = data._parse_fraud_csv(path)
     monkeypatch.setattr(data, "_parse_rows_checked", no_checked_loop)
-    fast = load_fraud_csv(path)
+    fast = data._parse_fraud_csv(path)
     assert fast.features.shape == (300, 28)
     assert fast.features.tobytes() == checked.features.tobytes()
     assert fast.labels.tobytes() == checked.labels.tobytes()
@@ -300,9 +306,237 @@ def test_fraud_csv_clean_file_never_runs_the_checked_loop(tmp_path, monkeypatch)
     rows = [fraud_row(rng, i % 2) for i in range(5)]
     path = tmp_path / "fraud.csv"
     write_fraud_csv(path, rows)
-    loaded = load_fraud_csv(path)
+    loaded = data._parse_fraud_csv(path)
     assert np.array_equal(loaded.features, np.array([row[1:29] for row in rows], dtype=float))
     assert loaded.labels.tolist() == [0, 1, 0, 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# fraud CSV parse cache
+# ---------------------------------------------------------------------------
+
+
+def sidecar_of(path):
+    return path.with_name(path.name + ".qkad.npz")
+
+
+def no_parse(*args):
+    raise AssertionError("the CSV was parsed")
+
+
+def count_parses(monkeypatch):
+    calls = []
+    parse = data._parse_fraud_csv
+
+    def counted(path):
+        calls.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(data, "_parse_fraud_csv", counted)
+    return calls
+
+
+def cached_fraud_csv(tmp_path, rows=6):
+    rng = np.random.default_rng(3)
+    path = tmp_path / "fraud.csv"
+    write_fraud_csv(path, [fraud_row(rng, i % 2) for i in range(rows)])
+    return path
+
+
+def test_fraud_csv_cache_hit_returns_identical_arrays_without_parsing(tmp_path, monkeypatch):
+    path = cached_fraud_csv(tmp_path)
+    parsed = load_fraud_csv(path)
+    assert sidecar_of(path).is_file()
+    monkeypatch.setattr(data, "_parse_rows_fast", no_parse)
+    monkeypatch.setattr(data, "_parse_rows_checked", no_parse)
+    cached = load_fraud_csv(path)
+    for got, want in ((cached.features, parsed.features), (cached.labels, parsed.labels)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_fraud_csv_cache_takes_one_digest_per_load(tmp_path, monkeypatch):
+    path = cached_fraud_csv(tmp_path)
+    digests = []
+    digest = data._file_digest
+    monkeypatch.setattr(data, "_file_digest", lambda p: digests.append(p) or digest(p))
+    load_fraud_csv(path)  # miss
+    load_fraud_csv(path)  # hit
+    assert digests == [path, path]
+
+
+def test_fraud_csv_cache_is_keyed_by_content_not_size_or_mtime(tmp_path):
+    path = cached_fraud_csv(tmp_path)
+    before = load_fraud_csv(path)
+    old = path.stat()
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    pos = FRAUD_HEADER.index("V5")
+    fields[pos] = fields[pos][:-1] + ("7" if fields[pos][-1] != "7" else "3")
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+    assert path.stat().st_size == old.st_size and path.stat().st_mtime_ns == old.st_mtime_ns
+
+    after = load_fraud_csv(path)
+    assert after.features[1, 4] == float(fields[pos]) != before.features[1, 4]
+    assert np.array_equal(np.delete(after.features, 1, 0), np.delete(before.features, 1, 0))
+    assert np.array_equal(after.features, data._parse_fraud_csv(path).features)
+
+
+def rewrite_sidecar(**arrays):
+    def corrupt(sidecar):
+        with np.load(sidecar) as stored:
+            contents = {key: stored[key] for key in stored.files}
+        contents.update(arrays)
+        np.savez(sidecar, **{k: v for k, v in contents.items() if v is not None})
+
+    return corrupt
+
+
+def lone_npy(sidecar):
+    with sidecar.open("wb") as handle:
+        np.save(handle, np.zeros((6, 28)))
+
+
+def truncate(sidecar):
+    sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        truncate,
+        lambda sidecar: sidecar.write_bytes(b""),
+        lambda sidecar: sidecar.write_bytes(b"not an archive"),
+        lone_npy,
+        rewrite_sidecar(format=np.array("qkad-fraud-csv-0")),
+        rewrite_sidecar(format=np.array(1)),
+        rewrite_sidecar(digest=np.array("0" * 64)),
+        rewrite_sidecar(extra=np.zeros(1)),
+        rewrite_sidecar(labels=None),
+        rewrite_sidecar(features=np.zeros((6, 28), dtype=np.float32)),
+        rewrite_sidecar(features=np.zeros((6, 27))),
+        rewrite_sidecar(labels=np.zeros(5, dtype=np.int64)),
+        rewrite_sidecar(labels=np.full(6, 2, dtype=np.int64)),
+        rewrite_sidecar(features=np.full((6, 28), np.nan)),
+    ],
+    ids=[
+        "truncated", "empty", "garbage", "lone-npy", "old-format", "numeric-format",
+        "stale-digest", "extra-key", "missing-key", "float32", "narrow", "short-labels",
+        "bad-labels", "nan-features",
+    ],
+)
+def test_fraud_csv_bad_sidecar_is_reparsed_and_rewritten(tmp_path, monkeypatch, corrupt):
+    path = cached_fraud_csv(tmp_path)
+    expected = load_fraud_csv(path)
+    corrupt(sidecar_of(path))
+    parses = count_parses(monkeypatch)
+    reloaded = load_fraud_csv(path)
+    assert parses == [path]
+    assert reloaded.features.tobytes() == expected.features.tobytes()
+    assert reloaded.labels.tobytes() == expected.labels.tobytes()
+
+    monkeypatch.setattr(data, "_parse_fraud_csv", no_parse)  # rewritten, so now a hit
+    assert load_fraud_csv(path).features.tobytes() == expected.features.tobytes()
+
+
+def test_fraud_csv_cache_file_mode_follows_the_umask(tmp_path):
+    path = cached_fraud_csv(tmp_path)
+    old = os.umask(0o027)
+    try:
+        load_fraud_csv(path)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(sidecar_of(path).stat().st_mode) == 0o640
+
+
+def refuse_temp(sidecar):
+    raise PermissionError(13, "Permission denied", str(sidecar) + ".tmp")
+
+
+def fail_write(handle, **arrays):
+    handle.write(b"partial")
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("target, fail", [("_create_temp", refuse_temp), ("_save_npz", fail_write)])
+def test_fraud_csv_failed_cache_write_still_loads_and_leaves_nothing(
+    tmp_path, monkeypatch, caplog, target, fail
+):
+    path = cached_fraud_csv(tmp_path)
+    expected = data._parse_fraud_csv(path)
+    monkeypatch.setattr(data, target, fail)
+    with caplog.at_level(logging.WARNING, logger="qkad.data"):
+        loaded = load_fraud_csv(path)
+    assert loaded.features.tobytes() == expected.features.tobytes()
+    assert loaded.labels.tobytes() == expected.labels.tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fraud.csv"]
+    warnings_logged = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings_logged) == 1
+    assert "parse cache" in warnings_logged[0].getMessage()
+
+
+def test_fraud_csv_changed_during_the_parse_is_not_cached(tmp_path, monkeypatch):
+    path = cached_fraud_csv(tmp_path)
+    parse = data._parse_fraud_csv
+
+    def parse_then_touch(p):
+        parsed = parse(p)
+        st = p.stat()
+        os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        return parsed
+
+    monkeypatch.setattr(data, "_parse_fraud_csv", parse_then_touch)
+    load_fraud_csv(path)
+    assert not sidecar_of(path).exists()
+
+
+def test_fraud_csv_pipes_are_not_cached(tmp_path):
+    # hashing a pipe would consume the input the parse needs
+    fifo = tmp_path / "fraud.pipe"
+    os.mkfifo(fifo)
+    assert data._regular_file_state(fifo) is None
+    assert data._regular_file_state(cached_fraud_csv(tmp_path)) is not None
+
+
+def header_only(path):
+    path.write_text(",".join(FRAUD_HEADER) + "\n")
+
+
+def with_row_cell(column, cell):
+    def write(path):
+        rng = np.random.default_rng(0)
+        rows = [fraud_row(rng, 0), fraud_row(rng, 1), fraud_row(rng, 0)]
+        rows[1][FRAUD_HEADER.index(column)] = cell
+        write_fraud_csv(path, rows)
+
+    return write
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (None, FileNotFoundError, "[Errno 2] No such file or directory: '{path}'"),
+        (with_row_cell("Class", "2"), ValueError,
+         "{path}: row 3, column Class: label must be 0 or 1, got '2'"),
+        (with_row_cell("V5", "nan"), NonNumericCellError,
+         "{path}: row 3, column V5: value nan is not finite"),
+        (header_only, EmptyFileError, "{path}: no data rows"),
+    ],
+    ids=["missing-file", "bad-label", "nan-cell", "header-only"],
+)
+def test_fraud_csv_that_raises_is_never_cached(tmp_path, make, error, message):
+    path = tmp_path / "fraud.csv"
+    if make is not None:
+        make(path)
+    for _ in range(2):
+        with pytest.raises(error) as exc:
+            load_fraud_csv(path)
+        assert type(exc.value) is error
+        assert str(exc.value) == message.format(path=path)
+    assert not sidecar_of(path).exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if make is None else ["fraud.csv"])
 
 
 # ---------------------------------------------------------------------------
