@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, data, ocsvm, pipeline
+from . import __version__, data, ocsvm, pipeline, statevec
 from .ensemble import SUBSAMPLE_MAX, SUBSAMPLE_MIN, VSConfig, fit_vs, rotation_dim, score_vs
 from .kernel import KernelConfig, build_gram_cross, build_gram_train, check_point_set
 from .metrics import average_precision, confusion, f1, precision_recall
@@ -320,7 +320,7 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
             return _error_record(cfg, seed, exc)
 
     if cfg.parallel and len(cfg.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=min(len(cfg.seeds), os.cpu_count() or 1)) as pool:
+        with ThreadPoolExecutor(max_workers=min(len(cfg.seeds), statevec._cores())) as pool:
             return list(pool.map(one, cfg.seeds))
     return [one(seed) for seed in cfg.seeds]
 

@@ -8,7 +8,10 @@ Four interchangeable ways to fill a kernel matrix:
   other; an unbiased shot-noise estimator of the exact value.
 * ``randomized``     - one measurement record per data point in ``r`` shared
   random local bases, combined pairwise by Hamming-weighted cross
-  correlations; optional purity-based mitigation.
+  correlations; optional purity-based mitigation.  Points are measured in
+  blocks: each (point, setting) is rotated on the calling thread, then the
+  block's shots are drawn on every core, one draw per point from the point's
+  own child stream, so the records do not depend on the core count.
 * ``rbf``            - classical Gaussian kernel baseline.
 
 The quantum kinds encode each ``d``-feature row on ``d`` qubits, so the
@@ -33,6 +36,7 @@ indefinite; neither is repaired.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -207,23 +211,27 @@ def _mirrored_gram(upper: np.ndarray, diagonal: np.ndarray | float, eval_count: 
 
 
 def collect_signature(
-    state: np.ndarray,
+    states: np.ndarray,
     paired_settings: list[tuple[np.ndarray, ...]],
     shots: int,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Measure one feature state in every setting, given in :func:`pair_gates` form.
+    """Measure a ``(points, 2^d)`` block of feature states in every setting.
 
-    Returns the ``(r, 2^d)`` shot counts, one row per setting.  The same
-    settings must be shared by all points entering one kernel matrix;
-    the caller owns that contract.
+    The settings are given in :func:`pair_gates` form and ``rngs`` holds one
+    generator per state.  Each (point, setting) is rotated by its own
+    :func:`apply_local` call on the calling thread, and :func:`born_counts`
+    draws the block's ``(points, r, 2^d)`` shot counts, one row per setting,
+    on every core.  The same settings must be shared by all points entering
+    one kernel matrix; the caller owns that contract.
     """
     if len(paired_settings) == 0:
         raise ValueError("at least one measurement setting is required")
-    counts = np.empty((len(paired_settings), len(state)), dtype=np.int64)
-    for m, pairs in enumerate(paired_settings):
-        counts[m] = born_counts(apply_local(state, pairs), shots, rng)
-    return counts
+    rotated = np.empty((len(states), len(paired_settings), states.shape[-1]), dtype=complex)
+    for i, state in enumerate(states):
+        for m, pairs in enumerate(paired_settings):
+            rotated[i, m] = apply_local(state, pairs)
+    return born_counts(rotated, shots, rngs)
 
 
 @lru_cache(maxsize=16)
@@ -319,7 +327,8 @@ def _represent(
     That is the rows themselves for rbf and their ``(n, 2^d)`` feature states
     for the pairwise kinds, encoded in one call.  The randomized kind measures
     those states in ``settings`` (``cfg.rm_settings`` fresh ones drawn from
-    ``rng`` when ``None``), paired once for all points, and returns their
+    ``rng`` when ``None``), paired once for all points, in blocks of points
+    whose rotated amplitudes hold about ``_BLOCK_BYTES``, and returns their
     :class:`SignatureCache`.  Without
     ``purities`` its purity estimates are left NaN; only mitigation and the
     unmitigated training diagonal read them.  A row with a non-finite feature
@@ -339,12 +348,15 @@ def _represent(
         settings = np.stack([sample_haar_setting(d, rng) for _ in range(cfg.rm_settings)])
     paired = [pair_gates(setting) for setting in settings]
     shots = cfg.rm_shots
-    # one child stream per point, derived serially, so blocks of points could
-    # be collected concurrently without changing any outcome
-    seeds = rng.integers(0, 2**63 - 1, size=n)
+    # one child stream per point, derived serially, so the points of a block
+    # are sampled concurrently without changing any outcome
+    seeds = rng.integers(0, 2**63 - 1, size=n).tolist()
     counts = np.empty((n, len(settings), 2**d), dtype=np.int64)
-    for i, (state, seed) in enumerate(zip(states, seeds.tolist())):
-        counts[i] = collect_signature(state, paired, shots, np.random.default_rng(seed))
+    step = max(1, _BLOCK_BYTES // (16 * len(settings) * 2**d))
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        rngs = [np.random.default_rng(seed) for seed in seeds[block]]
+        counts[block] = collect_signature(states[block], paired, shots, rngs)
     if not purities:
         return SignatureCache(settings, counts, np.full(n, np.nan))
     estimates = np.array([rm_purity(c, shots) for c in counts])

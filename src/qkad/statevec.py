@@ -28,7 +28,10 @@ from an explicit ``numpy.random.Generator``.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,12 +183,53 @@ def sample_haar_setting(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def born_counts(amps: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Dense per-basis-state shot counts from Born-rule sampling.
+def _cores() -> int:
+    """Cores this process may run on: its affinity mask, else every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The probabilities are renormalized against float drift.
+
+def born_counts(amps: np.ndarray, shots: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Born-rule shot counts of a block of points, shape ``(points, r, 2^d)``.
+
+    ``amps`` holds each point's ``(r, 2^d)`` amplitudes, one row per
+    measurement setting, and ``rngs`` one generator per point.  Point i's
+    counts are one ``rngs[i].multinomial(shots, p_i)`` draw, with each
+    setting's probability row renormalized on its own against float drift:
+    the counts of one draw per row, in setting order, from that generator.
+    Contiguous chunks of points are drawn on one thread per core of the
+    affinity mask, at most one per point (numpy releases the GIL while it
+    draws); the calling thread takes the first chunk, and no thread outlives
+    the call.  Each point's counts depend only on its own generator, so they
+    do not depend on the number of threads.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    p = np.abs(amps) ** 2
-    return rng.multinomial(shots, p / p.sum())
+    if amps.ndim != 3 or len(rngs) != len(amps):
+        raise ValueError(
+            f"expected (points, r, 2^d) amplitudes and one generator per point, "
+            f"got shape {amps.shape} and {len(rngs)} generators"
+        )
+    counts = np.empty(amps.shape, dtype=np.int64)
+
+    def draw(points: range) -> None:
+        for i in points:
+            p = np.abs(amps[i]) ** 2
+            counts[i] = rngs[i].multinomial(shots, p / p.sum(axis=-1, keepdims=True))
+
+    workers = max(1, min(_cores(), len(amps)))
+    bounds = [len(amps) * k // workers for k in range(workers + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if workers == 1:
+        draw(chunks[0])
+        return counts
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        # numpy keeps np.errstate in a context variable, so each task runs in the caller's
+        futures = [pool.submit(contextvars.copy_context().run, draw, c) for c in chunks[1:]]
+        draw(chunks[0])
+        for future in futures:
+            future.result()
+    return counts

@@ -4,8 +4,9 @@ These deliberately avoid the package's own computational paths: the circuit
 oracle multiplies dense gate matrices built from lifted Paulis and matrix
 exponentials, the per-pair kernel estimators run one circuit (or one pair of
 measurement records) at a time where the package fills whole Gram blocks,
-the per-point encoding and unpaired rotation are the forms the package's
-batched encoding and paired rotation must reproduce bit for bit, the
+the per-point encoding, unpaired rotation and per-row Born sampler are the
+forms the package's batched encoding, paired rotation and threaded
+per-point sampler must reproduce bit for bit, the
 projection oracle is column-by-column Gram-Schmidt where the package uses
 Householder QR, the QP oracles are plain projected gradient descent,
 the Frank-Wolfe gap and a dual feasibility check, and the ranking-metric
@@ -148,6 +149,24 @@ def apply_iqp_adjoint(amps: np.ndarray, x: np.ndarray, cfg: FeatureMapConfig) ->
     for _ in range(cfg.layers):
         amps = kron_apply_oracle([_H] * d, amps * phases)
     return amps
+
+
+def born_counts_rowwise(
+    amps: np.ndarray, shots: int, rngs: list[np.random.Generator]
+) -> np.ndarray:
+    """Born-rule counts of ``(points, r, 2^d)`` amplitudes, one draw per (point, setting).
+
+    The per-row sampler the package's one-draw-per-point
+    :func:`qkad.statevec.born_counts` must reproduce bit for bit: each row is
+    renormalized and drawn on its own, in setting order, from its point's
+    generator, all on the calling thread.
+    """
+    counts = np.empty(amps.shape, dtype=np.int64)
+    for i, rng in enumerate(rngs):
+        for m, row in enumerate(amps[i]):
+            p = np.abs(row) ** 2
+            counts[i, m] = rng.multinomial(shots, p / p.sum())
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,39 @@ def test_parallel_runs_match_sequential_numerics(fraud_csv):
         assert records_to_jsonl(seq) == records_to_jsonl(par), run
 
 
+@pytest.mark.parametrize("method", ["rm", "vs-rm", "vs-rfb-rm"])
+def test_rm_records_do_not_depend_on_the_sampling_worker_count(method, monkeypatch):
+    cfg = RunConfig(
+        method=method, dataset="synthetic", train_size=200 if method.startswith("vs") else 60,
+        seeds=(0, 1), rm_settings=4, rm_shots=64, record_timings=False,
+    )
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(qkad.statevec, "_cores", lambda w=workers: w)
+        records = run_experiment(cfg)
+        assert all(r.ok for r in records)
+        runs.append(records_to_jsonl(records))
+    assert runs[0] == runs[1]
+
+
+def test_parallel_takes_its_worker_count_from_the_affinity_mask(monkeypatch):
+    sizes = []
+
+    class Pool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+    # a mask of 2 of the machine's 4 cores
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
+    cfg = RunConfig(method="rbf", dataset="synthetic", train_size=50, seeds=(0, 1, 2),
+                    parallel=True)
+    assert all(r.ok for r in run_experiment(cfg))
+    assert sizes == [2]
+
+
 def test_failed_seed_recorded_without_stopping_sweep(monkeypatch):
     original = cli._run_seed
 

@@ -575,6 +575,25 @@ def test_split_seeds_differ():
     assert not np.array_equal(a.features, b.features)
 
 
+def test_split_draws_random_anomalies_and_shuffles_the_test_set():
+    # feature 0 holds each point's pool index; anomalies are pool rows 100-119
+    pool = make_pool(100, 20, np.random.default_rng(0))
+    pool = Dataset(features=np.column_stack([np.arange(120.0), pool.features[:, 1:]]),
+                   labels=pool.labels)
+    spec = SplitSpec(train_size=40, test_size=30, test_anomaly_ratio=0.3)
+    picked, tails = set(), []
+    for seed in range(5):
+        _, test = make_split(pool, spec, np.random.default_rng(seed))
+        anomalies = test.features[test.labels == 1, 0].astype(int)
+        assert len(anomalies) == 9 and set(anomalies) <= set(range(100, 120))
+        picked.add(frozenset(anomalies))
+        tails.append(test.labels[-9:].all())
+    # five draws of 9 of the 20 anomalies, never always the first nine
+    assert len(picked) == 5 and frozenset(range(100, 109)) not in picked
+    # shuffled: the anomalies are not appended after the normal points
+    assert not any(tails)
+
+
 def test_split_insufficient_points(rng):
     pool = make_pool(30, 1, rng)
     with pytest.raises(ValueError, match="normal"):

@@ -203,6 +203,28 @@ def test_score_vs_max_dominates_mean(rng):
     assert np.all(score_vs(max_model, X_test)[0] >= score_vs(mean_model, X_test)[0] - 1e-12)
 
 
+def test_score_vs_max_is_the_elementwise_max_of_normalized_component_scores():
+    from dataclasses import replace
+
+    from qkad.kernel import build_gram_cross
+
+    X = cluster_data(300, 2, np.random.default_rng(20))
+    X_test = cluster_data(25, 2, np.random.default_rng(21))
+    cfg = VSConfig(base_kernel=exact_cfg(), nu=0.1, aggregation="max")
+    model = fit_vs(X, cfg, np.random.default_rng(22))
+    assert len(model.components) == 3
+    stacked = []
+    for comp in model.components:
+        cross = build_gram_cross(X_test, comp.train, np.random.default_rng(comp.score_seed))
+        raw = decision_scores(comp.model, cross)
+        stacked.append((raw - comp.train_score_mean) / comp.train_score_std)
+    scores, _ = score_vs(model, X_test)
+    assert np.array_equal(scores, np.max(stacked, axis=0))
+    mean_model = replace(model, aggregation="mean")
+    assert np.array_equal(score_vs(mean_model, X_test)[0], np.mean(stacked, axis=0))
+    assert not np.allclose(scores, np.mean(stacked, axis=0))
+
+
 def test_score_vs_reuses_stored_projection_bit_exactly(rng):
     X = cluster_data(200, 6, np.random.default_rng(10))
     X_test = cluster_data(8, 6, np.random.default_rng(11))

@@ -116,7 +116,7 @@ def test_inversion_gram_probability_matches_composition_path(rng):
 def signature(x, fm, settings, shots, rng):
     """One point's shot counts, encoded and paired the way ``_represent`` does it."""
     paired = [pair_gates(setting) for setting in settings]
-    return collect_signature(encode_iqp(x[None], fm)[0], paired, shots, rng)
+    return collect_signature(encode_iqp(x[None], fm), paired, shots, [rng])[0]
 
 
 def test_collect_signature_shape_and_normalization(rng):
@@ -139,12 +139,12 @@ def test_collect_signature_zero_input_matches_born_oracle(rng):
 def test_collect_signature_rejects_mismatched_settings(rng):
     paired = [pair_gates(sample_haar_setting(3, rng))]
     with pytest.raises(ValueError, match="qubits"):
-        collect_signature(encode_iqp(np.zeros((1, 2)), FM2)[0], paired, 10, rng)
+        collect_signature(encode_iqp(np.zeros((1, 2)), FM2), paired, 10, [rng])
 
 
 def test_collect_signature_rejects_empty_settings(rng):
     with pytest.raises(ValueError, match="at least one measurement setting"):
-        collect_signature(encode_iqp(np.zeros((1, 2)), FM2)[0], [], 10, rng)
+        collect_signature(encode_iqp(np.zeros((1, 2)), FM2), [], 10, [rng])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import os
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ import qkad.statevec
 from oracles import (
     apply_gates_unpaired,
     apply_iqp_adjoint,
+    born_counts_rowwise,
     encode_iqp_point,
     inner_product,
     iqp_circuit_oracle,
@@ -230,22 +234,27 @@ def test_apply_local_dimension_mismatch(rng):
 # ---------------------------------------------------------------------------
 
 
+def born_one(state, shots, rng):
+    """Counts of one state measured in one setting, through the block sampler."""
+    return born_counts(state[None, None], shots, [rng])[0, 0]
+
+
 def test_measure_deterministic_state(rng):
     state = np.array([1, 0, 0, 0], dtype=complex)
-    counts = born_counts(state, 100, rng)
+    counts = born_one(state, 100, rng)
     assert counts.tolist() == [100, 0, 0, 0]
 
 
 def test_measure_uniform_superposition_frequency():
     state = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    counts = born_counts(state, 10**6, np.random.default_rng(3))
+    counts = born_one(state, 10**6, np.random.default_rng(3))
     assert abs(counts[0] / 10**6 - 0.5) < 0.002  # 3 sigma + slack
 
 
 def test_measure_total_shots_conserved(rng):
     for _ in range(5):
         state = random_state(3, rng)
-        counts = born_counts(state, 137, rng)
+        counts = born_one(state, 137, rng)
         assert counts.sum() == 137
         assert counts.shape == (8,)
 
@@ -253,21 +262,116 @@ def test_measure_total_shots_conserved(rng):
 def test_measure_zero_shots_rejected(rng):
     state = np.array([1, 0], dtype=complex)
     with pytest.raises(ValueError, match="shots"):
-        born_counts(state, 0, rng)
+        born_one(state, 0, rng)
 
 
 def test_measure_bit_identical_given_seed():
     cfg = FeatureMapConfig()
     x = np.array([0.4, -1.2])
-    a = born_counts(encode_one(x, cfg), 5000, np.random.default_rng(42))
-    b = born_counts(encode_one(x, cfg), 5000, np.random.default_rng(42))
+    a = born_one(encode_one(x, cfg), 5000, np.random.default_rng(42))
+    b = born_one(encode_one(x, cfg), 5000, np.random.default_rng(42))
     assert np.array_equal(a, b)
 
 
 def test_born_counts_shape(rng):
     state = random_state(2, rng)
-    dense = born_counts(state, 50, rng)
+    dense = born_one(state, 50, rng)
     assert dense.shape == (4,) and dense.sum() == 50
+
+
+def test_born_counts_rejects_a_generator_count_unlike_the_points(rng):
+    amps = np.stack([random_state(2, rng) for _ in range(6)]).reshape(3, 2, 4)
+    with pytest.raises(ValueError, match="one generator per point"):
+        born_counts(amps, 10, [rng, rng])
+    with pytest.raises(ValueError, match="one generator per point"):
+        born_counts(amps[0], 10, [rng, rng])
+
+
+def random_block(points, settings, d, seed):
+    rng = np.random.default_rng(seed)
+    shape = (points, settings, 2**d)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # unnormalized rows: the sampler renormalizes each setting's row on its own
+    return amps * rng.uniform(0.5, 2.0, size=(points, settings, 1))
+
+
+def spawn(points, seed):
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(points)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 6, 10])
+@pytest.mark.parametrize("points", [1, 2, 7])
+def test_born_counts_equal_the_rowwise_oracle_at_any_worker_count(
+    workers, d, points, monkeypatch
+):
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: workers)
+    amps = random_block(points, 3, d, seed=d * 100 + points)
+    counts = born_counts(amps, 1009, spawn(points, seed=d))
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, born_counts_rowwise(amps, 1009, spawn(points, seed=d)))
+
+
+def test_born_counts_under_fast_thread_switching_with_more_workers_than_cores(monkeypatch):
+    # every worker writes its own rows of one shared output array
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 4)
+    amps = random_block(16, 3, 6, seed=5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = born_counts(amps, 500, spawn(16, seed=6))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(counts, born_counts_rowwise(amps, 500, spawn(16, seed=6)))
+
+
+def test_cores_read_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert qkad.statevec._cores() == 1
+
+
+class _ThreadRecordingGenerator:
+    """A generator that notes the thread each of its draws ran on."""
+
+    def __init__(self, seed, threads):
+        self._rng, self._threads = np.random.default_rng(seed), threads
+
+    def multinomial(self, n, pvals):
+        self._threads.append(threading.get_ident())
+        return self._rng.multinomial(n, pvals)
+
+
+@pytest.mark.parametrize("workers, points, first", [(1, 5, 5), (2, 5, 2), (3, 7, 2), (3, 2, 1)])
+def test_born_counts_caller_draws_the_first_chunk_and_pool_threads_the_rest(
+    workers, points, first, monkeypatch
+):
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: workers)
+    threads = [[] for _ in range(points)]
+    rngs = [_ThreadRecordingGenerator(i, threads[i]) for i in range(points)]
+    born_counts(random_block(points, 2, 3, seed=1), 20, rngs)
+    assert all(len(t) == 1 for t in threads)  # one draw per point, covering its settings
+    caller = [t[0] == threading.get_ident() for t in threads]
+    assert caller == [True] * first + [False] * (points - first)
+    assert len({t[0] for t in threads}) <= min(workers, points)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("bad", [0, 3, 5])
+def test_born_counts_raises_a_worker_error_in_the_caller_and_leaves_no_thread(
+    workers, bad, monkeypatch
+):
+    amps = random_block(6, 2, 2, seed=2)
+    amps[bad, 1, 2] = np.nan
+    with pytest.raises(ValueError) as serial:
+        born_counts_rowwise(amps, 30, spawn(6, seed=0))
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: workers)
+    before = threading.active_count()
+    born_counts(random_block(6, 2, 2, seed=3), 30, spawn(6, seed=0))
+    assert threading.active_count() == before
+    with pytest.raises(ValueError) as pooled:
+        born_counts(amps, 30, spawn(6, seed=0))
+    assert str(pooled.value) == str(serial.value)
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
