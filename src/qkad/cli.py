@@ -16,6 +16,8 @@ Every method is timed alike: the clock is read before fitting, after the fit
 
 Seeds run sequentially by default; ``--parallel`` fans them out over threads
 without changing any numeric output, because every seed owns its streams.
+A seed on such a thread runs the package's chunked steps (Born sampling, rbf
+bands, Gram mirror tiles) on its own thread, so pools never nest.
 ``--output`` is a command-line option, not a :class:`RunConfig` field.
 """
 
@@ -319,9 +321,14 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
             logger.error("seed %d failed: %s", seed, exc)
             return _error_record(cfg, seed, exc)
 
+    def one_of_many(seed: int) -> RunRecord:
+        # the seeds fill the cores, so each one's chunked steps stay on its thread
+        statevec._SEED_THREAD.set(True)
+        return one(seed)
+
     if cfg.parallel and len(cfg.seeds) > 1:
         with ThreadPoolExecutor(max_workers=min(len(cfg.seeds), statevec._cores())) as pool:
-            return list(pool.map(one, cfg.seeds))
+            return list(pool.map(one_of_many, cfg.seeds))
     return [one(seed) for seed in cfg.seeds]
 
 

@@ -10,8 +10,8 @@ Four interchangeable ways to fill a kernel matrix:
   random local bases, combined pairwise by Hamming-weighted cross
   correlations; optional purity-based mitigation.  Points are measured in
   blocks: each (point, setting) is rotated on the calling thread, then the
-  block's shots are drawn on every core, one draw per point from the point's
-  own child stream, so the records do not depend on the core count.
+  block's shots are drawn, one draw per point from the point's own child
+  stream.
 * ``rbf``            - classical Gaussian kernel baseline.
 
 The quantum kinds encode each ``d``-feature row on ``d`` qubits, so the
@@ -30,6 +30,15 @@ training Gram is made exactly symmetric by copying the strict upper triangle
 into the lower one, in place, in ``_TILE``-square tiles, so it is finite and
 symmetric by construction and is not checked again.
 
+Three steps run in contiguous chunks on every core of the affinity mask,
+through :func:`statevec._on_every_core`: Born sampling, the rbf bands and the
+mirror tiles of every kind.  None of them calls BLAS, numpy releases the GIL
+inside them, and each chunk writes its own slice of the output, so no entry
+depends on the core count.  A seed on a ``--parallel`` thread runs them on
+that thread alone.  The bands of the GEMM kinds (exact, inversion test,
+randomized) and each (point, setting) rotation run on the calling thread: a
+BLAS that is not pinned to one thread would oversubscribe the cores.
+
 Shot-based entries may leave [0, 1], and a shot-based Gram may be
 indefinite; neither is repaired.
 """
@@ -44,6 +53,7 @@ import numpy as np
 
 from .statevec import (
     FeatureMapConfig,
+    _on_every_core,
     apply_local,
     born_counts,
     encode_iqp,
@@ -181,14 +191,21 @@ def _mirror_upper(m: np.ndarray) -> None:
 
     An off-diagonal tile below the diagonal gets its upper partner's transpose.
     A diagonal tile gets only its strict lower part written: a block that is not
-    symmetric in floating point must keep its own upper part.
+    symmetric in floating point must keep its own upper part.  Each tile reads
+    only upper entries and writes only its own lower ones, so contiguous chunks
+    of the tiles are copied on every core, the calling thread taking the first.
     """
-    for rows, cols in _upper_tiles(len(m)):
-        if rows == cols:
-            tile = m[rows, cols]
-            np.copyto(tile, tile.T, where=np.tri(len(tile), k=-1, dtype=bool))
-        else:
-            m[cols, rows] = m[rows, cols].T
+    tiles = _upper_tiles(len(m))
+
+    def copy(chunk: range) -> None:
+        for rows, cols in (tiles[i] for i in chunk):
+            if rows == cols:
+                tile = m[rows, cols]
+                np.copyto(tile, tile.T, where=np.tri(len(tile), k=-1, dtype=bool))
+            else:
+                m[cols, rows] = m[rows, cols].T
+
+    _on_every_core(copy, len(tiles))
 
 
 def _mirrored_gram(upper: np.ndarray, diagonal: np.ndarray | float, eval_count: int) -> GramMatrix:
@@ -398,6 +415,13 @@ def _kernel_block(
     and diagonal, except for the randomized kind: its real GEMM rounds a
     product's last, partial column panel by the product's width, so it fills
     every column.
+
+    rbf bands call no BLAS, so contiguous chunks of them are filled on every
+    core, the calling thread taking the first; its bandwidth and feature-major
+    copies are made on the calling thread first.  Each band runs the same
+    operations on its own slice of the output, so no entry depends on the
+    number of threads.  The GEMM kinds fill their bands on the calling thread:
+    a BLAS that is not pinned to one thread would oversubscribe the cores.
     """
     rm = cfg.kind == "randomized"
     n, m = (len(a.counts), len(b.counts)) if rm else (len(a), len(b))
@@ -414,30 +438,38 @@ def _kernel_block(
     else:
         row_bytes = 16 * m  # the complex overlaps
     out = np.empty((n, m))
-    for rows, cols in _bands(n, row_bytes, upper=a is b and not rm):
-        band = out[rows, cols]
-        if cfg.kind == "rbf":
-            scratch = np.empty(band.shape)
-            for k in range(len(b_t)):
-                term = scratch if k else band
-                np.subtract(a_t[k, rows, None], b_t[None, k, cols], out=term)
-                np.square(term, out=term)
-                if k:
-                    band += scratch
-            band *= -gamma
-            np.exp(band, out=band)
-        elif rm:
-            # the (setting, outcome)-flattened frequencies, Hamming-weighted, in one GEMM
-            freqs = a.counts[rows] / float(cfg.rm_shots)
-            raw = _hamming_weighted(freqs).reshape(len(freqs), r * dim) @ flat_b[:, cols]
-            np.divide(dim * raw, r, out=band)
-            if cfg.mitigate:
-                band /= np.sqrt(np.outer(a.purities[rows], b.purities[cols]))
-        else:
-            # squared overlaps: exact, and the inversion test's all-zeros probabilities
-            np.clip(np.abs(a[rows].conj() @ b[cols].T) ** 2, 0.0, 1.0, out=band)
-        if not np.isfinite(band).all():
-            raise ValueError("Gram entries must be finite")
+    bands = _bands(n, row_bytes, upper=a is b and not rm)
+
+    def fill(chunk: range) -> None:
+        for rows, cols in (bands[i] for i in chunk):
+            band = out[rows, cols]
+            if cfg.kind == "rbf":
+                scratch = np.empty(band.shape)
+                for k in range(len(b_t)):
+                    term = scratch if k else band
+                    np.subtract(a_t[k, rows, None], b_t[None, k, cols], out=term)
+                    np.square(term, out=term)
+                    if k:
+                        band += scratch
+                band *= -gamma
+                np.exp(band, out=band)
+            elif rm:
+                # the (setting, outcome)-flattened frequencies, Hamming-weighted, in one GEMM
+                freqs = a.counts[rows] / float(cfg.rm_shots)
+                raw = _hamming_weighted(freqs).reshape(len(freqs), r * dim) @ flat_b[:, cols]
+                np.divide(dim * raw, r, out=band)
+                if cfg.mitigate:
+                    band /= np.sqrt(np.outer(a.purities[rows], b.purities[cols]))
+            else:
+                # squared overlaps: exact, and the inversion test's all-zeros probabilities
+                np.clip(np.abs(a[rows].conj() @ b[cols].T) ** 2, 0.0, 1.0, out=band)
+            if not np.isfinite(band).all():
+                raise ValueError("Gram entries must be finite")
+
+    if cfg.kind == "rbf":
+        _on_every_core(fill, len(bands))
+    else:
+        fill(range(len(bands)))
     return out
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,6 +190,37 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+# set while a seed runs on a ``--parallel`` thread, whose seeds already fill the cores
+_SEED_THREAD = contextvars.ContextVar("qkad_seed_thread", default=False)
+
+
+def _on_every_core(fn: Callable[[range], None], items: int) -> None:
+    """Run ``fn`` over contiguous chunks of ``range(items)``, one thread per core.
+
+    There is one chunk per core of the affinity mask, at most one per item,
+    equal in count to within one; under :data:`_SEED_THREAD` there is one.
+    The calling thread runs the first chunk and a pool thread each other one,
+    each in a copy of the caller's context, because numpy keeps
+    ``np.errstate`` in a context variable.  The first chunk's exception, in
+    chunk order, is re-raised once every chunk has ended, and no thread
+    outlives the call.  The chunks gain only where ``fn`` releases the GIL;
+    callers hand it work that touches disjoint output and calls no BLAS.
+    """
+    workers = 1 if _SEED_THREAD.get() else max(1, min(_cores(), items))
+    bounds = [items * k // workers for k in range(workers + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if workers == 1:
+        fn(chunks[0])
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, fn, c) for c in chunks[1:]]
+        fn(chunks[0])
+        for future in futures:
+            future.result()
+
+
 def born_counts(amps: np.ndarray, shots: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Born-rule shot counts of a block of points, shape ``(points, r, 2^d)``.
 
@@ -198,11 +229,10 @@ def born_counts(amps: np.ndarray, shots: int, rngs: Sequence[np.random.Generator
     counts are one ``rngs[i].multinomial(shots, p_i)`` draw, with each
     setting's probability row renormalized on its own against float drift:
     the counts of one draw per row, in setting order, from that generator.
-    Contiguous chunks of points are drawn on one thread per core of the
-    affinity mask, at most one per point (numpy releases the GIL while it
-    draws); the calling thread takes the first chunk, and no thread outlives
-    the call.  Each point's counts depend only on its own generator, so they
-    do not depend on the number of threads.
+    The points are drawn in contiguous chunks on every core by
+    :func:`_on_every_core` (numpy releases the GIL while it draws), the
+    calling thread taking the first.  Each point's counts depend only on its
+    own generator, so they do not depend on the number of threads.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -218,18 +248,5 @@ def born_counts(amps: np.ndarray, shots: int, rngs: Sequence[np.random.Generator
             p = np.abs(amps[i]) ** 2
             counts[i] = rngs[i].multinomial(shots, p / p.sum(axis=-1, keepdims=True))
 
-    workers = max(1, min(_cores(), len(amps)))
-    bounds = [len(amps) * k // workers for k in range(workers + 1)]
-    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    if workers == 1:
-        draw(chunks[0])
-        return counts
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        # numpy keeps np.errstate in a context variable, so each task runs in the caller's
-        futures = [pool.submit(contextvars.copy_context().run, draw, c) for c in chunks[1:]]
-        draw(chunks[0])
-        for future in futures:
-            future.result()
+    _on_every_core(draw, len(amps))
     return counts

@@ -20,7 +20,7 @@ from qkad.cli import (
     summary_to_csv,
 )
 from qkad.data import SplitSpec
-from test_data import fraud_row, write_fraud_csv
+from test_data import write_small_fraud_csv
 
 FIXED_FIELDS = (
     "method", "dataset", "seed", "n_train", "d", "ap", "f1", "precision", "recall",
@@ -30,10 +30,8 @@ FIXED_FIELDS = (
 
 @pytest.fixture
 def fraud_csv(tmp_path):
-    rng = np.random.default_rng(0)
-    rows = [fraud_row(rng, 0) for _ in range(200)] + [fraud_row(rng, 1) for _ in range(10)]
     path = tmp_path / "fraud.csv"
-    write_fraud_csv(path, rows)
+    write_small_fraud_csv(path)
     return str(path)
 
 
@@ -151,6 +149,30 @@ def test_rm_records_do_not_depend_on_the_sampling_worker_count(method, monkeypat
         assert all(r.ok for r in records)
         runs.append(records_to_jsonl(records))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("method, train_size", [("rm", 60), ("rbf", 600)])
+def test_parallel_seeds_open_no_pool_of_their_own(method, train_size, monkeypatch):
+    # Born sampling, rbf bands and mirror tiles would each open a pool at 2 cores
+    import concurrent.futures
+
+    opened = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
+    run = dict(method=method, dataset="synthetic", train_size=train_size, seeds=(0, 1, 2),
+               rm_settings=4, rm_shots=64, record_timings=False)
+    seq = run_experiment(RunConfig(**run))
+    assert all(r.ok for r in seq) and opened
+    opened.clear()
+    par = run_experiment(RunConfig(**run, parallel=True))
+    assert opened == []
+    assert records_to_jsonl(par) == records_to_jsonl(seq)
 
 
 def test_parallel_takes_its_worker_count_from_the_affinity_mask(monkeypatch):

@@ -30,6 +30,13 @@ def fraud_row(rng, label):
     return [0.0, *rng.normal(size=28).round(4), 12.5, label]
 
 
+def write_small_fraud_csv(path):
+    """200 normal and 10 fraud rows from one seeded stream, the CLI tests' fraud CSV."""
+    rng = np.random.default_rng(0)
+    rows = [fraud_row(rng, 0) for _ in range(200)] + [fraud_row(rng, 1) for _ in range(10)]
+    write_fraud_csv(path, rows)
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 ``golden_values.json`` holds train and cross Grams for every kernel kind on a
 fixed 9x3 input, the checked record fields and the whole JSON-lines
 records of two small synthetic seeds per CLI method, which together cover
-kinds and methods the benchmark never runs, three kinds of error record,
+kinds and methods the benchmark never runs, the whole records of two seeds
+per method on the CLI tests' small fraud CSV, three kinds of error record,
 and the scores of a feature-bagged RM ensemble whose components run on
 fewer qubits (4) than the input has features (6).  A refactor must
 reproduce them; only a deliberate change of behaviour re-records them, with
@@ -16,6 +17,9 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
 from unittest import mock
@@ -26,8 +30,11 @@ import pytest
 from qkad.cli import FRAUD_CSV_ENV, METHODS, RunConfig, records_to_jsonl, run_experiment
 from qkad.ensemble import VSConfig, fit_vs, score_vs
 from qkad.kernel import KernelConfig, build_gram_cross, build_gram_train
+from test_data import write_small_fraud_csv
 
 GOLDEN_PATH = Path(__file__).with_name("golden_values.json")
+# relative, so the records' echo of the path reads the same in any directory
+FRAUD_CSV = "fraud.csv"
 
 GRAM_CASES = {
     "exact": KernelConfig(kind="exact"),
@@ -89,6 +96,26 @@ def run_config(method: str) -> RunConfig:
         method=method, dataset="synthetic", train_size=200 if method.startswith("vs") else 60,
         seeds=(0, 1), it_shots=64, rm_settings=4, rm_shots=64, record_timings=False,
     )
+
+
+def fraud_run_config(method: str) -> RunConfig:
+    return RunConfig(
+        method=method, dataset="fraud", train_size=80 if method.startswith("vs") else 60,
+        seeds=(0, 1), it_shots=64, rm_settings=4, rm_shots=512, record_timings=False,
+        fraud_csv=FRAUD_CSV,
+    )
+
+
+@contextmanager
+def in_fraud_directory(directory: str | Path) -> Iterator[None]:
+    """Run the body in ``directory``, which holds the small fraud CSV as ``FRAUD_CSV``."""
+    write_small_fraud_csv(Path(directory) / FRAUD_CSV)
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
 
 
 @cache
@@ -175,6 +202,14 @@ def test_error_records_match_golden(case, golden):
     assert_same_value(error_record_values(case), golden["error_records"][case], case)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_fraud_whole_records_match_golden(method, golden, tmp_path):
+    with in_fraud_directory(tmp_path):
+        records = jsonl_records(fraud_run_config(method))
+    assert all(record["error"] is None for record in records)
+    assert_same_value(records, golden["fraud_whole_records"][method], method)
+
+
 if __name__ == "__main__":
     payload = {
         "grams": {case: gram_values(case) for case in GRAM_CASES},
@@ -183,5 +218,9 @@ if __name__ == "__main__":
         "whole_records": {method: jsonl_records(run_config(method)) for method in METHODS},
         "error_records": {case: error_record_values(case) for case in ERROR_CASES},
     }
+    with tempfile.TemporaryDirectory() as directory, in_fraud_directory(directory):
+        payload["fraud_whole_records"] = {
+            method: jsonl_records(fraud_run_config(method)) for method in METHODS
+        }
     json.dump(payload, sys.stdout, indent=1)
     sys.stdout.write("\n")

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import qkad.kernel
+import qkad.statevec
 from qkad.statevec import (
     FeatureMapConfig,
     encode_iqp,
@@ -488,9 +491,15 @@ def test_gram_train_rejects_a_nan_row(kind):
             build_gram_train(X, make_cfg(kind), np.random.default_rng(0))
 
 
-def test_rbf_gram_train_rejects_rows_whose_variance_overflows():
-    # near 1e200 the variance is inf, so gamma is 0 and 0 * inf is NaN
+def test_rbf_gram_train_rejects_rows_whose_variance_overflows(monkeypatch):
+    # near 1e200 the variance is inf, so gamma is 0 and 0 * inf is NaN; the
+    # second band runs on a pool thread, which must see the caller's
+    # errstate, or its overflow warning is raised as an error
+    from qkad.kernel import _bands
+
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
     X = np.random.default_rng(13).uniform(-1, 1, size=(300, 2)) * 1e200
+    assert len(_bands(300, row_bytes("rbf", 300, 2), upper=True)) >= 2
     with np.errstate(over="ignore", invalid="ignore"):
         assert rbf_auto_gamma(X) == 0.0
         with pytest.raises(ValueError, match="Gram entries must be finite"):
@@ -611,6 +620,80 @@ def test_inversion_gram_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 72 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# chunks on every core
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 600])
+def test_rbf_grams_and_the_mirror_are_byte_identical_at_any_worker_count(n, monkeypatch):
+    from qkad.kernel import _mirror_upper
+
+    X, T = np.random.default_rng(n).normal(size=(2, n, 3))
+    block = np.random.default_rng(n).normal(size=(n, n))
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(qkad.statevec, "_cores", lambda w=workers: w)
+        gram, train = build_gram_train(X, make_cfg("rbf"), np.random.default_rng(0))
+        cross = build_gram_cross(T, train, np.random.default_rng(0))
+        mirrored = block.copy()
+        _mirror_upper(mirrored)
+        outputs.append([m.tobytes() for m in (gram.entries, cross.entries, mirrored)])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_only_rbf_bands_are_filled_on_every_core(kind, monkeypatch):
+    # GEMM bands stay on the calling thread; every training Gram's mirror is chunked
+    chunked = []
+    on_every_core = qkad.kernel._on_every_core
+    monkeypatch.setattr(
+        qkad.kernel, "_on_every_core",
+        lambda fn, items: chunked.append(fn.__name__) or on_every_core(fn, items),
+    )
+    rng = np.random.default_rng(22)
+    build_gram_train(rng.uniform(-0.5, 0.5, size=(30, 2)), make_cfg(kind), rng)
+    assert chunked == (["fill", "copy"] if kind == "rbf" else ["copy"])
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_caller_fills_the_first_chunk_of_rbf_bands(workers, monkeypatch):
+    bands = qkad.kernel._bands
+    threads = {}
+
+    class NotingBands(list):
+        def __getitem__(self, i):
+            threads[i] = threading.get_ident()
+            return super().__getitem__(i)
+
+    monkeypatch.setattr(qkad.kernel, "_bands", lambda *args, **kw: NotingBands(bands(*args, **kw)))
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: workers)
+    X = np.random.default_rng(23).normal(size=(600, 2))
+    qkad.kernel._kernel_block(make_cfg("rbf"), X, X)
+    callers = [threads[i] == threading.get_ident() for i in sorted(threads)]
+    first = len(callers) // workers
+    assert len(callers) == 6 and callers == [True] * first + [False] * (len(callers) - first)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_non_finite_band_on_a_pool_thread_raises_in_the_caller(workers, monkeypatch):
+    # +-0.8e154 in two of the last rows: their variance sum overflows, so gamma
+    # is 0, and only their own pair squares to inf, in the last band, where
+    # 0 * inf is NaN; every other pair is finite
+    from qkad.kernel import _bands
+
+    X = np.zeros((600, 2))
+    X[-2], X[-1] = 0.8e154, -0.8e154
+    assert len(_bands(600, row_bytes("rbf", 600, 2), upper=True)) >= 3
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: workers)
+    before = threading.active_count()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert rbf_auto_gamma(X) == 0.0
+        with pytest.raises(ValueError, match="^Gram entries must be finite$"):
+            build_gram_train(X, make_cfg("rbf"), np.random.default_rng(0))
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize(
