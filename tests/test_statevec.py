@@ -1,4 +1,3 @@
-import contextvars
 import os
 import re
 import sys
@@ -354,21 +353,6 @@ def test_born_counts_caller_draws_the_first_chunk_and_pool_threads_the_rest(
     caller = [t[0] == threading.get_ident() for t in threads]
     assert caller == [True] * first + [False] * (points - first)
     assert len({t[0] for t in threads}) <= min(workers, points)
-
-
-def test_born_counts_stay_on_a_seed_thread(monkeypatch):
-    # a seed on a --parallel thread already holds a core
-    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 3)
-    threads = [[] for _ in range(5)]
-    rngs = [_ThreadRecordingGenerator(i, threads[i]) for i in range(5)]
-
-    def on_seed_thread():
-        qkad.statevec._SEED_THREAD.set(True)
-        return born_counts(random_block(5, 2, 3, seed=1), 20, rngs)
-
-    contextvars.copy_context().run(on_seed_thread)
-    assert [t[0] for t in threads] == [threading.get_ident()] * 5
-    assert qkad.statevec._SEED_THREAD.get() is False
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
