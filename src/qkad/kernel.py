@@ -9,9 +9,9 @@ Four interchangeable ways to fill a kernel matrix:
 * ``randomized``     - one measurement record per data point in ``r`` shared
   random local bases, combined pairwise by Hamming-weighted cross
   correlations; optional purity-based mitigation.  Points are measured in
-  blocks: each (point, setting) is rotated on the calling thread, then the
-  block's shots are drawn, one draw per point from the point's own child
-  stream.
+  blocks: each (point, setting) is rotated on the calling thread, by the
+  setting's Kronecker factors in at most two GEMMs, then the block's shots
+  are drawn, one draw per point from the point's own child stream.
 * ``rbf``            - classical Gaussian kernel baseline.
 
 The quantum kinds encode each ``d``-feature row on ``d`` qubits, so the
@@ -57,7 +57,7 @@ from .statevec import (
     apply_local,
     born_counts,
     encode_iqp,
-    pair_gates,
+    local_factors,
     sample_haar_setting,
 )
 
@@ -229,25 +229,26 @@ def _mirrored_gram(upper: np.ndarray, diagonal: np.ndarray | float, eval_count: 
 
 def collect_signature(
     states: np.ndarray,
-    paired_settings: list[tuple[np.ndarray, ...]],
+    factored_settings: list[tuple[np.ndarray, np.ndarray]],
     shots: int,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Measure a ``(points, 2^d)`` block of feature states in every setting.
 
-    The settings are given in :func:`pair_gates` form and ``rngs`` holds one
-    generator per state.  Each (point, setting) is rotated by its own
-    :func:`apply_local` call on the calling thread, and :func:`born_counts`
+    The settings are given in :func:`local_factors` form and ``rngs`` holds
+    one generator per state.  Each (point, setting) is rotated by its own
+    :func:`apply_local` call on the calling thread, at most two GEMMs of
+    the setting's Kronecker factors, and :func:`born_counts`
     draws the block's ``(points, r, 2^d)`` shot counts, one row per setting,
     on every core.  The same settings must be shared by all points entering
     one kernel matrix; the caller owns that contract.
     """
-    if len(paired_settings) == 0:
+    if len(factored_settings) == 0:
         raise ValueError("at least one measurement setting is required")
-    rotated = np.empty((len(states), len(paired_settings), states.shape[-1]), dtype=complex)
+    rotated = np.empty((len(states), len(factored_settings), states.shape[-1]), dtype=complex)
     for i, state in enumerate(states):
-        for m, pairs in enumerate(paired_settings):
-            rotated[i, m] = apply_local(state, pairs)
+        for m, factors in enumerate(factored_settings):
+            rotated[i, m] = apply_local(state, factors)
     return born_counts(rotated, shots, rngs)
 
 
@@ -344,7 +345,7 @@ def _represent(
     That is the rows themselves for rbf and their ``(n, 2^d)`` feature states
     for the pairwise kinds, encoded in one call.  The randomized kind measures
     those states in ``settings`` (``cfg.rm_settings`` fresh ones drawn from
-    ``rng`` when ``None``), paired once for all points, in blocks of points
+    ``rng`` when ``None``), factored once for all points, in blocks of points
     whose rotated amplitudes hold about ``_BLOCK_BYTES``, and returns their
     :class:`SignatureCache`.  Without
     ``purities`` its purity estimates are left NaN; only mitigation and the
@@ -363,7 +364,7 @@ def _represent(
         return states
     if settings is None:
         settings = np.stack([sample_haar_setting(d, rng) for _ in range(cfg.rm_settings)])
-    paired = [pair_gates(setting) for setting in settings]
+    factored = [local_factors(setting) for setting in settings]
     shots = cfg.rm_shots
     # one child stream per point, derived serially, so the points of a block
     # are sampled concurrently without changing any outcome
@@ -373,7 +374,7 @@ def _represent(
     for start in range(0, n, step):
         block = slice(start, start + step)
         rngs = [np.random.default_rng(seed) for seed in seeds[block]]
-        counts[block] = collect_signature(states[block], paired, shots, rngs)
+        counts[block] = collect_signature(states[block], factored, shots, rngs)
     if not purities:
         return SignatureCache(settings, counts, np.full(n, np.nan))
     estimates = np.array([rm_purity(c, shots) for c in counts])

@@ -15,10 +15,10 @@ Conventions used throughout the package:
 * A ``d``-qubit state is its ``(2**d,)`` complex amplitude array, and the
   states of a point set are one ``(n, 2**d)`` stack.  A local measurement
   setting is a ``(d, 2, 2)`` array of single-qubit unitaries, one per
-  qubit; :func:`pair_gates` turns it into the paired form that
-  :func:`apply_local` takes.  :func:`apply_local` is the one rotation
-  routine: it rotates a state or a stack, and the encoding's Hadamard
-  layers go through it too.
+  qubit; :func:`local_factors` turns it into the two Kronecker factors,
+  over the leading and the trailing qubits, that :func:`apply_local` takes.
+  :func:`apply_local` is the one rotation routine: at most two GEMMs rotate
+  a state or a stack, and the encoding's Hadamard layers go through it too.
 * Global phase is not tracked beyond what the gate definitions imply; all
   downstream quantities are fidelities, which ignore it.
 
@@ -33,6 +33,7 @@ import math
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -40,13 +41,15 @@ __all__ = [
     "FeatureMapConfig",
     "encode_iqp",
     "sample_haar_setting",
-    "pair_gates",
+    "local_factors",
     "apply_local",
     "born_counts",
 ]
 
 # row blocks of the encoding keep their (rows, 2^d, d) temporaries near this size
 _BLOCK_BYTES = 2**24
+# up to this many qubits one 2^d x 2^d GEMM rotates a state faster than two factors
+_WHOLE_QUBITS = 6
 
 
 @dataclass(frozen=True)
@@ -66,41 +69,41 @@ class FeatureMapConfig:
             raise ValueError(f"angle_scale must be > 0 and finite, got {self.angle_scale}")
 
 
-def pair_gates(setting: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The paired form of a (d, 2, 2) setting that :func:`apply_local` takes.
+def local_factors(setting: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(U_hi, U_lo^T)`` form of a (d, 2, 2) setting that :func:`apply_local` takes.
 
-    Gates q and q+1 become one 4x4 Kronecker block, an odd last gate stays
-    2x2, so a d-qubit setting is applied in ``ceil(d / 2)`` GEMMs.
+    The setting is ``U_hi (x) U_lo``.  Above ``_WHOLE_QUBITS`` qubits ``U_hi``
+    is the Kronecker product of the gates on the ``d // 2`` leading qubits and
+    ``U_lo`` of those on the rest, the split ``kernel._hamming_weighted`` makes
+    of its Hamming table.  At or below it ``U_hi`` is ``[[1.0]]`` and ``U_lo``
+    the whole ``2^d x 2^d`` product, whose one GEMM costs less than two.
     """
-    pairs = []
-    for q in range(0, len(setting), 2):
-        block = setting[q]
-        if q + 1 < len(setting):
-            block = (block[:, None, :, None] * setting[q + 1][None, :, None, :]).reshape(4, 4)
-        pairs.append(block)
-    return tuple(pairs)
+    d = len(setting)
+    hi = d // 2 if d > _WHOLE_QUBITS else 0
+    u_hi, u_lo = (reduce(np.kron, gates, np.ones((1, 1))) for gates in (setting[:hi], setting[hi:]))
+    return u_hi, u_lo.T
 
 
-def apply_local(amps: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
+def apply_local(amps: np.ndarray, factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Rotate a ``(2^d,)`` state, or each state of an ``(n, 2^d)`` stack, by a setting.
 
-    ``pairs`` is the setting's :func:`pair_gates` form, built once and shared
-    by every state measured in that setting.  Each step is one GEMM of a block
-    on the leading qubits; the transpose then moves the next qubits to the
-    front, so after the last step the order is restored.  A lone state takes a
-    2-D GEMM, whose per-call cost is lower, and a stack one stacked GEMM, which
-    gives each state the result the 2-D GEMM gives it.
+    ``factors`` is the setting's :func:`local_factors` form, built once and
+    shared by every state measured in that setting.  A state viewed as a
+    ``(rows, cols)`` matrix ``A`` over its leading and trailing qubits is
+    rotated to ``U_hi @ A @ U_lo^T``: two GEMMs, or one when ``U_hi`` is 1x1,
+    and no copy between them.  A stack takes one stacked GEMM per factor,
+    which gives each state the result a lone state's 2-D GEMMs give it.
     """
-    dim = math.prod(map(len, pairs))
-    shape = amps.shape
-    lead = shape[:-1]
-    if shape != lead + (dim,) or len(lead) > 1:
-        d = dim.bit_length() - 1
+    u_hi, u_lo_t = factors
+    rows, cols = len(u_hi), len(u_lo_t)
+    shape, lead = amps.shape, amps.shape[:-1]
+    if shape != lead + (rows * cols,) or len(lead) > 1:
+        d = (rows * cols).bit_length() - 1
         raise ValueError(f"setting has {d} qubits, state or stack has shape {shape}")
-    t = amps
-    for block in pairs:
-        t = (block @ t.reshape(lead + (len(block), -1))).mT
-    return t.reshape(shape)
+    t = amps.reshape(lead + (rows, cols))
+    if rows > 1:
+        t = u_hi @ t
+    return (t @ u_lo_t).reshape(shape)
 
 
 def _basis_signs(d: int) -> np.ndarray:
@@ -108,12 +111,6 @@ def _basis_signs(d: int) -> np.ndarray:
     idx = np.arange(2**d)
     bits = (idx[:, None] >> (d - 1 - np.arange(d))[None, :]) & 1
     return 1.0 - 2.0 * bits
-
-
-def _hadamard_pairs(d: int) -> tuple[np.ndarray, ...]:
-    """Paired form of a Hadamard on each of ``d`` qubits."""
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    return pair_gates(np.broadcast_to(hadamard, (d, 2, 2)))
 
 
 def _check_rows(X: np.ndarray) -> np.ndarray:
@@ -157,7 +154,8 @@ def encode_iqp(X: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     """
     X = _check_rows(X)
     n, d = X.shape
-    hadamards = _hadamard_pairs(d)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    hadamards = local_factors(np.broadcast_to(hadamard, (d, 2, 2)))
     states = np.empty((n, 2**d), dtype=complex)
     step = max(1, _BLOCK_BYTES // (8 * 2**d * d))
     for start in range(0, n, step):

@@ -4,9 +4,10 @@ These deliberately avoid the package's own computational paths: the circuit
 oracle multiplies dense gate matrices built from lifted Paulis and matrix
 exponentials, the per-pair kernel estimators run one circuit (or one pair of
 measurement records) at a time where the package fills whole Gram blocks,
-the per-point encoding, unpaired rotation and per-row Born sampler are the
-forms the package's batched encoding, paired rotation and threaded
-per-point sampler must reproduce bit for bit, the
+the per-point encoding, per-state factored rotation and per-row Born
+sampler are the forms the package's batched encoding, stacked rotation and
+threaded per-point sampler must reproduce bit for bit, the paired rotation
+is the earlier form whose RM counts the package must still reproduce, the
 projection oracle is column-by-column Gram-Schmidt where the package uses
 Householder QR, the QP oracles are plain projected gradient descent,
 the Frank-Wolfe gap and a dual feasibility check, and the ranking-metric
@@ -22,7 +23,7 @@ from scipy.linalg import expm
 
 from qkad.kernel import DegenerateSignatureError
 from qkad.ocsvm import OCSVMModel
-from qkad.statevec import FeatureMapConfig
+from qkad.statevec import _WHOLE_QUBITS, FeatureMapConfig
 
 _I2 = np.eye(2, dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -75,23 +76,58 @@ def iqp_circuit_oracle(
     return state
 
 
-def apply_gates_unpaired(amps: np.ndarray, gates: np.ndarray) -> np.ndarray:
-    """Apply a (d, 2, 2) stack of single-qubit gates to one state, pairing them per call.
+def apply_factors_per_state(amps: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    """Apply a (d, 2, 2) stack of single-qubit gates to one state, factoring them per call.
 
-    The per-point form the package's :func:`qkad.statevec.apply_local` had
-    before settings were paired once: each step is one 2-D GEMM of a 4x4
-    Kronecker pair (or an odd last gate) on the leading qubits.
+    The per-state form :func:`qkad.statevec.apply_local` must reproduce bit
+    for bit: the gates on the ``hi`` leading qubits (``d // 2`` above
+    ``_WHOLE_QUBITS`` qubits, else none) and those on the rest are multiplied
+    out by ``np.kron`` into ``u_hi`` and ``u_lo``, and the state, as a
+    ``(2^hi, 2^(d - hi))`` matrix ``A``, becomes ``(u_hi @ A) @ u_lo.T`` in
+    two 2-D GEMMs; a 1x1 ``u_hi`` is ``[[1.0]]``, which changes no value.
     """
     d = len(gates)
     if amps.shape != (2**d,):
         raise ValueError(f"setting has {d} qubits, state has shape {amps.shape}")
+    hi = d // 2 if d > _WHOLE_QUBITS else 0
+    u_hi, u_lo = np.ones((1, 1)), np.ones((1, 1))
+    for q, gate in enumerate(gates):
+        if q < hi:
+            u_hi = np.kron(u_hi, gate)
+        else:
+            u_lo = np.kron(u_lo, gate)
+    return ((u_hi @ amps.reshape(len(u_hi), len(u_lo))) @ u_lo.T).reshape(-1)
+
+
+def paired_factors(setting: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The paired form of a (d, 2, 2) setting that :func:`apply_paired` takes.
+
+    The package's rotation before half-register factors: gates q and q+1
+    become one 4x4 Kronecker block, an odd last gate stays 2x2, so a d-qubit
+    setting is applied in ``ceil(d / 2)`` GEMMs.
+    """
+    pairs = []
+    for q in range(0, len(setting), 2):
+        block = setting[q]
+        if q + 1 < len(setting):
+            block = (block[:, None, :, None] * setting[q + 1][None, :, None, :]).reshape(4, 4)
+        pairs.append(block)
+    return tuple(pairs)
+
+
+def apply_paired(amps: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Rotate a ``(2^d,)`` state or an ``(n, 2^d)`` stack by a :func:`paired_factors` setting.
+
+    Each step is one GEMM of a block on the leading qubits; the transpose then
+    moves the next qubits to the front, so after the last step the order is
+    restored.  With :func:`paired_factors` it is a drop-in for the package's
+    ``local_factors`` and ``apply_local``, whose RM counts must not change.
+    """
     t = amps
-    for q in range(0, d, 2):
-        block = gates[q]
-        if q + 1 < d:
-            block = (block[:, None, :, None] * gates[q + 1][None, :, None, :]).reshape(4, 4)
-        t = (block @ t.reshape(len(block), -1)).T
-    return t.reshape(-1)
+    lead = amps.shape[:-1]
+    for block in pairs:
+        t = (block @ t.reshape(lead + (len(block), -1))).mT
+    return t.reshape(amps.shape)
 
 
 def iqp_layer_angles_point(x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
@@ -109,13 +145,13 @@ def iqp_layer_angles_point(x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
 
 
 def encode_iqp_point(x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
-    """Feature-map state of one point, encoded on its own with per-call Hadamard pairs."""
+    """Feature-map state of one point, encoded on its own with per-call Hadamard factors."""
     phases = np.exp(-0.5j * iqp_layer_angles_point(x, cfg))
     hadamards = np.broadcast_to(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), (len(x), 2, 2))
     amps = np.zeros_like(phases)
     amps[0] = 1.0
     for _ in range(cfg.layers):
-        amps = apply_gates_unpaired(amps, hadamards) * phases
+        amps = apply_factors_per_state(amps, hadamards) * phases
     return amps
 
 

@@ -5,8 +5,10 @@ fixed 9x3 input, the checked record fields and the whole JSON-lines
 records of two small synthetic seeds per CLI method, which together cover
 kinds and methods the benchmark never runs, the whole records of two seeds
 per method on the CLI tests' small fraud CSV, three kinds of error record,
-and the scores of a feature-bagged RM ensemble whose components run on
-fewer qubits (4) than the input has features (6).  A refactor must
+the whole records of runs with options no other entry sets (max
+aggregation, a nonzero label threshold), and the scores of a
+feature-bagged RM ensemble whose components run on fewer qubits (4) than
+the input has features (6).  A refactor must
 reproduce them; only a deliberate change of behaviour re-records them, with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_values.json
@@ -14,6 +16,7 @@ reproduce them; only a deliberate change of behaviour re-records them, with
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -57,6 +60,13 @@ ERROR_CASES = {
     "missing-fraud-csv": dict(method="rbf", dataset="fraud", train_size=60),
 }
 
+# synthetic runs with an option no other golden record sets: (method, options)
+OPTION_CASES = {
+    "vs-it --aggregation max": ("vs-it", dict(aggregation="max")),
+    "vs-rm --aggregation max": ("vs-rm", dict(aggregation="max")),
+    "vs-rm --threshold -0.5": ("vs-rm", dict(threshold=-0.5)),
+}
+
 
 def gram_inputs() -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(2024)
@@ -96,6 +106,11 @@ def run_config(method: str) -> RunConfig:
         method=method, dataset="synthetic", train_size=200 if method.startswith("vs") else 60,
         seeds=(0, 1), it_shots=64, rm_settings=4, rm_shots=64, record_timings=False,
     )
+
+
+def option_run_config(case: str) -> RunConfig:
+    method, options = OPTION_CASES[case]
+    return dataclasses.replace(run_config(method), **options)
 
 
 def fraud_run_config(method: str) -> RunConfig:
@@ -210,6 +225,12 @@ def test_fraud_whole_records_match_golden(method, golden, tmp_path):
     assert_same_value(records, golden["fraud_whole_records"][method], method)
 
 
+@pytest.mark.parametrize("case", sorted(OPTION_CASES))
+def test_option_whole_records_match_golden(case, golden):
+    records = jsonl_records(option_run_config(case))
+    assert_same_value(records, golden["option_whole_records"][case], case)
+
+
 if __name__ == "__main__":
     payload = {
         "grams": {case: gram_values(case) for case in GRAM_CASES},
@@ -222,5 +243,8 @@ if __name__ == "__main__":
         payload["fraud_whole_records"] = {
             method: jsonl_records(fraud_run_config(method)) for method in METHODS
         }
+    payload["option_whole_records"] = {
+        case: jsonl_records(option_run_config(case)) for case in OPTION_CASES
+    }
     json.dump(payload, sys.stdout, indent=1)
     sys.stdout.write("\n")

@@ -11,7 +11,7 @@ import qkad.statevec
 from qkad.statevec import (
     FeatureMapConfig,
     encode_iqp,
-    pair_gates,
+    local_factors,
     sample_haar_setting,
 )
 from qkad.kernel import (
@@ -28,12 +28,14 @@ from qkad.kernel import (
 )
 from oracles import (
     _hamming_coefficients,
+    apply_paired,
     exact_fidelity,
     hamming,
     inner_product,
     inversion_test,
     inversion_test_gram,
     mitigate,
+    paired_factors,
     rbf_entry,
     rm_kernel_entry,
     rm_purity_einsum,
@@ -117,9 +119,9 @@ def test_inversion_gram_probability_matches_composition_path(rng):
 
 
 def signature(x, fm, settings, shots, rng):
-    """One point's shot counts, encoded and paired the way ``_represent`` does it."""
-    paired = [pair_gates(setting) for setting in settings]
-    return collect_signature(encode_iqp(x[None], fm), paired, shots, [rng])[0]
+    """One point's shot counts, encoded and factored the way ``_represent`` does it."""
+    factored = [local_factors(setting) for setting in settings]
+    return collect_signature(encode_iqp(x[None], fm), factored, shots, [rng])[0]
 
 
 def test_collect_signature_shape_and_normalization(rng):
@@ -139,10 +141,27 @@ def test_collect_signature_zero_input_matches_born_oracle(rng):
     assert np.max(np.abs(counts[0] / 10**5 - born)) < 4 / math.sqrt(10**5)
 
 
+@pytest.mark.parametrize("d, n", [(3, 40), (6, 40), (10, 12)])
+def test_rm_counts_and_purities_equal_those_of_the_paired_rotation(d, n, monkeypatch):
+    # the half-register factors move states only in their last bits; the shot
+    # counts and purities drawn from them equal those of the paired rotation
+    # the package used before, encoding's Hadamard layers included
+    cfg = KernelConfig(kind="randomized", rm_settings=30, rm_shots=9000)
+    X = np.random.default_rng(40 + d).uniform(-1, 1, size=(n, d))
+    factored = qkad.kernel._represent(X, cfg, np.random.default_rng(d), purities=True)
+    for module in (qkad.statevec, qkad.kernel):
+        monkeypatch.setattr(module, "local_factors", paired_factors)
+        monkeypatch.setattr(module, "apply_local", apply_paired)
+    paired = qkad.kernel._represent(X, cfg, np.random.default_rng(d), purities=True)
+    assert np.array_equal(factored.settings, paired.settings)
+    assert np.array_equal(factored.counts, paired.counts)
+    assert np.array_equal(factored.purities, paired.purities)
+
+
 def test_collect_signature_rejects_mismatched_settings(rng):
-    paired = [pair_gates(sample_haar_setting(3, rng))]
+    factored = [local_factors(sample_haar_setting(3, rng))]
     with pytest.raises(ValueError, match="qubits"):
-        collect_signature(encode_iqp(np.zeros((1, 2)), FM2), paired, 10, [rng])
+        collect_signature(encode_iqp(np.zeros((1, 2)), FM2), factored, 10, [rng])
 
 
 def test_collect_signature_rejects_empty_settings(rng):

@@ -9,7 +9,7 @@ import pytest
 
 import qkad.statevec
 from oracles import (
-    apply_gates_unpaired,
+    apply_factors_per_state,
     apply_iqp_adjoint,
     born_counts_rowwise,
     encode_iqp_point,
@@ -22,7 +22,7 @@ from qkad.statevec import (
     apply_local,
     born_counts,
     encode_iqp,
-    pair_gates,
+    local_factors,
     sample_haar_setting,
 )
 
@@ -59,7 +59,7 @@ def test_states_and_settings_are_plain_arrays(rng):
     assert state.shape == (8,) and state.dtype == np.complex128
     setting = sample_haar_setting(3, rng)
     assert setting.shape == (3, 2, 2) and setting.dtype == np.complex128
-    rotated = apply_local(state, pair_gates(setting))
+    rotated = apply_local(state, local_factors(setting))
     assert rotated.shape == (8,) and rotated.dtype == np.complex128
 
 
@@ -118,18 +118,20 @@ def test_batched_encode_is_bit_identical_to_per_point_encode(d, monkeypatch):
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_paired_apply_local_is_bit_identical_to_unpaired_form(d, rng):
+    # the factors built once per setting rotate as the per-state factor oracle does
     for _ in range(3):
         state, setting = random_state(d, rng), sample_haar_setting(d, rng)
-        expected = apply_gates_unpaired(state, setting)
-        assert np.array_equal(apply_local(state, pair_gates(setting)), expected)
+        expected = apply_factors_per_state(state, setting)
+        assert np.array_equal(apply_local(state, local_factors(setting)), expected)
     # a stack is rotated row by row as a lone state would be
     setting = sample_haar_setting(d, rng)
     for n in (1, 2, 16):
         stack = np.stack([random_state(d, rng) for _ in range(n)])
-        rotated = apply_local(stack, pair_gates(setting))
+        rotated = apply_local(stack, local_factors(setting))
         assert rotated.shape == stack.shape
         for row, state in zip(rotated, stack):
-            assert np.array_equal(row, apply_gates_unpaired(state, setting))
+            assert np.array_equal(row, apply_factors_per_state(state, setting))
+            assert np.array_equal(row, apply_local(state, local_factors(setting)))
 
 
 def test_encode_memory_stays_near_its_output():
@@ -201,32 +203,32 @@ def test_haar_first_moment_is_half():
 def test_apply_local_identity_is_noop(rng):
     state = random_state(3, rng)
     eye = np.stack([np.eye(2, dtype=complex)] * 3)
-    assert np.allclose(apply_local(state, pair_gates(eye)), state, atol=1e-14)
+    assert np.allclose(apply_local(state, local_factors(eye)), state, atol=1e-14)
 
 
 def test_apply_local_preserves_norm(rng):
     for _ in range(5):
         state = random_state(3, rng)
         setting = sample_haar_setting(3, rng)
-        out = apply_local(state, pair_gates(setting))
+        out = apply_local(state, local_factors(setting))
         assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-10
 
 
 def test_apply_local_matches_kron_oracle(rng):
-    # odd and even d: the gates are applied in pairs, an odd last one alone
+    # one whole-register factor up to _WHOLE_QUBITS, then a split at d // 2, odd d and even
     for d in range(1, 9):
         state = random_state(d, rng)
         setting = sample_haar_setting(d, rng)
         expected = kron_apply_oracle(setting, state)
-        assert np.max(np.abs(apply_local(state, pair_gates(setting)) - expected)) < 1e-12
+        assert np.max(np.abs(apply_local(state, local_factors(setting)) - expected)) < 1e-12
 
 
 def test_apply_local_dimension_mismatch(rng):
-    pairs = pair_gates(sample_haar_setting(3, rng))
+    factors = local_factors(sample_haar_setting(3, rng))
     for amps in (random_state(2, rng), np.zeros((5, 4), complex), np.zeros((2, 3, 8), complex)):
         message = "setting has 3 qubits, state or stack has shape " + re.escape(str(amps.shape))
         with pytest.raises(ValueError, match=message):
-            apply_local(amps, pairs)
+            apply_local(amps, factors)
 
 
 # ---------------------------------------------------------------------------
