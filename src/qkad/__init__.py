@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .statevec import (  # noqa: F401
     FeatureMapConfig,
     encode_iqp,
-    sample_haar_setting,
+    sample_haar_settings,
 )
 from .kernel import (  # noqa: F401
     DegenerateSignatureError,

@@ -8,10 +8,11 @@ Four interchangeable ways to fill a kernel matrix:
   other; an unbiased shot-noise estimator of the exact value.
 * ``randomized``     - one measurement record per data point in ``r`` shared
   random local bases, combined pairwise by Hamming-weighted cross
-  correlations; optional purity-based mitigation.  Points are measured in
-  blocks: each (point, setting) is rotated on the calling thread, by the
-  setting's Kronecker factors in at most two GEMMs, then the block's shots
-  are drawn, one draw per point from the point's own child stream.
+  correlations; optional purity-based mitigation.  A point set's ``r``
+  settings are one stack, drawn and multiplied out into Kronecker factors in
+  one call each.  Each (point, setting) of a block of points is rotated on
+  the calling thread into the block's buffer, then the block's shots are
+  drawn, one draw per point from the point's own child stream.
 * ``rbf``            - classical Gaussian kernel baseline.
 
 The quantum kinds encode each ``d``-feature row on ``d`` qubits, so the
@@ -58,7 +59,7 @@ from .statevec import (
     born_counts,
     encode_iqp,
     local_factors,
-    sample_haar_setting,
+    sample_haar_settings,
 )
 
 __all__ = [
@@ -229,26 +230,27 @@ def _mirrored_gram(upper: np.ndarray, diagonal: np.ndarray | float, eval_count: 
 
 def collect_signature(
     states: np.ndarray,
-    factored_settings: list[tuple[np.ndarray, np.ndarray]],
+    factors: tuple[np.ndarray, ...],
     shots: int,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Measure a ``(points, 2^d)`` block of feature states in every setting.
 
-    The settings are given in :func:`local_factors` form and ``rngs`` holds
-    one generator per state.  Each (point, setting) is rotated by its own
-    :func:`apply_local` call on the calling thread, at most two GEMMs of
-    the setting's Kronecker factors, and :func:`born_counts`
-    draws the block's ``(points, r, 2^d)`` shot counts, one row per setting,
-    on every core.  The same settings must be shared by all points entering
-    one kernel matrix; the caller owns that contract.
+    ``factors`` is the :func:`local_factors` form of an ``(r, d, 2, 2)``
+    settings stack and ``rngs`` holds one generator per state.  Each (point,
+    setting) is rotated by its own :func:`apply_local` call on the calling
+    thread, straight into its row of the block's ``(points, r, 2^d)``
+    buffer, and :func:`born_counts` draws the block's shot counts, one row
+    per setting, on every core.  The same settings must be shared by all
+    points entering one kernel matrix; the caller owns that contract.
     """
-    if len(factored_settings) == 0:
+    per_setting = list(zip(*factors))
+    if not per_setting:
         raise ValueError("at least one measurement setting is required")
-    rotated = np.empty((len(states), len(factored_settings), states.shape[-1]), dtype=complex)
-    for i, state in enumerate(states):
-        for m, factors in enumerate(factored_settings):
-            rotated[i, m] = apply_local(state, factors)
+    rotated = np.empty((len(states), len(per_setting), states.shape[-1]), dtype=complex)
+    for state, rows in zip(states, rotated):
+        for setting, row in zip(per_setting, rows):
+            apply_local(state, setting, out=row)
     return born_counts(rotated, shots, rngs)
 
 
@@ -363,8 +365,8 @@ def _represent(
     if cfg.kind != "randomized":
         return states
     if settings is None:
-        settings = np.stack([sample_haar_setting(d, rng) for _ in range(cfg.rm_settings)])
-    factored = [local_factors(setting) for setting in settings]
+        settings = sample_haar_settings(cfg.rm_settings, d, rng)
+    factors = local_factors(settings)
     shots = cfg.rm_shots
     # one child stream per point, derived serially, so the points of a block
     # are sampled concurrently without changing any outcome
@@ -374,7 +376,7 @@ def _represent(
     for start in range(0, n, step):
         block = slice(start, start + step)
         rngs = [np.random.default_rng(seed) for seed in seeds[block]]
-        counts[block] = collect_signature(states[block], factored, shots, rngs)
+        counts[block] = collect_signature(states[block], factors, shots, rngs)
     if not purities:
         return SignatureCache(settings, counts, np.full(n, np.nan))
     estimates = np.array([rm_purity(c, shots) for c in counts])

@@ -14,11 +14,12 @@ Conventions used throughout the package:
   rotation layer.
 * A ``d``-qubit state is its ``(2**d,)`` complex amplitude array, and the
   states of a point set are one ``(n, 2**d)`` stack.  A local measurement
-  setting is a ``(d, 2, 2)`` array of single-qubit unitaries, one per
-  qubit; :func:`local_factors` turns it into the two Kronecker factors,
-  over the leading and the trailing qubits, that :func:`apply_local` takes.
-  :func:`apply_local` is the one rotation routine: at most two GEMMs rotate
-  a state or a stack, and the encoding's Hadamard layers go through it too.
+  setting is a ``(d, 2, 2)`` array of single-qubit unitaries, one per qubit,
+  and a point set's ``r`` settings are one ``(r, d, 2, 2)`` stack, which
+  :func:`local_factors` turns into stacks of the two Kronecker factors, over
+  the leading and the trailing qubits, that :func:`apply_local` takes.  It
+  is the one rotation routine: at most two GEMMs rotate a state or a stack,
+  into a caller's buffer if given, and the encoding's Hadamards use it too.
 * Global phase is not tracked beyond what the gate definitions imply; all
   downstream quantities are fidelities, which ignore it.
 
@@ -33,14 +34,13 @@ import math
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 __all__ = [
     "FeatureMapConfig",
     "encode_iqp",
-    "sample_haar_setting",
+    "sample_haar_settings",
     "local_factors",
     "apply_local",
     "born_counts",
@@ -69,41 +69,52 @@ class FeatureMapConfig:
             raise ValueError(f"angle_scale must be > 0 and finite, got {self.angle_scale}")
 
 
-def local_factors(setting: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def local_factors(settings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``(U_hi, U_lo^T)`` form of a (d, 2, 2) setting that :func:`apply_local` takes.
 
     The setting is ``U_hi (x) U_lo``.  Above ``_WHOLE_QUBITS`` qubits ``U_hi``
     is the Kronecker product of the gates on the ``d // 2`` leading qubits and
     ``U_lo`` of those on the rest, the split ``kernel._hamming_weighted`` makes
-    of its Hamming table.  At or below it ``U_hi`` is ``[[1.0]]`` and ``U_lo``
-    the whole ``2^d x 2^d`` product, whose one GEMM costs less than two.
+    of its Hamming table; from d = 14 on it costs more than 4x4 gate pairs.  At
+    or below it ``U_hi`` is ``[[1.0]]`` and ``U_lo`` the whole ``2^d x 2^d``
+    product, whose one GEMM costs less than two.  A stack of settings gives
+    stacks of factors, each bit for bit ``reduce(np.kron, gates, ones((1, 1)))``,
+    in one broadcast multiply per qubit, in ``np.kron``'s operand order.
     """
-    d = len(setting)
+    lead, d = settings.shape[:-3], settings.shape[-3]
     hi = d // 2 if d > _WHOLE_QUBITS else 0
-    u_hi, u_lo = (reduce(np.kron, gates, np.ones((1, 1))) for gates in (setting[:hi], setting[hi:]))
-    return u_hi, u_lo.T
+    factors = [np.ones(lead + (1, 1)), np.ones(lead + (1, 1))]
+    for q in range(d):
+        u = factors[q >= hi][..., :, None, :, None] * settings[..., q, None, :, None, :]
+        factors[q >= hi] = u.reshape(lead + (2 * u.shape[-4],) * 2)
+    return factors[0], factors[1].mT
 
 
-def apply_local(amps: np.ndarray, factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def apply_local(amps: np.ndarray, factors: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """Rotate a ``(2^d,)`` state, or each state of an ``(n, 2^d)`` stack, by a setting.
 
-    ``factors`` is the setting's :func:`local_factors` form, built once and
+    ``factors`` is one setting's :func:`local_factors` form, built once and
     shared by every state measured in that setting.  A state viewed as a
     ``(rows, cols)`` matrix ``A`` over its leading and trailing qubits is
     rotated to ``U_hi @ A @ U_lo^T``: two GEMMs, or one when ``U_hi`` is 1x1,
-    and no copy between them.  A stack takes one stacked GEMM per factor,
+    the last writing into ``out`` (a C-contiguous array of ``amps``'s shape,
+    returned; a new one by default).  A stack takes one stacked GEMM per factor,
     which gives each state the result a lone state's 2-D GEMMs give it.
     """
     u_hi, u_lo_t = factors
     rows, cols = len(u_hi), len(u_lo_t)
     shape, lead = amps.shape, amps.shape[:-1]
-    if shape != lead + (rows * cols,) or len(lead) > 1:
+    if shape != lead + (rows * cols,) or len(lead) > 1 or (out is not None and out.shape != shape):
         d = (rows * cols).bit_length() - 1
         raise ValueError(f"setting has {d} qubits, state or stack has shape {shape}")
     t = amps.reshape(lead + (rows, cols))
     if rows > 1:
         t = u_hi @ t
-    return (t @ u_lo_t).reshape(shape)
+    if out is None:
+        out = np.empty(shape, np.result_type(t, u_lo_t))
+    # np.dot costs less per call than matmul, but on a stack it is no GEMM
+    (np.matmul if lead else np.dot)(t, u_lo_t, out=out.reshape(t.shape))
+    return out
 
 
 def _basis_signs(d: int) -> np.ndarray:
@@ -168,17 +179,19 @@ def encode_iqp(X: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     return states
 
 
-def sample_haar_setting(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one Haar-random single-qubit unitary per qubit, as a (d, 2, 2) array.
+def sample_haar_settings(r: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``r`` settings of one Haar-random single-qubit unitary per qubit, (r, d, 2, 2).
 
-    Each is a Ginibre draw orthonormalized by QR with the phase fix.
+    Each is a Ginibre draw orthonormalized by QR with the phase fix.  One
+    ``normal`` call and one stacked QR give the stack, and leave the
+    generator, as ``r`` draws of one setting each would.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    z = rng.normal(size=(d, 2, 2)) + 1j * rng.normal(size=(d, 2, 2))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
+    if r < 1 or d < 1:
+        raise ValueError(f"r and d must be >= 1, got r={r}, d={d}")
+    z = rng.normal(size=(r, 2, d, 2, 2))
+    q, upper = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    diag = np.diagonal(upper, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def _cores() -> int:

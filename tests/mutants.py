@@ -1,0 +1,167 @@
+"""Hand-run mutation check: does tier-1 catch each one-line change to ``src/qkad``?
+
+Usage, from the root of a checkout::
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py --list     # names only
+    python tests/mutants.py haar-halves-swapped out-ignored
+
+Each mutant replaces one exact line of one source file in a temporary copy of
+the checkout (all of it but ``.git`` and build and run leftovers), then runs
+tier-1 there with ``-x``.  A failing run means the mutant was caught.  A
+passing run is reported as equivalent when the mutant is listed with a reason
+why no test can tell it apart, and as survived otherwise.  An unmutated copy
+runs first and must pass, or nothing is reported.  The exit status is 1 when
+any mutant survived.  pytest does not collect this file: its name does not
+start with ``test_``.  A caught mutant takes a few seconds to a minute, a
+surviving one a full tier-1 run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+IGNORED = shutil.ignore_patterns(
+    ".git", "__pycache__", ".perfbench_*", "*.qkad.npz", ".pytest_cache", ".hypothesis"
+)
+TIER1 = ("-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider")
+TIMEOUT_S = 900
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the checkout
+    old: str  # must occur exactly once in the file
+    new: str
+    equivalent: str = ""  # why no test can catch it, for a mutant that cannot change behaviour
+
+
+# The stacked-settings rotation's own mutants, then the survivors of an earlier
+# audit of 18 one-line changes, which tier-1 has since been extended to catch.
+MUTANTS = (
+    Mutant(
+        "kron-operands-swapped",
+        "src/qkad/statevec.py",
+        "u = factors[q >= hi][..., :, None, :, None] * settings[..., q, None, :, None, :]",
+        "u = settings[..., q, :, None, :, None] * factors[q >= hi][..., None, :, None, :]",
+    ),
+    Mutant(
+        # the same products in the same places, but numpy's complex multiply
+        # does not round gate * u as it rounds np.kron's u * gate
+        "kron-multiply-commuted",
+        "src/qkad/statevec.py",
+        "u = factors[q >= hi][..., :, None, :, None] * settings[..., q, None, :, None, :]",
+        "u = settings[..., q, None, :, None, :] * factors[q >= hi][..., :, None, :, None]",
+    ),
+    Mutant(
+        "haar-halves-swapped",
+        "src/qkad/statevec.py",
+        "q, upper = np.linalg.qr(z[:, 0] + 1j * z[:, 1])",
+        "q, upper = np.linalg.qr(z[:, 1] + 1j * z[:, 0])",
+    ),
+    Mutant(
+        "out-ignored",
+        "src/qkad/statevec.py",
+        "    if out is None:\n        out = np.empty(shape, np.result_type(t, u_lo_t))",
+        "    if True:\n        out = np.empty(shape, np.result_type(t, u_lo_t))",
+    ),
+    Mutant(
+        "threshold-inclusive",
+        "src/qkad/cli.py",
+        "predictions = (scores < cfg.threshold).astype(np.int64)",
+        "predictions = (scores <= cfg.threshold).astype(np.int64)",
+    ),
+    Mutant(
+        "support-threshold-1e-6",
+        "src/qkad/ocsvm.py",
+        "SUPPORT_THRESHOLD = 1e-8",
+        "SUPPORT_THRESHOLD = 1e-6",
+    ),
+    Mutant(
+        "split-first-anomalies",
+        "src/qkad/data.py",
+        "[normal_pick[spec.train_size :], rng.choice(anomaly_idx, size=n_anom, replace=False)]",
+        "[normal_pick[spec.train_size :], anomaly_idx[:n_anom]]",
+    ),
+    Mutant(
+        "split-unshuffled",
+        "src/qkad/data.py",
+        "test_idx = test_idx[rng.permutation(test_idx.size)]",
+        "test_idx = test_idx",
+    ),
+    Mutant(
+        "max-as-mean",
+        "src/qkad/ensemble.py",
+        'stacked.mean(axis=0) if model.aggregation == "mean" else stacked.max(axis=0)',
+        'stacked.mean(axis=0) if model.aggregation == "mean" else stacked.mean(axis=0)',
+    ),
+)
+
+
+def _apply(mutant: Mutant, checkout: Path) -> None:
+    path = checkout / mutant.path
+    text = path.read_text()
+    found = text.count(mutant.old)
+    if found != 1:
+        raise SystemExit(f"{mutant.name}: expected its line once in {mutant.path}, found {found}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def tier1_passes(mutant: Mutant | None) -> bool:
+    """Whether tier-1 passes on a fresh copy of the checkout, with ``mutant`` applied if given."""
+    with tempfile.TemporaryDirectory(prefix="qkad-mutant-") as tmp:
+        checkout = Path(tmp) / "checkout"
+        shutil.copytree(ROOT, checkout, ignore=IGNORED)
+        if mutant is not None:
+            _apply(mutant, checkout)
+        env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+        probe = subprocess.run(
+            [sys.executable, "-c", "import qkad; print(qkad.__file__)"],
+            cwd=checkout, env=env, capture_output=True, text=True, check=True,
+        )
+        if not Path(probe.stdout.strip()).resolve().is_relative_to(checkout.resolve()):
+            raise SystemExit(f"the copy imports qkad from {probe.stdout.strip()}, not {checkout}")
+        tests = subprocess.run(
+            [sys.executable, *TIER1], cwd=checkout, env=env, capture_output=True, text=True,
+            timeout=TIMEOUT_S,
+        )
+    return tests.returncode == 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
+    args = parser.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    if args.list:
+        print("\n".join(known))
+        return 0
+    unknown = sorted(set(args.names) - set(known))
+    if unknown:
+        parser.error(f"unknown mutants {unknown}; known: {sorted(known)}")
+    if not tier1_passes(None):
+        raise SystemExit("tier-1 fails on an unmutated copy; no mutant can be judged")
+    survived = 0
+    for mutant in (known[n] for n in args.names) if args.names else MUTANTS:
+        if not tier1_passes(mutant):
+            outcome = "caught"
+        else:
+            outcome = "equivalent" if mutant.equivalent else "survived"
+        survived += outcome == "survived"
+        reason = f" ({mutant.equivalent})" if outcome == "equivalent" else ""
+        print(f"{mutant.name}: {outcome}{reason}", flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

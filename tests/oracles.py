@@ -4,19 +4,21 @@ These deliberately avoid the package's own computational paths: the circuit
 oracle multiplies dense gate matrices built from lifted Paulis and matrix
 exponentials, the per-pair kernel estimators run one circuit (or one pair of
 measurement records) at a time where the package fills whole Gram blocks,
-the per-point encoding, per-state factored rotation and per-row Born
-sampler are the forms the package's batched encoding, stacked rotation and
-threaded per-point sampler must reproduce bit for bit, the paired rotation
-is the earlier form whose RM counts the package must still reproduce, the
-projection oracle is column-by-column Gram-Schmidt where the package uses
-Householder QR, the QP oracles are plain projected gradient descent,
-the Frank-Wolfe gap and a dual feasibility check, and the ranking-metric
-oracles recount precision/recall from scratch at every rank.
+the per-point encoding, per-setting Haar draw, per-setting Kronecker
+factors, per-state factored rotation and per-row Born sampler are the forms
+the package's batched encoding, one-call settings draw, stacked factors,
+stacked rotation and threaded per-point sampler must reproduce bit for bit,
+the paired rotation is the earlier form whose RM counts the package must
+still reproduce, the projection oracle is column-by-column Gram-Schmidt
+where the package uses Householder QR, the QP oracles are plain projected
+gradient descent, the Frank-Wolfe gap and a dual feasibility check, and the
+ranking-metric oracles recount precision/recall from scratch at every rank.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import expm
@@ -80,54 +82,82 @@ def apply_factors_per_state(amps: np.ndarray, gates: np.ndarray) -> np.ndarray:
     """Apply a (d, 2, 2) stack of single-qubit gates to one state, factoring them per call.
 
     The per-state form :func:`qkad.statevec.apply_local` must reproduce bit
-    for bit: the gates on the ``hi`` leading qubits (``d // 2`` above
-    ``_WHOLE_QUBITS`` qubits, else none) and those on the rest are multiplied
-    out by ``np.kron`` into ``u_hi`` and ``u_lo``, and the state, as a
-    ``(2^hi, 2^(d - hi))`` matrix ``A``, becomes ``(u_hi @ A) @ u_lo.T`` in
-    two 2-D GEMMs; a 1x1 ``u_hi`` is ``[[1.0]]``, which changes no value.
+    for bit: :func:`local_factors_per_setting` multiplies the gates out into
+    ``u_hi`` and ``u_lo``, and the state, as a ``(2^hi, 2^(d - hi))`` matrix
+    ``A``, becomes ``(u_hi @ A) @ u_lo.T`` in two 2-D GEMMs; a 1x1 ``u_hi`` is
+    ``[[1.0]]``, which changes no value.
     """
     d = len(gates)
     if amps.shape != (2**d,):
         raise ValueError(f"setting has {d} qubits, state has shape {amps.shape}")
+    u_hi, u_lo_t = local_factors_per_setting(gates)
+    return ((u_hi @ amps.reshape(len(u_hi), len(u_lo_t))) @ u_lo_t).reshape(-1)
+
+
+def sample_haar_setting(d: int, rng: np.random.Generator) -> np.ndarray:
+    """One (d, 2, 2) Haar setting, drawn on its own: real parts, then imaginary, then QR.
+
+    The per-setting form :func:`qkad.statevec.sample_haar_settings` must
+    reproduce bit for bit, ``r`` calls of this in a row against its one call.
+    """
+    z = rng.normal(size=(d, 2, 2)) + 1j * rng.normal(size=(d, 2, 2))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def local_factors_per_setting(setting: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(U_hi, U_lo^T)`` of one (d, 2, 2) setting, each factor one ``reduce(np.kron, ...)``.
+
+    The per-setting form one slice of :func:`qkad.statevec.local_factors`'s
+    stacked factors must equal bit for bit; the split is ``d // 2`` above
+    ``_WHOLE_QUBITS`` qubits, else none.
+    """
+    d = len(setting)
     hi = d // 2 if d > _WHOLE_QUBITS else 0
-    u_hi, u_lo = np.ones((1, 1)), np.ones((1, 1))
-    for q, gate in enumerate(gates):
-        if q < hi:
-            u_hi = np.kron(u_hi, gate)
-        else:
-            u_lo = np.kron(u_lo, gate)
-    return ((u_hi @ amps.reshape(len(u_hi), len(u_lo))) @ u_lo.T).reshape(-1)
+    u_hi, u_lo = (reduce(np.kron, gates, np.ones((1, 1))) for gates in (setting[:hi], setting[hi:]))
+    return u_hi, u_lo.T
 
 
-def paired_factors(setting: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The paired form of a (d, 2, 2) setting that :func:`apply_paired` takes.
+def paired_factors(settings: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The paired form of a (d, 2, 2) setting or (r, d, 2, 2) stack that :func:`apply_paired` takes.
 
     The package's rotation before half-register factors: gates q and q+1
     become one 4x4 Kronecker block, an odd last gate stays 2x2, so a d-qubit
-    setting is applied in ``ceil(d / 2)`` GEMMs.
+    setting is applied in ``ceil(d / 2)`` GEMMs.  A stack gives one
+    ``(r, k, k)`` stack per block, so ``zip(*pairs)`` yields each setting's
+    blocks, as it yields each setting's factors of the package's form.
     """
+    lead, d = settings.shape[:-3], settings.shape[-3]
     pairs = []
-    for q in range(0, len(setting), 2):
-        block = setting[q]
-        if q + 1 < len(setting):
-            block = (block[:, None, :, None] * setting[q + 1][None, :, None, :]).reshape(4, 4)
+    for q in range(0, d, 2):
+        block = settings[..., q, :, :]
+        if q + 1 < d:
+            low = settings[..., q + 1, None, :, None, :]
+            block = (block[..., :, None, :, None] * low).reshape(lead + (4, 4))
         pairs.append(block)
     return tuple(pairs)
 
 
-def apply_paired(amps: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Rotate a ``(2^d,)`` state or an ``(n, 2^d)`` stack by a :func:`paired_factors` setting.
+def apply_paired(
+    amps: np.ndarray, pairs: tuple[np.ndarray, ...], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Rotate a ``(2^d,)`` state or an ``(n, 2^d)`` stack by one setting's :func:`paired_factors`.
 
     Each step is one GEMM of a block on the leading qubits; the transpose then
     moves the next qubits to the front, so after the last step the order is
     restored.  With :func:`paired_factors` it is a drop-in for the package's
-    ``local_factors`` and ``apply_local``, whose RM counts must not change.
+    ``local_factors`` and ``apply_local``, whose RM counts must not change;
+    like ``apply_local``, it writes into ``out`` and returns it when given.
     """
     t = amps
     lead = amps.shape[:-1]
     for block in pairs:
         t = (block @ t.reshape(lead + (len(block), -1))).mT
-    return t.reshape(amps.shape)
+    if out is None:
+        return t.reshape(amps.shape)
+    out[...] = t.reshape(amps.shape)
+    return out
 
 
 def iqp_layer_angles_point(x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:

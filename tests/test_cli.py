@@ -234,6 +234,17 @@ def test_threshold_override_changes_labelling():
     assert low.ap == high.ap  # ranking metric ignores the threshold
 
 
+def test_a_score_equal_to_the_threshold_is_not_flagged(monkeypatch):
+    # a point is flagged only strictly below the threshold
+    def ties(model, cross):
+        return np.zeros(len(cross.entries))
+
+    monkeypatch.setattr(qkad.ocsvm, "decision_scores", ties)
+    cfg = RunConfig(method="rbf", dataset="synthetic", train_size=100, seeds=(0,))
+    (record,) = run_experiment(cfg)
+    assert record.tp + record.fp == 0
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError, match="method"):
         RunConfig(method="nope", dataset="synthetic")

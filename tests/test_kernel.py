@@ -12,7 +12,7 @@ from qkad.statevec import (
     FeatureMapConfig,
     encode_iqp,
     local_factors,
-    sample_haar_setting,
+    sample_haar_settings,
 )
 from qkad.kernel import (
     KERNEL_KINDS,
@@ -39,6 +39,7 @@ from oracles import (
     rbf_entry,
     rm_kernel_entry,
     rm_purity_einsum,
+    sample_haar_setting,
 )
 
 FM2 = FeatureMapConfig()
@@ -120,12 +121,11 @@ def test_inversion_gram_probability_matches_composition_path(rng):
 
 def signature(x, fm, settings, shots, rng):
     """One point's shot counts, encoded and factored the way ``_represent`` does it."""
-    factored = [local_factors(setting) for setting in settings]
-    return collect_signature(encode_iqp(x[None], fm), factored, shots, [rng])[0]
+    return collect_signature(encode_iqp(x[None], fm), local_factors(settings), shots, [rng])[0]
 
 
 def test_collect_signature_shape_and_normalization(rng):
-    settings = np.stack([sample_haar_setting(2, rng) for _ in range(5)])
+    settings = sample_haar_settings(5, 2, rng)
     counts = signature(np.array([0.2, 0.8]), FM2, settings, 600, rng)
     assert counts.shape == (5, 4)
     assert np.max(np.abs((counts / 600.0).sum(axis=1) - 1.0)) < 1e-12
@@ -134,7 +134,7 @@ def test_collect_signature_shape_and_normalization(rng):
 def test_collect_signature_zero_input_matches_born_oracle(rng):
     # x = 0 encodes |00>, so each stored distribution is the Born
     # distribution of U|00>, i.e. |first column of U|^2
-    setting = sample_haar_setting(2, rng)
+    setting = sample_haar_settings(1, 2, rng)[0]
     counts = signature(np.zeros(2), FM2, setting[None], 10**5, rng)
     u_full = np.kron(setting[0], setting[1])
     born = np.abs(u_full[:, 0]) ** 2
@@ -159,14 +159,15 @@ def test_rm_counts_and_purities_equal_those_of_the_paired_rotation(d, n, monkeyp
 
 
 def test_collect_signature_rejects_mismatched_settings(rng):
-    factored = [local_factors(sample_haar_setting(3, rng))]
+    factors = local_factors(sample_haar_settings(1, 3, rng))
     with pytest.raises(ValueError, match="qubits"):
-        collect_signature(encode_iqp(np.zeros((1, 2)), FM2), factored, 10, [rng])
+        collect_signature(encode_iqp(np.zeros((1, 2)), FM2), factors, 10, [rng])
 
 
 def test_collect_signature_rejects_empty_settings(rng):
+    factors = local_factors(np.empty((0, 2, 2, 2), dtype=complex))
     with pytest.raises(ValueError, match="at least one measurement setting"):
-        collect_signature(encode_iqp(np.zeros((1, 2)), FM2), [], 10, [rng])
+        collect_signature(encode_iqp(np.zeros((1, 2)), FM2), factors, 10, [rng])
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +253,7 @@ def test_randomized_gram_builds_at_14_qubits():
     ids=["states", "counts", "basis-signs"],
 )
 def test_quantum_point_sets_over_1_gib_fail_before_encoding(kind, d, n, message, monkeypatch):
-    _forbid(monkeypatch, "encode_iqp", "collect_signature", "sample_haar_setting")
+    _forbid(monkeypatch, "encode_iqp", "collect_signature", "sample_haar_settings")
     cfg = KernelConfig(kind=kind)
     with pytest.raises(ValueError, match=message):
         build_gram_train(np.zeros((n, d)), cfg, np.random.default_rng(0))
@@ -335,7 +336,7 @@ def test_rm_purity_pure_states_across_seeds():
     estimates = []
     for seed in range(15):
         rng = np.random.default_rng(500 + seed)
-        settings = np.stack([sample_haar_setting(2, rng) for _ in range(30)])
+        settings = sample_haar_settings(30, 2, rng)
         counts = signature(x, FM2, settings, 9000, rng)
         estimates.append(rm_purity(counts, 9000))
     estimates = np.array(estimates)
@@ -774,7 +775,7 @@ def test_gram_train_randomized_diagonal_semantics(rng):
 
 
 def test_randomized_cache_settings_are_one_array_drawn_in_order(rng):
-    # the r settings come first off the stream, one sample_haar_setting call each
+    # the r settings come first off the stream, as r per-setting draws would take them
     X = rng.uniform(-0.5, 0.5, size=(3, 2))
     _, train = build_gram_train(X, make_cfg("randomized"), np.random.default_rng(4))
     replay = np.random.default_rng(4)
@@ -973,7 +974,7 @@ def test_estimator_spread_shrinks_with_more_settings():
         vals = []
         for k in range(25):
             rng = np.random.default_rng(base_seed + k)
-            settings = np.stack([sample_haar_setting(2, rng) for _ in range(r)])
+            settings = sample_haar_settings(r, 2, rng)
             counts_a = signature(x, fm, settings, 200, rng)
             counts_b = signature(xp, fm, settings, 200, rng)
             vals.append(rm_kernel_entry(counts_a, counts_b, 200))

@@ -184,6 +184,16 @@ def test_support_indices_match_threshold(rng):
     assert np.array_equal(model.support_indices, np.flatnonzero(model.alphas > 1e-8))
 
 
+def test_rho_counts_a_coefficient_just_above_the_support_threshold():
+    # 5e-7 is above the 1e-8 threshold: point 2 is a support vector and, like
+    # point 1 (5e-7 below the cap), interior, so rho averages their margins
+    cap = 0.5
+    alpha = np.array([cap, cap - 5e-7, 5e-7])
+    G = np.diag([1.0, 2.0, 3.0]) + 0.1
+    margins = G @ alpha
+    assert ocsvm._compute_rho(G, alpha, cap) == margins[[1, 2]].mean()
+
+
 # ---------------------------------------------------------------------------
 # decision_scores
 # ---------------------------------------------------------------------------

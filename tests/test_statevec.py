@@ -4,8 +4,10 @@ import sys
 import threading
 import tracemalloc
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import qkad.statevec
 from oracles import (
@@ -16,6 +18,8 @@ from oracles import (
     inner_product,
     iqp_circuit_oracle,
     kron_apply_oracle,
+    local_factors_per_setting,
+    sample_haar_setting,
 )
 from qkad.statevec import (
     FeatureMapConfig,
@@ -23,7 +27,7 @@ from qkad.statevec import (
     born_counts,
     encode_iqp,
     local_factors,
-    sample_haar_setting,
+    sample_haar_settings,
 )
 
 
@@ -57,7 +61,7 @@ def test_encode_output_is_normalized(d, layers, lam, rng):
 def test_states_and_settings_are_plain_arrays(rng):
     state = encode_one(rng.uniform(-1, 1, size=3), FeatureMapConfig())
     assert state.shape == (8,) and state.dtype == np.complex128
-    setting = sample_haar_setting(3, rng)
+    setting = sample_haar_settings(1, 3, rng)[0]
     assert setting.shape == (3, 2, 2) and setting.dtype == np.complex128
     rotated = apply_local(state, local_factors(setting))
     assert rotated.shape == (8,) and rotated.dtype == np.complex128
@@ -170,29 +174,79 @@ def test_adjoint_roundtrip_recovers_initial_state(rng):
 
 
 # ---------------------------------------------------------------------------
-# sample_haar_setting
+# sample_haar_settings
 # ---------------------------------------------------------------------------
 
 
 def test_haar_setting_matrices_are_unitary(rng):
-    setting = sample_haar_setting(5, rng)
-    for u in setting:
+    stack = sample_haar_settings(4, 5, rng)
+    assert stack.shape == (4, 5, 2, 2) and stack.dtype == np.complex128
+    for u in stack.reshape(-1, 2, 2):
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-10
 
 
 def test_haar_setting_seed_determinism():
-    a = sample_haar_setting(3, np.random.default_rng(7))
-    b = sample_haar_setting(3, np.random.default_rng(7))
-    c = sample_haar_setting(3, np.random.default_rng(8))
+    a = sample_haar_settings(2, 3, np.random.default_rng(7))
+    b = sample_haar_settings(2, 3, np.random.default_rng(7))
+    c = sample_haar_settings(2, 3, np.random.default_rng(8))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_haar_first_moment_is_half():
     # E |<0|U|0>|^2 = 1/2 for Haar-random SU(2); Monte Carlo over 1e5 draws
-    setting = sample_haar_setting(100_000, np.random.default_rng(11))
-    mean = np.mean(np.abs(setting[:, 0, 0]) ** 2)
+    stack = sample_haar_settings(1, 100_000, np.random.default_rng(11))
+    mean = np.mean(np.abs(stack[0, :, 0, 0]) ** 2)
     assert abs(mean - 0.5) < 0.01
+
+
+@pytest.mark.parametrize("r, d", [(1, 1), (2, 3), (30, 6), (5, 10)])
+def test_one_call_draw_equals_per_setting_draws_and_leaves_the_same_stream(r, d):
+    drawn, replay = np.random.default_rng(r + d), np.random.default_rng(r + d)
+    stack = sample_haar_settings(r, d, drawn)
+    expected = np.stack([sample_haar_setting(d, replay) for _ in range(r)])
+    assert np.array_equal(stack, expected)
+    assert drawn.normal() == replay.normal()
+
+
+def test_haar_draw_rejects_an_empty_stack(rng):
+    for r, d in [(0, 3), (3, 0)]:
+        with pytest.raises(ValueError, match=f"r and d must be >= 1, got r={r}, d={d}"):
+            sample_haar_settings(r, d, rng)
+
+
+# ---------------------------------------------------------------------------
+# local_factors
+# ---------------------------------------------------------------------------
+
+
+def assert_factor_stack_equals_oracle(stack):
+    u_hi, u_lo_t = local_factors(stack)
+    assert len(u_hi) == len(u_lo_t) == len(stack)
+    for m, setting in enumerate(stack):
+        expected_hi, expected_lo_t = local_factors_per_setting(setting)
+        assert np.array_equal(u_hi[m], expected_hi) and u_hi[m].dtype == expected_hi.dtype
+        assert np.array_equal(u_lo_t[m], expected_lo_t) and u_lo_t[m].dtype == expected_lo_t.dtype
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_factor_stack_is_bit_identical_to_per_setting_kron(d):
+    # one broadcast multiply per qubit for the stack equals each setting's own np.kron chain
+    assert_factor_stack_equals_oracle(sample_haar_settings(3, d, np.random.default_rng(d)))
+
+
+@pytest.mark.parametrize("d", [1, 6, 7, 10])
+def test_factors_of_the_broadcast_hadamards_equal_the_kron_oracle(d):
+    # encode_iqp's lone, broadcast, real setting
+    hadamards = np.broadcast_to(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), (d, 2, 2))
+    for got, expected in zip(local_factors(hadamards), local_factors_per_setting(hadamards)):
+        assert np.array_equal(got, expected) and got.dtype == expected.dtype == np.float64
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(r=st.integers(1, 8), d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_factor_stack_equals_oracle_property(r, d, seed):
+    assert_factor_stack_equals_oracle(sample_haar_settings(r, d, np.random.default_rng(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +283,33 @@ def test_apply_local_dimension_mismatch(rng):
         message = "setting has 3 qubits, state or stack has shape " + re.escape(str(amps.shape))
         with pytest.raises(ValueError, match=message):
             apply_local(amps, factors)
+
+
+@pytest.mark.parametrize("d", [1, 3, 6, 7, 10])
+def test_apply_local_into_out_equals_the_allocating_form(d, rng):
+    stack = sample_haar_settings(2, d, rng)
+    factors = next(zip(*local_factors(stack)))
+    for amps in (random_state(d, rng), np.stack([random_state(d, rng) for _ in range(5)])):
+        out = np.full(amps.shape, np.nan, dtype=complex)
+        assert apply_local(amps, factors, out=out) is out
+        assert np.array_equal(out, apply_local(amps, factors))
+
+
+def test_apply_local_into_a_row_of_a_block_writes_only_that_row(rng):
+    factors = next(zip(*local_factors(sample_haar_settings(1, 4, rng))))
+    state, block = random_state(4, rng), np.zeros((3, 2, 16), dtype=complex)
+    apply_local(state, factors, out=block[1, 0])
+    assert np.array_equal(block[1, 0], apply_local(state, factors))
+    assert not block[1, 1].any() and not block[0].any() and not block[2].any()
+
+
+def test_apply_local_rejects_a_wrongly_shaped_out(rng):
+    factors = next(zip(*local_factors(sample_haar_settings(1, 3, rng))))
+    state = random_state(3, rng)
+    for out in (np.empty(4, complex), np.empty((1, 8), complex), np.empty(16, complex)):
+        message = r"setting has 3 qubits, state or stack has shape \(8,\)"
+        with pytest.raises(ValueError, match=message):
+            apply_local(state, factors, out=out)
 
 
 # ---------------------------------------------------------------------------
