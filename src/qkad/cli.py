@@ -14,23 +14,23 @@ Every method is timed alike: the clock is read before fitting, after the fit
 (the solver, or ``fit_vs``) and right after scoring, for ``train_time_s`` and
 ``test_time_s``; ``gram_time_s`` and ``solver_time_s`` split the fit.
 
-Seeds run sequentially by default; ``--parallel`` fans them out over threads
-without changing any numeric output, because every seed owns its streams.
-A seed on such a thread runs the package's chunked steps (Born sampling, rbf
-bands, Gram mirror tiles) on its own thread, so pools never nest.
+Seeds run sequentially by default, or with ``--parallel`` in forked worker
+processes where the platform can fork; the numbers are the same either way,
+because every seed owns its streams.  A worker runs the package's chunked
+steps (Born sampling, rbf bands, Gram mirror tiles) on one thread.
 ``--output`` is a command-line option, not a :class:`RunConfig` field.
 """
 
 from __future__ import annotations
 
 import argparse
+import concurrent.futures.thread  # noqa: F401  (statevec's pools; imported before a seed is timed)
 import json
 import logging
 import os
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -302,6 +302,28 @@ def _error_record(cfg: RunConfig, seed: int, exc: Exception) -> RunRecord:
     return RunRecord(**_record_fields(cfg, seed), error=f"{type(exc).__name__}: {exc}")
 
 
+def _seed_record(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecord:
+    """The seed's record, or its error record if the seed raises."""
+    try:
+        record = _run_seed(cfg, seed, fraud)
+        logger.info("seed %d: ap=%.4f f1=%.4f", seed, record.ap, record.f1)
+        return record
+    except Exception as exc:
+        logger.error("seed %d failed: %s", seed, exc)
+        return _error_record(cfg, seed, exc)
+
+
+def _start_worker(cfg: RunConfig, fraud: data.Dataset | None) -> None:
+    # a forked worker inherits the run, and the workers' seeds already fill the cores
+    global _worker_run
+    _worker_run = cfg, fraud
+    statevec._SEED_WORKER = True
+
+
+def _worker_record(seed: int) -> RunRecord:
+    return _seed_record(_worker_run[0], seed, _worker_run[1])
+
+
 def run_experiment(cfg: RunConfig) -> list[RunRecord]:
     """Run every seed of the configured experiment; never aborts the sweep."""
     fraud: data.Dataset | None = None
@@ -312,24 +334,17 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
             logger.error("fraud dataset unavailable: %s", exc)
             return [_error_record(cfg, seed, exc) for seed in cfg.seeds]
 
-    def one(seed: int) -> RunRecord:
-        try:
-            record = _run_seed(cfg, seed, fraud)
-            logger.info("seed %d: ap=%.4f f1=%.4f", seed, record.ap, record.f1)
-            return record
-        except Exception as exc:
-            logger.error("seed %d failed: %s", seed, exc)
-            return _error_record(cfg, seed, exc)
-
-    def one_of_many(seed: int) -> RunRecord:
-        # the seeds fill the cores, so each one's chunked steps stay on its thread
-        statevec._SEED_THREAD.set(True)
-        return one(seed)
-
-    if cfg.parallel and len(cfg.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=min(len(cfg.seeds), statevec._cores())) as pool:
-            return list(pool.map(one_of_many, cfg.seeds))
-    return [one(seed) for seed in cfg.seeds]
+    if cfg.parallel and len(cfg.seeds) > 1 and hasattr(os, "fork"):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(min(len(cfg.seeds), statevec._cores()),
+                                 multiprocessing.get_context("fork"),
+                                 initializer=_start_worker, initargs=(cfg, fraud)) as pool:
+            futures = [pool.submit(_worker_record, seed) for seed in cfg.seeds]
+        # a seed whose worker died holds the pool's BrokenProcessPool
+        return [_error_record(cfg, seed, f.exception()) if f.exception() else f.result()
+                for seed, f in zip(cfg.seeds, futures)]
+    return [_seed_record(cfg, seed, fraud) for seed in cfg.seeds]
 
 
 def records_to_jsonl(records: list[RunRecord]) -> str:
@@ -476,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="force randomized-kernel mitigation on/off (default: per method)")
     parser.add_argument("--omit-timings", action="store_true",
                         help="write zero timings for byte-reproducible output")
-    parser.add_argument("--parallel", action="store_true", help="run seeds on a thread pool")
+    parser.add_argument("--parallel", action="store_true", help="run seeds in worker processes")
     # each run option defaults to its RunConfig field; --omit-timings sets record_timings
     parser.set_defaults(**{
         f.name: f.default for f in fields(RunConfig)

@@ -35,8 +35,8 @@ Three steps run in contiguous chunks on every core of the affinity mask,
 through :func:`statevec._on_every_core`: Born sampling, the rbf bands and the
 mirror tiles of every kind.  None of them calls BLAS, numpy releases the GIL
 inside them, and each chunk writes its own slice of the output, so no entry
-depends on the core count.  A seed on a ``--parallel`` thread runs them on
-that thread alone.  The bands of the GEMM kinds (exact, inversion test,
+depends on the core count.  A ``--parallel`` seed's worker process runs
+them on its one thread.  The bands of the GEMM kinds (exact, inversion test,
 randomized) and each (point, setting) rotation run on the calling thread: a
 BLAS that is not pinned to one thread would oversubscribe the cores.
 

@@ -201,15 +201,15 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-# set while a seed runs on a ``--parallel`` thread, whose seeds already fill the cores
-_SEED_THREAD = contextvars.ContextVar("qkad_seed_thread", default=False)
+# set in a ``--parallel`` worker process, whose seeds already fill the cores
+_SEED_WORKER = False
 
 
 def _on_every_core(fn: Callable[[range], None], items: int) -> None:
     """Run ``fn`` over contiguous chunks of ``range(items)``, one thread per core.
 
     There is one chunk per core of the affinity mask, at most one per item,
-    equal in count to within one; under :data:`_SEED_THREAD` there is one.
+    equal in count to within one; in a ``--parallel`` worker there is one.
     The calling thread runs the first chunk and a pool thread each other one,
     each in a copy of the caller's context, because numpy keeps
     ``np.errstate`` in a context variable.  The first chunk's exception, in
@@ -217,7 +217,7 @@ def _on_every_core(fn: Callable[[range], None], items: int) -> None:
     outlives the call.  The chunks gain only where ``fn`` releases the GIL;
     callers hand it work that touches disjoint output and calls no BLAS.
     """
-    workers = 1 if _SEED_THREAD.get() else max(1, min(_cores(), items))
+    workers = 1 if _SEED_WORKER else max(1, min(_cores(), items))
     bounds = [items * k // workers for k in range(workers + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:

@@ -153,37 +153,38 @@ def test_rm_records_do_not_depend_on_the_sampling_worker_count(method, monkeypat
 
 @pytest.mark.parametrize("method, train_size", [("rm", 60), ("rbf", 600)])
 def test_parallel_seeds_open_no_pool_of_their_own(method, train_size, monkeypatch):
-    # Born sampling, rbf bands and mirror tiles would each open a pool at 2 cores
+    # Born sampling, rbf bands and mirror tiles would each open a pool at 2 cores;
+    # a forked worker inherits the patch, so a pool opened there fails its seed
     import concurrent.futures
 
-    opened = []
-
-    class Pool(concurrent.futures.ThreadPoolExecutor):
+    class Pool:
         def __init__(self, max_workers):
-            opened.append(max_workers)
-            super().__init__(max_workers)
+            raise RuntimeError("a seed opened a thread pool")
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
     run = dict(method=method, dataset="synthetic", train_size=train_size, seeds=(0, 1, 2),
                rm_settings=4, rm_shots=64, record_timings=False)
     seq = run_experiment(RunConfig(**run))
-    assert all(r.ok for r in seq) and opened
-    opened.clear()
+    assert all(r.ok for r in seq)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    patched = run_experiment(RunConfig(**run))
+    assert all("a seed opened a thread pool" in r.error for r in patched)
     par = run_experiment(RunConfig(**run, parallel=True))
-    assert opened == []
     assert records_to_jsonl(par) == records_to_jsonl(seq)
+    assert not qkad.statevec._SEED_WORKER  # set in the workers only
 
 
 def test_parallel_takes_its_worker_count_from_the_affinity_mask(monkeypatch):
+    import concurrent.futures
+
     sizes = []
 
-    class Pool(cli.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
             sizes.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     # a mask of 2 of the machine's 4 cores
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
@@ -193,7 +194,8 @@ def test_parallel_takes_its_worker_count_from_the_affinity_mask(monkeypatch):
     assert sizes == [2]
 
 
-def test_failed_seed_recorded_without_stopping_sweep(monkeypatch):
+@pytest.mark.parametrize("parallel", [False, True])
+def test_failed_seed_recorded_without_stopping_sweep(parallel, monkeypatch):
     original = cli._run_seed
 
     def flaky(cfg, seed, fraud):
@@ -202,10 +204,44 @@ def test_failed_seed_recorded_without_stopping_sweep(monkeypatch):
         return original(cfg, seed, fraud)
 
     monkeypatch.setattr(cli, "_run_seed", flaky)
-    cfg = RunConfig(method="rbf", dataset="synthetic", train_size=50, seeds=(0, 1, 2))
+    cfg = RunConfig(method="rbf", dataset="synthetic", train_size=50, seeds=(0, 1, 2),
+                    parallel=parallel)
     records = run_experiment(cfg)
     assert [r.ok for r in records] == [True, False, True]
     assert "injected failure" in records[1].error
+
+
+def test_a_dead_worker_fails_only_the_unfinished_seeds(tmp_path, monkeypatch):
+    original = cli._run_seed
+
+    def dying(cfg, seed, fraud):
+        if seed == 1:
+            os._exit(1)  # as an OOM kill would end it: no exception, no record
+        return original(cfg, seed, fraud)
+
+    monkeypatch.setattr(cli, "_run_seed", dying)
+    # one worker: seed 0's record is sent before seed 1 starts
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 1)
+    out = tmp_path / "r.jsonl"
+    assert main(["--method", "rbf", "--dataset", "synthetic", "--train-size", "50",
+                 "--seeds", "0-3", "--omit-timings", "--parallel", "--output", str(out)]) == 1
+    records = cli.load_records_jsonl(out)
+    assert [r.seed for r in records] == [0, 1, 2, 3]
+    assert [r.ok for r in records] == [True, False, False, False]
+    assert all(r.error.startswith("BrokenProcessPool: ") for r in records[1:])
+    (first,) = run_experiment(RunConfig(method="rbf", dataset="synthetic", train_size=50,
+                                        seeds=(0,), record_timings=False))
+    assert records[0] == first
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a process pool costs tens of ms to import; the thread pool is loaded before any seed
+    env = dict(os.environ, PYTHONPATH=str(Path(qkad.__file__).parents[1]))
+    code = ("import sys, qkad.cli; print(sorted({'multiprocessing', 'concurrent.futures.process',"
+            " 'concurrent.futures.thread'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.stdout.strip() == "['concurrent.futures.thread']", proc.stderr
 
 
 def test_ensemble_error_record_names_the_component_cause():
