@@ -15,9 +15,11 @@ Every method is timed alike: the clock is read before fitting, after the fit
 ``test_time_s``; ``gram_time_s`` and ``solver_time_s`` split the fit.
 
 Seeds run sequentially by default, or with ``--parallel`` in forked worker
-processes where the platform can fork; the numbers are the same either way,
-because every seed owns its streams.  A worker runs the package's chunked
-steps (Born sampling, rbf bands, Gram mirror tiles) on one thread.
+processes (:func:`statevec._on_forked_workers`), one per core, where the
+platform can fork and numpy's OpenBLAS can be pinned to one thread in a
+worker; the numbers are the same either way, because every seed owns its
+streams.  A worker runs the package's chunked steps (Born sampling, rbf
+bands, Gram mirror tiles) and a VS ensemble's components on its one thread.
 ``--output`` is a command-line option, not a :class:`RunConfig` field.
 """
 
@@ -313,17 +315,6 @@ def _seed_record(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRe
         return _error_record(cfg, seed, exc)
 
 
-def _start_worker(cfg: RunConfig, fraud: data.Dataset | None) -> None:
-    # a forked worker inherits the run, and the workers' seeds already fill the cores
-    global _worker_run
-    _worker_run = cfg, fraud
-    statevec._SEED_WORKER = True
-
-
-def _worker_record(seed: int) -> RunRecord:
-    return _seed_record(_worker_run[0], seed, _worker_run[1])
-
-
 def run_experiment(cfg: RunConfig) -> list[RunRecord]:
     """Run every seed of the configured experiment; never aborts the sweep."""
     fraud: data.Dataset | None = None
@@ -334,16 +325,12 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
             logger.error("fraud dataset unavailable: %s", exc)
             return [_error_record(cfg, seed, exc) for seed in cfg.seeds]
 
-    if cfg.parallel and len(cfg.seeds) > 1 and hasattr(os, "fork"):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(min(len(cfg.seeds), statevec._cores()),
-                                 multiprocessing.get_context("fork"),
-                                 initializer=_start_worker, initargs=(cfg, fraud)) as pool:
-            futures = [pool.submit(_worker_record, seed) for seed in cfg.seeds]
-        # a seed whose worker died holds the pool's BrokenProcessPool
-        return [_error_record(cfg, seed, f.exception()) if f.exception() else f.result()
-                for seed, f in zip(cfg.seeds, futures)]
+    if cfg.parallel:
+        # a seed whose worker died gets an error record with the pool's BrokenProcessPool
+        return statevec._on_forked_workers(
+            lambda i: _seed_record(cfg, cfg.seeds[i], fraud), len(cfg.seeds),
+            fail=lambda i, exc: _error_record(cfg, cfg.seeds[i], exc),
+        )
     return [_seed_record(cfg, seed, fraud) for seed in cfg.seeds]
 
 

@@ -17,6 +17,17 @@ each component in order, it draws the subsample indices, the projection (with
 feature bagging) and three child seeds for the kernel fit, the solver and
 scoring.  A component's fit draws only from its own child streams, so the
 fitted ensemble is a pure function of (seed, config, data).
+
+Once every draw is made, the components are fitted, and later scored, on
+forked worker processes, one per core and at most one per component
+(:func:`statevec._on_forked_workers`).  The config, the rows and the draws
+reach the workers by fork; a task carries only a component's index, and the
+components come back in index order.  Where the helper cannot fork, and in a
+worker such as a ``--parallel`` seed's, they run one after another in the
+calling process, with the same results.  The first failing component, by
+index, raises ``ensemble component k failed to fit: ...``.  ``gram_time_s``
+and ``solver_time_s`` sum the components' own times, each measured where it
+ran, so together they can exceed the wall time of the fit.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ import numpy as np
 from . import ocsvm
 from .kernel import KernelConfig, TrainingSet, build_gram_cross, build_gram_train
 from .ocsvm import OCSVMModel
+from .statevec import _on_forked_workers
 
 __all__ = [
     "VSConfig",
@@ -126,15 +138,14 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
     if n < SUBSAMPLE_MIN:
         raise ValueError(f"need at least {SUBSAMPLE_MIN} training points, got {n}")
 
-    sizes = sample_sizes(component_count(n), rng)
-    components: list[Component] = []
-    gram_time = 0.0
-    solver_time = 0.0
-    train_evals = 0
-    for idx, size in enumerate(sizes):
+    draws = []
+    for size in sample_sizes(component_count(n), rng):
         indices = rng.choice(n, size=min(size, n), replace=False)
         projection = random_rotation(d, rotation_dim(d), rng) if cfg.rfb_enabled else None
-        fit_seed, solver_seed, score_seed = (int(rng.integers(0, 2**63 - 1)) for _ in range(3))
+        draws.append((indices, projection, *(int(rng.integers(0, 2**63 - 1)) for _ in range(3))))
+
+    def fit_component(idx: int) -> tuple[Component, float, float, int]:
+        indices, projection, fit_seed, solver_seed, score_seed = draws[idx]
         try:
             sub = X_train[indices]
             if projection is not None:
@@ -145,34 +156,33 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
             t1 = time.perf_counter()
             model = ocsvm.fit(gram, cfg.nu, np.random.default_rng(solver_seed))
             t2 = time.perf_counter()
-            gram_time += t1 - t0
-            solver_time += t2 - t1
-            train_evals += gram.eval_count
 
             train_scores = ocsvm.decision_scores(model, gram)
-            components.append(
-                Component(
-                    subsample_indices=indices,
-                    train=train,
-                    projection=projection,
-                    model=model,
-                    train_score_mean=float(train_scores.mean()),
-                    train_score_std=float(train_scores.std()),
-                    score_seed=score_seed,
-                )
+            component = Component(
+                subsample_indices=indices,
+                train=train,
+                projection=projection,
+                model=model,
+                train_score_mean=float(train_scores.mean()),
+                train_score_std=float(train_scores.std()),
+                score_seed=score_seed,
             )
+            return component, t1 - t0, t2 - t1, gram.eval_count
         except Exception as exc:
             raise RuntimeError(
                 f"ensemble component {idx} failed to fit: {type(exc).__name__}: {exc}"
             ) from exc
 
+    components, gram_times, solver_times, evals = zip(
+        *_on_forked_workers(fit_component, len(draws))
+    )
     return EnsembleModel(
-        components=tuple(components),
+        components=components,
         aggregation=cfg.aggregation,
         num_features=d,
-        gram_time_s=gram_time,
-        solver_time_s=solver_time,
-        train_eval_count=train_evals,
+        gram_time_s=sum(gram_times),
+        solver_time_s=sum(solver_times),
+        train_eval_count=sum(evals),
     )
 
 
@@ -198,7 +208,9 @@ def score_vs(model: EnsembleModel, X_test: np.ndarray) -> tuple[np.ndarray, int]
         raise ValueError(
             f"expected (t, {model.num_features}) test matrix, got shape {X_test.shape}"
         )
-    scores, evals = zip(*(_component_scores(c, X_test) for c in model.components))
+    scores, evals = zip(*_on_forked_workers(
+        lambda k: _component_scores(model.components[k], X_test), len(model.components)
+    ))
     stacked = np.stack(scores)
     aggregated = stacked.mean(axis=0) if model.aggregation == "mean" else stacked.max(axis=0)
     return aggregated, sum(evals)

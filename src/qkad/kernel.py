@@ -35,10 +35,13 @@ Three steps run in contiguous chunks on every core of the affinity mask,
 through :func:`statevec._on_every_core`: Born sampling, the rbf bands and the
 mirror tiles of every kind.  None of them calls BLAS, numpy releases the GIL
 inside them, and each chunk writes its own slice of the output, so no entry
-depends on the core count.  A ``--parallel`` seed's worker process runs
-them on its one thread.  The bands of the GEMM kinds (exact, inversion test,
-randomized) and each (point, setting) rotation run on the calling thread: a
-BLAS that is not pinned to one thread would oversubscribe the cores.
+depends on the core count.  The bands of the GEMM kinds (exact, inversion
+test, randomized) and each (point, setting) rotation run on the calling
+thread: a BLAS that is not pinned to one thread would oversubscribe the
+cores.  Nothing here forks.  A Gram built in a forked worker of
+:func:`statevec._on_forked_workers`, a ``--parallel`` seed's or a VS
+component's, runs all of these on that worker's one thread, with its BLAS
+pinned to one thread.
 
 Shot-based entries may leave [0, 1], and a shot-based Gram may be
 indefinite; neither is repaired.

@@ -22,6 +22,13 @@ Conventions used throughout the package:
   into a caller's buffer if given, and the encoding's Hadamards use it too.
 * Global phase is not tracked beyond what the gate definitions imply; all
   downstream quantities are fidelities, which ignore it.
+* Two private helpers spread work over the cores of the affinity mask.
+  :func:`_on_every_core` runs contiguous chunks of a step that releases the
+  GIL and calls no BLAS on threads: Born sampling here, rbf bands and mirror
+  tiles in ``kernel``.  :func:`_on_forked_workers` maps a function over
+  items on forked worker processes: ``--parallel`` seeds and VS components.
+  A forked worker sets ``_IN_WORKER``, so neither helper opens a pool inside
+  it, and pins numpy's OpenBLAS to one thread.
 
 All operations are pure: inputs are never mutated and random draws come
 from an explicit ``numpy.random.Generator``.
@@ -34,6 +41,7 @@ import math
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -201,15 +209,15 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-# set in a ``--parallel`` worker process, whose seeds already fill the cores
-_SEED_WORKER = False
+# set in a forked worker process of :func:`_on_forked_workers`, whose items fill the cores
+_IN_WORKER = False
 
 
 def _on_every_core(fn: Callable[[range], None], items: int) -> None:
     """Run ``fn`` over contiguous chunks of ``range(items)``, one thread per core.
 
     There is one chunk per core of the affinity mask, at most one per item,
-    equal in count to within one; in a ``--parallel`` worker there is one.
+    equal in count to within one; in a forked worker there is one.
     The calling thread runs the first chunk and a pool thread each other one,
     each in a copy of the caller's context, because numpy keeps
     ``np.errstate`` in a context variable.  The first chunk's exception, in
@@ -217,7 +225,7 @@ def _on_every_core(fn: Callable[[range], None], items: int) -> None:
     outlives the call.  The chunks gain only where ``fn`` releases the GIL;
     callers hand it work that touches disjoint output and calls no BLAS.
     """
-    workers = 1 if _SEED_WORKER else max(1, min(_cores(), items))
+    workers = 1 if _IN_WORKER else max(1, min(_cores(), items))
     bounds = [items * k // workers for k in range(workers + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:
@@ -230,6 +238,74 @@ def _on_every_core(fn: Callable[[range], None], items: int) -> None:
         fn(chunks[0])
         for future in futures:
             future.result()
+
+
+@lru_cache(maxsize=1)
+def _openblas():
+    """numpy's bundled OpenBLAS, loaded by ``ctypes``, or None without the calls workers make."""
+    import ctypes
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for name in names:
+        if name.startswith("libscipy_openblas") and name.endswith(".so"):
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            try:
+                setter, shutdown = lib.scipy_openblas_set_num_threads64_, lib.blas_thread_shutdown_
+            except AttributeError:
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+            return lib
+    return None
+
+
+def _start_worker(fn: Callable[[int], object]) -> None:
+    # the forked worker inherits fn and all it reads; it pins its own BLAS only
+    global _IN_WORKER, _worker_fn
+    _IN_WORKER, _worker_fn = True, fn
+    blas = _openblas()
+    blas.scipy_openblas_set_num_threads64_(1)
+    # the setter restarts the BLAS threads the fork stopped, and idle they spin for a while
+    blas.blas_thread_shutdown_()
+
+
+def _worker_call(item: int) -> object:
+    return _worker_fn(item)
+
+
+def _on_forked_workers(
+    fn: Callable[[int], object], items: int,
+    fail: Callable[[int, BaseException], object] | None = None,
+) -> list:
+    """``[fn(i) for i in range(items)]``, the items spread over forked worker processes.
+
+    There is one worker per core of the affinity mask, at most one per item.
+    ``fn`` and everything it reads reach the workers by fork, never pickled:
+    a task carries only its item, and only its result is pickled back.  Each
+    worker sets ``_IN_WORKER``, so its :func:`_on_every_core` steps run on its
+    one thread and a nested call runs in that worker, and it pins numpy's
+    OpenBLAS to one thread and stops that BLAS's own threads, because a BLAS
+    pool per worker would oversubscribe the cores.  Results come back in item order.  An item whose
+    worker raised or died yields ``fail(i, exc)``; without ``fail`` the first
+    such item, by index, re-raises.  No process outlives the call.  The items
+    run in order in the calling process, where an exception propagates at
+    once, when there is one item, when the caller is a worker, where the
+    platform cannot fork or where the BLAS cannot be pinned.
+    """
+    if items < 2 or _IN_WORKER or not hasattr(os, "fork") or _openblas() is None:
+        return [fn(i) for i in range(items)]
+    import concurrent.futures
+    import multiprocessing
+
+    # fork, because fn closes over the caller's data; the pool forks before it starts a thread
+    with concurrent.futures.ProcessPoolExecutor(
+        min(_cores(), items), multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(fn,),
+    ) as pool:
+        futures = [pool.submit(_worker_call, i) for i in range(items)]
+        return [fail(i, f.exception()) if fail and f.exception() else f.result()
+                for i, f in enumerate(futures)]
 
 
 def born_counts(amps: np.ndarray, shots: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:

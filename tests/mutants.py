@@ -46,7 +46,8 @@ class Mutant:
 
 
 # The stacked-settings rotation's own mutants, then the survivors of an earlier
-# audit of 18 one-line changes, which tier-1 has since been extended to catch.
+# audit of 18 one-line changes, which tier-1 has since been extended to catch,
+# then the forked-worker helper's own.
 MUTANTS = (
     Mutant(
         "kron-operands-swapped",
@@ -103,6 +104,24 @@ MUTANTS = (
         "src/qkad/ensemble.py",
         'stacked.mean(axis=0) if model.aggregation == "mean" else stacked.max(axis=0)',
         'stacked.mean(axis=0) if model.aggregation == "mean" else stacked.mean(axis=0)',
+    ),
+    Mutant(
+        "results-in-completion-order",
+        "src/qkad/statevec.py",
+        "for i, f in enumerate(futures)]",
+        "for i, f in enumerate(concurrent.futures.as_completed(futures))]",
+    ),
+    Mutant(
+        "worker-flag-unset",
+        "src/qkad/statevec.py",
+        "_IN_WORKER, _worker_fn = True, fn",
+        "_IN_WORKER, _worker_fn = False, fn",
+    ),
+    Mutant(
+        "worker-blas-threads-left-running",
+        "src/qkad/statevec.py",
+        "    blas.blas_thread_shutdown_()",
+        "    pass",
     ),
 )
 

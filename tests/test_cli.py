@@ -151,27 +151,42 @@ def test_rm_records_do_not_depend_on_the_sampling_worker_count(method, monkeypat
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("method, train_size", [("rm", 60), ("rbf", 600)])
+@pytest.mark.parametrize("method, train_size", [("rm", 60), ("rbf", 600), ("vs-rm", 200)])
 def test_parallel_seeds_open_no_pool_of_their_own(method, train_size, monkeypatch):
-    # Born sampling, rbf bands and mirror tiles would each open a pool at 2 cores;
-    # a forked worker inherits the patch, so a pool opened there fails its seed
+    # Born sampling, rbf bands and mirror tiles would each open a thread pool at 2 cores,
+    # and fit_vs and score_vs a process pool; a forked worker inherits the patches, so a
+    # pool opened there fails its seed
     import concurrent.futures
 
-    class Pool:
-        def __init__(self, max_workers):
-            raise RuntimeError("a seed opened a thread pool")
+    parent = os.getpid()
+    bases = {"thread": concurrent.futures.ThreadPoolExecutor,
+             "process": concurrent.futures.ProcessPoolExecutor}
+
+    def refuse(anywhere):
+        for kind, base in bases.items():
+            class Pool(base):
+                def __init__(self, *args, kind=kind, **kwargs):
+                    if anywhere or os.getpid() != parent:
+                        raise RuntimeError(f"a seed opened a {kind} pool")
+                    super().__init__(*args, **kwargs)
+
+            monkeypatch.setattr(concurrent.futures, f"{kind.title()}PoolExecutor", Pool)
 
     monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
     run = dict(method=method, dataset="synthetic", train_size=train_size, seeds=(0, 1, 2),
                rm_settings=4, rm_shots=64, record_timings=False)
     seq = run_experiment(RunConfig(**run))
     assert all(r.ok for r in seq)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    refuse(anywhere=True)
     patched = run_experiment(RunConfig(**run))
-    assert all("a seed opened a thread pool" in r.error for r in patched)
+    kind = "process" if method.startswith("vs") else "thread"
+    assert all(f"a seed opened a {kind} pool" in r.error for r in patched)
+    refuse(anywhere=False)
     par = run_experiment(RunConfig(**run, parallel=True))
     assert records_to_jsonl(par) == records_to_jsonl(seq)
-    assert not qkad.statevec._SEED_WORKER  # set in the workers only
+    # a sequential vs-rm seed's component workers open no pool either
+    assert records_to_jsonl(run_experiment(RunConfig(**run))) == records_to_jsonl(seq)
+    assert not qkad.statevec._IN_WORKER  # set in the workers only
 
 
 def test_parallel_takes_its_worker_count_from_the_affinity_mask(monkeypatch):
@@ -234,14 +249,23 @@ def test_a_dead_worker_fails_only_the_unfinished_seeds(tmp_path, monkeypatch):
     assert records[0] == first
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    # a process pool costs tens of ms to import; the thread pool is loaded before any seed
+def _pool_modules_loaded_by(module):
     env = dict(os.environ, PYTHONPATH=str(Path(qkad.__file__).parents[1]))
-    code = ("import sys, qkad.cli; print(sorted({'multiprocessing', 'concurrent.futures.process',"
-            " 'concurrent.futures.thread'} & sys.modules.keys()))")
+    code = (f"import sys, {module}; print(sorted({{'multiprocessing', "
+            "'concurrent.futures.process', 'concurrent.futures.thread'} & sys.modules.keys()))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=60)
-    assert proc.stdout.strip() == "['concurrent.futures.thread']", proc.stderr
+    return proc.stdout.strip() or proc.stderr
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a process pool costs tens of ms to import; the thread pool is loaded before any seed
+    assert _pool_modules_loaded_by("qkad.cli") == "['concurrent.futures.thread']"
+
+
+def test_importing_the_package_loads_no_pool():
+    # fit_vs and score_vs import the process pool only when they fork
+    assert _pool_modules_loaded_by("qkad") == "[]"
 
 
 def test_ensemble_error_record_names_the_component_cause():

@@ -1,8 +1,11 @@
+import dataclasses
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from oracles import gram_schmidt
-from qkad import ensemble
+from qkad import ensemble, statevec
 from qkad.ensemble import (
     VSConfig,
     component_count,
@@ -152,6 +155,66 @@ def test_fit_vs_component_failure_is_fatal_with_index(rng, monkeypatch):
     X = cluster_data(100, 2, rng)
     with pytest.raises(RuntimeError, match="component 0 failed to fit: ValueError: gram failed"):
         fit_vs(X, VSConfig(base_kernel=rm_cfg(), nu=0.1), rng)
+
+
+def _same(a, b):
+    """Equal field by field, arrays bit for bit and of one dtype."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("base, rfb", [(it_cfg, False), (rm_cfg, False), (rm_cfg, True)])
+def test_components_in_forked_workers_equal_components_in_process(base, rfb, monkeypatch):
+    # vs-it, vs-rm and vs-rfb-rm; a worker fits and scores its components in process
+    monkeypatch.setattr(statevec, "_cores", lambda: 2)
+    assert statevec._openblas() is not None  # else both runs would be in process
+    d = 6 if rfb else 2
+    X = cluster_data(250, d, np.random.default_rng(30))
+    X_test = cluster_data(15, d, np.random.default_rng(31))
+    cfg = VSConfig(base_kernel=base(), nu=0.1, rfb_enabled=rfb)
+    runs = []
+    for in_worker in (False, True):
+        monkeypatch.setattr(statevec, "_IN_WORKER", in_worker)
+        model = fit_vs(X, cfg, np.random.default_rng(32))
+        runs.append((model, *score_vs(model, X_test)))
+        assert multiprocessing.active_children() == []
+    (forked, forked_scores, forked_evals), (local, local_scores, local_evals) = runs
+    assert len(forked.components) == 2
+    assert _same(forked.components, local.components)
+    for name in ("aggregation", "num_features", "train_eval_count"):
+        assert getattr(forked, name) == getattr(local, name)
+    assert np.array_equal(forked_scores, local_scores)
+    assert forked_evals == local_evals
+
+
+@pytest.mark.parametrize("in_worker", [False, True])
+def test_a_failing_second_component_is_the_one_named(in_worker, monkeypatch):
+    monkeypatch.setattr(statevec, "_cores", lambda: 2)
+    monkeypatch.setattr(statevec, "_IN_WORKER", in_worker)
+    # fit_vs draws the subsample sizes first; 300 rows give 3 components
+    sizes = sample_sizes(3, np.random.default_rng(41))
+    assert len(set(sizes)) == 3
+    build_gram_train = ensemble.build_gram_train
+
+    def failing_second(X_sub, *args):
+        if len(X_sub) == sizes[1]:
+            raise ValueError("gram failed")
+        return build_gram_train(X_sub, *args)
+
+    monkeypatch.setattr(ensemble, "build_gram_train", failing_second)
+    X = cluster_data(300, 2, np.random.default_rng(40))
+    with pytest.raises(
+        RuntimeError, match="^ensemble component 1 failed to fit: ValueError: gram failed$"
+    ):
+        fit_vs(X, VSConfig(base_kernel=exact_cfg(), nu=0.1), np.random.default_rng(41))
+    assert multiprocessing.active_children() == []
 
 
 def test_fit_vs_deterministic(rng):

@@ -1,7 +1,10 @@
+import ctypes
+import multiprocessing
 import os
 import re
 import sys
 import threading
+import time
 import tracemalloc
 
 import hypothesis
@@ -455,6 +458,85 @@ def test_born_counts_raises_a_worker_error_in_the_caller_and_leaves_no_thread(
         born_counts(amps, 30, spawn(6, seed=0))
     assert str(pooled.value) == str(serial.value)
     assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# forked workers
+# ---------------------------------------------------------------------------
+
+
+def _slow_first(i):
+    # item 0 ends last, so completion order differs from item order
+    if i == 0:
+        time.sleep(0.2)
+    return i, os.getpid()
+
+
+def test_forked_workers_return_results_in_item_order(monkeypatch):
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
+    results = qkad.statevec._on_forked_workers(_slow_first, 4)
+    assert [i for i, _ in results] == [0, 1, 2, 3]
+    assert os.getpid() not in {pid for _, pid in results}
+    assert multiprocessing.active_children() == []
+
+
+def _worker_state(i):
+    a = np.ones((200, 200))
+    a @ a
+    return (qkad.statevec._IN_WORKER,
+            qkad.statevec._openblas().scipy_openblas_get_num_threads64_(),
+            len(os.listdir("/proc/self/task")))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_a_forked_worker_sets_the_worker_flag_and_pins_its_blas_alone(monkeypatch):
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
+    blas = qkad.statevec._openblas()
+    assert blas is not None  # numpy's wheels bundle scipy-openblas
+    blas.scipy_openblas_get_num_threads64_.argtypes = []
+    blas.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    before = blas.scipy_openblas_get_num_threads64_()
+    blas.scipy_openblas_set_num_threads64_(2)
+    try:
+        seen = qkad.statevec._on_forked_workers(_worker_state, 2)
+        assert blas.scipy_openblas_get_num_threads64_() == 2
+    finally:
+        blas.scipy_openblas_set_num_threads64_(before)
+    # after a GEMM the worker still runs one OS thread: no idle BLAS thread spins beside it
+    assert seen == [(True, 1, 1), (True, 1, 1)]
+    assert not qkad.statevec._IN_WORKER
+
+
+@pytest.mark.parametrize("why", ["one item", "in a worker", "no fork", "no blas"])
+def test_forked_workers_run_the_items_in_process_when_they_cannot_fork(why, monkeypatch):
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
+    items = 1 if why == "one item" else 3
+    if why == "in a worker":
+        monkeypatch.setattr(qkad.statevec, "_IN_WORKER", True)
+    elif why == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif why == "no blas":
+        monkeypatch.setattr(qkad.statevec, "_openblas", lambda: None)
+    results = qkad.statevec._on_forked_workers(lambda i: (i, os.getpid()), items)
+    assert results == [(i, os.getpid()) for i in range(items)]
+
+
+def _fail_odd(i):
+    if i == 1:
+        time.sleep(0.2)  # fails after item 3 has failed
+    if i % 2:
+        raise ValueError(f"item {i} failed")
+    return i
+
+
+def test_the_first_failing_item_by_index_re_raises_and_no_worker_outlives_it(monkeypatch):
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
+    with pytest.raises(ValueError, match="^item 1 failed$"):
+        qkad.statevec._on_forked_workers(_fail_odd, 4)
+    assert multiprocessing.active_children() == []
+    failed = qkad.statevec._on_forked_workers(_fail_odd, 4, fail=lambda i, exc: str(exc))
+    assert failed == [0, "item 1 failed", 2, "item 3 failed"]
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
