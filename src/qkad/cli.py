@@ -17,9 +17,11 @@ Every method is timed alike: the clock is read before fitting, after the fit
 Seeds run sequentially by default, or with ``--parallel`` in forked worker
 processes (:func:`statevec._on_forked_workers`), one per core, where the
 platform can fork and numpy's OpenBLAS can be pinned to one thread in a
-worker; the numbers are the same either way, because every seed owns its
-streams.  A worker runs the package's chunked steps (Born sampling, rbf
-bands, Gram mirror tiles) and a VS ensemble's components on its one thread.
+worker.  A step that gets one worker runs in the calling process, so a
+one-core mask runs the seeds sequentially; the numbers are the same either
+way, because every seed owns its streams.  A worker runs the package's chunked
+steps (Born sampling, rbf bands, Gram mirror tiles) and a VS ensemble's
+components on its one thread.
 ``--output`` is a command-line option, not a :class:`RunConfig` field.
 """
 
@@ -78,12 +80,12 @@ class RunConfig:
     train_size: int = 500
     num_features: int | None = None  # None -> dataset default, resolved at init
     nu: float = 0.1
-    angle_scale: float = 3.0
-    layers: int = 2
-    it_shots: int = 1000
-    rm_settings: int = 30
-    rm_shots: int = 9000
-    aggregation: str = "mean"
+    angle_scale: float = FeatureMapConfig.angle_scale
+    layers: int = FeatureMapConfig.layers
+    it_shots: int = KernelConfig.it_shots
+    rm_settings: int = KernelConfig.rm_settings
+    rm_shots: int = KernelConfig.rm_shots
+    aggregation: str = VSConfig.aggregation
     seeds: tuple[int, ...] = tuple(range(15))
     fraud_csv: str | None = None
     threshold: float = 0.0

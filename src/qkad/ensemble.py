@@ -19,12 +19,12 @@ scoring.  A component's fit draws only from its own child streams, so the
 fitted ensemble is a pure function of (seed, config, data).
 
 Once every draw is made, the components are fitted, and later scored, on
-forked worker processes, one per core and at most one per component
-(:func:`statevec._on_forked_workers`).  The config, the rows and the draws
-reach the workers by fork; a task carries only a component's index, and the
-components come back in index order.  Where the helper cannot fork, and in a
-worker such as a ``--parallel`` seed's, they run one after another in the
-calling process, with the same results.  The first failing component, by
+forked worker processes (:func:`statevec._on_forked_workers`).  The config,
+the rows and the draws reach the workers by fork; a task carries only a
+component's index, and the components come back in index order.  A step that
+gets one worker runs in the calling process, so on a one-core mask and in a
+worker such as a ``--parallel`` seed's the components run one after another
+there, with the same results.  The first failing component, by
 index, raises ``ensemble component k failed to fit: ...``.  ``gram_time_s``
 and ``solver_time_s`` sum the components' own times, each measured where it
 ran, so together they can exceed the wall time of the fit.

@@ -38,10 +38,9 @@ inside them, and each chunk writes its own slice of the output, so no entry
 depends on the core count.  The bands of the GEMM kinds (exact, inversion
 test, randomized) and each (point, setting) rotation run on the calling
 thread: a BLAS that is not pinned to one thread would oversubscribe the
-cores.  Nothing here forks.  A Gram built in a forked worker of
-:func:`statevec._on_forked_workers`, a ``--parallel`` seed's or a VS
-component's, runs all of these on that worker's one thread, with its BLAS
-pinned to one thread.
+cores.  Nothing here forks.  A step that gets one worker runs in the calling
+thread: on a one-core mask, and in the forked worker of a ``--parallel`` seed
+or a VS component, whose BLAS is pinned to one thread.
 
 Shot-based entries may leave [0, 1], and a shot-based Gram may be
 indefinite; neither is repaired.
@@ -56,6 +55,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .statevec import (
+    _BLOCK_BYTES,
     FeatureMapConfig,
     _on_every_core,
     apply_local,
@@ -84,7 +84,6 @@ KERNEL_KINDS = ("exact", "inversion_test", "randomized", "rbf")
 
 _MAX_ARRAY_BYTES = 2**30
 _TILE = 256
-_BLOCK_BYTES = 2**24
 _PANEL = 8
 
 

@@ -27,10 +27,6 @@ class ConfusionCounts:
     tn: int
     fn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def confusion(labels: np.ndarray, predictions: np.ndarray) -> ConfusionCounts:
     """Count outcomes with anomaly (label 1) as the positive class."""

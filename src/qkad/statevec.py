@@ -27,8 +27,9 @@ Conventions used throughout the package:
   GIL and calls no BLAS on threads: Born sampling here, rbf bands and mirror
   tiles in ``kernel``.  :func:`_on_forked_workers` maps a function over
   items on forked worker processes: ``--parallel`` seeds and VS components.
-  A forked worker sets ``_IN_WORKER``, so neither helper opens a pool inside
-  it, and pins numpy's OpenBLAS to one thread.
+  Both take their worker count from :func:`_workers`, and a step that gets
+  one worker runs in the calling process: on a one-core mask, for one item,
+  and inside a forked worker, which pins numpy's OpenBLAS to one thread.
 
 All operations are pure: inputs are never mutated and random draws come
 from an explicit ``numpy.random.Generator``.
@@ -54,7 +55,7 @@ __all__ = [
     "born_counts",
 ]
 
-# row blocks of the encoding keep their (rows, 2^d, d) temporaries near this size
+# row blocks of the encoding, and of kernel's Gram bands, keep their temporaries near this size
 _BLOCK_BYTES = 2**24
 # up to this many qubits one 2^d x 2^d GEMM rotates a state faster than two factors
 _WHOLE_QUBITS = 6
@@ -213,11 +214,15 @@ def _cores() -> int:
 _IN_WORKER = False
 
 
-def _on_every_core(fn: Callable[[range], None], items: int) -> None:
-    """Run ``fn`` over contiguous chunks of ``range(items)``, one thread per core.
+def _workers(items: int) -> int:
+    """One worker per core of the affinity mask, at most one per item; one in a forked worker."""
+    return 1 if _IN_WORKER else max(1, min(_cores(), items))
 
-    There is one chunk per core of the affinity mask, at most one per item,
-    equal in count to within one; in a forked worker there is one.
+
+def _on_every_core(fn: Callable[[range], None], items: int) -> None:
+    """Run ``fn`` over contiguous chunks of ``range(items)``, one thread per worker.
+
+    There are :func:`_workers` chunks, equal in count to within one.
     The calling thread runs the first chunk and a pool thread each other one,
     each in a copy of the caller's context, because numpy keeps
     ``np.errstate`` in a context variable.  The first chunk's exception, in
@@ -225,7 +230,7 @@ def _on_every_core(fn: Callable[[range], None], items: int) -> None:
     outlives the call.  The chunks gain only where ``fn`` releases the GIL;
     callers hand it work that touches disjoint output and calls no BLAS.
     """
-    workers = 1 if _IN_WORKER else max(1, min(_cores(), items))
+    workers = _workers(items)
     bounds = [items * k // workers for k in range(workers + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:
@@ -280,27 +285,27 @@ def _on_forked_workers(
 ) -> list:
     """``[fn(i) for i in range(items)]``, the items spread over forked worker processes.
 
-    There is one worker per core of the affinity mask, at most one per item.
+    The pool has :func:`_workers` processes.  Where that is one, and where
+    the platform cannot fork or the BLAS cannot be pinned, the items run in
+    order in the calling process, where an exception propagates at once.
     ``fn`` and everything it reads reach the workers by fork, never pickled:
     a task carries only its item, and only its result is pickled back.  Each
-    worker sets ``_IN_WORKER``, so its :func:`_on_every_core` steps run on its
-    one thread and a nested call runs in that worker, and it pins numpy's
-    OpenBLAS to one thread and stops that BLAS's own threads, because a BLAS
-    pool per worker would oversubscribe the cores.  Results come back in item order.  An item whose
-    worker raised or died yields ``fail(i, exc)``; without ``fail`` the first
-    such item, by index, re-raises.  No process outlives the call.  The items
-    run in order in the calling process, where an exception propagates at
-    once, when there is one item, when the caller is a worker, where the
-    platform cannot fork or where the BLAS cannot be pinned.
+    worker sets ``_IN_WORKER``, so its own steps get one worker, and it pins
+    numpy's OpenBLAS to one thread and stops that BLAS's own threads,
+    because a BLAS pool per worker would oversubscribe the cores.  Results
+    come back in item order.  An item whose worker raised or died yields
+    ``fail(i, exc)``; without ``fail`` the first such item, by index,
+    re-raises.  No process outlives the call.
     """
-    if items < 2 or _IN_WORKER or not hasattr(os, "fork") or _openblas() is None:
+    workers = _workers(items)
+    if workers == 1 or not hasattr(os, "fork") or _openblas() is None:
         return [fn(i) for i in range(items)]
     import concurrent.futures
     import multiprocessing
 
     # fork, because fn closes over the caller's data; the pool forks before it starts a thread
     with concurrent.futures.ProcessPoolExecutor(
-        min(_cores(), items), multiprocessing.get_context("fork"),
+        workers, multiprocessing.get_context("fork"),
         initializer=_start_worker, initargs=(fn,),
     ) as pool:
         futures = [pool.submit(_worker_call, i) for i in range(items)]

@@ -47,7 +47,7 @@ class Mutant:
 
 # The stacked-settings rotation's own mutants, then the survivors of an earlier
 # audit of 18 one-line changes, which tier-1 has since been extended to catch,
-# then the forked-worker helper's own.
+# then the forked-worker helper's own, then the worker-count rule's.
 MUTANTS = (
     Mutant(
         "kron-operands-swapped",
@@ -122,6 +122,24 @@ MUTANTS = (
         "src/qkad/statevec.py",
         "    blas.blas_thread_shutdown_()",
         "    pass",
+    ),
+    Mutant(
+        "workers-ignore-worker-flag",
+        "src/qkad/statevec.py",
+        "    return 1 if _IN_WORKER else max(1, min(_cores(), items))",
+        "    return max(1, min(_cores(), items))",
+    ),
+    Mutant(
+        "forked-helper-counts-items",
+        "src/qkad/statevec.py",
+        '    if workers == 1 or not hasattr(os, "fork") or _openblas() is None:',
+        '    if items < 2 or not hasattr(os, "fork") or _openblas() is None:',
+    ),
+    Mutant(
+        "pool-sized-by-items",
+        "src/qkad/statevec.py",
+        '        workers, multiprocessing.get_context("fork"),',
+        '        items, multiprocessing.get_context("fork"),',
     ),
 )
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -151,11 +152,17 @@ def test_rm_records_do_not_depend_on_the_sampling_worker_count(method, monkeypat
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("method, train_size", [("rm", 60), ("rbf", 600), ("vs-rm", 200)])
-def test_parallel_seeds_open_no_pool_of_their_own(method, train_size, monkeypatch):
+@pytest.mark.parametrize("method, train_size, cores", [
+    pytest.param("rm", 60, 2, id="rm-60"),
+    pytest.param("rbf", 600, 2, id="rbf-600"),
+    pytest.param("vs-rm", 200, 2, id="vs-rm-200"),
+    pytest.param("vs-rm", 200, 1, id="vs-rm-200-one-core"),
+])
+def test_parallel_seeds_open_no_pool_of_their_own(method, train_size, cores, monkeypatch):
     # Born sampling, rbf bands and mirror tiles would each open a thread pool at 2 cores,
     # and fit_vs and score_vs a process pool; a forked worker inherits the patches, so a
-    # pool opened there fails its seed
+    # pool opened there fails its seed.  At one core every step gets one worker, so
+    # nothing opens a pool, sequential or --parallel, and the records are the 2-core ones
     import concurrent.futures
 
     parent = os.getpid()
@@ -177,6 +184,13 @@ def test_parallel_seeds_open_no_pool_of_their_own(method, train_size, monkeypatc
                rm_settings=4, rm_shots=64, record_timings=False)
     seq = run_experiment(RunConfig(**run))
     assert all(r.ok for r in seq)
+    if cores == 1:
+        monkeypatch.setattr(qkad.statevec, "_cores", lambda: 1)
+        refuse(anywhere=True)
+        for parallel in (False, True):
+            records = run_experiment(RunConfig(**run, parallel=parallel))
+            assert records_to_jsonl(records) == records_to_jsonl(seq)
+        return
     refuse(anywhere=True)
     patched = run_experiment(RunConfig(**run))
     kind = "process" if method.startswith("vs") else "thread"
@@ -231,12 +245,15 @@ def test_a_dead_worker_fails_only_the_unfinished_seeds(tmp_path, monkeypatch):
 
     def dying(cfg, seed, fraud):
         if seed == 1:
+            time.sleep(0.5)
             os._exit(1)  # as an OOM kill would end it: no exception, no record
+        if seed > 1:
+            time.sleep(5)  # still running when the pool breaks, which ends its worker
         return original(cfg, seed, fraud)
 
     monkeypatch.setattr(cli, "_run_seed", dying)
-    # one worker: seed 0's record is sent before seed 1 starts
-    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 1)
+    # two workers: seed 0's record is sent long before seed 1's worker dies
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
     out = tmp_path / "r.jsonl"
     assert main(["--method", "rbf", "--dataset", "synthetic", "--train-size", "50",
                  "--seeds", "0-3", "--omit-timings", "--parallel", "--output", str(out)]) == 1
@@ -595,6 +612,7 @@ def test_load_records_rejects_a_record_with_neither_metrics_nor_an_error(tmp_pat
 def test_summarize_records_rejects_a_bad_file_with_usage(tmp_path, capsys):
     cases = [
         ("[1]\n", "line 1 is not a JSON object"),
+        ("\n{not json\n", "line 2 is not valid JSON"),  # the blank line 1 is skipped
         (None, "cannot read records file: No such file or directory"),  # no file at all
     ]
     for i, (content, message) in enumerate(cases):

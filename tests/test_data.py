@@ -42,6 +42,17 @@ def write_small_fraud_csv(path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "train_size, test_size, ratio, message",
+    [(0, 10, 0.3, "train_size and test_size"), (10, 0, 0.3, "train_size and test_size"),
+     (10, 10, -0.1, "test_anomaly_ratio"), (10, 10, 1.5, "test_anomaly_ratio")],
+)
+def test_split_spec_rejects_empty_sets_and_ratios_outside_0_1(train_size, test_size, ratio,
+                                                              message):
+    with pytest.raises(ValueError, match=message):
+        SplitSpec(train_size=train_size, test_size=test_size, test_anomaly_ratio=ratio)
+
+
 def test_synthetic_train_is_normal_only():
     train, test = generate_synthetic(
         SplitSpec(train_size=200, test_size=125, test_anomaly_ratio=0.3),
@@ -251,6 +262,7 @@ def no_checked_loop(*args):
         (with_cell("Class", '" 1"'), Dataset),
         (with_cell("Class", "1e0"), Dataset),
         (with_cell("Class", "2"), ValueError),
+        (with_cell("Class", "x"), NonNumericCellError),
         (lambda lines: lines[0] + "\n", EmptyFileError),
         (lambda lines: "\n".join(lines[:2] + ["1.0,2.0"] + lines[2:]) + "\n", MissingColumnError),
         (class_before_amount, Dataset),
@@ -260,7 +272,7 @@ def no_checked_loop(*args):
         "underscore", "arabic-digit", "bom-header", "Infinity", "1e400", "hex-float", "hash",
         "empty-cell", "whitespace-line", "blank-line", "padded", "tab-padded", "quoted", "crlf",
         "trailing-comma", "extra-column", "class-1.0", "class-quoted-space", "class-1e0",
-        "class-2", "header-only", "short-row", "class-before-amount",
+        "class-2", "class-x", "header-only", "short-row", "class-before-amount",
         "class-before-amount-short-row",
     ],
 )

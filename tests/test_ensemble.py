@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import multiprocessing
 
@@ -7,6 +8,7 @@ import pytest
 from oracles import gram_schmidt
 from qkad import ensemble, statevec
 from qkad.ensemble import (
+    EnsembleModel,
     VSConfig,
     component_count,
     fit_vs,
@@ -99,6 +101,8 @@ def test_random_rotation_preserves_distances_in_expectation(rng):
 def test_random_rotation_bad_dims(rng):
     with pytest.raises(ValueError):
         random_rotation(3, 4, rng)
+    with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+        rotation_dim(0)
 
 
 def test_random_rotation_zero_draw_gives_orthonormal_columns():
@@ -170,21 +174,37 @@ def _same(a, b):
     return a == b
 
 
-@pytest.mark.parametrize("base, rfb", [(it_cfg, False), (rm_cfg, False), (rm_cfg, True)])
-def test_components_in_forked_workers_equal_components_in_process(base, rfb, monkeypatch):
-    # vs-it, vs-rm and vs-rfb-rm; a worker fits and scores its components in process
-    monkeypatch.setattr(statevec, "_cores", lambda: 2)
+@pytest.mark.parametrize("base, rfb, cores", [
+    pytest.param(it_cfg, False, 2, id="it_cfg-False"),
+    pytest.param(rm_cfg, False, 2, id="rm_cfg-False"),
+    pytest.param(rm_cfg, True, 2, id="rm_cfg-True"),
+    pytest.param(rm_cfg, False, 1, id="rm_cfg-False-one-core"),
+])
+def test_components_in_forked_workers_equal_components_in_process(base, rfb, cores, monkeypatch):
+    # vs-it, vs-rm and vs-rfb-rm; a worker fits and scores its components in process, and
+    # so does a one-core caller, which opens no process pool
     assert statevec._openblas() is not None  # else both runs would be in process
     d = 6 if rfb else 2
     X = cluster_data(250, d, np.random.default_rng(30))
     X_test = cluster_data(15, d, np.random.default_rng(31))
     cfg = VSConfig(base_kernel=base(), nu=0.1, rfb_enabled=rfb)
-    runs = []
-    for in_worker in (False, True):
+
+    def run(mask, in_worker):
+        monkeypatch.setattr(statevec, "_cores", lambda: mask)
         monkeypatch.setattr(statevec, "_IN_WORKER", in_worker)
         model = fit_vs(X, cfg, np.random.default_rng(32))
-        runs.append((model, *score_vs(model, X_test)))
+        out = (model, *score_vs(model, X_test))
         assert multiprocessing.active_children() == []
+        return out
+
+    runs = [run(2, in_worker=False)]
+    if cores == 1:
+        class Refused(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                raise RuntimeError("a one-core caller opened a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Refused)
+    runs.append(run(cores, in_worker=cores == 2))
     (forked, forked_scores, forked_evals), (local, local_scores, local_evals) = runs
     assert len(forked.components) == 2
     assert _same(forked.components, local.components)
@@ -233,6 +253,9 @@ def test_vs_config_validation():
         VSConfig(base_kernel=exact_cfg(), nu=0.1, aggregation="median")
     with pytest.raises(ValueError, match="nu"):
         VSConfig(base_kernel=exact_cfg(), nu=0.0)
+    with pytest.raises(ValueError, match="at least one component"):
+        EnsembleModel((), "mean", num_features=2, gram_time_s=0.0, solver_time_s=0.0,
+                      train_eval_count=0)
 
 
 # ---------------------------------------------------------------------------

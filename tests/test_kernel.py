@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import threading
 import tracemalloc
 
@@ -357,6 +358,12 @@ def test_rm_purity_needs_two_shots():
         rm_purity(np.array([[1, 0]]), 1)
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3)])
+def test_rm_purity_takes_one_points_r_by_2_to_the_d_counts(shape):
+    with pytest.raises(ValueError, match=re.escape(f"(r, 2**d), got {shape}")):
+        rm_purity(np.ones(shape, dtype=np.int64), 10)
+
+
 # ---------------------------------------------------------------------------
 # mitigation
 # ---------------------------------------------------------------------------
@@ -390,6 +397,8 @@ def test_rbf_entry_examples():
 def test_rbf_auto_gamma_matches_total_variance(rng):
     X = rng.normal(size=(40, 3))
     assert rbf_auto_gamma(X) == pytest.approx(1.0 / (3 * X.var()), abs=1e-15)
+    # rows with no variance give 1/d
+    assert rbf_auto_gamma(np.full((5, 4), 2.5)) == 0.25
 
 
 def einsum_rbf(a, b):
@@ -927,6 +936,10 @@ def test_gram_cross_rejects_test_rows_wider_than_training(kind, monkeypatch):
     with pytest.raises(ValueError, match="test rows have 3 features, the training set was "
                        "built from 2"):
         build_gram_cross(rng.uniform(-1, 1, size=(3, 3)), train, rng)
+    with pytest.raises(ValueError, match=r"expected a \(t, d\) test matrix, got shape \(2,\)"):
+        build_gram_cross(rng.uniform(-1, 1, size=2), train, rng)
+    with pytest.raises(ValueError, match=r"n >= 2, got shape \(1, 2\)"):
+        build_gram_train(rng.uniform(-1, 1, size=(1, 2)), cfg, rng)
     assert calls == []
 
 

@@ -27,7 +27,6 @@ def test_confusion_hand_built_case():
     preds = np.array([1, 0, 1, 0, 1, 0])
     counts = confusion(labels, preds)
     assert (counts.tp, counts.fp, counts.tn, counts.fn) == (2, 1, 2, 1)
-    assert counts.total == 6
 
 
 def test_confusion_length_mismatch():
@@ -122,6 +121,12 @@ def test_ap_all_positive_labels_is_one(rng):
 def test_ap_requires_a_positive_label():
     with pytest.raises(ValueError, match="positive"):
         average_precision(np.array([0.1, 0.2]), np.array([0, 0]))
+
+
+@pytest.mark.parametrize("scores, labels", [(np.zeros(3), np.ones(2)), (np.zeros((2, 2)),) * 2])
+def test_ap_requires_matching_1d_arrays(scores, labels):
+    with pytest.raises(ValueError, match="need matching 1-d arrays"):
+        average_precision(scores, labels)
 
 
 def test_f1_oracle_agreement_on_random_instances(rng):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qkad.pipeline import (
+    PCAParams,
+    ScalerParams,
     apply_pca,
     apply_preprocess,
     apply_scaler,
@@ -43,6 +45,13 @@ def test_scaler_round_trip_recovers_input(rng):
 def test_scaler_needs_two_rows():
     with pytest.raises(ValueError):
         fit_scaler(np.ones((1, 3)))
+
+
+def test_fitted_parameters_reject_a_zero_std_and_non_orthonormal_components():
+    with pytest.raises(ValueError, match="std components must be positive"):
+        ScalerParams(mean=np.zeros(2), std=np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="orthonormal columns"):
+        PCAParams(mean=np.zeros(2), components=np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,11 @@ def test_born_counts_under_fast_thread_switching_with_more_workers_than_cores(mo
 def test_cores_read_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
     assert qkad.statevec._cores() == 1
+    # without a mask every core counts, and one when the platform reports none
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, cores in ((3, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda c=count: c)
+        assert qkad.statevec._cores() == cores
 
 
 class _ThreadRecordingGenerator:
@@ -507,9 +512,9 @@ def test_a_forked_worker_sets_the_worker_flag_and_pins_its_blas_alone(monkeypatc
     assert not qkad.statevec._IN_WORKER
 
 
-@pytest.mark.parametrize("why", ["one item", "in a worker", "no fork", "no blas"])
+@pytest.mark.parametrize("why", ["one item", "one core", "in a worker", "no fork", "no blas"])
 def test_forked_workers_run_the_items_in_process_when_they_cannot_fork(why, monkeypatch):
-    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 1 if why == "one core" else 2)
     items = 1 if why == "one item" else 3
     if why == "in a worker":
         monkeypatch.setattr(qkad.statevec, "_IN_WORKER", True)
