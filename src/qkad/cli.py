@@ -7,8 +7,8 @@ metrics, phase timings and kernel-evaluation counts.  A failing seed yields a
 record with the error message while the remaining seeds still run; the
 process exit code is zero only when every seed succeeded, one when some seed
 failed or no record was left to summarize, and two (with usage) on invalid
-options, an output path in a missing directory, or an unreadable or malformed
-records file, before any seed runs.
+options, an output path that is a directory or in a missing directory, or an
+unreadable or malformed records file, before any seed runs.
 
 Every method is timed alike: the clock is read before fitting, after the fit
 (the solver, or ``fit_vs``) and right after scoring, for ``train_time_s`` and
@@ -346,6 +346,9 @@ _REQUIRED_FIELDS = [
     f.name for f in fields(RunRecord) if f.default is MISSING and f.default_factory is MISSING
 ]
 SUMMARY_METRICS = ("ap", "f1", "precision", "recall", "train_time_s", "test_time_s")
+# the fields a summary groups, sorts and compares records by, and their JSON types
+_KEY_TYPES = {"method": str, "dataset": str, "seed": int, "n_train": int, "d": int, "config": dict}
+_TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
 
 
 def load_records_jsonl(path: str | Path) -> list[RunRecord]:
@@ -367,6 +370,11 @@ def load_records_jsonl(path: str | Path) -> list[RunRecord]:
         missing = [k for k in _REQUIRED_FIELDS if k not in payload]
         if missing:
             raise ValueError(f"{path}: line {line_no} lacks required keys {missing}")
+        for key, kind in _KEY_TYPES.items():
+            value = payload.get(key, kind())  # only config may be absent
+            if type(value) is not kind:  # not isinstance: bool is not an integer
+                what = _TYPE_NAMES[kind]
+                raise ValueError(f"{path}: line {line_no}: {key} is not {what}: {value!r}")
         unset = [k for k in SUMMARY_METRICS if payload.get(k) is None]
         if payload.get("error") is None and unset:
             raise ValueError(f"{path}: line {line_no} has neither an error nor values for {unset}")
@@ -503,6 +511,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for option, path in (("--output", args.output), ("--summary", args.summary)):
+        if path and Path(path).is_dir():
+            parser.error(f"{option} {path}: is a directory")
         if path and not Path(path).parent.is_dir():
             parser.error(f"{option} {path}: directory {Path(path).parent} does not exist")
 

@@ -26,10 +26,10 @@ or measurement, and so are rows with a non-finite feature.
 Every kind fills a block in row bands of about ``_BLOCK_BYTES`` of
 temporaries; rbf sums its squared distances one feature at a time, in feature
 order, into two 2-D arrays, the band and one scratch band, each 1/32 of that
-size.  Each band is checked for finite entries while it is in cache.  A
-training Gram is made exactly symmetric by copying the strict upper triangle
-into the lower one, in place, in ``_TILE``-square tiles, so it is finite and
-symmetric by construction and is not checked again.
+size.  Each band is checked for finite entries while it is in cache.
+Every Gram the package builds is finished in :func:`_gram`, which copies a
+training Gram's strict upper triangle into its lower one, in place, in
+``_TILE``-square tiles, and skips the public constructor's checks.
 
 Three steps run in contiguous chunks on every core of the affinity mask,
 through :func:`statevec._on_every_core`: Born sampling, the rbf bands and the
@@ -96,8 +96,7 @@ class GramMatrix:
     """Kernel matrix plus bookkeeping of how many circuit runs produced it.
 
     The constructor checks a caller's entries: real, finite, a matrix, and
-    square and equal to their transpose when ``symmetric``.  Training Grams
-    skip it: :func:`_mirrored_gram` makes them so by construction.
+    square and equal to their transpose when ``symmetric``.
     """
 
     entries: np.ndarray
@@ -209,20 +208,6 @@ def _mirror_upper(m: np.ndarray) -> None:
                 m[cols, rows] = m[rows, cols].T
 
     _on_every_core(copy, len(tiles))
-
-
-def _mirrored_gram(upper: np.ndarray, diagonal: np.ndarray | float, eval_count: int) -> GramMatrix:
-    """``upper`` mirrored in place, with the finite ``diagonal``, as a symmetric :class:`GramMatrix`.
-
-    ``upper`` is a square :func:`_kernel_block` output, whose bands were checked
-    for finite entries, so the result is finite and exactly symmetric by
-    construction and skips the n^2 checks of the public constructor.
-    """
-    _mirror_upper(upper)
-    np.fill_diagonal(upper, diagonal)
-    gram = object.__new__(GramMatrix)
-    vars(gram).update(entries=upper, symmetric=True, eval_count=eval_count)
-    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +326,18 @@ def _represent(
     X: np.ndarray,
     cfg: KernelConfig,
     rng: np.random.Generator | None,
-    purities: bool,
-    settings: np.ndarray | None = None,
+    train: np.ndarray | SignatureCache | None = None,
 ) -> np.ndarray | SignatureCache:
     """The point set :func:`_kernel_block` reads for the rows of ``X``.
 
     That is the rows themselves for rbf and their ``(n, 2^d)`` feature states
     for the pairwise kinds, encoded in one call.  The randomized kind measures
-    those states in ``settings`` (``cfg.rm_settings`` fresh ones drawn from
-    ``rng`` when ``None``), factored once for all points, in blocks of points
-    whose rotated amplitudes hold about ``_BLOCK_BYTES``, and returns their
-    :class:`SignatureCache`.  Without
-    ``purities`` its purity estimates are left NaN; only mitigation and the
-    unmitigated training diagonal read them.  A row with a non-finite feature
+    those states, in blocks of points whose rotated amplitudes hold about
+    ``_BLOCK_BYTES``, and returns their :class:`SignatureCache`.  A training
+    set (``train`` is ``None``) draws ``cfg.rm_settings`` settings from ``rng``
+    and estimates purities.  A test set is measured in the settings of
+    ``train``, its training point set, and estimates purities only under
+    mitigation, leaving them NaN otherwise.  A row with a non-finite feature
     is rejected first, for every kind, with the band checks' message.
     """
     n, d = X.shape
@@ -366,8 +350,7 @@ def _represent(
     states = encode_iqp(X, cfg.feature_map)
     if cfg.kind != "randomized":
         return states
-    if settings is None:
-        settings = sample_haar_settings(cfg.rm_settings, d, rng)
+    settings = sample_haar_settings(cfg.rm_settings, d, rng) if train is None else train.settings
     factors = local_factors(settings)
     shots = cfg.rm_shots
     # one child stream per point, derived serially, so the points of a block
@@ -379,7 +362,7 @@ def _represent(
         block = slice(start, start + step)
         rngs = [np.random.default_rng(seed) for seed in seeds[block]]
         counts[block] = collect_signature(states[block], factors, shots, rngs)
-    if not purities:
+    if train is not None and not cfg.mitigate:
         return SignatureCache(settings, counts, np.full(n, np.nan))
     estimates = np.array([rm_purity(c, shots) for c in counts])
     if cfg.mitigate and np.any(estimates <= 0):
@@ -478,25 +461,39 @@ def _kernel_block(
     return out
 
 
-def _shot_noise(cfg: KernelConfig, fidelity: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inversion-test estimates of the given fidelities, one binomial draw each.
+def _gram(
+    cfg: KernelConfig,
+    rows: np.ndarray | SignatureCache,
+    cols: np.ndarray | SignatureCache,
+    rng: np.random.Generator,
+) -> GramMatrix:
+    """The finished :class:`GramMatrix` between two :func:`_represent` outputs.
 
-    The test counts all-zeros outcomes, whose probability is the fidelity.
+    The same object twice makes a training Gram.  The inversion test counts
+    all-zeros outcomes, whose probability is the fidelity: one binomial draw
+    per entry, row by row in row-major order, only above the diagonal of a
+    training Gram.  A training Gram is then mirrored, and its diagonal is 1,
+    or the purity estimates for unmitigated randomized measurements.  The
+    block's bands were checked for finite entries, so the Gram is finite, and
+    symmetric when it is a training Gram, by construction.
     """
-    return rng.binomial(cfg.it_shots, fidelity) / cfg.it_shots
-
-
-def _eval_count(cfg: KernelConfig, points: int, pairs: int) -> int:
-    """Kernel evaluations a Gram over ``points`` row points and ``pairs`` point pairs costs.
-
-    The pairwise kinds run one circuit per pair, randomized measurements one
-    per (row point, setting), and the classical baseline none.
-    """
-    if cfg.kind == "rbf":
-        return 0
-    if cfg.kind == "randomized":
-        return points * cfg.rm_settings
-    return pairs
+    entries = _kernel_block(cfg, rows, cols)
+    symmetric = rows is cols  # a training Gram
+    n, m = entries.shape
+    if cfg.kind == "inversion_test":
+        for i, row in enumerate(entries):
+            fidelity = row[i + 1 :] if symmetric else row
+            fidelity[:] = rng.binomial(cfg.it_shots, fidelity) / cfg.it_shots
+    if symmetric:
+        _mirror_upper(entries)
+        unmitigated_rm = cfg.kind == "randomized" and not cfg.mitigate
+        np.fill_diagonal(entries, rows.purities if unmitigated_rm else 1.0)
+    # one circuit per estimated pair, one per (row point, setting) for RM, none for rbf
+    pairs = n * (n - 1) // 2 if symmetric else n * m
+    evals = {"rbf": 0, "randomized": n * cfg.rm_settings}.get(cfg.kind, pairs)
+    gram = object.__new__(GramMatrix)
+    vars(gram).update(entries=entries, symmetric=symmetric, eval_count=evals)
+    return gram
 
 
 def build_gram_train(
@@ -512,20 +509,8 @@ def build_gram_train(
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError(f"expected an (n, d) matrix with n >= 2, got shape {X.shape}")
-    n, d = X.shape
-    train = _represent(X, cfg, rng, purities=True)
-    entries = _kernel_block(cfg, train, train)
-    if cfg.kind == "inversion_test":
-        # one estimate per unordered pair, drawn row by row in row-major upper order
-        for i in range(n - 1):
-            entries[i, i + 1 :] = _shot_noise(cfg, entries[i, i + 1 :], rng)
-    # binomial draws of finite fidelities are finite, and so are purities: the
-    # block's band checks cover the whole Gram.  Unmitigated RM keeps its
-    # purity estimates on the diagonal.
-    unmitigated_rm = cfg.kind == "randomized" and not cfg.mitigate
-    diagonal = train.purities if unmitigated_rm else 1.0
-    gram = _mirrored_gram(entries, diagonal, _eval_count(cfg, n, n * (n - 1) // 2))
-    return gram, TrainingSet(cfg, train, d)
+    train = _represent(X, cfg, rng)
+    return _gram(cfg, train, train, rng), TrainingSet(cfg, train, X.shape[1])
 
 
 def build_gram_cross(
@@ -550,10 +535,4 @@ def build_gram_cross(
             f"the training set was built from {train.num_features}"
         )
     cfg, points = train.kernel, train.points
-    settings = points.settings if cfg.kind == "randomized" else None
-    test = _represent(X_test, cfg, rng, purities=cfg.mitigate, settings=settings)
-    entries = _kernel_block(cfg, test, points)
-    if cfg.kind == "inversion_test":
-        entries = _shot_noise(cfg, entries, rng)
-    t, n = entries.shape
-    return GramMatrix(entries=entries, symmetric=False, eval_count=_eval_count(cfg, t, t * n))
+    return _gram(cfg, _represent(X_test, cfg, rng, train=points), points, rng)

@@ -47,7 +47,8 @@ class Mutant:
 
 # The stacked-settings rotation's own mutants, then the survivors of an earlier
 # audit of 18 one-line changes, which tier-1 has since been extended to catch,
-# then the forked-worker helper's own, then the worker-count rule's.
+# then the forked-worker helper's own, then the worker-count rule's, then the
+# Gram finishing path's.
 MUTANTS = (
     Mutant(
         "kron-operands-swapped",
@@ -140,6 +141,24 @@ MUTANTS = (
         "src/qkad/statevec.py",
         '        workers, multiprocessing.get_context("fork"),',
         '        items, multiprocessing.get_context("fork"),',
+    ),
+    Mutant(
+        "training-noise-over-whole-rows",
+        "src/qkad/kernel.py",
+        "fidelity = row[i + 1 :] if symmetric else row",
+        "fidelity = row",
+    ),
+    Mutant(
+        "cross-set-in-fresh-settings",
+        "src/qkad/kernel.py",
+        "settings = sample_haar_settings(cfg.rm_settings, d, rng) if train is None else train.settings",
+        "settings = sample_haar_settings(cfg.rm_settings, d, rng)",
+    ),
+    Mutant(
+        "unmitigated-test-purities-estimated",
+        "src/qkad/kernel.py",
+        "    if train is not None and not cfg.mitigate:",
+        "    if train is not None and False:",
     ),
 )
 

@@ -610,10 +610,23 @@ def test_load_records_rejects_a_record_with_neither_metrics_nor_an_error(tmp_pat
 
 
 def test_summarize_records_rejects_a_bad_file_with_usage(tmp_path, capsys):
+    good, bad = records_to_jsonl([fake_record(0, 0.4), fake_record(1, 0.4)]).splitlines()
     cases = [
         ("[1]\n", "line 1 is not a JSON object"),
         ("\n{not json\n", "line 2 is not valid JSON"),  # the blank line 1 is skipped
         (None, "cannot read records file: No such file or directory"),  # no file at all
+    ] + [
+        # a field a summary groups, sorts or compares by, wrongly typed in the second record
+        (f"{good}\n{bad.replace(field, typo)}\n", f"line 2: {message}")
+        for field, typo, message in [
+            ('"method": "rbf"', '"method": 7', "method is not a string: 7"),
+            ('"dataset": "synthetic"', '"dataset": null', "dataset is not a string: None"),
+            ('"seed": 1', '"seed": [1]', "seed is not an integer: [1]"),
+            ('"n_train": 100', '"n_train": "60"', "n_train is not an integer: '60'"),
+            ('"d": 2', '"d": true', "d is not an integer: True"),
+            ('"d": 2', '"d": 2.0', "d is not an integer: 2.0"),
+            ('"config": {}', '"config": 5', "config is not an object: 5"),
+        ]
     ]
     for i, (content, message) in enumerate(cases):
         path = tmp_path / f"records{i}.jsonl"
@@ -644,23 +657,32 @@ def test_load_records_rejects_a_non_numeric_metric(value, tmp_path, capsys):
     assert message in err
 
 
-@pytest.mark.parametrize("option", ["--output", "--summary"])
+@pytest.mark.parametrize("option, is_directory", [
+    pytest.param("--output", False, id="--output"),
+    pytest.param("--summary", False, id="--summary"),
+    pytest.param("--output", True, id="--output-directory"),
+    pytest.param("--summary", True, id="--summary-directory"),
+])
 def test_main_rejects_an_output_path_in_a_missing_directory_before_any_seed(
-    option, tmp_path, capsys, monkeypatch
+    option, is_directory, tmp_path, capsys, monkeypatch
 ):
     def no_seed(*args):
         raise AssertionError("a seed ran")
 
     monkeypatch.setattr(cli, "_run_seed", no_seed)
     missing = tmp_path / "missing"
+    target, message = missing / "out", f"directory {missing} does not exist"
+    if is_directory:  # the path names an existing directory, not a file in one
+        missing.mkdir()
+        target, message = missing, "is a directory"
     with pytest.raises(SystemExit) as exc:
         main(["--method", "rbf", "--dataset", "synthetic", "--train-size", "60",
-              "--seeds", "0", option, str(missing / "out")])
+              "--seeds", "0", option, str(target)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:")
-    assert f"{option} {missing / 'out'}: directory {missing} does not exist" in err
-    assert not missing.exists()
+    assert f"{option} {target}: {message}" in err
+    assert list(tmp_path.rglob("*")) == ([missing] if is_directory else [])
 
 
 def test_main_exit_code_on_failure(tmp_path, monkeypatch):

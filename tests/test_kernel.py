@@ -149,11 +149,11 @@ def test_rm_counts_and_purities_equal_those_of_the_paired_rotation(d, n, monkeyp
     # the package used before, encoding's Hadamard layers included
     cfg = KernelConfig(kind="randomized", rm_settings=30, rm_shots=9000)
     X = np.random.default_rng(40 + d).uniform(-1, 1, size=(n, d))
-    factored = qkad.kernel._represent(X, cfg, np.random.default_rng(d), purities=True)
+    factored = qkad.kernel._represent(X, cfg, np.random.default_rng(d))
     for module in (qkad.statevec, qkad.kernel):
         monkeypatch.setattr(module, "local_factors", paired_factors)
         monkeypatch.setattr(module, "apply_local", apply_paired)
-    paired = qkad.kernel._represent(X, cfg, np.random.default_rng(d), purities=True)
+    paired = qkad.kernel._represent(X, cfg, np.random.default_rng(d))
     assert np.array_equal(factored.settings, paired.settings)
     assert np.array_equal(factored.counts, paired.counts)
     assert np.array_equal(factored.purities, paired.purities)
@@ -592,7 +592,7 @@ def test_unmitigated_rm_training_gram_matches_the_triu_formula():
     cfg = make_cfg("randomized", mitigate=False)
     X = np.random.default_rng(3).uniform(-0.5, 0.5, size=(300, 3))
     gram, train = build_gram_train(X, cfg, np.random.default_rng(5))
-    replay = _represent(X, cfg, np.random.default_rng(5), purities=True)
+    replay = _represent(X, cfg, np.random.default_rng(5))
     raw = _kernel_block(cfg, replay, dataclasses.replace(replay))
     assert not np.array_equal(raw, raw.T)
     assert gram.entries.tobytes() == triu_mirror(raw, train.points.purities).tobytes()
@@ -609,7 +609,7 @@ def test_training_block_upper_triangle_equals_the_full_block(kind, rows, monkeyp
     monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", rows * row_bytes(kind, 21, 3))
     cfg = make_cfg(kind)
     rng = np.random.default_rng(21)
-    points = _represent(rng.uniform(-0.5, 0.5, size=(21, 3)), cfg, rng, purities=True)
+    points = _represent(rng.uniform(-0.5, 0.5, size=(21, 3)), cfg, rng)
     twin = dataclasses.replace(points) if isinstance(points, SignatureCache) else points.copy()
     upper = np.triu_indices(21)
     same = _kernel_block(cfg, points, points)
@@ -625,8 +625,8 @@ def test_cross_block_folds_a_one_row_remainder_into_the_last_band(monkeypatch):
     monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", 4 * row_bytes("exact", 21, 3))
     cfg = make_cfg("exact")
     rng = np.random.default_rng(0)
-    train = _represent(rng.uniform(-0.5, 0.5, size=(21, 3)), cfg, rng, purities=True)
-    test = _represent(rng.uniform(-0.5, 0.5, size=(9, 3)), cfg, rng, purities=True)
+    train = _represent(rng.uniform(-0.5, 0.5, size=(21, 3)), cfg, rng)
+    test = _represent(rng.uniform(-0.5, 0.5, size=(9, 3)), cfg, rng, train=train)
     unbanded = np.clip(np.abs(test.conj() @ train.T) ** 2, 0.0, 1.0)
     assert _kernel_block(cfg, test, train).tobytes() == unbanded.tobytes()
 
@@ -803,6 +803,19 @@ def test_gram_train_deterministic_given_seed(rng):
         assert np.array_equal(a.entries, b.entries)
 
 
+def test_inversion_cross_gram_draws_every_entry_in_row_major_order():
+    # the cross twin of the training rule: one binomial draw per entry, in the
+    # order of one call over the whole exact cross Gram
+    rng = np.random.default_rng(6)
+    X, X_test = rng.uniform(-1, 1, size=(300, 3)), rng.uniform(-1, 1, size=(40, 3))
+    _, it_train = build_gram_train(X, make_cfg("inversion_test"), np.random.default_rng(7))
+    _, exact_train = build_gram_train(X, make_cfg("exact"), np.random.default_rng(0))
+    gram = build_gram_cross(X_test, it_train, np.random.default_rng(8))
+    exact = build_gram_cross(X_test, exact_train, np.random.default_rng(0)).entries
+    expected = np.random.default_rng(8).binomial(200, exact) / 200
+    assert gram.entries.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_unmitigated_raw_rm_block_is_symmetric_psd(seed):
     # before the diagonal rule the raw block is (2^d / r) sum_m F_m C F_m^T
@@ -812,7 +825,7 @@ def test_unmitigated_raw_rm_block_is_symmetric_psd(seed):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-0.5, 0.5, size=(12, 3))
     cfg = make_cfg("randomized", mitigate=False)
-    train = _represent(X, cfg, rng, purities=False)
+    train = _represent(X, cfg, rng)
     raw = _kernel_block(cfg, train, dataclasses.replace(train))
     scale = np.max(np.abs(raw))
     assert np.max(np.abs(raw - raw.T)) <= 1e-12 * scale
@@ -838,10 +851,8 @@ def test_rm_raw_block_rows_match_the_pair_oracle(rows, monkeypatch):
     cfg = make_cfg("randomized", mitigate=False)
     monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", rows * 8 * cfg.rm_settings * 2**3)
     rng = np.random.default_rng(rows)
-    train = _represent(rng.uniform(-0.5, 0.5, size=(4, 3)), cfg, rng, purities=False)
-    test = _represent(
-        rng.uniform(-0.5, 0.5, size=(5, 3)), cfg, rng, purities=False, settings=train.settings
-    )
+    train = _represent(rng.uniform(-0.5, 0.5, size=(4, 3)), cfg, rng)
+    test = _represent(rng.uniform(-0.5, 0.5, size=(5, 3)), cfg, rng, train=train)
     raw = _kernel_block(cfg, test, train)
     for i in range(5):
         for j in range(4):
@@ -886,6 +897,23 @@ def test_gram_cross_randomized_duplicated_points_near_one():
     cross = build_gram_cross(X_train[:3], cache, np.random.default_rng(6))
     for k in range(3):
         assert abs(cross.entries[k, k] - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("mitigate", [True, False], ids=["mitigated", "unmitigated"])
+def test_test_points_estimate_purities_only_under_mitigation(mitigate, monkeypatch):
+    # the n training purities are always estimated (the unmitigated diagonal
+    # reads them); the t test purities only when mitigation divides by them
+    calls = []
+    monkeypatch.setattr(qkad.kernel, "rm_purity", lambda *a: calls.append(a) or rm_purity(*a))
+    cfg = make_cfg("randomized", mitigate=mitigate)
+    rng = np.random.default_rng(11)
+    X, X_test = rng.uniform(-0.5, 0.5, size=(12, 3)), rng.uniform(-0.5, 0.5, size=(5, 3))
+    _, train = build_gram_train(X, cfg, rng)
+    build_gram_cross(X_test, train, rng)
+    assert len(calls) == (12 + 5 if mitigate else 12)
+    assert np.isfinite(train.points.purities).all()
+    test = qkad.kernel._represent(X_test, cfg, rng, train=train.points)
+    assert np.isfinite(test.purities).all() if mitigate else np.isnan(test.purities).all()
 
 
 @pytest.mark.parametrize("kind", ["exact", "inversion_test", "randomized"])
