@@ -3,12 +3,17 @@
 A run sweeps a list of seeds; each seed gets its own data split, its own
 random streams, and produces one record.  Records carry everything needed to
 reproduce the run (config echo, package version, generator constants) plus
-metrics, phase timings and kernel-evaluation counts.  A failing seed yields a
+metrics, phase timings and kernel-evaluation counts.  The config echo lists
+:class:`RunConfig`'s init fields in their order, ``angle_scale`` as
+``lambda``, all but ``seeds``, ``record_timings`` and ``parallel``, which do
+not change a record's results.  A failing seed yields a
 record with the error message while the remaining seeds still run; the
 process exit code is zero only when every seed succeeded, one when some seed
 failed or no record was left to summarize, and two (with usage) on invalid
-options, an output path that is a directory or in a missing directory, or an
-unreadable or malformed records file, before any seed runs.
+options, run options given with ``--summarize-records``, an output path that
+is a directory, in a missing directory, or the file of the other output or
+of an input (a summarized records file or the fraud CSV), or an unreadable
+or malformed records file, before any seed runs.
 
 Every method is timed alike: the clock is read before fitting, after the fit
 (the solver, or ``fit_vs``) and right after scoring, for ``train_time_s`` and
@@ -75,6 +80,7 @@ _DATASET_TABLE = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    # a record's config echo lists the init fields in this order, all but _NOT_ECHOED
     method: str
     dataset: str
     train_size: int = 500
@@ -86,10 +92,11 @@ class RunConfig:
     rm_settings: int = KernelConfig.rm_settings
     rm_shots: int = KernelConfig.rm_shots
     aggregation: str = VSConfig.aggregation
-    seeds: tuple[int, ...] = tuple(range(15))
-    fraud_csv: str | None = None
-    threshold: float = 0.0
     mitigate: bool | None = None  # None -> method default, resolved at init
+    threshold: float = 0.0
+    fraud_csv: str | None = None
+    # they describe the run, not its results
+    seeds: tuple[int, ...] = tuple(range(15))
     record_timings: bool = True
     parallel: bool = False
     # the run plan, built once from the options above
@@ -202,26 +209,18 @@ class RunRecord:
         return self.error is None
 
 
+# each record has its own seed, and the other two change only timings
+_NOT_ECHOED = ("seeds", "record_timings", "parallel")
+
+
 def _record_fields(cfg: RunConfig, seed: int) -> dict:
     """The fields every record of a run carries, with a config echo of its own."""
     config = {
-        "method": cfg.method,
-        "dataset": cfg.dataset,
-        "train_size": cfg.train_size,
-        "num_features": cfg.num_features,
-        "nu": cfg.nu,
-        "lambda": cfg.angle_scale,
-        "layers": cfg.layers,
-        "it_shots": cfg.it_shots,
-        "rm_settings": cfg.rm_settings,
-        "rm_shots": cfg.rm_shots,
-        "aggregation": cfg.aggregation,
-        "mitigate": cfg.mitigate,
-        "threshold": cfg.threshold,
-        "fraud_csv": cfg.fraud_csv,
-        "preprocessing": "standard_scaler+pca+kind_rescale",
-        "score_normalization": "train-zscore",
+        "lambda" if f.name == "angle_scale" else f.name: getattr(cfg, f.name)
+        for f in fields(cfg) if f.init and f.name not in _NOT_ECHOED
     }
+    config.update(preprocessing="standard_scaler+pca+kind_rescale",
+                  score_normalization="train-zscore")
     return dict(method=cfg.method, dataset=cfg.dataset, seed=seed, n_train=cfg.train_size,
                 d=cfg.num_features, config=config)
 
@@ -234,8 +233,12 @@ def _synthetic_constants() -> dict:
     }
 
 
+def _fraud_path(fraud_csv: str | None) -> str | None:
+    return fraud_csv or os.environ.get(FRAUD_CSV_ENV)
+
+
 def _load_fraud(cfg: RunConfig) -> data.Dataset:
-    path = cfg.fraud_csv or os.environ.get(FRAUD_CSV_ENV)
+    path = _fraud_path(cfg.fraud_csv)
     if not path:
         raise ValueError(f"fraud dataset needs a CSV path (--fraud-csv or ${FRAUD_CSV_ENV})")
     return data.load_fraud_csv(path)
@@ -327,6 +330,9 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
             logger.error("fraud dataset unavailable: %s", exc)
             return [_error_record(cfg, seed, exc) for seed in cfg.seeds]
 
+    if cfg.vs is not None or cfg.parallel:  # the plan can fork; imported before a seed is timed
+        import concurrent.futures.process  # noqa: F401
+        import multiprocessing  # noqa: F401
     if cfg.parallel:
         # a seed whose worker died gets an error record with the pool's BrokenProcessPool
         return statevec._on_forked_workers(
@@ -497,6 +503,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _same_file(a: str, b: str) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return Path(a).resolve() == Path(b).resolve()
+
+
+def _check_outputs(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                   inputs: list[tuple[str, str]]) -> None:
+    """Exit 2 with usage if an output path cannot be written or names another path's file."""
+    outputs = [(o, path) for o, path in (("--output", args.output), ("--summary", args.summary))
+               if path]
+    for i, (option, path) in enumerate(outputs):
+        if Path(path).is_dir():
+            parser.error(f"{option} {path}: is a directory")
+        if not Path(path).parent.is_dir():
+            parser.error(f"{option} {path}: directory {Path(path).parent} does not exist")
+        for other, other_path in outputs[:i] + inputs:
+            if _same_file(path, other_path):
+                parser.error(f"{option} {path}: names the same file as {other} {other_path}")
+
+
+def _run_options_given(parser: argparse.ArgumentParser, args: argparse.Namespace) -> list[str]:
+    """The run options set away from their defaults, as typed: ``--no-mitigate`` as such."""
+    return [
+        action.option_strings[getattr(args, action.dest) is False] for action in parser._actions
+        if action.dest in _RUN_FIELDS | {"output", "omit_timings"}
+        and getattr(args, action.dest) != action.default
+    ]
+
+
 def _write(text: str, path: str | None, what: str) -> None:
     """Write ``text`` to ``path``, or to stdout when no path is given."""
     if path:
@@ -510,14 +546,12 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    for option, path in (("--output", args.output), ("--summary", args.summary)):
-        if path and Path(path).is_dir():
-            parser.error(f"{option} {path}: is a directory")
-        if path and not Path(path).parent.is_dir():
-            parser.error(f"{option} {path}: directory {Path(path).parent} does not exist")
-
     failed: list[int] = []
     if args.summarize_records:
+        given = _run_options_given(parser, args)
+        if given:
+            parser.error(f"--summarize-records runs no seed, so it takes no {', '.join(given)}")
+        _check_outputs(parser, args, [("--summarize-records", p) for p in args.summarize_records])
         records: list[RunRecord] = []
         try:
             for path in args.summarize_records:
@@ -527,6 +561,9 @@ def main(argv: list[str] | None = None) -> int:
     else:
         if args.method is None or args.dataset is None:
             parser.error("--method and --dataset are required unless --summarize-records is used")
+        fraud_csv = _fraud_path(args.fraud_csv) if args.dataset == "fraud" else None
+        source = "--fraud-csv" if args.fraud_csv else f"${FRAUD_CSV_ENV}"
+        _check_outputs(parser, args, [(source, fraud_csv)] if fraud_csv else [])
         options = {k: v for k, v in vars(args).items() if k in _RUN_FIELDS}
         try:
             cfg = RunConfig(**options, record_timings=not args.omit_timings)

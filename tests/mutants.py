@@ -48,7 +48,7 @@ class Mutant:
 # The stacked-settings rotation's own mutants, then the survivors of an earlier
 # audit of 18 one-line changes, which tier-1 has since been extended to catch,
 # then the forked-worker helper's own, then the worker-count rule's, then the
-# Gram finishing path's.
+# Gram finishing path's, then the CLI's config echo and up-front checks.
 MUTANTS = (
     Mutant(
         "kron-operands-swapped",
@@ -159,6 +159,30 @@ MUTANTS = (
         "src/qkad/kernel.py",
         "    if train is not None and not cfg.mitigate:",
         "    if train is not None and False:",
+    ),
+    Mutant(
+        "parallel-echoed",
+        "src/qkad/cli.py",
+        '_NOT_ECHOED = ("seeds", "record_timings", "parallel")',
+        '_NOT_ECHOED = ("seeds", "record_timings")',
+    ),
+    Mutant(
+        "output-collision-unchecked",
+        "src/qkad/cli.py",
+        "            if _same_file(path, other_path):",
+        "            if False:",
+    ),
+    Mutant(
+        "summarize-run-options-unchecked",
+        "src/qkad/cli.py",
+        "        if given:",
+        "        if False:",
+    ),
+    Mutant(
+        "process-pool-imported-while-timed",
+        "src/qkad/cli.py",
+        "    if cfg.vs is not None or cfg.parallel:",
+        "    if False:",
     ),
 )
 

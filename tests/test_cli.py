@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -280,6 +281,32 @@ def test_importing_the_cli_loads_no_process_pool():
     assert _pool_modules_loaded_by("qkad.cli") == "['concurrent.futures.thread']"
 
 
+@pytest.mark.parametrize("method, parallel, loaded", [
+    ("rbf", False, "[]"),
+    ("rm", False, "[]"),
+    ("vs-it", False, "['concurrent.futures.process', 'multiprocessing']"),
+    ("rbf", True, "['concurrent.futures.process', 'multiprocessing']"),
+])
+def test_a_plan_that_can_fork_loads_the_process_pool_before_a_seed_is_timed(
+    method, parallel, loaded
+):
+    # importing them takes about 10 ms, which would otherwise count in the first seed's timings
+    env = dict(os.environ, PYTHONPATH=str(Path(qkad.__file__).parents[1]))
+    code = (
+        "import sys\n"
+        "from qkad import cli\n"
+        "def probe(cfg, seed, fraud):\n"
+        "    print(sorted({'multiprocessing', 'concurrent.futures.process'} & sys.modules.keys()))\n"
+        "    raise RuntimeError('probed')\n"
+        "cli._run_seed = probe\n"
+        f"cli.run_experiment(cli.RunConfig(method={method!r}, dataset='synthetic', seeds=(0,), "
+        f"parallel={parallel}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.stdout.strip() == loaded, proc.stderr
+
+
 def test_importing_the_package_loads_no_pool():
     # fit_vs and score_vs import the process pool only when they fork
     assert _pool_modules_loaded_by("qkad") == "[]"
@@ -369,6 +396,30 @@ def test_run_config_validation():
             else:
                 assert cfg.vs is None
             assert cfg.split == SplitSpec(train_size=60, test_size=125, test_anomaly_ratio=ratio)
+
+
+NOT_ECHOED = ("seeds", "record_timings", "parallel")
+ECHO_CONSTANTS = ["preprocessing", "score_normalization"]
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_config_echo_lists_every_run_option_but_seeds_and_timing_ones(method):
+    cfg = RunConfig(method=method, dataset="synthetic")
+    config = cli._record_fields(cfg, 0)["config"]
+    echoed = [f.name for f in dataclasses.fields(RunConfig) if f.init and f.name not in NOT_ECHOED]
+    names = ["lambda" if name == "angle_scale" else name for name in echoed]
+    assert list(config) == names + ECHO_CONSTANTS
+    assert [config[name] for name in names] == [getattr(cfg, name) for name in echoed]
+
+
+def test_an_option_added_to_run_config_is_echoed():
+    @dataclasses.dataclass(frozen=True)
+    class Extended(RunConfig):
+        extra: int = 7
+
+    config = cli._record_fields(Extended(method="rbf", dataset="synthetic"), 0)["config"]
+    assert list(config)[-3:] == ["extra", *ECHO_CONSTANTS]
+    assert config["extra"] == 7
 
 
 def test_mitigation_defaults_per_method():
@@ -657,32 +708,104 @@ def test_load_records_rejects_a_non_numeric_metric(value, tmp_path, capsys):
     assert message in err
 
 
-@pytest.mark.parametrize("option, is_directory", [
-    pytest.param("--output", False, id="--output"),
-    pytest.param("--summary", False, id="--summary"),
-    pytest.param("--output", True, id="--output-directory"),
-    pytest.param("--summary", True, id="--summary-directory"),
+RUN = "--method rbf --dataset synthetic --train-size 60 --seeds 0"
+FRAUD_RUN = "--method rbf --dataset fraud --train-size 60 --seeds 0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(f"{RUN} --output {{tmp}}/missing/out",
+                 "--output {tmp}/missing/out: directory {tmp}/missing does not exist",
+                 id="--output"),
+    pytest.param(f"{RUN} --summary {{tmp}}/missing/out",
+                 "--summary {tmp}/missing/out: directory {tmp}/missing does not exist",
+                 id="--summary"),
+    # the path names an existing directory, not a file in one
+    pytest.param(f"{RUN} --output {{tmp}}/dir", "--output {tmp}/dir: is a directory",
+                 id="--output-directory"),
+    pytest.param(f"{RUN} --summary {{tmp}}/dir", "--summary {tmp}/dir: is a directory",
+                 id="--summary-directory"),
+    # the summary would replace the records, whether the file exists yet or not
+    pytest.param(f"{RUN} --output {{tmp}}/x --summary {{tmp}}/x",
+                 "--summary {tmp}/x: names the same file as --output {tmp}/x",
+                 id="--output-is--summary"),
+    pytest.param(f"{RUN} --output {{tmp}}/records.jsonl --summary {{tmp}}/dir/../records.jsonl",
+                 "--summary {tmp}/dir/../records.jsonl: names the same file as "
+                 "--output {tmp}/records.jsonl",
+                 id="--output-is-an-existing--summary"),
+    # an output must not replace a file the invocation reads
+    pytest.param("--summarize-records {tmp}/records.jsonl --summary {tmp}/records.jsonl",
+                 "--summary {tmp}/records.jsonl: names the same file as "
+                 "--summarize-records {tmp}/records.jsonl",
+                 id="--summary-is-a-summarized-file"),
+    pytest.param("--summarize-records {tmp}/dir/../records.jsonl {tmp}/link.jsonl "
+                 "--summary {tmp}/records.jsonl",
+                 "--summary {tmp}/records.jsonl: names the same file as "
+                 "--summarize-records {tmp}/dir/../records.jsonl",
+                 id="--summary-is-a-summarized-file-by-another-path"),
+    pytest.param(f"{FRAUD_RUN} --fraud-csv {{tmp}}/fraud.csv --output {{tmp}}/fraud.csv",
+                 "--output {tmp}/fraud.csv: names the same file as --fraud-csv {tmp}/fraud.csv",
+                 id="--output-is--fraud-csv"),
+    pytest.param(f"{FRAUD_RUN} --summary {{tmp}}/dir/../fraud.csv",
+                 "--summary {tmp}/dir/../fraud.csv: names the same file as "
+                 f"${cli.FRAUD_CSV_ENV} {{tmp}}/fraud.csv",
+                 id="--summary-is-the-fraud-csv-from-the-environment"),
 ])
 def test_main_rejects_an_output_path_in_a_missing_directory_before_any_seed(
-    option, is_directory, tmp_path, capsys, monkeypatch
+    argv, message, tmp_path, capsys, monkeypatch
 ):
     def no_seed(*args):
         raise AssertionError("a seed ran")
 
     monkeypatch.setattr(cli, "_run_seed", no_seed)
-    missing = tmp_path / "missing"
-    target, message = missing / "out", f"directory {missing} does not exist"
-    if is_directory:  # the path names an existing directory, not a file in one
-        missing.mkdir()
-        target, message = missing, "is a directory"
+    monkeypatch.setenv(cli.FRAUD_CSV_ENV, str(tmp_path / "fraud.csv"))
+    (tmp_path / "dir").mkdir()
+    write_small_fraud_csv(tmp_path / "fraud.csv")
+    (tmp_path / "records.jsonl").write_text(records_to_jsonl([fake_record(0, 0.4)]))
+    (tmp_path / "link.jsonl").symlink_to(tmp_path / "records.jsonl")
+    files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
     with pytest.raises(SystemExit) as exc:
-        main(["--method", "rbf", "--dataset", "synthetic", "--train-size", "60",
-              "--seeds", "0", option, str(target)])
+        main(argv.format(tmp=tmp_path).split())
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:")
-    assert f"{option} {target}: {message}" in err
-    assert list(tmp_path.rglob("*")) == ([missing] if is_directory else [])
+    assert message.format(tmp=tmp_path) in err
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == files
+
+
+@pytest.mark.parametrize("options, typed", [pytest.param(*case, id=case[1]) for case in [
+    ("--nu 0.5", "--nu"),
+    ("--lambda 2", "--lambda"),
+    ("--omit-timings", "--omit-timings"),
+    ("--output {tmp}/o.jsonl", "--output"),
+    ("--parallel", "--parallel"),
+    ("--method rm", "--method"),
+    ("--dataset fraud --fraud-csv {tmp}/r.jsonl", "--dataset, --fraud-csv"),
+    ("--mitigate", "--mitigate"),
+    ("--no-mitigate", "--no-mitigate"),
+    ("--seeds 0-1", "--seeds"),
+    ("--aggregation max --threshold 1", "--aggregation, --threshold"),
+    ("--output {tmp}/o.jsonl --method rm --nu 0.5 --parallel",
+     "--method, --nu, --output, --parallel"),
+]])
+def test_summarize_records_rejects_run_options_with_usage(options, typed, tmp_path, capsys):
+    records = tmp_path / "r.jsonl"
+    records.write_text(records_to_jsonl([fake_record(0, 0.4), fake_record(1, 0.6)]))
+    before = records.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["--summarize-records", str(records), *options.format(tmp=tmp_path).split()])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"--summarize-records runs no seed, so it takes no {typed}\n" in err
+    assert records.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [records]
+
+
+def test_summarize_records_accepts_run_options_at_their_defaults(tmp_path, capsys):
+    records = tmp_path / "r.jsonl"
+    records.write_text(records_to_jsonl([fake_record(0, 0.4), fake_record(1, 0.6)]))
+    assert main(["--summarize-records", str(records), "--nu", "0.1", "--seeds", "0-14"]) == 0
+    assert capsys.readouterr().out.startswith("method,")
 
 
 def test_main_exit_code_on_failure(tmp_path, monkeypatch):
