@@ -46,7 +46,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data, ocsvm, pipeline, statevec
-from .ensemble import SUBSAMPLE_MAX, SUBSAMPLE_MIN, VSConfig, fit_vs, rotation_dim, score_vs
+from .ensemble import (
+    SUBSAMPLE_MAX, SUBSAMPLE_MIN, VSConfig, component_count, fit_vs, rotation_dim, score_vs,
+)
 from .kernel import KernelConfig, build_gram_cross, build_gram_train, check_point_set
 from .metrics import average_precision, confusion, f1, precision_recall
 from .statevec import FeatureMapConfig
@@ -330,9 +332,9 @@ def run_experiment(cfg: RunConfig) -> list[RunRecord]:
             logger.error("fraud dataset unavailable: %s", exc)
             return [_error_record(cfg, seed, exc) for seed in cfg.seeds]
 
-    if cfg.vs is not None or cfg.parallel:  # the plan can fork; imported before a seed is timed
-        import concurrent.futures.process  # noqa: F401
-        import multiprocessing  # noqa: F401
+    if cfg.vs is not None:
+        # a VS fit's pool, imported before a seed is timed; a --parallel pool imports its own
+        statevec._forks(component_count(cfg.train_size))
     if cfg.parallel:
         # a seed whose worker died gets an error record with the pool's BrokenProcessPool
         return statevec._on_forked_workers(
@@ -504,6 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _same_file(a: str, b: str) -> bool:
+    """Whether ``a`` and ``b`` name one regular file, existing or not; a device is no file."""
+    if any(os.path.exists(p) and not os.path.isfile(p) for p in (a, b)):
+        return False
     if os.path.exists(a) and os.path.exists(b):
         return os.path.samefile(a, b)
     return Path(a).resolve() == Path(b).resolve()

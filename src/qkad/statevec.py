@@ -279,6 +279,20 @@ def _worker_call(item: int) -> object:
     return _worker_fn(item)
 
 
+def _forks(items: int) -> bool:
+    """Whether :func:`_on_forked_workers` forks for ``items``; if so, its pool is imported.
+
+    A caller that times the work calls it first, so that the import, about
+    10 ms, lands in no timing.
+    """
+    if _workers(items) == 1 or not hasattr(os, "fork") or _openblas() is None:
+        return False
+    import concurrent.futures.process  # noqa: F401
+    import multiprocessing  # noqa: F401
+
+    return True
+
+
 def _on_forked_workers(
     fn: Callable[[int], object], items: int,
     fail: Callable[[int, BaseException], object] | None = None,
@@ -297,15 +311,14 @@ def _on_forked_workers(
     ``fail(i, exc)``; without ``fail`` the first such item, by index,
     re-raises.  No process outlives the call.
     """
-    workers = _workers(items)
-    if workers == 1 or not hasattr(os, "fork") or _openblas() is None:
+    if not _forks(items):
         return [fn(i) for i in range(items)]
     import concurrent.futures
     import multiprocessing
 
     # fork, because fn closes over the caller's data; the pool forks before it starts a thread
     with concurrent.futures.ProcessPoolExecutor(
-        workers, multiprocessing.get_context("fork"),
+        _workers(items), multiprocessing.get_context("fork"),
         initializer=_start_worker, initargs=(fn,),
     ) as pool:
         futures = [pool.submit(_worker_call, i) for i in range(items)]

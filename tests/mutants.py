@@ -133,13 +133,13 @@ MUTANTS = (
     Mutant(
         "forked-helper-counts-items",
         "src/qkad/statevec.py",
-        '    if workers == 1 or not hasattr(os, "fork") or _openblas() is None:',
+        '    if _workers(items) == 1 or not hasattr(os, "fork") or _openblas() is None:',
         '    if items < 2 or not hasattr(os, "fork") or _openblas() is None:',
     ),
     Mutant(
         "pool-sized-by-items",
         "src/qkad/statevec.py",
-        '        workers, multiprocessing.get_context("fork"),',
+        '        _workers(items), multiprocessing.get_context("fork"),',
         '        items, multiprocessing.get_context("fork"),',
     ),
     Mutant(
@@ -181,8 +181,14 @@ MUTANTS = (
     Mutant(
         "process-pool-imported-while-timed",
         "src/qkad/cli.py",
-        "    if cfg.vs is not None or cfg.parallel:",
-        "    if False:",
+        "        statevec._forks(component_count(cfg.train_size))",
+        "        pass",
+    ),
+    Mutant(
+        "device-compared-as-a-file",
+        "src/qkad/cli.py",
+        "        return False\n    if os.path.exists(a) and os.path.exists(b):",
+        "        pass\n    if os.path.exists(a) and os.path.exists(b):",
     ),
 )
 

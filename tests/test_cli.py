@@ -281,14 +281,22 @@ def test_importing_the_cli_loads_no_process_pool():
     assert _pool_modules_loaded_by("qkad.cli") == "['concurrent.futures.thread']"
 
 
-@pytest.mark.parametrize("method, parallel, loaded", [
-    ("rbf", False, "[]"),
-    ("rm", False, "[]"),
-    ("vs-it", False, "['concurrent.futures.process', 'multiprocessing']"),
-    ("rbf", True, "['concurrent.futures.process', 'multiprocessing']"),
+POOL = "['concurrent.futures.process', 'multiprocessing']"
+
+
+@pytest.mark.parametrize("method, parallel, cores, train_size, loaded", [
+    ("rbf", False, 2, 500, "[]"),
+    ("rm", False, 2, 500, "[]"),
+    ("vs-it", False, 2, 500, POOL),
+    # one seed runs in process, so only a VS fit forks
+    ("vs-it", True, 2, 500, POOL),
+    ("rbf", True, 2, 500, "[]"),
+    # a one-core mask, or one component, never forks
+    ("vs-it", False, 1, 500, "[]"),
+    ("vs-it", False, 2, 100, "[]"),
 ])
-def test_a_plan_that_can_fork_loads_the_process_pool_before_a_seed_is_timed(
-    method, parallel, loaded
+def test_a_plan_that_forks_loads_the_process_pool_before_a_seed_is_timed(
+    method, parallel, cores, train_size, loaded
 ):
     # importing them takes about 10 ms, which would otherwise count in the first seed's timings
     env = dict(os.environ, PYTHONPATH=str(Path(qkad.__file__).parents[1]))
@@ -299,8 +307,9 @@ def test_a_plan_that_can_fork_loads_the_process_pool_before_a_seed_is_timed(
         "    print(sorted({'multiprocessing', 'concurrent.futures.process'} & sys.modules.keys()))\n"
         "    raise RuntimeError('probed')\n"
         "cli._run_seed = probe\n"
+        f"cli.statevec._cores = lambda: {cores}\n"
         f"cli.run_experiment(cli.RunConfig(method={method!r}, dataset='synthetic', seeds=(0,), "
-        f"parallel={parallel}))\n"
+        f"train_size={train_size}, parallel={parallel}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=60)
@@ -762,14 +771,22 @@ def test_main_rejects_an_output_path_in_a_missing_directory_before_any_seed(
     write_small_fraud_csv(tmp_path / "fraud.csv")
     (tmp_path / "records.jsonl").write_text(records_to_jsonl([fake_record(0, 0.4)]))
     (tmp_path / "link.jsonl").symlink_to(tmp_path / "records.jsonl")
-    files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    entries = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
     with pytest.raises(SystemExit) as exc:
         main(argv.format(tmp=tmp_path).split())
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert message.format(tmp=tmp_path) in err
-    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == files
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == entries
+
+
+def test_outputs_may_name_one_device(tmp_path):
+    # a device is no file, so writing both outputs to it replaces nothing
+    assert main(f"{RUN} --output /dev/null --summary /dev/null".split()) == 0
+    records = tmp_path / "r.jsonl"
+    records.write_text(records_to_jsonl([fake_record(0, 0.4)]))
+    assert main(["--summarize-records", str(records), "/dev/null", "--summary", "/dev/null"]) == 0
 
 
 @pytest.mark.parametrize("options, typed", [pytest.param(*case, id=case[1]) for case in [
