@@ -31,16 +31,20 @@ Every Gram the package builds is finished in :func:`_gram`, which copies a
 training Gram's strict upper triangle into its lower one, in place, in
 ``_TILE``-square tiles, and skips the public constructor's checks.
 
-Three steps run in contiguous chunks on every core of the affinity mask,
-through :func:`statevec._on_every_core`: Born sampling, the rbf bands and the
-mirror tiles of every kind.  None of them calls BLAS, numpy releases the GIL
-inside them, and each chunk writes its own slice of the output, so no entry
-depends on the core count.  The bands of the GEMM kinds (exact, inversion
-test, randomized) and each (point, setting) rotation run on the calling
-thread: a BLAS that is not pinned to one thread would oversubscribe the
-cores.  Nothing here forks.  A step that gets one worker runs in the calling
-thread: on a one-core mask, and in the forked worker of a ``--parallel`` seed
-or a VS component, whose BLAS is pinned to one thread.
+Four steps run in contiguous chunks on every core of the affinity mask,
+through :func:`statevec._on_every_core`: Born sampling, the mirror tiles of
+every kind, the bands of every kind and the encoding's row blocks.  The last
+two call BLAS in the matrix-product kinds (exact, inversion test,
+randomized) and in the encoding, and a step that calls BLAS spreads only
+while numpy's OpenBLAS runs one thread; otherwise it stays on the calling
+thread, because a BLAS that runs more would oversubscribe the cores.  Each
+chunk runs the same operations on its own slice of the output, so no entry
+depends on the number of threads.  No function that perfbench traces runs on
+a pool thread: encoding, each (point, setting) rotation, Born sampling,
+signature collection and purity are called on the calling thread, and only
+their insides spread.  Nothing here forks.  A step that gets one worker runs
+in the calling thread: on a one-core mask, and in the forked worker of a
+``--parallel`` seed or a VS component, whose BLAS is pinned to one thread.
 
 Shot-based entries may leave [0, 1], and a shot-based Gram may be
 indefinite; neither is repaired.
@@ -228,8 +232,10 @@ def collect_signature(
     setting) is rotated by its own :func:`apply_local` call on the calling
     thread, straight into its row of the block's ``(points, r, 2^d)``
     buffer, and :func:`born_counts` draws the block's shot counts, one row
-    per setting, on every core.  The same settings must be shared by all
-    points entering one kernel matrix; the caller owns that contract.
+    per setting, on every core.  The rotations stay on the calling thread,
+    because perfbench traces each call and its tracer is not thread-safe.
+    The same settings must be shared by all points entering one kernel
+    matrix; the caller owns that contract.
     """
     per_setting = list(zip(*factors))
     if not per_setting:
@@ -404,12 +410,14 @@ def _kernel_block(
     product's last, partial column panel by the product's width, so it fills
     every column.
 
-    rbf bands call no BLAS, so contiguous chunks of them are filled on every
-    core, the calling thread taking the first; its bandwidth and feature-major
-    copies are made on the calling thread first.  Each band runs the same
-    operations on its own slice of the output, so no entry depends on the
-    number of threads.  The GEMM kinds fill their bands on the calling thread:
-    a BLAS that is not pinned to one thread would oversubscribe the cores.
+    Contiguous chunks of the bands are filled on every core, the calling
+    thread taking the first, by :func:`statevec._on_every_core`: rbf's
+    always, since they call no BLAS, and the GEMM kinds' only while numpy's
+    OpenBLAS runs one thread.  rbf's bandwidth and feature-major copies, and
+    the randomized kind's frequency table, are made on the calling thread
+    first; a randomized training block reads its rows' frequencies from that
+    table.  Each band runs the same operations on its own slice of the
+    output, so no entry depends on the number of threads.
     """
     rm = cfg.kind == "randomized"
     n, m = (len(a.counts), len(b.counts)) if rm else (len(a), len(b))
@@ -443,7 +451,9 @@ def _kernel_block(
                 np.exp(band, out=band)
             elif rm:
                 # the (setting, outcome)-flattened frequencies, Hamming-weighted, in one GEMM
-                freqs = a.counts[rows] / float(cfg.rm_shots)
+                # a training block's rows are in the table above: no second pass over the counts
+                freqs = (flat_b.T[rows].reshape(-1, r, dim) if a is b
+                         else a.counts[rows] / float(cfg.rm_shots))
                 raw = _hamming_weighted(freqs).reshape(len(freqs), r * dim) @ flat_b[:, cols]
                 np.divide(dim * raw, r, out=band)
                 if cfg.mitigate:
@@ -454,10 +464,7 @@ def _kernel_block(
             if not np.isfinite(band).all():
                 raise ValueError("Gram entries must be finite")
 
-    if cfg.kind == "rbf":
-        _on_every_core(fill, len(bands))
-    else:
-        fill(range(len(bands)))
+    _on_every_core(fill, len(bands), blas=cfg.kind != "rbf")
     return out
 
 

@@ -24,12 +24,18 @@ Conventions used throughout the package:
   downstream quantities are fidelities, which ignore it.
 * Two private helpers spread work over the cores of the affinity mask.
   :func:`_on_every_core` runs contiguous chunks of a step that releases the
-  GIL and calls no BLAS on threads: Born sampling here, rbf bands and mirror
-  tiles in ``kernel``.  :func:`_on_forked_workers` maps a function over
-  items on forked worker processes: ``--parallel`` seeds and VS components.
-  Both take their worker count from :func:`_workers`, and a step that gets
-  one worker runs in the calling process: on a one-core mask, for one item,
-  and inside a forked worker, which pins numpy's OpenBLAS to one thread.
+  GIL on threads: Born sampling and the encoding's row blocks here, the
+  Gram bands and mirror tiles in ``kernel``.  :func:`_on_forked_workers`
+  maps a function over items on forked worker processes: ``--parallel``
+  seeds and VS components.  Both take their worker count from
+  :func:`_workers`, under one rule: a step that calls BLAS (the encoding
+  and the matrix-product Gram bands) gets more than one worker only while
+  numpy's OpenBLAS runs one thread, because a BLAS that runs more would
+  oversubscribe the cores.  A step that gets one worker runs in the calling
+  process: on a one-core mask, for one item, and inside a forked worker,
+  which pins numpy's OpenBLAS to one thread.  The public functions here,
+  whose calls perfbench traces, always run on the calling thread; only
+  their insides run on pool threads.
 
 All operations are pure: inputs are never mutated and random draws come
 from an explicit ``numpy.random.Generator``.
@@ -170,7 +176,12 @@ def encode_iqp(X: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     qubit, then the commuting diagonal rotation layer whose angles are given
     by :func:`_iqp_layer_angles`.  Each state has one qubit per column of
     ``X``.  Rows are encoded in blocks whose ``(rows, 2^d, d)`` angle
-    temporaries hold about ``_BLOCK_BYTES``.
+    temporaries hold about ``_BLOCK_BYTES``.  Contiguous chunks of rows are
+    encoded on every core by :func:`_on_every_core` while numpy's OpenBLAS
+    runs one thread, each chunk in blocks of its share of those rows, so all
+    chunks' temporaries together stay near ``_BLOCK_BYTES``.  Rows are
+    encoded independently, so the states do not depend on the number of
+    threads.
     """
     X = _check_rows(X)
     n, d = X.shape
@@ -178,13 +189,20 @@ def encode_iqp(X: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     hadamards = local_factors(np.broadcast_to(hadamard, (d, 2, 2)))
     states = np.empty((n, 2**d), dtype=complex)
     step = max(1, _BLOCK_BYTES // (8 * 2**d * d))
-    for start in range(0, n, step):
-        phases = np.exp(-0.5j * _iqp_layer_angles(X[start : start + step], cfg))
-        amps = np.zeros_like(phases)
-        amps[:, 0] = 1.0
-        for _ in range(cfg.layers):
-            amps = apply_local(amps, hadamards) * phases
-        states[start : start + step] = amps
+
+    def encode(chunk: range) -> None:
+        # a chunk's blocks take its share of the step, so all chunks' blocks sum to one step
+        block = max(1, step * len(chunk) // n)
+        for start in range(chunk.start, chunk.stop, block):
+            rows = slice(start, min(start + block, chunk.stop))
+            phases = np.exp(-0.5j * _iqp_layer_angles(X[rows], cfg))
+            amps = np.zeros_like(phases)
+            amps[:, 0] = 1.0
+            for _ in range(cfg.layers):
+                amps = apply_local(amps, hadamards) * phases
+            states[rows] = amps
+
+    _on_every_core(encode, n, blas=True)
     return states
 
 
@@ -214,23 +232,31 @@ def _cores() -> int:
 _IN_WORKER = False
 
 
-def _workers(items: int) -> int:
-    """One worker per core of the affinity mask, at most one per item; one in a forked worker."""
-    return 1 if _IN_WORKER else max(1, min(_cores(), items))
+def _workers(items: int, blas: bool = False) -> int:
+    """One worker per core of the affinity mask, at most one per item.
+
+    One in a forked worker, and one for a step that calls BLAS (``blas``)
+    unless numpy's OpenBLAS runs one thread: a BLAS that runs more would
+    oversubscribe the cores.
+    """
+    if _IN_WORKER or (blas and _blas_threads() != 1):
+        return 1
+    return max(1, min(_cores(), items))
 
 
-def _on_every_core(fn: Callable[[range], None], items: int) -> None:
+def _on_every_core(fn: Callable[[range], None], items: int, blas: bool = False) -> None:
     """Run ``fn`` over contiguous chunks of ``range(items)``, one thread per worker.
 
-    There are :func:`_workers` chunks, equal in count to within one.
-    The calling thread runs the first chunk and a pool thread each other one,
-    each in a copy of the caller's context, because numpy keeps
-    ``np.errstate`` in a context variable.  The first chunk's exception, in
-    chunk order, is re-raised once every chunk has ended, and no thread
-    outlives the call.  The chunks gain only where ``fn`` releases the GIL;
-    callers hand it work that touches disjoint output and calls no BLAS.
+    There are :func:`_workers` chunks, equal in count to within one; ``blas``
+    says that ``fn`` calls BLAS.  The calling thread runs the first chunk and
+    a pool thread each other one, each in a copy of the caller's context,
+    because numpy keeps ``np.errstate`` in a context variable.  The first
+    chunk's exception, in chunk order, is re-raised once every chunk has
+    ended, and no thread outlives the call.  The chunks gain only where
+    ``fn`` releases the GIL; callers hand it work that touches disjoint
+    output and calls no function that perfbench traces.
     """
-    workers = _workers(items)
+    workers = _workers(items, blas)
     bounds = [items * k // workers for k in range(workers + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:
@@ -247,7 +273,7 @@ def _on_every_core(fn: Callable[[range], None], items: int) -> None:
 
 @lru_cache(maxsize=1)
 def _openblas():
-    """numpy's bundled OpenBLAS, loaded by ``ctypes``, or None without the calls workers make."""
+    """numpy's bundled OpenBLAS, loaded by ``ctypes``, or None without the calls used here."""
     import ctypes
 
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
@@ -256,13 +282,22 @@ def _openblas():
         if name.startswith("libscipy_openblas") and name.endswith(".so"):
             lib = ctypes.CDLL(os.path.join(libs, name))
             try:
-                setter, shutdown = lib.scipy_openblas_set_num_threads64_, lib.blas_thread_shutdown_
+                setter = lib.scipy_openblas_set_num_threads64_
+                getter = lib.scipy_openblas_get_num_threads64_
+                shutdown = lib.blas_thread_shutdown_
             except AttributeError:
                 continue
             setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
             shutdown.argtypes, shutdown.restype = [], ctypes.c_int
             return lib
     return None
+
+
+def _blas_threads() -> int | None:
+    """Threads numpy's OpenBLAS runs now, or None without it; read anew on every call."""
+    blas = _openblas()
+    return None if blas is None else blas.scipy_openblas_get_num_threads64_()
 
 
 def _start_worker(fn: Callable[[int], object]) -> None:

@@ -48,7 +48,9 @@ class Mutant:
 # The stacked-settings rotation's own mutants, then the survivors of an earlier
 # audit of 18 one-line changes, which tier-1 has since been extended to catch,
 # then the forked-worker helper's own, then the worker-count rule's, then the
-# Gram finishing path's, then the CLI's config echo and up-front checks.
+# Gram finishing path's, then the CLI's config echo and up-front checks, then
+# the BLAS rule of the threaded bands and encoding, and the boundary survivors
+# of a later audit.
 MUTANTS = (
     Mutant(
         "kron-operands-swapped",
@@ -127,8 +129,8 @@ MUTANTS = (
     Mutant(
         "workers-ignore-worker-flag",
         "src/qkad/statevec.py",
-        "    return 1 if _IN_WORKER else max(1, min(_cores(), items))",
-        "    return max(1, min(_cores(), items))",
+        "    if _IN_WORKER or (blas and _blas_threads() != 1):",
+        "    if blas and _blas_threads() != 1:",
     ),
     Mutant(
         "forked-helper-counts-items",
@@ -189,6 +191,66 @@ MUTANTS = (
         "src/qkad/cli.py",
         "        return False\n    if os.path.exists(a) and os.path.exists(b):",
         "        pass\n    if os.path.exists(a) and os.path.exists(b):",
+    ),
+    Mutant(
+        "blas-steps-spread-at-any-blas-thread-count",
+        "src/qkad/statevec.py",
+        "    if _IN_WORKER or (blas and _blas_threads() != 1):",
+        "    if _IN_WORKER:",
+    ),
+    Mutant(
+        "encode-chunks-ignore-the-shared-budget",
+        "src/qkad/statevec.py",
+        "        block = max(1, step * len(chunk) // n)",
+        "        block = step",
+    ),
+    Mutant(
+        "training-frequencies-from-the-first-rows",
+        "src/qkad/kernel.py",
+        "                freqs = (flat_b.T[rows].reshape(-1, r, dim) if a is b",
+        "                freqs = (flat_b.T[: rows.stop - rows.start].reshape(-1, r, dim) if a is b",
+    ),
+    Mutant(
+        "scaler-constant-by-unit-range",
+        "src/qkad/pipeline.py",
+        "    constant = np.ptp(X_train, axis=0) == 0",
+        "    constant = np.ptp(X_train, axis=0) == 1",
+    ),
+    Mutant(
+        "vs-gram-time-summed",
+        "src/qkad/ensemble.py",
+        "            return component, t1 - t0, t2 - t1, gram.eval_count",
+        "            return component, t1 + t0, t2 - t1, gram.eval_count",
+    ),
+    Mutant(
+        "vs-solver-time-summed",
+        "src/qkad/ensemble.py",
+        "            return component, t1 - t0, t2 - t1, gram.eval_count",
+        "            return component, t1 - t0, t2 + t1, gram.eval_count",
+    ),
+    Mutant(
+        "split-spec-rejects-one-training-point",
+        "src/qkad/data.py",
+        "        if self.train_size < 1 or self.test_size < 1:",
+        "        if self.train_size < 2 or self.test_size < 1:",
+    ),
+    Mutant(
+        "split-spec-rejects-one-test-point",
+        "src/qkad/data.py",
+        "        if self.train_size < 1 or self.test_size < 1:",
+        "        if self.train_size < 1 or self.test_size < 2:",
+    ),
+    Mutant(
+        "split-rejects-just-enough-normal-points",
+        "src/qkad/data.py",
+        "    if normal_idx.size < spec.train_size + n_norm:",
+        "    if normal_idx.size <= spec.train_size + n_norm:",
+    ),
+    Mutant(
+        "pca-message-names-n-minus-2",
+        "src/qkad/pipeline.py",
+        "= [1, {min(n - 1, d)}], got {m}",
+        "= [1, {min(n - 2, d)}], got {m}",
     ),
 )
 

@@ -153,6 +153,21 @@ def test_rm_records_do_not_depend_on_the_sampling_worker_count(method, monkeypat
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("cores", [2, 1], ids=["forked", "in-process"])
+@pytest.mark.parametrize("method", ["vs-rm", "vs-it"])
+def test_vs_phase_times_fit_in_the_training_time(method, cores, monkeypatch):
+    # each component's Gram and solver times are spans of one fit, and the
+    # components' spans overlap at most as many times as there are workers
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: cores)
+    cfg = RunConfig(method=method, dataset="synthetic", train_size=200, seeds=(0,),
+                    rm_settings=4, rm_shots=64, it_shots=64)
+    (record,) = run_experiment(cfg)
+    assert record.ok and record.components == 2
+    assert record.gram_time_s >= 0 and record.solver_time_s >= 0
+    workers = qkad.statevec._workers(record.components)
+    assert record.gram_time_s + record.solver_time_s <= workers * record.train_time_s + 0.01
+
+
 @pytest.mark.parametrize("method, train_size, cores", [
     pytest.param("rm", 60, 2, id="rm-60"),
     pytest.param("rbf", 600, 2, id="rbf-600"),

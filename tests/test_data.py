@@ -53,6 +53,11 @@ def test_split_spec_rejects_empty_sets_and_ratios_outside_0_1(train_size, test_s
         SplitSpec(train_size=train_size, test_size=test_size, test_anomaly_ratio=ratio)
 
 
+def test_split_spec_accepts_one_point_sets():
+    spec = SplitSpec(train_size=1, test_size=1, test_anomaly_ratio=0.0)
+    assert (spec.train_size, spec.test_size, spec.test_anomaly_count) == (1, 1, 0)
+
+
 def test_synthetic_train_is_normal_only():
     train, test = generate_synthetic(
         SplitSpec(train_size=200, test_size=125, test_anomaly_ratio=0.3),
@@ -619,6 +624,16 @@ def test_split_insufficient_points(rng):
         make_split(pool, SplitSpec(train_size=40, test_size=10, test_anomaly_ratio=0.0), rng)
     with pytest.raises(ValueError, match="anomal"):
         make_split(pool, SplitSpec(train_size=10, test_size=10, test_anomaly_ratio=0.5), rng)
+
+
+def test_split_uses_every_normal_point_when_there_are_just_enough(rng):
+    # 40 training and 7 normal test points from exactly 47 normal points
+    pool = make_pool(47, 3, rng)
+    spec = SplitSpec(train_size=40, test_size=10, test_anomaly_ratio=0.3)
+    train, test = make_split(pool, spec, rng)
+    normal = np.concatenate([train.features, test.features[test.labels == 0]])
+    assert len(normal) == 47 and len(np.unique(normal, axis=0)) == 47
+    assert test.n_anomalies == 3
 
 
 def test_dataset_validation():

@@ -675,16 +675,69 @@ def test_rbf_grams_and_the_mirror_are_byte_identical_at_any_worker_count(n, monk
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_only_rbf_bands_are_filled_on_every_core(kind, monkeypatch):
-    # GEMM bands stay on the calling thread; every training Gram's mirror is chunked
-    chunked = []
+    # unless numpy's OpenBLAS runs one thread, the GEMM bands stay on the
+    # calling thread, which is what the name pins; at one BLAS thread every
+    # kind's bands are chunked; every training Gram's mirror is chunked
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
+    monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", 100 * row_bytes(kind, 300, 2))
     on_every_core = qkad.kernel._on_every_core
-    monkeypatch.setattr(
-        qkad.kernel, "_on_every_core",
-        lambda fn, items: chunked.append(fn.__name__) or on_every_core(fn, items),
-    )
-    rng = np.random.default_rng(22)
-    build_gram_train(rng.uniform(-0.5, 0.5, size=(30, 2)), make_cfg(kind), rng)
-    assert chunked == (["fill", "copy"] if kind == "rbf" else ["copy"])
+
+    def noting(fn, items, blas=False):
+        if qkad.statevec._workers(items, blas) > 1:
+            chunked.append(fn.__name__)
+        on_every_core(fn, items, blas)
+
+    monkeypatch.setattr(qkad.kernel, "_on_every_core", noting)
+    X = np.random.default_rng(22).uniform(-0.5, 0.5, size=(300, 2))
+    only_rbf = ["fill", "copy"] if kind == "rbf" else ["copy"]
+    for threads, expected in [(1, ["fill", "copy"]), (2, only_rbf), (None, only_rbf)]:
+        monkeypatch.setattr(qkad.statevec, "_blas_threads", lambda t=threads: t)
+        chunked = []
+        build_gram_train(X, make_cfg(kind), np.random.default_rng(22))
+        assert chunked == expected
+
+
+GEMM_KINDS = ["exact", "inversion_test", "randomized", "randomized-unmitigated"]
+
+
+@pytest.mark.parametrize("kind", GEMM_KINDS)
+def test_gemm_grams_are_byte_identical_at_any_worker_count(kind, monkeypatch):
+    # 40-row bands, 8 of them in the training block and 4 in the cross block;
+    # at one BLAS thread they are chunked over the workers
+    cfg = make_cfg("randomized", mitigate=False) if kind == "randomized-unmitigated" else make_cfg(kind)
+    monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", 40 * row_bytes(cfg.kind, 300, 3))
+    monkeypatch.setattr(qkad.statevec, "_blas_threads", lambda: 1)
+    X, T = np.random.default_rng(24).uniform(-0.5, 0.5, size=(2, 300, 3))
+    T = T[:130]
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(qkad.statevec, "_cores", lambda w=workers: w)
+        rng = np.random.default_rng(25)
+        gram, train = build_gram_train(X, cfg, rng)
+        cross = build_gram_cross(T, train, rng)
+        outputs.append([gram.entries.tobytes(), cross.entries.tobytes()])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_the_functions_perfbench_traces_run_on_the_calling_thread(monkeypatch):
+    # perfbench wraps these bindings of kernel with a tracer that is not
+    # thread-safe; only what they call spreads over the pool's threads
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
+    monkeypatch.setattr(qkad.statevec, "_blas_threads", lambda: 1)
+    threads = set()
+    for name in ("encode_iqp", "apply_local", "born_counts", "collect_signature", "rm_purity"):
+        def noting(*args, fn=getattr(qkad.kernel, name), **kwargs):
+            threads.add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(qkad.kernel, name, noting)
+    X, T = np.random.default_rng(26).uniform(-0.5, 0.5, size=(2, 300, 3))
+    for kind in ALL_KINDS:
+        monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", 40 * row_bytes(kind, 300, 3))
+        rng = np.random.default_rng(27)
+        _, train = build_gram_train(X, make_cfg(kind), rng)
+        build_gram_cross(T, train, rng)
+    assert threads == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("workers", [2, 3])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,16 @@ def test_scaler_constant_feature_maps_to_zero(rng):
     params = fit_scaler(X)
     Z = apply_scaler(params, X)
     assert np.array_equal(Z[:, 1], np.zeros(50))
+    assert params.std[1] == 1.0
+
+
+def test_scaler_constant_feature_whose_mean_rounds_maps_to_zero():
+    # three rows of 0.1 have a mean one ulp off 0.1 and a std of 1.4e-17, so
+    # a constant column must be found by its range, not by its std
+    X = np.column_stack([np.arange(3.0), np.full(3, 0.1)])
+    assert X[:, 1].mean() != 0.1 and 0 < X[:, 1].std() < 1e-16
+    params = fit_scaler(X)
+    assert np.array_equal(apply_scaler(params, X)[:, 1], np.zeros(3))
     assert params.std[1] == 1.0
 
 
@@ -100,6 +112,9 @@ def test_pca_m_out_of_range(rng):
         fit_pca(X, 5)
     with pytest.raises(ValueError):
         fit_pca(X, 0)
+    # 6 rows of 8 features allow 5 components, and the message names that bound
+    with pytest.raises(ValueError, match=re.escape("[1, min(n-1, d)] = [1, 5], got 6")):
+        fit_pca(rng.normal(size=(6, 8)), 6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import ctypes
 import multiprocessing
 import os
 import re
@@ -141,21 +140,51 @@ def test_paired_apply_local_is_bit_identical_to_unpaired_form(d, rng):
             assert np.array_equal(row, apply_local(state, local_factors(setting)))
 
 
-def test_encode_memory_stays_near_its_output():
-    # the whole (256, 2^14, 14) float angle tensor would take 470 MB; encoded
-    # in blocks, the peak is the 64 MiB of states plus three block-sized
-    # temporaries; the peak also counts the encoding's own (2^d, d) sign
-    # table (106.3 MiB measured with numpy 2.4)
-    n, d = 256, 14
-    assert 8 * n * 2**d * d >= 256 * 2**20
-    X = np.random.default_rng(0).uniform(-1, 1, size=(n, d))
+def encode_peak_and_bound():
+    # the tracemalloc peak of encoding 256 rows at d=14, and the bound on it
+    X = np.random.default_rng(0).uniform(-1, 1, size=(256, 14))
     tracemalloc.start()
     try:
         states = encode_iqp(X, FeatureMapConfig())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= states.nbytes + 3 * qkad.statevec._BLOCK_BYTES
+    return peak, states.nbytes + 3 * qkad.statevec._BLOCK_BYTES
+
+
+def test_encode_memory_stays_near_its_output():
+    # the whole (256, 2^14, 14) float angle tensor would take 470 MB; encoded
+    # in blocks, the peak is the 64 MiB of states plus three block-sized
+    # temporaries; the peak also counts the encoding's own (2^d, d) sign
+    # table (106.3 MiB measured with numpy 2.4)
+    assert 8 * 256 * 2**14 * 14 >= 256 * 2**20
+    peak, bound = encode_peak_and_bound()
+    assert peak <= bound
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_encode_memory_on_every_core_stays_near_its_output(workers, monkeypatch):
+    # the chunks' blocks share one block's rows, so more workers hold no
+    # more block temporaries at once than one does
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: workers)
+    monkeypatch.setattr(qkad.statevec, "_blas_threads", lambda: 1)
+    peak, bound = encode_peak_and_bound()
+    assert peak <= bound
+
+
+@pytest.mark.parametrize("d", [3, 10])
+def test_encode_is_byte_identical_at_any_worker_count(d, monkeypatch):
+    # 3-row blocks over 20 rows; at one BLAS thread the rows are chunked over
+    # the workers, and each chunk is encoded in blocks of its share of 3 rows
+    monkeypatch.setattr(qkad.statevec, "_BLOCK_BYTES", 3 * 8 * 2**d * d)
+    monkeypatch.setattr(qkad.statevec, "_blas_threads", lambda: 1)
+    X = np.random.default_rng(d).uniform(-2, 2, size=(20, d))
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(qkad.statevec, "_cores", lambda w=workers: w)
+        outputs.append(encode_iqp(X, FeatureMapConfig()).tobytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert outputs[0] == np.stack([encode_iqp_point(x, FeatureMapConfig()) for x in X]).tobytes()
 
 
 def test_feature_map_config_validation():
@@ -498,8 +527,6 @@ def test_a_forked_worker_sets_the_worker_flag_and_pins_its_blas_alone(monkeypatc
     monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
     blas = qkad.statevec._openblas()
     assert blas is not None  # numpy's wheels bundle scipy-openblas
-    blas.scipy_openblas_get_num_threads64_.argtypes = []
-    blas.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
     before = blas.scipy_openblas_get_num_threads64_()
     blas.scipy_openblas_set_num_threads64_(2)
     try:
@@ -510,6 +537,24 @@ def test_a_forked_worker_sets_the_worker_flag_and_pins_its_blas_alone(monkeypatc
     # after a GEMM the worker still runs one OS thread: no idle BLAS thread spins beside it
     assert seen == [(True, 1, 1), (True, 1, 1)]
     assert not qkad.statevec._IN_WORKER
+
+
+def test_a_step_that_calls_blas_spreads_only_while_openblas_runs_one_thread(monkeypatch):
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
+    workers = qkad.statevec._workers
+    blas = qkad.statevec._openblas()
+    before = blas.scipy_openblas_get_num_threads64_()
+    try:
+        # the thread count is read on every call
+        for threads, spread in [(1, 2), (2, 1), (1, 2)]:
+            blas.scipy_openblas_set_num_threads64_(threads)
+            assert (workers(5, blas=True), workers(5)) == (spread, 2)
+        # a forked worker runs its BLAS on one thread, yet gets one worker
+        assert qkad.statevec._on_forked_workers(lambda i: workers(5, blas=True), 2) == [1, 1]
+    finally:
+        blas.scipy_openblas_set_num_threads64_(before)
+    monkeypatch.setattr(qkad.statevec, "_openblas", lambda: None)
+    assert (workers(5, blas=True), workers(5)) == (1, 2)
 
 
 @pytest.mark.parametrize("why", ["one item", "one core", "in a worker", "no fork", "no blas"])
