@@ -45,10 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, data, ocsvm, pipeline, statevec
-from .ensemble import (
-    SUBSAMPLE_MAX, SUBSAMPLE_MIN, VSConfig, component_count, fit_vs, rotation_dim, score_vs,
-)
+from . import __version__, data, ensemble, ocsvm, pipeline, statevec
+from .ensemble import SUBSAMPLE_MAX, VSConfig, component_count, fit_vs, rotation_dim, score_vs
 from .kernel import KernelConfig, build_gram_cross, build_gram_train, check_point_set
 from .metrics import average_precision, confusion, f1, precision_recall
 from .statevec import FeatureMapConfig
@@ -123,16 +121,12 @@ class RunConfig:
             raise ValueError(f"only the fraud dataset reads fraud_csv, got {self.fraud_csv!r}")
         if not np.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold}")
-        if self.train_size < 1:
-            raise ValueError(f"train_size must be >= 1, got {self.train_size}")
         kind, default_mitigate, is_ensemble, use_rfb = _METHOD_TABLE[self.method]
-        if is_ensemble and self.train_size < SUBSAMPLE_MIN:
-            raise ValueError(
-                f"{self.method} needs train_size >= {SUBSAMPLE_MIN}, got {self.train_size}"
-            )
-        if not 0 < self.nu <= 1:
-            raise ValueError(f"nu must be in (0, 1], got {self.nu}")
         ratio, default_features, width = _DATASET_TABLE[self.dataset]
+        # a rule that a module checks when it runs is checked here by that module's function
+        split = data.SplitSpec(self.train_size, test_size=TEST_SIZE, test_anomaly_ratio=ratio)
+        if is_ensemble:
+            ensemble.check_train_size(self.train_size)
         if self.num_features is None:
             object.__setattr__(self, "num_features", default_features)
         if self.mitigate is None:
@@ -144,19 +138,10 @@ class RunConfig:
             )
         if not is_ensemble and self.aggregation != "mean":
             raise ValueError(f"{self.method} is a single model; only vs-* methods take aggregation")
-        if self.num_features < 1:
-            raise ValueError("num_features must be >= 1")
-        limit = min(width, self.train_size - 1)
-        if self.num_features > limit:
-            raise ValueError(
-                f"num_features must be <= {limit} (source width {width}, train_size - 1), "
-                f"got {self.num_features}"
-            )
+        pipeline.check_width(self.num_features, self.train_size, width)
         # an ensemble component has at most min(SUBSAMPLE_MAX, train_size) points
         train_points = min(SUBSAMPLE_MAX, self.train_size) if is_ensemble else self.train_size
-        if self.nu * train_points < 1:
-            size = f"min({SUBSAMPLE_MAX}, train_size)" if is_ensemble else "train_size"
-            raise ValueError(f"infeasible nu: nu * {size} = {self.nu * train_points} < 1")
+        ocsvm.check_nu(self.nu, train_points)
         if use_rfb and self.num_features < 2:
             raise ValueError("rotated feature bagging needs at least 2 post-PCA features")
         kernel = KernelConfig(
@@ -170,7 +155,6 @@ class RunConfig:
         vs = None
         if is_ensemble:
             vs = VSConfig(kernel, nu=self.nu, aggregation=self.aggregation, rfb_enabled=use_rfb)
-        split = data.SplitSpec(self.train_size, test_size=TEST_SIZE, test_anomaly_ratio=ratio)
         r_prime = rotation_dim(self.num_features) if use_rfb else None
         check_point_set(kernel, max(train_points, split.test_size), r_prime or self.num_features)
         vars(self).update(kernel=kernel, vs=vs, split=split, r_prime=r_prime)
@@ -262,13 +246,13 @@ def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecor
     # t0 before fitting, t1 after fit_vs or the solver, t2 right after scoring
     t0 = time.perf_counter()
     if cfg.vs is not None:
-        ensemble = fit_vs(X_train, cfg.vs, train_rng)
+        fitted = fit_vs(X_train, cfg.vs, train_rng)
         t1 = time.perf_counter()
-        scores, test_evals = score_vs(ensemble, X_test)
+        scores, test_evals = score_vs(fitted, X_test)
         t2 = time.perf_counter()
-        gram_time, solver_time = ensemble.gram_time_s, ensemble.solver_time_s
-        train_evals = ensemble.train_eval_count
-        models = [c.model for c in ensemble.components]
+        gram_time, solver_time = fitted.gram_time_s, fitted.solver_time_s
+        train_evals = fitted.train_eval_count
+        models = [c.model for c in fitted.components]
     else:
         gram, train_set = build_gram_train(X_train, cfg.kernel, train_rng)
         t_gram = time.perf_counter()
@@ -484,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--it-shots", type=int)
     parser.add_argument("--rm-settings", type=int)
     parser.add_argument("--rm-shots", type=int)
-    parser.add_argument("--aggregation", choices=("mean", "max"))
+    parser.add_argument("--aggregation", choices=ensemble.AGGREGATIONS)
     parser.add_argument("--seeds", type=_parse_seeds,
                         help="comma list and/or ranges, e.g. '0-14' or '0,3,7'")
     parser.add_argument("--fraud-csv", help=f"path to the fraud CSV (or set ${FRAUD_CSV_ENV})")

@@ -44,9 +44,11 @@ from .ocsvm import OCSVMModel
 from .statevec import _on_forked_workers
 
 __all__ = [
+    "AGGREGATIONS",
     "VSConfig",
     "Component",
     "EnsembleModel",
+    "check_train_size",
     "sample_sizes",
     "rotation_dim",
     "random_rotation",
@@ -56,6 +58,7 @@ __all__ = [
 
 SUBSAMPLE_MIN = 50
 SUBSAMPLE_MAX = 100
+AGGREGATIONS = ("mean", "max")
 _STD_FLOOR = 1e-12
 
 
@@ -67,10 +70,10 @@ class VSConfig:
     rfb_enabled: bool = False
 
     def __post_init__(self) -> None:
-        if self.aggregation not in ("mean", "max"):
-            raise ValueError(f"aggregation must be 'mean' or 'max', got {self.aggregation!r}")
-        if not 0 < self.nu <= 1:
-            raise ValueError(f"nu must be in (0, 1], got {self.nu}")
+        if self.aggregation not in AGGREGATIONS:
+            raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
+        # no component has more than SUBSAMPLE_MAX points
+        ocsvm.check_nu(self.nu, SUBSAMPLE_MAX)
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,12 @@ class EnsembleModel:
     def __post_init__(self) -> None:
         if len(self.components) < 1:
             raise ValueError("an ensemble needs at least one component")
+
+
+def check_train_size(n: int) -> None:
+    """Reject an ensemble of fewer than ``SUBSAMPLE_MIN`` training points."""
+    if n < SUBSAMPLE_MIN:
+        raise ValueError(f"an ensemble needs at least {SUBSAMPLE_MIN} training points, got {n}")
 
 
 def component_count(n: int) -> int:
@@ -135,8 +144,7 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
     """Fit a variable-subsampling ensemble on preprocessed training data."""
     X_train = np.asarray(X_train, dtype=float)
     n, d = X_train.shape
-    if n < SUBSAMPLE_MIN:
-        raise ValueError(f"need at least {SUBSAMPLE_MIN} training points, got {n}")
+    check_train_size(n)
 
     draws = []
     for size in sample_sizes(component_count(n), rng):

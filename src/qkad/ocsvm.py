@@ -32,6 +32,7 @@ from .kernel import GramMatrix
 
 __all__ = [
     "OCSVMModel",
+    "check_nu",
     "fit",
     "decision_scores",
 ]
@@ -54,6 +55,17 @@ class OCSVMModel:
     n_train: int
     converged: bool
     iterations: int
+
+
+def check_nu(nu: float, n: int) -> None:
+    """Reject a ``nu`` outside ``(0, 1]``, or one for which ``n`` points leave no feasible dual.
+
+    The box ``alpha_i <= 1/(nu n)`` with ``sum_i alpha_i = 1`` needs ``nu * n >= 1``.
+    """
+    if not 0 < nu <= 1:
+        raise ValueError(f"nu must be in (0, 1], got {nu}")
+    if nu * n < 1:
+        raise ValueError(f"infeasible nu: nu*n = {nu * n} < 1")
 
 
 def _initial_alpha(n: int, nu: float) -> np.ndarray:
@@ -84,19 +96,16 @@ def _compute_rho(G: np.ndarray, alpha: np.ndarray, cap: float) -> float:
 def fit(gram: GramMatrix, nu: float, rng: np.random.Generator) -> OCSVMModel:
     """Solve the dual on a symmetric training Gram.
 
-    Raises on non-square or asymmetric input and on infeasible ``nu``
-    (``nu * n < 1`` leaves no feasible point).  Hitting the iteration cap,
-    or a step that does not lower the objective, returns a model with
-    ``converged=False`` and logs a warning; it never fails silently.
+    Raises on non-square or asymmetric input and on a ``nu`` that
+    :func:`check_nu` rejects for the Gram's ``n`` points.  Hitting the
+    iteration cap, or a step that does not lower the objective, returns a
+    model with ``converged=False`` and logs a warning; it never fails silently.
     """
     if not gram.symmetric:
         raise ValueError("training Gram must be symmetric")
     G = gram.entries
     n = G.shape[0]
-    if not 0 < nu <= 1:
-        raise ValueError(f"nu must be in (0, 1], got {nu}")
-    if nu * n < 1:
-        raise ValueError(f"infeasible nu: nu*n = {nu * n} < 1")
+    check_nu(nu, n)
 
     cap = 1.0 / (nu * n)
     alpha = _initial_alpha(n, nu)

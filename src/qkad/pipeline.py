@@ -21,6 +21,7 @@ __all__ = [
     "PreprocessParams",
     "fit_scaler",
     "apply_scaler",
+    "check_width",
     "fit_pca",
     "apply_pca",
     "fit_preprocess",
@@ -84,6 +85,16 @@ def apply_scaler(params: ScalerParams, X: np.ndarray) -> np.ndarray:
     return (np.asarray(X, dtype=float) - params.mean) / params.std
 
 
+def check_width(m: int, n: int, d: int) -> None:
+    """Reject a PCA width ``m`` outside ``[1, min(n-1, d)]`` for ``n`` points of ``d`` features.
+
+    ``n`` centered points span at most ``n - 1`` directions.
+    """
+    if not 1 <= m <= min(n - 1, d):
+        raise ValueError(f"num_features must be in [1, min(n-1, d)] = [1, {min(n - 1, d)}], "
+                         f"got {m} (n={n} training points, d={d} features)")
+
+
 def fit_pca(X_train: np.ndarray, m: int) -> PCAParams:
     """Top-m right singular directions of the centered training matrix.
 
@@ -92,8 +103,7 @@ def fit_pca(X_train: np.ndarray, m: int) -> PCAParams:
     """
     X_train = np.asarray(X_train, dtype=float)
     n, d = X_train.shape
-    if not 1 <= m <= min(n - 1, d):
-        raise ValueError(f"m must be in [1, min(n-1, d)] = [1, {min(n - 1, d)}], got {m}")
+    check_width(m, n, d)
     mean = X_train.mean(axis=0)
     vt = np.linalg.svd(X_train - mean, full_matrices=False)[2]
     components = vt[:m].T.copy()

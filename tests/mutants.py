@@ -13,8 +13,9 @@ passing run is reported as equivalent when the mutant is listed with a reason
 why no test can tell it apart, and as survived otherwise.  An unmutated copy
 runs first and must pass, or nothing is reported.  The exit status is 1 when
 any mutant survived.  pytest does not collect this file: its name does not
-start with ``test_``.  A caught mutant takes a few seconds to a minute, a
-surviving one a full tier-1 run.
+start with ``test_``, but ``tests/test_mutants.py`` checks in tier-1 that
+every mutant's line occurs once in its file.  A caught mutant takes a few
+seconds to a minute, a surviving one a full tier-1 run.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class Mutant:
 # audit of 18 one-line changes, which tier-1 has since been extended to catch,
 # then the forked-worker helper's own, then the worker-count rule's, then the
 # Gram finishing path's, then the CLI's config echo and up-front checks, then
-# the BLAS rule of the threaded bands and encoding, and the boundary survivors
-# of a later audit.
+# the BLAS rule of the threaded bands and encoding, the boundary survivors of
+# a later audit, and the validation rules' owners and the run plan's calls to them.
 MUTANTS = (
     Mutant(
         "kron-operands-swapped",
@@ -249,8 +250,51 @@ MUTANTS = (
     Mutant(
         "pca-message-names-n-minus-2",
         "src/qkad/pipeline.py",
-        "= [1, {min(n - 1, d)}], got {m}",
-        "= [1, {min(n - 2, d)}], got {m}",
+        'f"num_features must be in [1, min(n-1, d)] = [1, {min(n - 1, d)}], "',
+        'f"num_features must be in [1, min(n-1, d)] = [1, {min(n - 2, d)}], "',
+    ),
+    Mutant(
+        "fast-parse-reads-past-the-header",
+        "src/qkad/data.py",
+        "cols = usecols if width - 1 in usecols else [*usecols, width - 1]",
+        "cols = usecols if width - 1 in usecols else [*usecols, width + 1]",
+    ),
+    Mutant(
+        "nu-zero-accepted",
+        "src/qkad/ocsvm.py",
+        "    if not 0 < nu <= 1:",
+        "    if not 0 <= nu <= 1:",
+    ),
+    Mutant(
+        "ensemble-of-the-minimum-size-rejected",
+        "src/qkad/ensemble.py",
+        "    if n < SUBSAMPLE_MIN:",
+        "    if n <= SUBSAMPLE_MIN:",
+    ),
+    Mutant(
+        "plan-skips-the-nu-check",
+        "src/qkad/cli.py",
+        "        ocsvm.check_nu(self.nu, train_points)",
+        "        pass",
+    ),
+    Mutant(
+        "plan-skips-the-ensemble-size-check",
+        "src/qkad/cli.py",
+        "            ensemble.check_train_size(self.train_size)",
+        "            pass",
+    ),
+    Mutant(
+        "plan-skips-the-width-check",
+        "src/qkad/cli.py",
+        "        pipeline.check_width(self.num_features, self.train_size, width)",
+        "        pass",
+    ),
+    Mutant(
+        # the plan needs its split, so the mutant passes it a size the check always accepts
+        "plan-split-skips-the-size-check",
+        "src/qkad/cli.py",
+        "split = data.SplitSpec(self.train_size, test_size=TEST_SIZE, test_anomaly_ratio=ratio)",
+        "split = data.SplitSpec(max(1, self.train_size), TEST_SIZE, test_anomaly_ratio=ratio)",
     ),
 )
 

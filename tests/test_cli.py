@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qkad
-from qkad import cli, data
+from qkad import cli, data, ensemble, ocsvm, pipeline
 from qkad.cli import (
     RunConfig,
     RunRecord,
@@ -22,6 +22,8 @@ from qkad.cli import (
     summary_to_csv,
 )
 from qkad.data import SplitSpec
+from qkad.ensemble import VSConfig
+from qkad.kernel import KernelConfig
 from test_data import write_small_fraud_csv
 
 FIXED_FIELDS = (
@@ -395,8 +397,10 @@ def test_run_config_validation():
             RunConfig(method="rbf", dataset="synthetic", threshold=threshold)
     # no component has more than min(100, train_size) points, which bounds an ensemble's nu
     assert RunConfig(method="vs-it", dataset="synthetic", train_size=200, nu=0.01).nu == 0.01
-    with pytest.raises(ValueError, match=r"infeasible nu: nu \* min\(100, train_size\) = 0.6 < 1"):
+    with pytest.raises(ValueError, match=r"infeasible nu: nu\*n = 0.6 < 1"):
         RunConfig(method="vs-it", dataset="synthetic", train_size=60, nu=0.01)
+    # an ensemble's smallest training set
+    assert RunConfig(method="vs-it", dataset="synthetic", train_size=50).train_size == 50
     with pytest.raises(ValueError, match="feature bagging"):
         RunConfig(method="vs-rfb-rm", dataset="synthetic", num_features=1)
     # bagging measures rotation_dim(28) = 5 qubits, far below the table limit
@@ -404,8 +408,30 @@ def test_run_config_validation():
     # rbf builds no quantum arrays, so the memory check passes it at any width
     assert RunConfig(method="rbf", dataset="fraud", num_features=28).num_features == 28
     # an ensemble's aggregation is checked when the run is planned, not per seed
-    with pytest.raises(ValueError, match="aggregation must be 'mean' or 'max', got 'median'"):
+    median = r"aggregation must be one of \('mean', 'max'\), got 'median'"
+    with pytest.raises(ValueError, match=median):
         RunConfig(method="vs-it", dataset="synthetic", aggregation="median")
+    # each rule is checked by one owner, and the plan raises that owner's message
+    # on the same values, so no copy of a rule can drift from it
+    for options, owner in [
+        (dict(method="rbf", train_size=0), lambda: SplitSpec(0, 125, 0.3)),
+        (dict(method="vs-it", train_size=49), lambda: ensemble.check_train_size(49)),
+        (dict(method="rbf", nu=0.0), lambda: ocsvm.check_nu(0.0, 500)),
+        (dict(method="vs-it", nu=1.5), lambda: ocsvm.check_nu(1.5, 100)),
+        (dict(method="rbf", train_size=60, nu=0.01), lambda: ocsvm.check_nu(0.01, 60)),
+        (dict(method="vs-it", train_size=60, nu=0.01), lambda: ocsvm.check_nu(0.01, 60)),
+        (dict(method="vs-it", train_size=300, nu=0.005), lambda: ocsvm.check_nu(0.005, 100)),
+        (dict(method="rbf", num_features=0), lambda: pipeline.check_width(0, 500, 2)),
+        (dict(method="rbf", num_features=3), lambda: pipeline.check_width(3, 500, 2)),
+        (dict(method="rbf", train_size=2), lambda: pipeline.check_width(2, 2, 2)),
+        (dict(method="vs-it", aggregation="median"),
+         lambda: VSConfig(KernelConfig("inversion_test"), nu=0.1, aggregation="median")),
+    ]:
+        with pytest.raises(ValueError) as owned:
+            owner()
+        with pytest.raises(ValueError) as planned:
+            RunConfig(dataset="synthetic", **options)
+        assert str(planned.value) == str(owned.value)
     # the plan: one model or an ensemble config, the split each seed draws and
     # the bagged width, rotation_dim(2) = 2 and rotation_dim(6) = 4
     for method in cli.METHODS:
@@ -562,7 +588,7 @@ def test_main_requires_method_unless_summarizing(capsys):
 @pytest.mark.parametrize(
     "method,features,message",
     [
-        ("rbf", "0", "num_features must be >= 1"),
+        ("rbf", "0", "num_features must be in [1, min(n-1, d)] = [1, 2], got 0"),
         ("vs-rfb-rm", "1", "rotated feature bagging needs at least 2"),
     ],
 )
@@ -578,8 +604,8 @@ def test_main_rejects_invalid_config_with_usage(method, features, message, capsy
 @pytest.mark.parametrize(
     "method,option,value,message",
     [
-        ("rbf", "--train-size", "0", "train_size must be >= 1"),
-        ("vs-it", "--train-size", "49", "vs-it needs train_size >= 50"),
+        ("rbf", "--train-size", "0", "train_size and test_size must be >= 1"),
+        ("vs-it", "--train-size", "49", "an ensemble needs at least 50 training points, got 49"),
         ("rbf", "--nu", "0", "nu must be in (0, 1]"),
         ("rbf", "--nu", "1.5", "nu must be in (0, 1]"),
         ("it", "--it-shots", "0", "shot counts must be >= 1"),
@@ -588,8 +614,10 @@ def test_main_rejects_invalid_config_with_usage(method, features, message, capsy
         ("rm", "--rm-settings", "1", "rm_settings >= 2"),
         ("rm", "--rm-shots", "1", "rm_shots >= 2"),
         ("vs-rm", "--rm-shots", "1", "rm_shots >= 2"),
-        ("rbf", "--num-features", "3", "num_features must be <= 2"),
-        ("rbf", "--train-size", "2", "num_features must be <= 1"),
+        ("rbf", "--num-features", "3",
+         "num_features must be in [1, min(n-1, d)] = [1, 2], got 3 (n=500 training points"),
+        ("rbf", "--train-size", "2",
+         "num_features must be in [1, min(n-1, d)] = [1, 1], got 2 (n=2 training points"),
         # (500, 30, 2^14) int64 counts take 1.8 GiB; the fraud data is wide enough
         ("rm", "--dataset fraud --num-features", "14",
          "randomized kernel at d=14 qubits and n=500 points needs 1966080000 bytes"),
@@ -604,10 +632,9 @@ def test_main_rejects_invalid_config_with_usage(method, features, message, capsy
          "randomized kernel at d=13 qubits and n=2000 points needs 3932160000 bytes"),
         ("vs-it", "--dataset fraud --num-features", "20",
          "inversion_test kernel at d=20 qubits and n=125 points needs 2097152000 bytes"),
-        ("rbf", "--train-size 60 --nu", "0.01", "infeasible nu: nu * train_size = 0.6 < 1"),
+        ("rbf", "--train-size 60 --nu", "0.01", "infeasible nu: nu*n = 0.6 < 1"),
         # no component of an ensemble has more than 100 points
-        ("vs-it", "--train-size 100 --nu", "0.005",
-         "infeasible nu: nu * min(100, train_size) = 0.5 < 1"),
+        ("vs-it", "--train-size 100 --nu", "0.005", "infeasible nu: nu*n = 0.5 < 1"),
         ("rbf", "--seeds", "-3", "bad seed range '-3'"),
         ("rbf", "--seeds", "0,5-3", "argument --seeds: bad seed range '5-3'"),
         ("rbf", "--seeds", "0,x", "argument --seeds: bad seed value 'x'"),

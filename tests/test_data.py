@@ -335,6 +335,19 @@ def test_fraud_csv_clean_file_never_runs_the_checked_loop(tmp_path, monkeypatch)
     assert loaded.labels.tolist() == [0, 1, 0, 1, 0]
 
 
+def test_fraud_csv_with_class_before_amount_never_runs_the_checked_loop(tmp_path, monkeypatch):
+    # Class is not the last column, so the fast parse reads the header's last
+    # column besides the ones it keeps
+    path = tmp_path / "fraud.csv"
+    path.write_text(class_before_amount(fraud_lines(np.random.default_rng(0), rows=5)), newline="")
+    with monkeypatch.context() as patched:
+        patched.setattr(data, "_parse_rows_fast", lambda *args: None)
+        checked = load_outcome(path)
+    assert checked[:2] == (Dataset, (5, 28))
+    monkeypatch.setattr(data, "_parse_rows_checked", no_checked_loop)
+    assert load_outcome(path) == checked
+
+
 # ---------------------------------------------------------------------------
 # fraud CSV parse cache
 # ---------------------------------------------------------------------------
