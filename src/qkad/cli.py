@@ -5,7 +5,7 @@ random streams, and produces one record.  Records carry everything needed to
 reproduce the run (config echo, package version, generator constants) plus
 metrics, phase timings and kernel-evaluation counts.  The config echo lists
 :class:`RunConfig`'s init fields in their order, ``angle_scale`` as
-``lambda``, all but ``seeds``, ``record_timings`` and ``parallel``, which do
+``lambda``, all but ``seeds``, ``omit_timings`` and ``parallel``, which do
 not change a record's results.  A failing seed yields a
 record with the error message while the remaining seeds still run; the
 process exit code is zero only when every seed succeeded, one when some seed
@@ -55,8 +55,6 @@ __all__ = ["RunConfig", "RunRecord", "run_experiment", "summarize", "records_to_
 
 logger = logging.getLogger(__name__)
 
-METHODS = ("rbf", "it", "rm", "rm-unmitigated", "vs-it", "vs-rm", "vs-rfb-rm")
-DATASETS = ("synthetic", "fraud")
 FRAUD_CSV_ENV = "QKAD_FRAUD_CSV"
 TEST_SIZE = 125  # test points per seed
 
@@ -76,6 +74,8 @@ _DATASET_TABLE = {
     "synthetic": (0.3, 2, len(data.SYNTHETIC_CLUSTER_CENTERS[0])),
     "fraud": (0.05, 6, len(data.FRAUD_FEATURE_COLUMNS)),
 }
+METHODS = tuple(_METHOD_TABLE)
+DATASETS = tuple(_DATASET_TABLE)
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class RunConfig:
     fraud_csv: str | None = None
     # they describe the run, not its results
     seeds: tuple[int, ...] = tuple(range(15))
-    record_timings: bool = True
+    omit_timings: bool = False
     parallel: bool = False
     # the run plan, built once from the options above
     kernel: KernelConfig = field(init=False, repr=False, compare=False)
@@ -196,7 +196,7 @@ class RunRecord:
 
 
 # each record has its own seed, and the other two change only timings
-_NOT_ECHOED = ("seeds", "record_timings", "parallel")
+_NOT_ECHOED = ("seeds", "omit_timings", "parallel")
 
 
 def _record_fields(cfg: RunConfig, seed: int) -> dict:
@@ -264,7 +264,7 @@ def _run_seed(cfg: RunConfig, seed: int, fraud: data.Dataset | None) -> RunRecor
         gram_time, solver_time = t_gram - t0, t1 - t_gram
         train_evals, test_evals = gram.eval_count, cross.eval_count
     train_time, test_time = t1 - t0, t2 - t1
-    if not cfg.record_timings:
+    if cfg.omit_timings:
         gram_time = solver_time = train_time = test_time = 0.0
 
     predictions = (scores < cfg.threshold).astype(np.int64)
@@ -481,11 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--omit-timings", action="store_true",
                         help="write zero timings for byte-reproducible output")
     parser.add_argument("--parallel", action="store_true", help="run seeds in worker processes")
-    # each run option defaults to its RunConfig field; --omit-timings sets record_timings
-    parser.set_defaults(**{
-        f.name: f.default for f in fields(RunConfig)
-        if f.default is not MISSING and f.name != "record_timings"
-    })
+    # each run option defaults to its RunConfig field
+    parser.set_defaults(**{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING})
     return parser
 
 
@@ -517,7 +514,7 @@ def _run_options_given(parser: argparse.ArgumentParser, args: argparse.Namespace
     """The run options set away from their defaults, as typed: ``--no-mitigate`` as such."""
     return [
         action.option_strings[getattr(args, action.dest) is False] for action in parser._actions
-        if action.dest in _RUN_FIELDS | {"output", "omit_timings"}
+        if action.dest in _RUN_FIELDS | {"output"}
         and getattr(args, action.dest) != action.default
     ]
 
@@ -555,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_outputs(parser, args, [(source, fraud_csv)] if fraud_csv else [])
         options = {k: v for k, v in vars(args).items() if k in _RUN_FIELDS}
         try:
-            cfg = RunConfig(**options, record_timings=not args.omit_timings)
+            cfg = RunConfig(**options)
         except ValueError as exc:
             parser.error(str(exc))
         records = run_experiment(cfg)

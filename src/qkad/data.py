@@ -259,11 +259,6 @@ def _file_digest(path: Path) -> str | None:
     return digest.hexdigest()
 
 
-def _stored_text(stored: NpzFile, key: str) -> str | None:
-    value = stored[key]
-    return str(value) if value.dtype.kind == "U" and value.ndim == 0 else None
-
-
 def _read_cache(sidecar: Path, digest: str) -> Dataset | None:
     """The cached table when the sidecar is well formed and matches ``digest``, else ``None``."""
     try:
@@ -275,8 +270,9 @@ def _read_cache(sidecar: Path, digest: str) -> Dataset | None:
             with stored:
                 if (
                     sorted(stored.files) != list(_CACHE_KEYS)
-                    or _stored_text(stored, "format") != _CACHE_FORMAT
-                    or _stored_text(stored, "digest") != digest
+                    # no other array prints as the tag or as a 64-hex digest
+                    or str(stored["format"]) != _CACHE_FORMAT
+                    or str(stored["digest"]) != digest
                 ):
                     return None
                 features, labels = stored["features"], stored["labels"]
@@ -375,8 +371,8 @@ def _parse_rows_checked(
     path: Path, reader: Iterable[list[str]], width: int, feature_pos: list[int], class_pos: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parse the data rows one cell at a time, raising on the first bad one by row and column."""
-    features: list[list[float]] = []
-    labels: list[float] = []
+    columns = [*zip(FRAUD_FEATURE_COLUMNS, feature_pos), ("Class", class_pos)]
+    rows: list[list[float]] = []
     row_nums: list[int] = []
     for row_num, row in enumerate(reader, start=2):
         if not row:
@@ -386,7 +382,7 @@ def _parse_rows_checked(
                 f"{path}: row {row_num} has {len(row)} fields, expected {width}"
             )
         values = []
-        for col, pos in zip(FRAUD_FEATURE_COLUMNS, feature_pos):
+        for col, pos in columns:
             cell = row[pos].strip().strip('"')
             try:
                 values.append(float(cell))
@@ -394,24 +390,18 @@ def _parse_rows_checked(
                 raise NonNumericCellError(
                     f"{path}: row {row_num}, column {col}: cannot parse {cell!r}"
                 ) from None
-        cell = row[class_pos].strip().strip('"')
-        try:
-            label = float(cell)
-        except ValueError:
-            raise NonNumericCellError(
-                f"{path}: row {row_num}, column Class: cannot parse {cell!r}"
-            ) from None
-        if label != 0.0 and label != 1.0:
+        # the loop ends on the Class cell
+        if values[-1] not in (0.0, 1.0):
             raise ValueError(
                 f"{path}: row {row_num}, column Class: label must be 0 or 1, got {cell!r}"
             )
-        features.append(values)
-        labels.append(label)
+        rows.append(values)
         row_nums.append(row_num)
 
-    if not features:
+    if not rows:
         raise EmptyFileError(f"{path}: no data rows")
-    matrix = np.array(features)
+    table = np.array(rows)
+    matrix = table[:, :-1]
     # float() accepts nan and inf; one pass over the parsed table finds them
     finite = np.isfinite(matrix)
     if not finite.all():
@@ -420,7 +410,7 @@ def _parse_rows_checked(
             f"{path}: row {row_nums[i]}, column {FRAUD_FEATURE_COLUMNS[j]}: "
             f"value {float(matrix[i, j])!r} is not finite"
         )
-    return matrix, np.array(labels, dtype=np.int64)
+    return matrix, table[:, -1].astype(np.int64)
 
 
 def make_split(

@@ -119,21 +119,21 @@ def fit(gram: GramMatrix, nu: float, rng: np.random.Generator) -> OCSVMModel:
         if not np.any(up) or not np.any(low):
             converged = True
             break
-        neg_grad = -grad
-        up_best = np.max(neg_grad[up])
-        low_best = np.min(neg_grad[low])
-        if up_best - low_best <= TOLERANCE:
+        # i can take mass at the least gradient, j give it at the greatest
+        up_best = np.min(grad[up])
+        low_best = np.max(grad[low])
+        if low_best - up_best <= TOLERANCE:
             converged = True
             break
 
-        up_idx = np.flatnonzero(up & (neg_grad == up_best))
-        low_idx = np.flatnonzero(low & (neg_grad == low_best))
+        up_idx = np.flatnonzero(up & (grad == up_best))
+        low_idx = np.flatnonzero(low & (grad == low_best))
         i = _choose(up_idx, rng)
         j = _choose(low_idx, rng)
 
         quad = G[i, i] + G[j, j] - 2.0 * G[i, j]
         room = min(cap - alpha[i], alpha[j])
-        gap = neg_grad[i] - neg_grad[j]
+        gap = grad[j] - grad[i]
         if quad > 0:
             step = min(gap / quad, room)
         else:

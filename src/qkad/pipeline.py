@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import KERNEL_KINDS
+
 __all__ = [
     "ScalerParams",
     "PCAParams",
@@ -120,7 +122,7 @@ def apply_pca(params: PCAParams, X: np.ndarray) -> np.ndarray:
 
 def fit_preprocess(X_train: np.ndarray, kind: str, num_features: int) -> PreprocessParams:
     """Fit the full chain scaler -> PCA(num_features) -> kind rescale."""
-    if kind not in (*_ANGLE_KINDS, "randomized", "rbf"):
+    if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}")
     scaler = fit_scaler(X_train)
     scaled = apply_scaler(scaler, X_train)

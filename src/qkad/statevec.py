@@ -147,25 +147,31 @@ def _check_rows(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _iqp_layer_angles(X: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
+def _iqp_layer_angles(X: np.ndarray, cfg: FeatureMapConfig, first_row: int = 0) -> np.ndarray:
     """Total rotation angle of one diagonal layer, per (row, basis state).
 
     Each layer applies ``Rz(lam * x_j)`` on every qubit j plus
     ``Rzz(lam^2 * x_j * x_k)`` on every pair j < k.  All of these commute, so
     the layer reduces to one angle per basis state and the phase vector is
     ``exp(-i/2 * angles)``.  The ``(n, 2^d, d)`` temporaries are held whole,
-    so callers pass row blocks.
+    so callers pass row blocks, the first being row ``first_row`` of their
+    stack.  A row whose angles overflow raises ``ValueError`` naming that row.
     """
     X = _check_rows(X)
-    lx = cfg.angle_scale * X
-    z = _basis_signs(X.shape[1])  # (2^d, d)
-    # one GEMV per row, as z @ lx[i] would be; a single GEMM rounds differently
-    angles = np.matmul(z[None], lx[:, :, None])[:, :, 0]
-    zx = z[None] * lx[:, None, :]  # [i, :, j] holds lam*x_ij*z_j per basis state
-    # sum over pairs j<k of (lam*x_j*z_j)*(lam*x_k*z_k); z_j = +-1, so the
-    # squares (lam*x_j*z_j)^2 are (lam*x_j)^2 and are summed once per row
-    total = zx.sum(axis=2)
-    angles += 0.5 * (total**2 - (lx**2).sum(axis=1)[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        lx = cfg.angle_scale * X
+        z = _basis_signs(X.shape[1])  # (2^d, d)
+        # one GEMV per row, as z @ lx[i] would be; a single GEMM rounds differently
+        angles = np.matmul(z[None], lx[:, :, None])[:, :, 0]
+        zx = z[None] * lx[:, None, :]  # [i, :, j] holds lam*x_ij*z_j per basis state
+        # sum over pairs j<k of (lam*x_j*z_j)*(lam*x_k*z_k); z_j = +-1, so the
+        # squares (lam*x_j*z_j)^2 are (lam*x_j)^2 and are summed once per row
+        total = zx.sum(axis=2)
+        angles += 0.5 * (total**2 - (lx**2).sum(axis=1)[:, None])
+    bad = np.flatnonzero(~np.isfinite(angles).all(axis=1))
+    if len(bad):
+        raise ValueError(f"feature-map angles overflow: row {first_row + bad[0]} has a "
+                         f"non-finite angle at angle scale {cfg.angle_scale}")
     return angles
 
 
@@ -195,7 +201,7 @@ def encode_iqp(X: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
         block = max(1, step * len(chunk) // n)
         for start in range(chunk.start, chunk.stop, block):
             rows = slice(start, min(start + block, chunk.stop))
-            phases = np.exp(-0.5j * _iqp_layer_angles(X[rows], cfg))
+            phases = np.exp(-0.5j * _iqp_layer_angles(X[rows], cfg, start))
             amps = np.zeros_like(phases)
             amps[:, 0] = 1.0
             for _ in range(cfg.layers):

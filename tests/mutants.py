@@ -51,7 +51,9 @@ class Mutant:
 # then the forked-worker helper's own, then the worker-count rule's, then the
 # Gram finishing path's, then the CLI's config echo and up-front checks, then
 # the BLAS rule of the threaded bands and encoding, the boundary survivors of
-# a later audit, and the validation rules' owners and the run plan's calls to them.
+# a later audit, the validation rules' owners and the run plan's calls to them, and
+# the solver's gap, the checked parse's label check, the parse cache's digest check
+# and the row that the feature-map angle overflow names.
 MUTANTS = (
     Mutant(
         "kron-operands-swapped",
@@ -166,8 +168,8 @@ MUTANTS = (
     Mutant(
         "parallel-echoed",
         "src/qkad/cli.py",
-        '_NOT_ECHOED = ("seeds", "record_timings", "parallel")',
-        '_NOT_ECHOED = ("seeds", "record_timings")',
+        '_NOT_ECHOED = ("seeds", "omit_timings", "parallel")',
+        '_NOT_ECHOED = ("seeds", "omit_timings")',
     ),
     Mutant(
         "output-collision-unchecked",
@@ -295,6 +297,30 @@ MUTANTS = (
         "src/qkad/cli.py",
         "split = data.SplitSpec(self.train_size, test_size=TEST_SIZE, test_anomaly_ratio=ratio)",
         "split = data.SplitSpec(max(1, self.train_size), TEST_SIZE, test_anomaly_ratio=ratio)",
+    ),
+    Mutant(
+        "solver-gap-sign-flipped",
+        "src/qkad/ocsvm.py",
+        "        gap = grad[j] - grad[i]",
+        "        gap = grad[i] - grad[j]",
+    ),
+    Mutant(
+        "checked-parse-checks-the-last-feature-as-the-label",
+        "src/qkad/data.py",
+        "        if values[-1] not in (0.0, 1.0):",
+        "        if values[-2] not in (0.0, 1.0):",
+    ),
+    Mutant(
+        "parse-cache-ignores-the-digest",
+        "src/qkad/data.py",
+        '                    or str(stored["digest"]) != digest',
+        "                    or False",
+    ),
+    Mutant(
+        "angle-overflow-row-counted-in-its-block",
+        "src/qkad/statevec.py",
+        'raise ValueError(f"feature-map angles overflow: row {first_row + bad[0]} has a "',
+        'raise ValueError(f"feature-map angles overflow: row {bad[0]} has a "',
     ),
 )
 

@@ -254,9 +254,9 @@ def test_criterion_8_end_to_end_beats_random_floor(announce):
 def test_criterion_9_byte_identical_harness_output(announce):
     configs = [
         RunConfig(method="rm", dataset="synthetic", train_size=40, seeds=(0, 1),
-                  rm_settings=4, rm_shots=64, record_timings=False),
+                  rm_settings=4, rm_shots=64, omit_timings=True),
         RunConfig(method="vs-it", dataset="synthetic", train_size=120, seeds=(0, 1),
-                  it_shots=32, record_timings=False),
+                  it_shots=32, omit_timings=True),
     ]
     total = 0
     for cfg in configs:

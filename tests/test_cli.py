@@ -93,7 +93,7 @@ def test_fraud_without_path_fails_every_seed(monkeypatch):
 def test_jsonl_byte_identical_across_runs():
     cfg = RunConfig(
         method="rm", dataset="synthetic", train_size=40, seeds=(0, 1),
-        rm_settings=4, rm_shots=64, record_timings=False,
+        rm_settings=4, rm_shots=64, omit_timings=True,
     )
     a = records_to_jsonl(run_experiment(cfg))
     b = records_to_jsonl(run_experiment(cfg))
@@ -128,7 +128,7 @@ def test_fraud_run_repeated_on_one_csv_reads_the_parse_cache(
 
 def test_parallel_runs_match_sequential_numerics(fraud_csv):
     small = dict(seeds=(0, 1, 2, 3), it_shots=64, rm_settings=4, rm_shots=64,
-                 record_timings=False)
+                 omit_timings=True)
     runs = [
         dict(method=method, dataset="synthetic", train_size=200 if method.startswith("vs") else 60)
         for method in cli.METHODS
@@ -144,7 +144,7 @@ def test_parallel_runs_match_sequential_numerics(fraud_csv):
 def test_rm_records_do_not_depend_on_the_sampling_worker_count(method, monkeypatch):
     cfg = RunConfig(
         method=method, dataset="synthetic", train_size=200 if method.startswith("vs") else 60,
-        seeds=(0, 1), rm_settings=4, rm_shots=64, record_timings=False,
+        seeds=(0, 1), rm_settings=4, rm_shots=64, omit_timings=True,
     )
     runs = []
     for workers in (1, 2):
@@ -199,7 +199,7 @@ def test_parallel_seeds_open_no_pool_of_their_own(method, train_size, cores, mon
 
     monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
     run = dict(method=method, dataset="synthetic", train_size=train_size, seeds=(0, 1, 2),
-               rm_settings=4, rm_shots=64, record_timings=False)
+               rm_settings=4, rm_shots=64, omit_timings=True)
     seq = run_experiment(RunConfig(**run))
     assert all(r.ok for r in seq)
     if cores == 1:
@@ -280,7 +280,7 @@ def test_a_dead_worker_fails_only_the_unfinished_seeds(tmp_path, monkeypatch):
     assert [r.ok for r in records] == [True, False, False, False]
     assert all(r.error.startswith("BrokenProcessPool: ") for r in records[1:])
     (first,) = run_experiment(RunConfig(method="rbf", dataset="synthetic", train_size=50,
-                                        seeds=(0,), record_timings=False))
+                                        seeds=(0,), omit_timings=True))
     assert records[0] == first
 
 
@@ -345,6 +345,14 @@ def test_ensemble_error_record_names_the_component_cause():
     (record,) = run_experiment(cfg)
     assert record.error.startswith("RuntimeError: ensemble component 0 failed to fit: ")
     assert "ValueError: infeasible nu" in record.error
+
+
+def test_overflowing_feature_map_angles_give_an_error_record_naming_them():
+    cfg = RunConfig(method="rm", dataset="synthetic", train_size=60, angle_scale=1e200,
+                    rm_settings=4, rm_shots=64, seeds=(0,))
+    (record,) = run_experiment(cfg)
+    assert record.error == ("ValueError: feature-map angles overflow: row 0 has a non-finite "
+                            "angle at angle scale 1e+200")
 
 
 def test_degenerate_signature_error_shows_a_plain_float():
@@ -448,7 +456,7 @@ def test_run_config_validation():
             assert cfg.split == SplitSpec(train_size=60, test_size=125, test_anomaly_ratio=ratio)
 
 
-NOT_ECHOED = ("seeds", "record_timings", "parallel")
+NOT_ECHOED = ("seeds", "omit_timings", "parallel")
 ECHO_CONSTANTS = ["preprocessing", "score_normalization"]
 
 

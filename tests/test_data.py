@@ -449,6 +449,8 @@ def truncate(sidecar):
         lone_npy,
         rewrite_sidecar(format=np.array("qkad-fraud-csv-0")),
         rewrite_sidecar(format=np.array(1)),
+        rewrite_sidecar(format=np.array(["qkad-fraud-csv-1"])),
+        rewrite_sidecar(format=np.array(b"qkad-fraud-csv-1")),
         rewrite_sidecar(digest=np.array("0" * 64)),
         rewrite_sidecar(extra=np.zeros(1)),
         rewrite_sidecar(labels=None),
@@ -460,6 +462,7 @@ def truncate(sidecar):
     ],
     ids=[
         "truncated", "empty", "garbage", "lone-npy", "old-format", "numeric-format",
+        "one-element-format", "bytes-format",
         "stale-digest", "extra-key", "missing-key", "float32", "narrow", "short-labels",
         "bad-labels", "nan-features",
     ],
@@ -557,11 +560,13 @@ def with_row_cell(column, cell):
         (None, FileNotFoundError, "[Errno 2] No such file or directory: '{path}'"),
         (with_row_cell("Class", "2"), ValueError,
          "{path}: row 3, column Class: label must be 0 or 1, got '2'"),
+        (with_row_cell("Class", "x"), NonNumericCellError,
+         "{path}: row 3, column Class: cannot parse 'x'"),
         (with_row_cell("V5", "nan"), NonNumericCellError,
          "{path}: row 3, column V5: value nan is not finite"),
         (header_only, EmptyFileError, "{path}: no data rows"),
     ],
-    ids=["missing-file", "bad-label", "nan-cell", "header-only"],
+    ids=["missing-file", "bad-label", "non-numeric-label", "nan-cell", "header-only"],
 )
 def test_fraud_csv_that_raises_is_never_cached(tmp_path, make, error, message):
     path = tmp_path / "fraud.csv"

@@ -104,7 +104,7 @@ def rfb_ensemble_values() -> dict:
 def run_config(method: str) -> RunConfig:
     return RunConfig(
         method=method, dataset="synthetic", train_size=200 if method.startswith("vs") else 60,
-        seeds=(0, 1), it_shots=64, rm_settings=4, rm_shots=64, record_timings=False,
+        seeds=(0, 1), it_shots=64, rm_settings=4, rm_shots=64, omit_timings=True,
     )
 
 
@@ -116,7 +116,7 @@ def option_run_config(case: str) -> RunConfig:
 def fraud_run_config(method: str) -> RunConfig:
     return RunConfig(
         method=method, dataset="fraud", train_size=80 if method.startswith("vs") else 60,
-        seeds=(0, 1), it_shots=64, rm_settings=4, rm_shots=512, record_timings=False,
+        seeds=(0, 1), it_shots=64, rm_settings=4, rm_shots=512, omit_timings=True,
         fraud_csv=FRAUD_CSV,
     )
 

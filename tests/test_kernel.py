@@ -520,6 +520,19 @@ def test_gram_train_rejects_a_nan_row(kind):
             build_gram_train(X, make_cfg(kind), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("kind", ["exact", "inversion_test", "randomized"])
+def test_gram_train_names_the_first_row_whose_feature_map_angles_overflow(kind, monkeypatch):
+    # encoding blocks of 3 rows put row 7 in the third block, so the row is
+    # counted in the whole stack; an overflow warning that escaped would be
+    # raised as an error
+    monkeypatch.setattr(qkad.statevec, "_BLOCK_BYTES", 3 * 8 * 2**2 * 2)
+    X = np.random.default_rng(15).uniform(-0.5, 0.5, size=(40, 2))
+    X[7, 0], X[30, 1] = 1e200, -1e200
+    message = "^feature-map angles overflow: row 7 has a non-finite angle at angle scale 3.0$"
+    with pytest.raises(ValueError, match=message):
+        build_gram_train(X, make_cfg(kind), np.random.default_rng(0))
+
+
 def test_rbf_gram_train_rejects_rows_whose_variance_overflows(monkeypatch):
     # near 1e200 the variance is inf, so gamma is 0 and 0 * inf is NaN; the
     # second band runs on a pool thread, which must see the caller's
