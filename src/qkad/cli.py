@@ -10,7 +10,9 @@ not change a record's results.  A failing seed yields a
 record with the error message while the remaining seeds still run; the
 process exit code is zero only when every seed succeeded, one when some seed
 failed or no record was left to summarize, and two (with usage) on invalid
-options, run options given with ``--summarize-records``, an output path that
+options, an option that the method or the dataset does not read set away from
+the value the run uses (``_READ_BY``), run options given with
+``--summarize-records``, an output path that
 is a directory, in a missing directory, or the file of the other output or
 of an input (a summarized records file or the fraud CSV), or an unreadable
 or malformed records file, before any seed runs.
@@ -77,6 +79,15 @@ _DATASET_TABLE = {
 METHODS = tuple(_METHOD_TABLE)
 DATASETS = tuple(_DATASET_TABLE)
 
+# the options that only some runs read, each with the tags of a run that reads it: its kernel
+# kind, "quantum" (a kind but rbf), "vs" (an ensemble) and its dataset; every run reads
+# every other option
+_READ_BY = {"angle_scale": {"quantum"}, "layers": {"quantum"}, "it_shots": {"inversion_test"},
+            "rm_settings": {"randomized"}, "rm_shots": {"randomized"}, "aggregation": {"vs"},
+            "mitigate": {"vs", "randomized"}, "fraud_csv": {"fraud"}}
+# a RunConfig field's key in the config echo, where the two differ
+_ECHO_KEYS = {"angle_scale": "lambda"}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -117,27 +128,24 @@ class RunConfig:
         repeated = sorted(s for s, k in Counter(self.seeds).items() if k > 1)
         if repeated:
             raise ValueError(f"seeds must be distinct, got {repeated} more than once")
-        if self.fraud_csv is not None and self.dataset != "fraud":
-            raise ValueError(f"only the fraud dataset reads fraud_csv, got {self.fraud_csv!r}")
         if not np.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold}")
         kind, default_mitigate, is_ensemble, use_rfb = _METHOD_TABLE[self.method]
         ratio, default_features, width = _DATASET_TABLE[self.dataset]
+        # an unset num_features or mitigate takes the dataset's or the method's default
+        own = {"num_features": default_features, "mitigate": default_mitigate}
+        vars(self).update({name: v for name, v in own.items() if getattr(self, name) is None})
+        # an option that the run does not read may hold only the value the run uses
+        tags = {kind, self.dataset, "quantum" if kind != "rbf" else "", "vs" if is_ensemble else ""}
+        unread = [_ECHO_KEYS.get(name, name) for name, needs in _READ_BY.items()
+                  if not needs <= tags and getattr(self, name) != own.get(name, _DEFAULTS[name])]
+        if unread:
+            raise ValueError(f"{self.method} on {self.dataset} does not read "
+                             f"{', '.join(unread)}; leave each at its default")
         # a rule that a module checks when it runs is checked here by that module's function
         split = data.SplitSpec(self.train_size, test_size=TEST_SIZE, test_anomaly_ratio=ratio)
         if is_ensemble:
             ensemble.check_train_size(self.train_size)
-        if self.num_features is None:
-            object.__setattr__(self, "num_features", default_features)
-        if self.mitigate is None:
-            object.__setattr__(self, "mitigate", default_mitigate)
-        elif self.mitigate != default_mitigate and not (is_ensemble and kind == "randomized"):
-            raise ValueError(
-                f"{self.method} always runs with mitigate={default_mitigate}; "
-                "only vs-rm and vs-rfb-rm can change it"
-            )
-        if not is_ensemble and self.aggregation != "mean":
-            raise ValueError(f"{self.method} is a single model; only vs-* methods take aggregation")
         pipeline.check_width(self.num_features, self.train_size, width)
         # an ensemble component has at most min(SUBSAMPLE_MAX, train_size) points
         train_points = min(SUBSAMPLE_MAX, self.train_size) if is_ensemble else self.train_size
@@ -158,6 +166,9 @@ class RunConfig:
         r_prime = rotation_dim(self.num_features) if use_rfb else None
         check_point_set(kernel, max(train_points, split.test_size), r_prime or self.num_features)
         vars(self).update(kernel=kernel, vs=vs, split=split, r_prime=r_prime)
+
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
 
 
 @dataclass(frozen=True)
@@ -202,7 +213,7 @@ _NOT_ECHOED = ("seeds", "omit_timings", "parallel")
 def _record_fields(cfg: RunConfig, seed: int) -> dict:
     """The fields every record of a run carries, with a config echo of its own."""
     config = {
-        "lambda" if f.name == "angle_scale" else f.name: getattr(cfg, f.name)
+        _ECHO_KEYS.get(f.name, f.name): getattr(cfg, f.name)
         for f in fields(cfg) if f.init and f.name not in _NOT_ECHOED
     }
     config.update(preprocessing="standard_scaler+pca+kind_rescale",
@@ -482,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write zero timings for byte-reproducible output")
     parser.add_argument("--parallel", action="store_true", help="run seeds in worker processes")
     # each run option defaults to its RunConfig field
-    parser.set_defaults(**{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING})
+    parser.set_defaults(**_DEFAULTS)
     return parser
 
 

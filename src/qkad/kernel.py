@@ -144,8 +144,9 @@ class KernelConfig:
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}, expected one of {KERNEL_KINDS}")
-        if self.it_shots < 1 or self.rm_shots < 1:
-            raise ValueError("shot counts must be >= 1")
+        for name in ("it_shots", "rm_shots"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.kind == "randomized" and self.rm_settings < 2:
             raise ValueError("randomized kernel needs rm_settings >= 2")
         if self.kind == "randomized" and self.rm_shots < 2:

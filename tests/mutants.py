@@ -52,8 +52,9 @@ class Mutant:
 # Gram finishing path's, then the CLI's config echo and up-front checks, then
 # the BLAS rule of the threaded bands and encoding, the boundary survivors of
 # a later audit, the validation rules' owners and the run plan's calls to them, and
-# the solver's gap, the checked parse's label check, the parse cache's digest check
-# and the row that the feature-map angle overflow names.
+# the solver's gap, the checked parse's label check, the parse cache's digest check,
+# the row that the feature-map angle overflow names, and the table of the options
+# that only some runs read and the rule that rejects the options a run does not read.
 MUTANTS = (
     Mutant(
         "kron-operands-swapped",
@@ -321,6 +322,42 @@ MUTANTS = (
         "src/qkad/statevec.py",
         'raise ValueError(f"feature-map angles overflow: row {first_row + bad[0]} has a "',
         'raise ValueError(f"feature-map angles overflow: row {bad[0]} has a "',
+    ),
+    Mutant(
+        "ensembles-lose-aggregation",
+        "src/qkad/cli.py",
+        '"rm_settings": {"randomized"}, "rm_shots": {"randomized"}, "aggregation": {"vs"},',
+        '"rm_settings": {"randomized"}, "rm_shots": {"randomized"}, "aggregation": {"none"},',
+    ),
+    Mutant(
+        "every-kind-reads-it-shots",
+        "src/qkad/cli.py",
+        '"layers": {"quantum"}, "it_shots": {"inversion_test"},',
+        '"layers": {"quantum"}, "it_shots": set(),',
+    ),
+    Mutant(
+        "single-randomized-models-read-mitigate",
+        "src/qkad/cli.py",
+        '"mitigate": {"vs", "randomized"}, "fraud_csv": {"fraud"}}',
+        '"mitigate": {"randomized"}, "fraud_csv": {"fraud"}}',
+    ),
+    Mutant(
+        "rbf-reads-the-feature-map-options",
+        "src/qkad/cli.py",
+        'tags = {kind, self.dataset, "quantum" if kind != "rbf" else "",',
+        'tags = {kind, self.dataset, "quantum",',
+    ),
+    Mutant(
+        "unread-mitigate-compared-with-its-field-default",
+        "src/qkad/cli.py",
+        "getattr(self, name) != own.get(name, _DEFAULTS[name])]",
+        "getattr(self, name) != _DEFAULTS[name]]",
+    ),
+    Mutant(
+        "unread-options-accepted",
+        "src/qkad/cli.py",
+        "        if unread:\n",
+        "        if unread and False:\n",
     ),
 )
 

@@ -25,6 +25,7 @@ from qkad.data import SplitSpec
 from qkad.ensemble import VSConfig
 from qkad.kernel import KernelConfig
 from test_data import write_small_fraud_csv
+from test_golden import small_shots
 
 FIXED_FIELDS = (
     "method", "dataset", "seed", "n_train", "d", "ap", "f1", "precision", "recall",
@@ -127,15 +128,15 @@ def test_fraud_run_repeated_on_one_csv_reads_the_parse_cache(
 
 
 def test_parallel_runs_match_sequential_numerics(fraud_csv):
-    small = dict(seeds=(0, 1, 2, 3), it_shots=64, rm_settings=4, rm_shots=64,
-                 omit_timings=True)
+    small = dict(seeds=(0, 1, 2, 3), omit_timings=True)
     runs = [
         dict(method=method, dataset="synthetic", train_size=200 if method.startswith("vs") else 60)
         for method in cli.METHODS
     ] + [dict(method="vs-rm", dataset="fraud", train_size=80, fraud_csv=fraud_csv)]
     for run in runs:
-        seq = run_experiment(RunConfig(**run, **small))
-        par = run_experiment(RunConfig(**run, **small, parallel=True))
+        small_run = dict(run, **small, **small_shots(run["method"]))
+        seq = run_experiment(RunConfig(**small_run))
+        par = run_experiment(RunConfig(**small_run, parallel=True))
         assert all(r.ok for r in seq), run
         assert records_to_jsonl(seq) == records_to_jsonl(par), run
 
@@ -162,7 +163,7 @@ def test_vs_phase_times_fit_in_the_training_time(method, cores, monkeypatch):
     # components' spans overlap at most as many times as there are workers
     monkeypatch.setattr(qkad.statevec, "_cores", lambda: cores)
     cfg = RunConfig(method=method, dataset="synthetic", train_size=200, seeds=(0,),
-                    rm_settings=4, rm_shots=64, it_shots=64)
+                    **small_shots(method))
     (record,) = run_experiment(cfg)
     assert record.ok and record.components == 2
     assert record.gram_time_s >= 0 and record.solver_time_s >= 0
@@ -199,7 +200,7 @@ def test_parallel_seeds_open_no_pool_of_their_own(method, train_size, cores, mon
 
     monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
     run = dict(method=method, dataset="synthetic", train_size=train_size, seeds=(0, 1, 2),
-               rm_settings=4, rm_shots=64, omit_timings=True)
+               **small_shots(method), omit_timings=True)
     seq = run_experiment(RunConfig(**run))
     assert all(r.ok for r in seq)
     if cores == 1:
@@ -396,7 +397,7 @@ def test_run_config_validation():
     with pytest.raises(ValueError, match=r"seeds must be distinct, got \[0, 2\] more than once"):
         RunConfig(method="rbf", dataset="synthetic", seeds=(2, 0, 1, 0, 2))
     # the record echoes fraud_csv, so a run that never reads it must not take it
-    with pytest.raises(ValueError, match="only the fraud dataset reads fraud_csv, got 'x.csv'"):
+    with pytest.raises(ValueError, match="rbf on synthetic does not read fraud_csv;"):
         RunConfig(method="rbf", dataset="synthetic", fraud_csv="x.csv")
     assert RunConfig(method="rbf", dataset="fraud", fraud_csv="x.csv").fraud_csv == "x.csv"
     # nan flags no point and inf every point, and nan is not valid JSON
@@ -486,6 +487,86 @@ def test_mitigation_defaults_per_method():
     assert RunConfig(method="vs-rm", dataset="synthetic").mitigate is False
     forced = RunConfig(method="vs-rm", dataset="synthetic", mitigate=True)
     assert forced.mitigate is True
+
+
+@pytest.mark.parametrize("method, options", [
+    # the method's own mitigation, a single model's one aggregation, the default angle scale
+    ("rm", "--mitigate"),
+    ("rm-unmitigated", "--no-mitigate"),
+    ("vs-it", "--no-mitigate"),
+    ("rbf", "--aggregation mean --lambda 3 --it-shots 1000"),
+])
+def test_main_accepts_an_unread_option_at_the_value_the_run_uses(method, options, tmp_path):
+    # such a run is the run without the option, record for record
+    outputs = []
+    for extra in (options.split(), []):
+        out = tmp_path / f"{len(outputs)}.jsonl"
+        assert main(["--method", method, "--dataset", "synthetic", "--train-size", "60",
+                     "--seeds", "0", "--omit-timings", "--output", str(out), *extra]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+# each method-specific option as typed: its RunConfig field and a value that no method runs
+# with by default; --mitigate stands for the flag that flips the method's own setting
+METHOD_OPTIONS = {
+    "--lambda": ("angle_scale", 2.0), "--layers": ("layers", 1), "--it-shots": ("it_shots", 50),
+    "--rm-settings": ("rm_settings", 5), "--rm-shots": ("rm_shots", 500),
+    "--aggregation": ("aggregation", "max"), "--mitigate": ("mitigate", None),
+}
+
+
+def changed_option(method: str, option: str) -> tuple[dict, list[str]]:
+    """``option`` away from the value a synthetic run of ``method`` uses, as a RunConfig
+    keyword and as typed."""
+    field, value = METHOD_OPTIONS[option]
+    if field == "mitigate":
+        value = not RunConfig(method=method, dataset="synthetic").mitigate
+        return {field: value}, ["--mitigate" if value else "--no-mitigate"]
+    return {field: value}, [option, str(value)]
+
+
+def reads(method: str, option: str) -> bool:
+    """Whether a synthetic run of ``method`` reads ``option``: RunConfig rejects it otherwise."""
+    keywords, _ = changed_option(method, option)
+    try:
+        RunConfig(method=method, dataset="synthetic", **keywords)
+    except ValueError as exc:
+        assert " does not read " in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("option", METHOD_OPTIONS)
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_an_option_changes_the_scores_of_the_methods_that_read_it_and_fails_the_others(
+    method, option, capsys, monkeypatch
+):
+    # so no method-specific option is taken and then ignored
+    base = ["--method", method, "--dataset", "synthetic", "--seeds", "0", "--output", os.devnull,
+            "--train-size", "200" if method.startswith("vs") else "60"]
+    _, typed = changed_option(method, option)
+    if not reads(method, option):
+        def no_seed(*args):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(cli, "_run_seed", no_seed)
+        with pytest.raises(SystemExit) as exc:
+            main(base + typed)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        key = option.removeprefix("--").replace("-", "_")  # its key in the config echo
+        assert f"{method} on synthetic does not read {key}; leave each at its default\n" in err
+        return
+    # average_precision receives the negated test scores of the seed
+    scores = []
+    ap = cli.average_precision
+    monkeypatch.setattr(cli, "average_precision",
+                        lambda negated, labels: scores.append(negated) or ap(negated, labels))
+    assert main(base) == 0
+    assert main(base + typed) == 0
+    assert len(scores) == 2 and not np.array_equal(scores[0], scores[1])
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +674,12 @@ def test_main_requires_method_unless_summarizing(capsys):
         main(["--dataset", "synthetic"])
 
 
-@pytest.mark.parametrize(
-    "method,features,message",
-    [
-        ("rbf", "0", "num_features must be in [1, min(n-1, d)] = [1, 2], got 0"),
-        ("vs-rfb-rm", "1", "rotated feature bagging needs at least 2"),
-    ],
-)
+@pytest.mark.parametrize("method,features,message", [
+    pytest.param("rbf", "0", "num_features must be in [1, min(n-1, d)] = [1, 2], got 0",
+                 id="rbf-num-features-0"),
+    pytest.param("vs-rfb-rm", "1", "rotated feature bagging needs at least 2",
+                 id="vs-rfb-rm-num-features-1"),
+])
 def test_main_rejects_invalid_config_with_usage(method, features, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--method", method, "--dataset", "synthetic", "--num-features", features])
@@ -609,65 +689,81 @@ def test_main_rejects_invalid_config_with_usage(method, features, message, capsy
     assert message in err
 
 
-@pytest.mark.parametrize(
-    "method,option,value,message",
-    [
-        ("rbf", "--train-size", "0", "train_size and test_size must be >= 1"),
-        ("vs-it", "--train-size", "49", "an ensemble needs at least 50 training points, got 49"),
-        ("rbf", "--nu", "0", "nu must be in (0, 1]"),
-        ("rbf", "--nu", "1.5", "nu must be in (0, 1]"),
-        ("it", "--it-shots", "0", "shot counts must be >= 1"),
-        ("it", "--layers", "0", "layers must be >= 1"),
-        ("rm", "--lambda", "0", "angle_scale must be > 0"),
-        ("rm", "--rm-settings", "1", "rm_settings >= 2"),
-        ("rm", "--rm-shots", "1", "rm_shots >= 2"),
-        ("vs-rm", "--rm-shots", "1", "rm_shots >= 2"),
-        ("rbf", "--num-features", "3",
-         "num_features must be in [1, min(n-1, d)] = [1, 2], got 3 (n=500 training points"),
-        ("rbf", "--train-size", "2",
-         "num_features must be in [1, min(n-1, d)] = [1, 1], got 2 (n=2 training points"),
-        # (500, 30, 2^14) int64 counts take 1.8 GiB; the fraud data is wide enough
-        ("rm", "--dataset fraud --num-features", "14",
-         "randomized kernel at d=14 qubits and n=500 points needs 1966080000 bytes"),
-        ("rm-unmitigated", "--dataset fraud --num-features", "14",
-         "randomized kernel at d=14 qubits and n=500 points needs 1966080000 bytes"),
-        ("vs-rm", "--dataset fraud --num-features", "28",
-         "randomized kernel at d=28 qubits and n=125 points needs 8053063680000 bytes"),
-        # point sets over 1 GiB: the training set, or the 125 test points of a vs-* method
-        ("it", "--dataset fraud --train-size 500 --num-features", "18",
-         "inversion_test kernel at d=18 qubits and n=500 points needs 2097152000 bytes"),
-        ("rm", "--dataset fraud --train-size 2000 --num-features", "13",
-         "randomized kernel at d=13 qubits and n=2000 points needs 3932160000 bytes"),
-        ("vs-it", "--dataset fraud --num-features", "20",
-         "inversion_test kernel at d=20 qubits and n=125 points needs 2097152000 bytes"),
-        ("rbf", "--train-size 60 --nu", "0.01", "infeasible nu: nu*n = 0.6 < 1"),
-        # no component of an ensemble has more than 100 points
-        ("vs-it", "--train-size 100 --nu", "0.005", "infeasible nu: nu*n = 0.5 < 1"),
-        ("rbf", "--seeds", "-3", "bad seed range '-3'"),
-        ("rbf", "--seeds", "0,5-3", "argument --seeds: bad seed range '5-3'"),
-        ("rbf", "--seeds", "0,x", "argument --seeds: bad seed value 'x'"),
-        ("rbf", "--seeds", "1-y", "argument --seeds: bad seed range '1-y'"),
-        ("rbf", "--seeds", "0,0,0-1", "seeds must be distinct, got [0] more than once"),
-        # an infinite angle scale makes every seed fail inside the sampler
-        ("it", "--lambda", "inf", "angle_scale must be > 0 and finite, got inf"),
-        ("rbf", "--threshold", "nan", "threshold must be finite, got nan"),
-        ("rbf", "--threshold", "inf", "threshold must be finite, got inf"),
-        # the synthetic data is generated, so a CSV path would only misdescribe the run
-        ("rbf", "--fraud-csv", "/nonexistent.csv",
-         "only the fraud dataset reads fraud_csv, got '/nonexistent.csv'"),
-        # only the randomized ensembles may change their mitigation default
-        ("it", "--mitigate --seeds", "0", "it always runs with mitigate=False"),
-        ("rm-unmitigated", "--mitigate --seeds", "0",
-         "rm-unmitigated always runs with mitigate=False"),
-        ("rm", "--no-mitigate --seeds", "0", "rm always runs with mitigate=True"),
-        # a single model has no ensemble whose scores could be aggregated
-        *[
-            (method, "--aggregation max --seeds", "0",
-             f"{method} is a single model; only vs-* methods take aggregation")
-            for method in ("rbf", "it", "rm", "rm-unmitigated")
-        ],
+# (id, method, option, value, message); an id names the method and the options, not the message
+REJECTED = [
+    ("rbf-train-size-0", "rbf", "--train-size", "0", "train_size and test_size must be >= 1"),
+    ("vs-it-train-size-49", "vs-it", "--train-size", "49",
+     "an ensemble needs at least 50 training points, got 49"),
+    ("rbf-nu-0", "rbf", "--nu", "0", "nu must be in (0, 1]"),
+    ("rbf-nu-1.5", "rbf", "--nu", "1.5", "nu must be in (0, 1]"),
+    ("it-it-shots-0", "it", "--it-shots", "0", "it_shots must be >= 1, got 0"),
+    ("it-layers-0", "it", "--layers", "0", "layers must be >= 1"),
+    ("rm-lambda-0", "rm", "--lambda", "0", "angle_scale must be > 0"),
+    ("rm-rm-settings-1", "rm", "--rm-settings", "1", "rm_settings >= 2"),
+    ("rm-rm-shots-1", "rm", "--rm-shots", "1", "rm_shots >= 2"),
+    ("vs-rm-rm-shots-1", "vs-rm", "--rm-shots", "1", "rm_shots >= 2"),
+    ("rbf-num-features-3", "rbf", "--num-features", "3",
+     "num_features must be in [1, min(n-1, d)] = [1, 2], got 3 (n=500 training points"),
+    ("rbf-train-size-2", "rbf", "--train-size", "2",
+     "num_features must be in [1, min(n-1, d)] = [1, 1], got 2 (n=2 training points"),
+    # (500, 30, 2^14) int64 counts take 1.8 GiB; the fraud data is wide enough
+    ("rm-fraud-num-features-14", "rm", "--dataset fraud --num-features", "14",
+     "randomized kernel at d=14 qubits and n=500 points needs 1966080000 bytes"),
+    ("rm-unmitigated-fraud-num-features-14", "rm-unmitigated", "--dataset fraud --num-features",
+     "14", "randomized kernel at d=14 qubits and n=500 points needs 1966080000 bytes"),
+    ("vs-rm-fraud-num-features-28", "vs-rm", "--dataset fraud --num-features", "28",
+     "randomized kernel at d=28 qubits and n=125 points needs 8053063680000 bytes"),
+    # point sets over 1 GiB: the training set, or the 125 test points of a vs-* method
+    ("it-fraud-train-size-500-num-features-18", "it",
+     "--dataset fraud --train-size 500 --num-features", "18",
+     "inversion_test kernel at d=18 qubits and n=500 points needs 2097152000 bytes"),
+    ("rm-fraud-train-size-2000-num-features-13", "rm",
+     "--dataset fraud --train-size 2000 --num-features", "13",
+     "randomized kernel at d=13 qubits and n=2000 points needs 3932160000 bytes"),
+    ("vs-it-fraud-num-features-20", "vs-it", "--dataset fraud --num-features", "20",
+     "inversion_test kernel at d=20 qubits and n=125 points needs 2097152000 bytes"),
+    ("rbf-train-size-60-nu-0.01", "rbf", "--train-size 60 --nu", "0.01",
+     "infeasible nu: nu*n = 0.6 < 1"),
+    # no component of an ensemble has more than 100 points
+    ("vs-it-train-size-100-nu-0.005", "vs-it", "--train-size 100 --nu", "0.005",
+     "infeasible nu: nu*n = 0.5 < 1"),
+    ("rbf-seeds--3", "rbf", "--seeds", "-3", "bad seed range '-3'"),
+    ("rbf-seeds-0,5-3", "rbf", "--seeds", "0,5-3", "argument --seeds: bad seed range '5-3'"),
+    ("rbf-seeds-0,x", "rbf", "--seeds", "0,x", "argument --seeds: bad seed value 'x'"),
+    ("rbf-seeds-1-y", "rbf", "--seeds", "1-y", "argument --seeds: bad seed range '1-y'"),
+    ("rbf-seeds-0,0,0-1", "rbf", "--seeds", "0,0,0-1",
+     "seeds must be distinct, got [0] more than once"),
+    # an infinite angle scale makes every seed fail inside the sampler
+    ("it-lambda-inf", "it", "--lambda", "inf", "angle_scale must be > 0 and finite, got inf"),
+    ("rbf-threshold-nan", "rbf", "--threshold", "nan", "threshold must be finite, got nan"),
+    ("rbf-threshold-inf", "rbf", "--threshold", "inf", "threshold must be finite, got inf"),
+    # an option the run does not read, set away from the value the run uses: the
+    # synthetic data is generated, so a CSV path would only misdescribe the run
+    ("rbf-fraud-csv", "rbf", "--fraud-csv", "/nonexistent.csv",
+     "rbf on synthetic does not read fraud_csv; leave each at its default"),
+    # only the randomized ensembles may change their mitigation default
+    ("it-mitigate", "it", "--mitigate --seeds", "0", "it on synthetic does not read mitigate;"),
+    ("rm-unmitigated-mitigate", "rm-unmitigated", "--mitigate --seeds", "0",
+     "rm-unmitigated on synthetic does not read mitigate;"),
+    ("rm-no-mitigate", "rm", "--no-mitigate --seeds", "0",
+     "rm on synthetic does not read mitigate;"),
+    # a single model has no ensemble whose scores could be aggregated
+    *[
+        (f"{method}-aggregation-max", method, "--aggregation max --seeds", "0",
+         f"{method} on synthetic does not read aggregation;")
+        for method in ("rbf", "it", "rm", "rm-unmitigated")
     ],
-)
+    # every offending option is named, by its key in the config echo
+    ("rbf-lambda-5-it-shots-7", "rbf", "--lambda 5 --it-shots", "7",
+     "rbf on synthetic does not read lambda, it_shots; leave each at its default"),
+    ("it-rm-settings-1", "it", "--rm-settings", "1", "it on synthetic does not read rm_settings;"),
+    # an unread option is rejected as such, before any check of its value
+    ("rbf-it-shots-0", "rbf", "--it-shots", "0", "rbf on synthetic does not read it_shots;"),
+]
+
+
+@pytest.mark.parametrize("method,option,value,message",
+                         [pytest.param(*case[1:], id=case[0]) for case in REJECTED])
 def test_main_rejects_invalid_numeric_option_before_any_seed(
     method, option, value, message, capsys, monkeypatch
 ):

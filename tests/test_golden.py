@@ -101,10 +101,20 @@ def rfb_ensemble_values() -> dict:
     }
 
 
+# each quantum kernel kind's small shot budgets; a method is passed its own kind's only
+SMALL_SHOTS = {"inversion_test": dict(it_shots=64), "randomized": dict(rm_settings=4, rm_shots=64)}
+
+
+def small_shots(method: str, **budgets: int) -> dict:
+    """The small shot budgets, or ``budgets`` in their place, of ``method``'s kernel kind."""
+    kind = RunConfig(method=method, dataset="synthetic").kernel.kind
+    return {name: budgets.get(name, value) for name, value in SMALL_SHOTS.get(kind, {}).items()}
+
+
 def run_config(method: str) -> RunConfig:
     return RunConfig(
         method=method, dataset="synthetic", train_size=200 if method.startswith("vs") else 60,
-        seeds=(0, 1), it_shots=64, rm_settings=4, rm_shots=64, omit_timings=True,
+        seeds=(0, 1), **small_shots(method), omit_timings=True,
     )
 
 
@@ -116,8 +126,7 @@ def option_run_config(case: str) -> RunConfig:
 def fraud_run_config(method: str) -> RunConfig:
     return RunConfig(
         method=method, dataset="fraud", train_size=80 if method.startswith("vs") else 60,
-        seeds=(0, 1), it_shots=64, rm_settings=4, rm_shots=512, omit_timings=True,
-        fraud_csv=FRAUD_CSV,
+        seeds=(0, 1), **small_shots(method, rm_shots=512), omit_timings=True, fraud_csv=FRAUD_CSV,
     )
 
 
