@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data, ensemble, ocsvm, pipeline, statevec
-from .ensemble import SUBSAMPLE_MAX, VSConfig, component_count, fit_vs, rotation_dim, score_vs
+from .ensemble import VSConfig, component_count, fit_vs, score_vs
 from .kernel import KernelConfig, build_gram_cross, build_gram_train, check_point_set
 from .metrics import average_precision, confusion, f1, precision_recall
 from .statevec import FeatureMapConfig
@@ -144,14 +144,11 @@ class RunConfig:
                              f"{', '.join(unread)}; leave each at its default")
         # a rule that a module checks when it runs is checked here by that module's function
         split = data.SplitSpec(self.train_size, test_size=TEST_SIZE, test_anomaly_ratio=ratio)
-        if is_ensemble:
-            ensemble.check_train_size(self.train_size)
+        # an ensemble component measures r' qubits with feature bagging
+        qubits = (ensemble.check_train_set(self.train_size, self.num_features, use_rfb)
+                  if is_ensemble else self.num_features)
         pipeline.check_width(self.num_features, self.train_size, width)
-        # an ensemble component has at most min(SUBSAMPLE_MAX, train_size) points
-        train_points = min(SUBSAMPLE_MAX, self.train_size) if is_ensemble else self.train_size
-        ocsvm.check_nu(self.nu, train_points)
-        if use_rfb and self.num_features < 2:
-            raise ValueError("rotated feature bagging needs at least 2 post-PCA features")
+        ocsvm.check_nu(self.nu, self.train_size)  # VSConfig checks an ensemble's components
         kernel = KernelConfig(
             kind=kind,
             feature_map=FeatureMapConfig(layers=self.layers, angle_scale=self.angle_scale),
@@ -160,12 +157,12 @@ class RunConfig:
             rm_shots=self.rm_shots,
             mitigate=self.mitigate,
         )
-        vs = None
-        if is_ensemble:
-            vs = VSConfig(kernel, nu=self.nu, aggregation=self.aggregation, rfb_enabled=use_rfb)
-        r_prime = rotation_dim(self.num_features) if use_rfb else None
-        check_point_set(kernel, max(train_points, split.test_size), r_prime or self.num_features)
-        vars(self).update(kernel=kernel, vs=vs, split=split, r_prime=r_prime)
+        vs = (VSConfig(kernel, nu=self.nu, aggregation=self.aggregation, rfb_enabled=use_rfb)
+              if is_ensemble else None)
+        # one model measures its training points, and an ensemble component fewer than the test set
+        points = split.test_size if is_ensemble else max(self.train_size, split.test_size)
+        check_point_set(kernel, points, qubits)
+        vars(self).update(kernel=kernel, vs=vs, split=split, r_prime=qubits if use_rfb else None)
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}

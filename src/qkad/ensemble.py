@@ -10,6 +10,9 @@ qubit per projected feature.  Component scores are z-normalized against the
 component's own training-score statistics and aggregated by mean or max.
 A fit sums its components' training Grams' evaluation counts, and a scoring
 pass returns the sum of its cross Grams' counts with the scores.
+:func:`check_train_set` holds the rules on the training rows, for
+:func:`fit_vs` and the CLI's run plan alike, and :class:`VSConfig` checks
+``nu`` at ``SUBSAMPLE_MIN`` rows, the smallest component a fit can draw.
 
 The component count is ``floor(n / 100)``, at least 1; it is not an option.
 The caller's generator first draws all subsample sizes at once; then, for
@@ -48,7 +51,7 @@ __all__ = [
     "VSConfig",
     "Component",
     "EnsembleModel",
-    "check_train_size",
+    "check_train_set",
     "sample_sizes",
     "rotation_dim",
     "random_rotation",
@@ -72,8 +75,8 @@ class VSConfig:
     def __post_init__(self) -> None:
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
-        # no component has more than SUBSAMPLE_MAX points
-        ocsvm.check_nu(self.nu, SUBSAMPLE_MAX)
+        # fit_vs gives a component min(size, n) rows, both at least SUBSAMPLE_MIN
+        ocsvm.check_nu(self.nu, SUBSAMPLE_MIN)
 
 
 @dataclass(frozen=True)
@@ -103,10 +106,18 @@ class EnsembleModel:
             raise ValueError("an ensemble needs at least one component")
 
 
-def check_train_size(n: int) -> None:
-    """Reject an ensemble of fewer than ``SUBSAMPLE_MIN`` training points."""
+def check_train_set(n: int, d: int, rfb_enabled: bool) -> int:
+    """Reject a training set of ``n`` rows and ``d`` features that no ensemble can fit.
+
+    An ensemble needs at least ``SUBSAMPLE_MIN`` rows and, with feature bagging,
+    2 features.  Returns the qubits a component measures: ``rotation_dim(d)``
+    with feature bagging, ``d`` without.
+    """
     if n < SUBSAMPLE_MIN:
         raise ValueError(f"an ensemble needs at least {SUBSAMPLE_MIN} training points, got {n}")
+    if rfb_enabled and d < 2:
+        raise ValueError("rotated feature bagging needs at least 2 post-PCA features")
+    return rotation_dim(d) if rfb_enabled else d
 
 
 def component_count(n: int) -> int:
@@ -144,12 +155,12 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
     """Fit a variable-subsampling ensemble on preprocessed training data."""
     X_train = np.asarray(X_train, dtype=float)
     n, d = X_train.shape
-    check_train_size(n)
+    qubits = check_train_set(n, d, cfg.rfb_enabled)
 
     draws = []
     for size in sample_sizes(component_count(n), rng):
         indices = rng.choice(n, size=min(size, n), replace=False)
-        projection = random_rotation(d, rotation_dim(d), rng) if cfg.rfb_enabled else None
+        projection = random_rotation(d, qubits, rng) if cfg.rfb_enabled else None
         draws.append((indices, projection, *(int(rng.integers(0, 2**63 - 1)) for _ in range(3))))
 
     def fit_component(idx: int) -> tuple[Component, float, float, int]:

@@ -42,9 +42,11 @@ chunk runs the same operations on its own slice of the output, so no entry
 depends on the number of threads.  No function that perfbench traces runs on
 a pool thread: encoding, each (point, setting) rotation, Born sampling,
 signature collection and purity are called on the calling thread, and only
-their insides spread.  Nothing here forks.  A step that gets one worker runs
-in the calling thread: on a one-core mask, and in the forked worker of a
-``--parallel`` seed or a VS component, whose BLAS is pinned to one thread.
+their insides spread.  A rotation call holds the GIL, so the rotations would
+not gain on pool threads either (:func:`collect_signature`).  Nothing here
+forks.  A step that gets one worker runs in the calling thread: on a
+one-core mask, and in the forked worker of a ``--parallel`` seed or a VS
+component, whose BLAS is pinned to one thread.
 
 Shot-based entries may leave [0, 1], and a shot-based Gram may be
 indefinite; neither is repaired.
@@ -234,7 +236,10 @@ def collect_signature(
     thread, straight into its row of the block's ``(points, r, 2^d)``
     buffer, and :func:`born_counts` draws the block's shot counts, one row
     per setting, on every core.  The rotations stay on the calling thread,
-    because perfbench traces each call and its tracer is not thread-safe.
+    because perfbench traces each call and its tracer is not thread-safe,
+    and because each call holds the GIL, so more threads only slow them: on
+    a 2-core host, a d=10 block of 34 points took 22.0 ms on the calling
+    thread and 39.6 ms spread over 2 threads.
     The same settings must be shared by all points entering one kernel
     matrix; the caller owns that contract.
     """

@@ -277,14 +277,33 @@ MUTANTS = (
     Mutant(
         "plan-skips-the-nu-check",
         "src/qkad/cli.py",
-        "        ocsvm.check_nu(self.nu, train_points)",
+        "        ocsvm.check_nu(self.nu, self.train_size)  # VSConfig checks an ensemble's components",
         "        pass",
     ),
     Mutant(
+        # the plan needs the qubit count, so the mutant passes a size the check always accepts
         "plan-skips-the-ensemble-size-check",
         "src/qkad/cli.py",
-        "            ensemble.check_train_size(self.train_size)",
-        "            pass",
+        "        qubits = (ensemble.check_train_set(self.train_size, self.num_features, use_rfb)",
+        "        qubits = (ensemble.check_train_set(max(50, self.train_size), self.num_features, use_rfb)",
+    ),
+    Mutant(
+        "plan-skips-the-ensemble-rules",
+        "src/qkad/cli.py",
+        "        qubits = (ensemble.check_train_set(self.train_size, self.num_features, use_rfb)",
+        "        qubits = (self.num_features",
+    ),
+    Mutant(
+        "fit-vs-skips-the-ensemble-rules",
+        "src/qkad/ensemble.py",
+        "    qubits = check_train_set(n, d, cfg.rfb_enabled)",
+        "    qubits = rotation_dim(d) if cfg.rfb_enabled else d",
+    ),
+    Mutant(
+        "vs-config-sizes-nu-at-the-largest-component",
+        "src/qkad/ensemble.py",
+        "        ocsvm.check_nu(self.nu, SUBSAMPLE_MIN)",
+        "        ocsvm.check_nu(self.nu, SUBSAMPLE_MAX)",
     ),
     Mutant(
         "plan-skips-the-width-check",

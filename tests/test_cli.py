@@ -1,14 +1,18 @@
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import qkad
 from qkad import cli, data, ensemble, ocsvm, pipeline
@@ -340,12 +344,13 @@ def test_importing_the_package_loads_no_pool():
 
 
 def test_ensemble_error_record_names_the_component_cause():
-    # nu * 100 = 1 passes the up-front check, but seed 0 draws an 83-row
-    # component 0, which fails at fit time, and its record keeps the reason
-    cfg = RunConfig(method="vs-it", dataset="synthetic", train_size=100, nu=0.01, seeds=(0,))
+    # two shots per setting leave seed 0's component 0 a nonpositive purity estimate,
+    # which fails it at fit time, and its record keeps the reason
+    cfg = RunConfig(method="vs-rm", dataset="synthetic", train_size=100, mitigate=True,
+                    rm_settings=2, rm_shots=2, seeds=(0,))
     (record,) = run_experiment(cfg)
     assert record.error.startswith("RuntimeError: ensemble component 0 failed to fit: ")
-    assert "ValueError: infeasible nu" in record.error
+    assert "DegenerateSignatureError: point 6 has nonpositive purity estimate" in record.error
 
 
 def test_overflowing_feature_map_angles_give_an_error_record_naming_them():
@@ -404,8 +409,10 @@ def test_run_config_validation():
     for threshold in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match=f"threshold must be finite, got {threshold}"):
             RunConfig(method="rbf", dataset="synthetic", threshold=threshold)
-    # no component has more than min(100, train_size) points, which bounds an ensemble's nu
-    assert RunConfig(method="vs-it", dataset="synthetic", train_size=200, nu=0.01).nu == 0.01
+    # a component may have as few as 50 points, which bounds an ensemble's nu
+    with pytest.raises(ValueError, match=r"infeasible nu: nu\*n = 0.5 < 1"):
+        RunConfig(method="vs-it", dataset="synthetic", train_size=200, nu=0.01)
+    assert RunConfig(method="vs-it", dataset="synthetic", train_size=200, nu=0.02).nu == 0.02
     with pytest.raises(ValueError, match=r"infeasible nu: nu\*n = 0.6 < 1"):
         RunConfig(method="vs-it", dataset="synthetic", train_size=60, nu=0.01)
     # an ensemble's smallest training set
@@ -424,12 +431,14 @@ def test_run_config_validation():
     # on the same values, so no copy of a rule can drift from it
     for options, owner in [
         (dict(method="rbf", train_size=0), lambda: SplitSpec(0, 125, 0.3)),
-        (dict(method="vs-it", train_size=49), lambda: ensemble.check_train_size(49)),
+        (dict(method="vs-it", train_size=49), lambda: ensemble.check_train_set(49, 2, False)),
+        (dict(method="vs-rfb-rm", num_features=1),
+         lambda: ensemble.check_train_set(500, 1, True)),
         (dict(method="rbf", nu=0.0), lambda: ocsvm.check_nu(0.0, 500)),
         (dict(method="vs-it", nu=1.5), lambda: ocsvm.check_nu(1.5, 100)),
         (dict(method="rbf", train_size=60, nu=0.01), lambda: ocsvm.check_nu(0.01, 60)),
         (dict(method="vs-it", train_size=60, nu=0.01), lambda: ocsvm.check_nu(0.01, 60)),
-        (dict(method="vs-it", train_size=300, nu=0.005), lambda: ocsvm.check_nu(0.005, 100)),
+        (dict(method="vs-it", train_size=300, nu=0.005), lambda: ocsvm.check_nu(0.005, 50)),
         (dict(method="rbf", num_features=0), lambda: pipeline.check_width(0, 500, 2)),
         (dict(method="rbf", num_features=3), lambda: pipeline.check_width(3, 500, 2)),
         (dict(method="rbf", train_size=2), lambda: pipeline.check_width(2, 2, 2)),
@@ -724,9 +733,13 @@ REJECTED = [
      "inversion_test kernel at d=20 qubits and n=125 points needs 2097152000 bytes"),
     ("rbf-train-size-60-nu-0.01", "rbf", "--train-size 60 --nu", "0.01",
      "infeasible nu: nu*n = 0.6 < 1"),
-    # no component of an ensemble has more than 100 points
     ("vs-it-train-size-100-nu-0.005", "vs-it", "--train-size 100 --nu", "0.005",
      "infeasible nu: nu*n = 0.5 < 1"),
+    # an ensemble component may have as few as 50 points, whatever --train-size is
+    *[
+        (f"{method}-nu-{nu}", method, "--nu", nu, f"infeasible nu: nu*n = {float(nu) * 50} < 1")
+        for method in ("vs-it", "vs-rm", "vs-rfb-rm") for nu in ("0.01", "0.015", "0.0199")
+    ],
     ("rbf-seeds--3", "rbf", "--seeds", "-3", "bad seed range '-3'"),
     ("rbf-seeds-0,5-3", "rbf", "--seeds", "0,5-3", "argument --seeds: bad seed range '5-3'"),
     ("rbf-seeds-0,x", "rbf", "--seeds", "0,x", "argument --seeds: bad seed value 'x'"),
@@ -777,6 +790,77 @@ def test_main_rejects_invalid_numeric_option_before_any_seed(
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert message in err
+
+
+@pytest.mark.parametrize("method", ["vs-it", "vs-rm", "vs-rfb-rm"])
+def test_an_ensemble_nu_feasible_at_its_smallest_component_runs_every_seed(method, tmp_path):
+    out = tmp_path / "records.jsonl"
+    assert main(["--method", method, "--dataset", "synthetic", "--train-size", "50",
+                 "--nu", "0.02", "--seeds", "0-9", "--output", str(out)]) == 0
+    records = cli.load_records_jsonl(out)
+    assert [r.seed for r in records if r.ok] == list(range(10))
+
+
+# a generated plan's small training sizes, and each other run option's values besides its
+# default: the edges of each rule and values that some rule rejects
+TRAIN_SIZES = [0, 2, 49, 50, 60, 150]
+PLAN_VALUES = {
+    "num_features": [0, 1, 3],
+    "nu": [0.0, 0.005, 0.01, 0.015, 0.0199, 0.02, 0.5, 1.0, 1.5],
+    "angle_scale": [0.0, 0.5, 1e200, float("inf")], "layers": [0, 1], "it_shots": [0, 1, 8],
+    "rm_settings": [1, 2, 4], "rm_shots": [1, 2, 16], "aggregation": ["max", "median"],
+    "mitigate": [True, False], "threshold": [0.5, float("nan")],
+}
+# the errors a seed of an accepted plan may end in, because its draws decide them:
+# a degenerate purity estimate and an overflowing feature-map angle
+SEED_ERRORS = ("nonpositive purity estimate", "feature-map angles overflow")
+
+
+@functools.cache
+def options_read(method: str) -> list[str]:
+    """The run options but the training size that a synthetic run of ``method`` reads."""
+    kind = RunConfig(method=method, dataset="synthetic").kernel.kind
+    tags = {kind, "synthetic", "quantum" if kind != "rbf" else "",
+            "vs" if method.startswith("vs-") else ""}
+    return [name for name in cli._DEFAULTS if name not in (*NOT_ECHOED, "train_size")
+            and cli._READ_BY.get(name, tags) <= tags]
+
+
+@st.composite
+def run_plans(draw) -> dict:
+    """A small synthetic run's options, with up to 3 options that the method reads changed."""
+    method = draw(st.sampled_from(cli.METHODS))
+    changed = draw(st.lists(st.sampled_from(options_read(method)), max_size=3, unique=True))
+    return dict(method=method, dataset="synthetic", train_size=draw(st.sampled_from(TRAIN_SIZES)),
+                **{name: draw(st.sampled_from(PLAN_VALUES[name])) for name in changed})
+
+
+def typed(plan: dict) -> list[str]:
+    """A plan's options as typed on the command line."""
+    argv = []
+    for name, value in plan.items():
+        if name == "mitigate":
+            argv.append("--mitigate" if value else "--no-mitigate")
+        else:
+            argv += ["--" + cli._ECHO_KEYS.get(name, name).replace("_", "-"), str(value)]
+    return argv
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(plan=run_plans(), seed=st.integers(0, 50))
+@hypothesis.example(plan=dict(method="vs-rm", dataset="synthetic", nu=0.01), seed=1)
+def test_a_plan_the_run_config_accepts_runs_and_one_it_rejects_runs_no_seed(plan, seed):
+    try:
+        cfg = RunConfig(**plan, seeds=(seed,))
+    except ValueError:
+        with mock.patch.object(cli, "_run_seed", side_effect=AssertionError("a seed ran")), \
+                pytest.raises(SystemExit) as exc:
+            main(typed(plan) + ["--seeds", str(seed), "--output", os.devnull])
+        assert exc.value.code == 2
+        return
+    # a module's own check never fails a seed of a plan that RunConfig accepted
+    record = cli._seed_record(cfg, seed, None)
+    assert record.ok or any(error in record.error for error in SEED_ERRORS), record.error
 
 
 def test_load_records_rejects_a_line_that_is_not_an_object(tmp_path):

@@ -151,6 +151,19 @@ def test_fit_vs_needs_enough_points(rng):
         fit_vs(cluster_data(40, 2, rng), VSConfig(base_kernel=exact_cfg(), nu=0.1), rng)
 
 
+def test_fit_vs_needs_two_features_to_bag(rng):
+    cfg = VSConfig(base_kernel=exact_cfg(), nu=0.1)
+    bagged = dataclasses.replace(cfg, rfb_enabled=True)
+    with pytest.raises(ValueError, match="rotated feature bagging needs at least 2 post-PCA"):
+        fit_vs(cluster_data(60, 1, rng), bagged, rng)
+    assert fit_vs(cluster_data(60, 1, rng), cfg, rng).components[0].train.num_features == 1
+
+
+def test_a_component_measures_the_bagged_width_or_every_feature():
+    assert ensemble.check_train_set(50, 6, True) == rotation_dim(6) == 4
+    assert ensemble.check_train_set(50, 6, False) == 6
+
+
 def test_fit_vs_component_failure_is_fatal_with_index(rng, monkeypatch):
     def failing_gram(*args):
         raise ValueError("gram failed")
@@ -253,6 +266,10 @@ def test_vs_config_validation():
         VSConfig(base_kernel=exact_cfg(), nu=0.1, aggregation="median")
     with pytest.raises(ValueError, match="nu"):
         VSConfig(base_kernel=exact_cfg(), nu=0.0)
+    # fit_vs may draw a component of 50 rows from any training set
+    with pytest.raises(ValueError, match=r"infeasible nu: nu\*n = 0.995\d* < 1"):
+        VSConfig(base_kernel=exact_cfg(), nu=0.0199)
+    assert VSConfig(base_kernel=exact_cfg(), nu=0.02).nu == 0.02
     with pytest.raises(ValueError, match="at least one component"):
         EnsembleModel((), "mean", num_features=2, gram_time_s=0.0, solver_time_s=0.0,
                       train_eval_count=0)

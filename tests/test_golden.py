@@ -56,7 +56,8 @@ RECORD_FIELDS = ("tp", "fp", "tn", "fn", "kernel_evals", "converged", "ap", "f1"
 ERROR_CASES = {
     "degenerate-purity": dict(method="rm", dataset="synthetic", train_size=60,
                               rm_settings=2, rm_shots=2),
-    "failed-component": dict(method="vs-it", dataset="synthetic", train_size=100, nu=0.01),
+    "failed-component": dict(method="vs-it", dataset="synthetic", train_size=100,
+                             angle_scale=1e200),
     "missing-fraud-csv": dict(method="rbf", dataset="fraud", train_size=60),
 }
 
