@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import logging
+import math
 import os
 import stat
 import warnings
@@ -158,11 +159,12 @@ def load_fraud_csv(path: str | Path) -> Dataset:
     """Load the credit-card fraud CSV; keeps V1..V28 and the Class label.
 
     The Time and Amount columns are dropped.  The header is validated first.
-    The data rows are then parsed by numpy's C reader; when it raises, finds
-    no rows, a non-finite feature or a label other than 0 or 1, the file is
-    parsed again by a checked row loop.  That loop raises with the offending
-    row and column named, and returns the same table for cells that
-    Python's ``float`` reads but numpy does not (such as ``1_0``).
+    The data rows are then parsed by numpy's C reader into a ``Dataset``;
+    when the reader raises or finds no rows, or ``Dataset`` rejects the
+    table, the file is parsed again by a checked row loop.  That loop raises
+    at the first bad cell in file order, with its row and column named, and
+    returns the same table for cells that Python's ``float`` reads but numpy
+    does not (such as ``1_0``).
 
     A regular file's parse is cached beside it in ``<csv>.qkad.npz``, which
     holds the sha256 of the CSV's bytes, a format tag, ``features`` and
@@ -209,14 +211,13 @@ def _parse_fraud_csv(path: Path) -> Dataset:
         feature_pos = [header.index(col) for col in FRAUD_FEATURE_COLUMNS]
         class_pos = header.index("Class")
 
-        parsed = _parse_rows_fast(handle, [*feature_pos, class_pos], len(header))
-        if parsed is None:
+        dataset = _parse_rows_fast(handle, [*feature_pos, class_pos], len(header))
+        if dataset is None:
             handle.seek(0)
             reader = csv.reader(handle)
             next(reader)
-            parsed = _parse_rows_checked(path, reader, len(header), feature_pos, class_pos)
-    features, labels = parsed
-    return Dataset(features=features, labels=labels)
+            dataset = _parse_rows_checked(path, reader, len(header), feature_pos, class_pos)
+    return dataset
 
 
 # The parse cache.  Bump the format tag whenever the parse could return a
@@ -337,14 +338,13 @@ def _write_cache(sidecar: Path, digest: str, dataset: Dataset) -> None:
                 temp.unlink(missing_ok=True)
 
 
-def _parse_rows_fast(
-    handle: TextIO, usecols: list[int], width: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The data rows after the header as (features, labels), or ``None`` to re-check them.
+def _parse_rows_fast(handle: TextIO, usecols: list[int], width: int) -> Dataset | None:
+    """The data rows after the header, or ``None`` to parse them again with the checked loop.
 
     ``usecols`` lists the feature columns, then the label column.  Reading
     the header's last column too makes numpy reject a row shorter than the
-    header, as the checked loop does.
+    header, as the checked loop does.  ``None`` also stands for a file with
+    no data rows and for a table that ``Dataset`` rejects.
     """
     cols = usecols if width - 1 in usecols else [*usecols, width - 1]
     try:
@@ -354,26 +354,18 @@ def _parse_rows_fast(
             table = np.loadtxt(
                 handle, delimiter=",", usecols=cols, quotechar='"', comments=None, ndmin=2
             )
+        n_features = len(usecols) - 1
+        return Dataset(table[:, :n_features], table[:, n_features]) if len(table) else None
     except ValueError:
         return None
-    n_features = len(usecols) - 1
-    features, labels = table[:, :n_features], table[:, n_features]
-    if (
-        not len(table)
-        or not np.isfinite(features).all()
-        or not ((labels == 0.0) | (labels == 1.0)).all()
-    ):
-        return None
-    return features, labels.astype(np.int64)
 
 
 def _parse_rows_checked(
     path: Path, reader: Iterable[list[str]], width: int, feature_pos: list[int], class_pos: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Dataset:
     """Parse the data rows one cell at a time, raising on the first bad one by row and column."""
     columns = [*zip(FRAUD_FEATURE_COLUMNS, feature_pos), ("Class", class_pos)]
     rows: list[list[float]] = []
-    row_nums: list[int] = []
     for row_num, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -390,27 +382,21 @@ def _parse_rows_checked(
                 raise NonNumericCellError(
                     f"{path}: row {row_num}, column {col}: cannot parse {cell!r}"
                 ) from None
+            # float() accepts nan and inf; a non-finite label gets the label message below
+            if col != "Class" and not math.isfinite(values[-1]):
+                raise NonNumericCellError(
+                    f"{path}: row {row_num}, column {col}: value {values[-1]!r} is not finite"
+                )
         # the loop ends on the Class cell
         if values[-1] not in (0.0, 1.0):
             raise ValueError(
                 f"{path}: row {row_num}, column Class: label must be 0 or 1, got {cell!r}"
             )
         rows.append(values)
-        row_nums.append(row_num)
-
     if not rows:
         raise EmptyFileError(f"{path}: no data rows")
     table = np.array(rows)
-    matrix = table[:, :-1]
-    # float() accepts nan and inf; one pass over the parsed table finds them
-    finite = np.isfinite(matrix)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise NonNumericCellError(
-            f"{path}: row {row_nums[i]}, column {FRAUD_FEATURE_COLUMNS[j]}: "
-            f"value {float(matrix[i, j])!r} is not finite"
-        )
-    return matrix, table[:, -1].astype(np.int64)
+    return Dataset(features=table[:, :-1], labels=table[:, -1])
 
 
 def make_split(

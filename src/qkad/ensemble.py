@@ -27,16 +27,18 @@ the rows and the draws reach the workers by fork; a task carries only a
 component's index, and the components come back in index order.  A step that
 gets one worker runs in the calling process, so on a one-core mask and in a
 worker such as a ``--parallel`` seed's the components run one after another
-there, with the same results.  The first failing component, by
-index, raises ``ensemble component k failed to fit: ...``.  ``gram_time_s``
-and ``solver_time_s`` sum the components' own times, each measured where it
-ran, so together they can exceed the wall time of the fit.
+there, with the same results.  The first failing component, by index,
+raises ``ensemble component k failed to fit: ...``, or ``failed to score:
+...``.  ``gram_time_s`` and ``solver_time_s`` sum the components' own times,
+each measured where it ran, so together they can exceed the wall time of the
+fit.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +153,20 @@ def random_rotation(d: int, r_prime: int, rng: np.random.Generator) -> np.ndarra
     return q * np.where(np.diagonal(r) < 0, -1.0, 1.0)
 
 
+def _as_component(k: int, phase: str, fn: Callable[..., object], *args: object) -> object:
+    """``fn(*args)``, run as component ``k``'s ``phase``: "fit" or "score".
+
+    An exception is raised again as ``ensemble component k failed to
+    {phase}: <type>: <message>``.
+    """
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise RuntimeError(
+            f"ensemble component {k} failed to {phase}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> EnsembleModel:
     """Fit a variable-subsampling ensemble on preprocessed training data."""
     X_train = np.asarray(X_train, dtype=float)
@@ -165,36 +181,31 @@ def fit_vs(X_train: np.ndarray, cfg: VSConfig, rng: np.random.Generator) -> Ense
 
     def fit_component(idx: int) -> tuple[Component, float, float, int]:
         indices, projection, fit_seed, solver_seed, score_seed = draws[idx]
-        try:
-            sub = X_train[indices]
-            if projection is not None:
-                sub = sub @ projection
+        sub = X_train[indices]
+        if projection is not None:
+            sub = sub @ projection
 
-            t0 = time.perf_counter()
-            gram, train = build_gram_train(sub, cfg.base_kernel, np.random.default_rng(fit_seed))
-            t1 = time.perf_counter()
-            model = ocsvm.fit(gram, cfg.nu, np.random.default_rng(solver_seed))
-            t2 = time.perf_counter()
+        t0 = time.perf_counter()
+        gram, train = build_gram_train(sub, cfg.base_kernel, np.random.default_rng(fit_seed))
+        t1 = time.perf_counter()
+        model = ocsvm.fit(gram, cfg.nu, np.random.default_rng(solver_seed))
+        t2 = time.perf_counter()
 
-            train_scores = ocsvm.decision_scores(model, gram)
-            component = Component(
-                subsample_indices=indices,
-                train=train,
-                projection=projection,
-                model=model,
-                train_score_mean=float(train_scores.mean()),
-                train_score_std=float(train_scores.std()),
-                score_seed=score_seed,
-            )
-            return component, t1 - t0, t2 - t1, gram.eval_count
-        except Exception as exc:
-            raise RuntimeError(
-                f"ensemble component {idx} failed to fit: {type(exc).__name__}: {exc}"
-            ) from exc
+        train_scores = ocsvm.decision_scores(model, gram)
+        component = Component(
+            subsample_indices=indices,
+            train=train,
+            projection=projection,
+            model=model,
+            train_score_mean=float(train_scores.mean()),
+            train_score_std=float(train_scores.std()),
+            score_seed=score_seed,
+        )
+        return component, t1 - t0, t2 - t1, gram.eval_count
 
-    components, gram_times, solver_times, evals = zip(
-        *_on_forked_workers(fit_component, len(draws))
-    )
+    components, gram_times, solver_times, evals = zip(*_on_forked_workers(
+        lambda k: _as_component(k, "fit", fit_component, k), len(draws)
+    ))
     return EnsembleModel(
         components=components,
         aggregation=cfg.aggregation,
@@ -228,7 +239,8 @@ def score_vs(model: EnsembleModel, X_test: np.ndarray) -> tuple[np.ndarray, int]
             f"expected (t, {model.num_features}) test matrix, got shape {X_test.shape}"
         )
     scores, evals = zip(*_on_forked_workers(
-        lambda k: _component_scores(model.components[k], X_test), len(model.components)
+        lambda k: _as_component(k, "score", _component_scores, model.components[k], X_test),
+        len(model.components),
     ))
     stacked = np.stack(scores)
     aggregated = stacked.mean(axis=0) if model.aggregation == "mean" else stacked.max(axis=0)

@@ -89,6 +89,8 @@ __all__ = [
 KERNEL_KINDS = ("exact", "inversion_test", "randomized", "rbf")
 
 _MAX_ARRAY_BYTES = 2**30
+# numpy draws shot counts as int64
+_MAX_SHOTS = 2**63 - 1
 _TILE = 256
 _PANEL = 8
 
@@ -149,6 +151,8 @@ class KernelConfig:
         for name in ("it_shots", "rm_shots"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if getattr(self, name) > _MAX_SHOTS:
+                raise ValueError(f"{name} must be <= 2**63 - 1, got {getattr(self, name)}")
         if self.kind == "randomized" and self.rm_settings < 2:
             raise ValueError("randomized kernel needs rm_settings >= 2")
         if self.kind == "randomized" and self.rm_shots < 2:

@@ -53,8 +53,10 @@ class Mutant:
 # the BLAS rule of the threaded bands and encoding, the boundary survivors of
 # a later audit, the validation rules' owners and the run plan's calls to them, and
 # the solver's gap, the checked parse's label check, the parse cache's digest check,
-# the row that the feature-map angle overflow names, and the table of the options
-# that only some runs read and the rule that rejects the options a run does not read.
+# the row that the feature-map angle overflow names, the table of the options
+# that only some runs read and the rule that rejects the options a run does not read,
+# and the checked parse's finite check in each feature cell, the fast parse's test for an
+# empty table, the component that a failed scoring names and the largest shot count.
 MUTANTS = (
     Mutant(
         "kron-operands-swapped",
@@ -223,14 +225,14 @@ MUTANTS = (
     Mutant(
         "vs-gram-time-summed",
         "src/qkad/ensemble.py",
-        "            return component, t1 - t0, t2 - t1, gram.eval_count",
-        "            return component, t1 + t0, t2 - t1, gram.eval_count",
+        "        return component, t1 - t0, t2 - t1, gram.eval_count",
+        "        return component, t1 + t0, t2 - t1, gram.eval_count",
     ),
     Mutant(
         "vs-solver-time-summed",
         "src/qkad/ensemble.py",
-        "            return component, t1 - t0, t2 - t1, gram.eval_count",
-        "            return component, t1 - t0, t2 + t1, gram.eval_count",
+        "        return component, t1 - t0, t2 - t1, gram.eval_count",
+        "        return component, t1 - t0, t2 + t1, gram.eval_count",
     ),
     Mutant(
         "split-spec-rejects-one-training-point",
@@ -377,6 +379,36 @@ MUTANTS = (
         "src/qkad/cli.py",
         "        if unread:\n",
         "        if unread and False:\n",
+    ),
+    Mutant(
+        "checked-parse-skips-the-finite-check",
+        "src/qkad/data.py",
+        '            if col != "Class" and not math.isfinite(values[-1]):',
+        "            if False:",
+    ),
+    Mutant(
+        "checked-parse-checks-the-label-for-finiteness",
+        "src/qkad/data.py",
+        '            if col != "Class" and not math.isfinite(values[-1]):',
+        "            if not math.isfinite(values[-1]):",
+    ),
+    Mutant(
+        "fast-parse-returns-an-empty-table",
+        "src/qkad/data.py",
+        "        return Dataset(table[:, :n_features], table[:, n_features]) if len(table) else None",
+        "        return Dataset(table[:, :n_features], table[:, n_features])",
+    ),
+    Mutant(
+        "scoring-names-no-component",
+        "src/qkad/ensemble.py",
+        'lambda k: _as_component(k, "score", _component_scores, model.components[k], X_test),',
+        "lambda k: _component_scores(model.components[k], X_test),",
+    ),
+    Mutant(
+        "largest-shot-count-rejected",
+        "src/qkad/kernel.py",
+        "            if getattr(self, name) > _MAX_SHOTS:",
+        "            if getattr(self, name) >= _MAX_SHOTS:",
     ),
 )
 

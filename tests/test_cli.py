@@ -353,6 +353,16 @@ def test_ensemble_error_record_names_the_component_cause():
     assert "DegenerateSignatureError: point 6 has nonpositive purity estimate" in record.error
 
 
+def test_ensemble_error_record_names_the_component_that_failed_to_score():
+    # twelve shots fit seed 7's component, then leave a test point a nonpositive purity estimate
+    cfg = RunConfig(method="vs-rm", dataset="synthetic", train_size=100, mitigate=True,
+                    rm_settings=2, rm_shots=12, seeds=(7,))
+    (record,) = run_experiment(cfg)
+    assert record.error.startswith(
+        "RuntimeError: ensemble component 0 failed to score: DegenerateSignatureError: point 117 "
+    )
+
+
 def test_overflowing_feature_map_angles_give_an_error_record_naming_them():
     cfg = RunConfig(method="rm", dataset="synthetic", train_size=60, angle_scale=1e200,
                     rm_settings=4, rm_shots=64, seeds=(0,))
@@ -706,6 +716,13 @@ REJECTED = [
     ("rbf-nu-0", "rbf", "--nu", "0", "nu must be in (0, 1]"),
     ("rbf-nu-1.5", "rbf", "--nu", "1.5", "nu must be in (0, 1]"),
     ("it-it-shots-0", "it", "--it-shots", "0", "it_shots must be >= 1, got 0"),
+    # numpy draws shot counts as int64; one more than its largest value failed every seed
+    *[
+        (f"{method}-{option[2:]}-over-int64", method, option, str(2**63),
+         f"{option[2:].replace('-', '_')} must be <= 2**63 - 1, got {2**63}")
+        for method, option in (("it", "--it-shots"), ("vs-it", "--it-shots"),
+                               ("rm", "--rm-shots"), ("vs-rm", "--rm-shots"))
+    ],
     ("it-layers-0", "it", "--layers", "0", "layers must be >= 1"),
     ("rm-lambda-0", "rm", "--lambda", "0", "angle_scale must be > 0"),
     ("rm-rm-settings-1", "rm", "--rm-settings", "1", "rm_settings >= 2"),

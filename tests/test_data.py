@@ -3,8 +3,10 @@ import os
 import stat
 import warnings
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qkad import data
 from qkad.data import (
@@ -346,6 +348,84 @@ def test_fraud_csv_with_class_before_amount_never_runs_the_checked_loop(tmp_path
     assert checked[:2] == (Dataset, (5, 28))
     monkeypatch.setattr(data, "_parse_rows_checked", no_checked_loop)
     assert load_outcome(path) == checked
+
+
+# the cells of a generated CSV: each feature cell is a number unless a fault replaces it
+NUMBERS = ("0", "-1.25", "3e-2", "7")
+NONFINITE = ("nan", "inf", "-inf")
+TEXT = "abc"
+BAD_LABELS = ("2", "x", "nan")
+
+
+def csv_row(label="0", **cells):
+    """A data row's cells: a number in each feature cell but those given by column name."""
+    row = ["0", *["0.5"] * 28, "12.5", label]
+    for column, cell in cells.items():
+        row[FRAUD_HEADER.index(column)] = cell
+    return row
+
+
+@st.composite
+def csv_rows(draw):
+    """A data row, with no, one or two bad feature cells, and a label that may be bad."""
+    row = ["0", *draw(st.lists(st.sampled_from(NUMBERS), min_size=28, max_size=28)), "12.5"]
+    faults = draw(st.one_of(st.just({}), st.dictionaries(
+        st.integers(1, 28), st.sampled_from((*NONFINITE, TEXT)), min_size=1, max_size=2
+    )))
+    for pos, cell in faults.items():
+        row[pos] = cell
+    return [*row, draw(st.one_of(st.sampled_from(("0", "1")), st.sampled_from(BAD_LABELS)))]
+
+
+# a line is a data row, a blank line ([]) or a row with fewer fields than the header
+csv_lines = st.lists(st.one_of(
+    csv_rows(), csv_rows(), st.sampled_from(([], ["1.0", "2.0"], ["0"] * 30))
+), max_size=6)
+
+
+def first_fault(path, lines):
+    """The exception type and message of the first fault in file order, or ``None``.
+
+    The header is row 1; a row's cells are checked V1..V28, then Class.
+    """
+    for row_num, row in enumerate(lines, start=2):
+        if row and len(row) < len(FRAUD_HEADER):
+            return MissingColumnError, f"{path}: row {row_num} has {len(row)} fields, expected 31"
+        for column, cell in zip(FRAUD_HEADER[1:29], row[1:29]):
+            at = f"{path}: row {row_num}, column {column}:"
+            if cell == TEXT:
+                return NonNumericCellError, f"{at} cannot parse {cell!r}"
+            if cell in NONFINITE:
+                return NonNumericCellError, f"{at} value {cell} is not finite"
+        at = f"{path}: row {row_num}, column Class:"
+        if row and row[-1] == "x":
+            return NonNumericCellError, f"{at} cannot parse 'x'"
+        if row and row[-1] in BAD_LABELS:
+            return ValueError, f"{at} label must be 0 or 1, got {row[-1]!r}"
+    if not any(lines):
+        return EmptyFileError, f"{path}: no data rows"
+    return None
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(lines=csv_lines)
+# a non-finite feature reported ahead of a later bad cell, in a later row or in its own row
+@hypothesis.example(lines=[csv_row(), csv_row(V4="nan"), csv_row(V6="abc")])
+@hypothesis.example(lines=[csv_row(), csv_row(V4="nan"), csv_row(label="2")])
+@hypothesis.example(lines=[csv_row(), csv_row(label="2", V4="inf")])
+def test_fraud_csv_reports_its_first_fault_in_file_order_on_both_paths(lines, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "generated.csv"
+    path.write_text("\n".join(map(",".join, [FRAUD_HEADER, *lines])) + "\n", newline="")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        outcome = assert_paths_agree(path, monkeypatch)
+    fault = first_fault(path, lines)
+    if fault is not None:
+        assert outcome == fault
+        return
+    rows = [row for row in lines if row]
+    features = np.array([row[1:29] for row in rows], dtype=float)
+    labels = np.array([row[-1] for row in rows], dtype=np.int64)
+    assert outcome == (Dataset, features.shape, features.tobytes(), labels.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,29 @@ def test_a_failing_second_component_is_the_one_named(in_worker, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("in_worker", [False, True])
+def test_a_second_component_failing_to_score_is_the_one_named(in_worker, monkeypatch):
+    monkeypatch.setattr(statevec, "_cores", lambda: 2)
+    monkeypatch.setattr(statevec, "_IN_WORKER", in_worker)
+    model = fit_vs(cluster_data(300, 2, np.random.default_rng(40)),
+                   VSConfig(base_kernel=exact_cfg(), nu=0.1), np.random.default_rng(41))
+    sizes = [len(comp.subsample_indices) for comp in model.components]
+    assert len(set(sizes)) == 3
+    build_gram_cross = ensemble.build_gram_cross
+
+    def failing_second(X_test, train, *args):
+        if len(train.points) == sizes[1]:
+            raise ValueError("cross gram failed")
+        return build_gram_cross(X_test, train, *args)
+
+    monkeypatch.setattr(ensemble, "build_gram_cross", failing_second)
+    with pytest.raises(RuntimeError, match=(
+        "^ensemble component 1 failed to score: ValueError: cross gram failed$"
+    )):
+        score_vs(model, cluster_data(10, 2, np.random.default_rng(42)))
+    assert multiprocessing.active_children() == []
+
+
 def test_fit_vs_deterministic(rng):
     X = cluster_data(150, 2, np.random.default_rng(0))
     cfg = VSConfig(base_kernel=rm_cfg(), nu=0.1)

@@ -1102,3 +1102,11 @@ def test_kernel_config_validation():
         KernelConfig(kind="randomized", rm_settings=1)
     with pytest.raises(ValueError, match="rm_shots >= 2"):
         KernelConfig(kind="randomized", rm_shots=1)
+
+
+@pytest.mark.parametrize("name", ["it_shots", "rm_shots"])
+def test_kernel_config_bounds_shots_at_the_largest_int64(name):
+    # numpy draws shot counts as int64, so one more shot would fail every seed
+    KernelConfig(kind="randomized", **{name: 2**63 - 1})
+    with pytest.raises(ValueError, match=rf"^{name} must be <= 2\*\*63 - 1, got {2**63}$"):
+        KernelConfig(kind="randomized", **{name: 2**63})
