@@ -213,8 +213,9 @@ def _record_fields(cfg: RunConfig, seed: int) -> dict:
         _ECHO_KEYS.get(f.name, f.name): getattr(cfg, f.name)
         for f in fields(cfg) if f.init and f.name not in _NOT_ECHOED
     }
+    # a VS ensemble z-scores each component's scores on its training rows; one model does not
     config.update(preprocessing="standard_scaler+pca+kind_rescale",
-                  score_normalization="train-zscore")
+                  score_normalization="train-zscore" if cfg.vs else "none")
     return dict(method=cfg.method, dataset=cfg.dataset, seed=seed, n_train=cfg.train_size,
                 d=cfg.num_features, config=config)
 

@@ -10,9 +10,10 @@ Four interchangeable ways to fill a kernel matrix:
   random local bases, combined pairwise by Hamming-weighted cross
   correlations; optional purity-based mitigation.  A point set's ``r``
   settings are one stack, drawn and multiplied out into Kronecker factors in
-  one call each.  Each (point, setting) of a block of points is rotated on
-  the calling thread into the block's buffer, then the block's shots are
-  drawn, one draw per point from the point's own child stream.
+  one call each.  The points are measured as a stream of blocks: each
+  (point, setting) of a block is rotated on the calling thread into the
+  block's buffer while other cores draw the shots of the block before, one
+  draw per point from the point's own child seed.
 * ``rbf``            - classical Gaussian kernel baseline.
 
 The quantum kinds encode each ``d``-feature row on ``d`` qubits, so the
@@ -32,21 +33,25 @@ training Gram's strict upper triangle into its lower one, in place, in
 ``_TILE``-square tiles, and skips the public constructor's checks.
 
 Four steps run in contiguous chunks on every core of the affinity mask,
-through :func:`statevec._on_every_core`: Born sampling, the mirror tiles of
-every kind, the bands of every kind and the encoding's row blocks.  The last
-two call BLAS in the matrix-product kinds (exact, inversion test,
-randomized) and in the encoding, and a step that calls BLAS spreads only
-while numpy's OpenBLAS runs one thread; otherwise it stays on the calling
-thread, because a BLAS that runs more would oversubscribe the cores.  Each
-chunk runs the same operations on its own slice of the output, so no entry
-depends on the number of threads.  No function that perfbench traces runs on
-a pool thread: encoding, each (point, setting) rotation, Born sampling,
-signature collection and purity are called on the calling thread, and only
-their insides spread.  A rotation call holds the GIL, so the rotations would
-not gain on pool threads either (:func:`collect_signature`).  Nothing here
-forks.  A step that gets one worker runs in the calling thread: on a
-one-core mask, and in the forked worker of a ``--parallel`` seed or a VS
-component, whose BLAS is pinned to one thread.
+through :func:`statevec._on_every_core`: the randomized kind's frequency
+table, the mirror tiles of every kind, the bands of every kind and the
+encoding's row blocks.  The last two call BLAS in the matrix-product kinds
+(exact, inversion test, randomized) and in the encoding, and a step that
+calls BLAS spreads only while numpy's OpenBLAS runs one thread; otherwise it
+stays on the calling thread, because a BLAS that runs more would
+oversubscribe the cores.  Each chunk runs the same operations on its own
+slice of the output, so no entry depends on the number of threads.  Born
+sampling spreads as a stream (:func:`statevec.born_counts`): pool threads
+draw the points of one block while the calling thread rotates the next, and
+each point's counts depend only on its own seed.  No function that
+perfbench traces runs on a pool thread: encoding, each (point, setting)
+rotation, Born sampling, signature collection and purity are called on the
+calling thread, and only their insides spread.  A rotation call holds the
+GIL, so the rotations would not gain on pool threads either
+(:func:`collect_signature`).  Nothing here forks.  A step that gets one
+worker runs in the calling thread: on a one-core mask, and in the forked
+worker of a ``--parallel`` seed or a VS component, whose BLAS is pinned to
+one thread; there a block is rotated and then drawn, block by block.
 
 Shot-based entries may leave [0, 1], and a shot-based Gram may be
 indefinite; neither is repaired.
@@ -230,31 +235,42 @@ def collect_signature(
     states: np.ndarray,
     factors: tuple[np.ndarray, ...],
     shots: int,
-    rngs: Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator | int],
 ) -> np.ndarray:
-    """Measure a ``(points, 2^d)`` block of feature states in every setting.
+    """Measure a ``(points, 2^d)`` stack of feature states in every setting.
 
     ``factors`` is the :func:`local_factors` form of an ``(r, d, 2, 2)``
-    settings stack and ``rngs`` holds one generator per state.  Each (point,
-    setting) is rotated by its own :func:`apply_local` call on the calling
-    thread, straight into its row of the block's ``(points, r, 2^d)``
-    buffer, and :func:`born_counts` draws the block's shot counts, one row
-    per setting, on every core.  The rotations stay on the calling thread,
-    because perfbench traces each call and its tracer is not thread-safe,
-    and because each call holds the GIL, so more threads only slow them: on
-    a 2-core host, a d=10 block of 34 points took 22.0 ms on the calling
-    thread and 39.6 ms spread over 2 threads.
+    settings stack and ``rngs`` holds one generator or seed per state.  The
+    states are rotated in blocks whose ``(points, r, 2^d)`` amplitudes hold
+    about half of ``_BLOCK_BYTES``, each (point, setting) by its own
+    :func:`apply_local` call straight into its row of the block.
+    :func:`born_counts` takes the blocks as a stream on the calling thread
+    and draws each block's shot counts, one row per setting, while the next
+    block is rotated, so at most two blocks are held at once.  The rotations
+    stay on the calling thread, because perfbench traces each call and its
+    tracer is not thread-safe, and because each call holds the GIL, so more
+    threads only slow them: on a 2-core host, a d=10 block of 34 points took
+    22.0 ms on the calling thread and 39.6 ms spread over 2 threads.
     The same settings must be shared by all points entering one kernel
     matrix; the caller owns that contract.
     """
     per_setting = list(zip(*factors))
     if not per_setting:
         raise ValueError("at least one measurement setting is required")
-    rotated = np.empty((len(states), len(per_setting), states.shape[-1]), dtype=complex)
-    for state, rows in zip(states, rotated):
-        for setting, row in zip(per_setting, rows):
-            apply_local(state, setting, out=row)
-    return born_counts(rotated, shots, rngs)
+    shape = (len(per_setting), states.shape[-1])
+    # two blocks are held at once: one drawn while the next is rotated
+    step = max(1, _BLOCK_BYTES // (2 * 16 * shape[0] * shape[1]))
+
+    def rotated():
+        for start in range(0, len(states), step):
+            block = states[start : start + step]
+            amps = np.empty((len(block),) + shape, dtype=complex)
+            for state, rows in zip(block, amps):
+                for setting, row in zip(per_setting, rows):
+                    apply_local(state, setting, out=row)
+            yield amps
+
+    return born_counts(rotated(), shots, rngs)
 
 
 @lru_cache(maxsize=16)
@@ -348,8 +364,8 @@ def _represent(
 
     That is the rows themselves for rbf and their ``(n, 2^d)`` feature states
     for the pairwise kinds, encoded in one call.  The randomized kind measures
-    those states, in blocks of points whose rotated amplitudes hold about
-    ``_BLOCK_BYTES``, and returns their :class:`SignatureCache`.  A training
+    those states in one :func:`collect_signature` call, one child seed per
+    point, and returns their :class:`SignatureCache`.  A training
     set (``train`` is ``None``) draws ``cfg.rm_settings`` settings from ``rng``
     and estimates purities.  A test set is measured in the settings of
     ``train``, its training point set, and estimates purities only under
@@ -369,15 +385,10 @@ def _represent(
     settings = sample_haar_settings(cfg.rm_settings, d, rng) if train is None else train.settings
     factors = local_factors(settings)
     shots = cfg.rm_shots
-    # one child stream per point, derived serially, so the points of a block
-    # are sampled concurrently without changing any outcome
+    # one child seed per point, derived serially, so the points are sampled
+    # concurrently without changing any outcome
     seeds = rng.integers(0, 2**63 - 1, size=n).tolist()
-    counts = np.empty((n, len(settings), 2**d), dtype=np.int64)
-    step = max(1, _BLOCK_BYTES // (16 * len(settings) * 2**d))
-    for start in range(0, n, step):
-        block = slice(start, start + step)
-        rngs = [np.random.default_rng(seed) for seed in seeds[block]]
-        counts[block] = collect_signature(states[block], factors, shots, rngs)
+    counts = collect_signature(states, factors, shots, seeds)
     if train is not None and not cfg.mitigate:
         return SignatureCache(settings, counts, np.full(n, np.nan))
     estimates = np.array([rm_purity(c, shots) for c in counts])
@@ -423,10 +434,11 @@ def _kernel_block(
     Contiguous chunks of the bands are filled on every core, the calling
     thread taking the first, by :func:`statevec._on_every_core`: rbf's
     always, since they call no BLAS, and the GEMM kinds' only while numpy's
-    OpenBLAS runs one thread.  rbf's bandwidth and feature-major copies, and
-    the randomized kind's frequency table, are made on the calling thread
-    first; a randomized training block reads its rows' frequencies from that
-    table.  Each band runs the same operations on its own slice of the
+    OpenBLAS runs one thread.  rbf's bandwidth and feature-major copies are
+    made on the calling thread first, and the randomized kind's frequency
+    table in contiguous chunks of rows on every core, since the division
+    calls no BLAS; a randomized training block reads its rows' frequencies
+    from that table.  Each band runs the same operations on its own slice of the
     output, so no entry depends on the number of threads.
     """
     rm = cfg.kind == "randomized"
@@ -439,7 +451,14 @@ def _kernel_block(
         a_t = b_t if a is b else np.ascontiguousarray(a.T)
     elif rm:
         _, r, dim = a.counts.shape
-        flat_b = (b.counts / float(cfg.rm_shots)).reshape(m, r * dim).T
+        table = np.empty(b.counts.shape)
+
+        def frequencies(chunk: range) -> None:
+            rows = slice(chunk.start, chunk.stop)
+            np.divide(b.counts[rows], float(cfg.rm_shots), out=table[rows])
+
+        _on_every_core(frequencies, m)
+        flat_b = table.reshape(m, r * dim).T
         row_bytes = 8 * r * dim  # the weighted frequencies
     else:
         row_bytes = 16 * m  # the complex overlaps

@@ -22,20 +22,24 @@ Conventions used throughout the package:
   into a caller's buffer if given, and the encoding's Hadamards use it too.
 * Global phase is not tracked beyond what the gate definitions imply; all
   downstream quantities are fidelities, which ignore it.
-* Two private helpers spread work over the cores of the affinity mask.
-  :func:`_on_every_core` runs contiguous chunks of a step that releases the
-  GIL on threads: Born sampling and the encoding's row blocks here, the
-  Gram bands and mirror tiles in ``kernel``.  :func:`_on_forked_workers`
-  maps a function over items on forked worker processes: ``--parallel``
-  seeds and VS components.  Both take their worker count from
-  :func:`_workers`, under one rule: a step that calls BLAS (the encoding
-  and the matrix-product Gram bands) gets more than one worker only while
-  numpy's OpenBLAS runs one thread, because a BLAS that runs more would
-  oversubscribe the cores.  A step that gets one worker runs in the calling
-  process: on a one-core mask, for one item, and inside a forked worker,
-  which pins numpy's OpenBLAS to one thread.  The public functions here,
-  whose calls perfbench traces, always run on the calling thread; only
-  their insides run on pool threads.
+* Private helpers spread work over the cores of the affinity mask.
+  :func:`_on_threads` runs one task per thread, the first on the calling
+  thread.  :func:`_on_every_core` runs contiguous chunks of a step that
+  releases the GIL through it: the encoding's row blocks here, the Gram
+  bands, mirror tiles and RM frequency table in ``kernel``.
+  :func:`born_counts` runs through it too, as a stream: the calling thread
+  takes a point set's blocks of rotated amplitudes one by one and pool
+  threads draw the queued points of one block while it takes the next.
+  :func:`_on_forked_workers` maps a function over items on forked worker
+  processes: ``--parallel`` seeds and VS components.  All take their worker
+  count from :func:`_workers`, under one rule: a step that calls BLAS (the
+  encoding and the matrix-product Gram bands) gets more than one worker
+  only while numpy's OpenBLAS runs one thread, because a BLAS that runs
+  more would oversubscribe the cores.  A step that gets one worker runs in
+  the calling process: on a one-core mask, for one item, and inside a
+  forked worker, which pins numpy's OpenBLAS to one thread.  The public
+  functions here, whose calls perfbench traces, always run on the calling
+  thread; only their insides run on pool threads.
 
 All operations are pure: inputs are never mutated and random draws come
 from an explicit ``numpy.random.Generator``.
@@ -46,9 +50,11 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-from collections.abc import Callable, Sequence
+import threading
+from collections import deque
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -250,31 +256,38 @@ def _workers(items: int, blas: bool = False) -> int:
     return max(1, min(_cores(), items))
 
 
+def _on_threads(tasks: Sequence[Callable[[], None]]) -> None:
+    """Run each task on a thread of its own: the first on the calling thread, the rest on a pool.
+
+    Each pool thread runs its task in a copy of the caller's context, because
+    numpy keeps ``np.errstate`` in a context variable.  The first task's
+    exception, in task order, is re-raised once every task has ended, and no
+    thread outlives the call.
+    """
+    if len(tasks) == 1:
+        tasks[0]()
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=len(tasks) - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, task) for task in tasks[1:]]
+        tasks[0]()
+        for future in futures:
+            future.result()
+
+
 def _on_every_core(fn: Callable[[range], None], items: int, blas: bool = False) -> None:
     """Run ``fn`` over contiguous chunks of ``range(items)``, one thread per worker.
 
     There are :func:`_workers` chunks, equal in count to within one; ``blas``
-    says that ``fn`` calls BLAS.  The calling thread runs the first chunk and
-    a pool thread each other one, each in a copy of the caller's context,
-    because numpy keeps ``np.errstate`` in a context variable.  The first
-    chunk's exception, in chunk order, is re-raised once every chunk has
-    ended, and no thread outlives the call.  The chunks gain only where
-    ``fn`` releases the GIL; callers hand it work that touches disjoint
-    output and calls no function that perfbench traces.
+    says that ``fn`` calls BLAS.  :func:`_on_threads` runs them, the calling
+    thread taking the first chunk.  The chunks gain only where ``fn``
+    releases the GIL; callers hand it work that touches disjoint output and
+    calls no function that perfbench traces.
     """
     workers = _workers(items, blas)
     bounds = [items * k // workers for k in range(workers + 1)]
-    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    if workers == 1:
-        fn(chunks[0])
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, fn, c) for c in chunks[1:]]
-        fn(chunks[0])
-        for future in futures:
-            future.result()
+    _on_threads([partial(fn, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])])
 
 
 @lru_cache(maxsize=1)
@@ -367,32 +380,129 @@ def _on_forked_workers(
                 for i, f in enumerate(futures)]
 
 
-def born_counts(amps: np.ndarray, shots: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Born-rule shot counts of a block of points, shape ``(points, r, 2^d)``.
+def born_counts(
+    blocks: Iterable[np.ndarray], shots: int, rngs: Sequence[np.random.Generator | int]
+) -> np.ndarray:
+    """Born-rule shot counts of a point set, shape ``(points, r, 2^d)``.
 
-    ``amps`` holds each point's ``(r, 2^d)`` amplitudes, one row per
-    measurement setting, and ``rngs`` one generator per point.  Point i's
-    counts are one ``rngs[i].multinomial(shots, p_i)`` draw, with each
-    setting's probability row renormalized on its own against float drift:
-    the counts of one draw per row, in setting order, from that generator.
-    The points are drawn in contiguous chunks on every core by
-    :func:`_on_every_core` (numpy releases the GIL while it draws), the
-    calling thread taking the first.  Each point's counts depend only on its
-    own generator, so they do not depend on the number of threads.
+    ``blocks`` yields the point set's amplitudes in consecutive blocks of
+    ``(points, r, 2^d)``, one row per measurement setting.  ``rngs`` holds
+    one item per point, a generator or a seed, which ``np.random.default_rng``
+    turns into the point's generator on the thread that draws the point.
+    Point i's counts are one ``multinomial(shots, p_i)`` draw from that
+    generator, with each setting's probability row renormalized on its own
+    against float drift: the counts of one draw per row, in setting order.
+    They depend only on the point's own generator, so not on the number of
+    threads.
+
+    Only the calling thread advances ``blocks``, so a stream that rotates
+    its next block while it is advanced runs its rotations there.  With one
+    worker (:func:`_workers`) the calling thread takes a block and draws it,
+    block by block.  With more, pool threads draw the queued points of block
+    k while the calling thread takes block k+1; the calling thread then draws
+    what is left of block k, queues block k+1 and draws its points until
+    every draw of block k has ended, so the stream makes block k+2 only while
+    no more than block k+1 is held.  numpy releases the GIL while it draws.
+    Once a point or the stream fails, no further block is taken; the first
+    failure in point order, a stream's at the first point of the block it
+    failed to give, is re-raised once every queued draw has ended, and no
+    thread outlives the call (:func:`_on_threads`).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if amps.ndim != 3 or len(rngs) != len(amps):
-        raise ValueError(
-            f"expected (points, r, 2^d) amplitudes and one generator per point, "
-            f"got shape {amps.shape} and {len(rngs)} generators"
-        )
-    counts = np.empty(amps.shape, dtype=np.int64)
+    n, counts = len(rngs), None
+    queue = deque()  # (block number, point, its amplitudes), waiting to be drawn
+    left = []  # per block, its points whose draw has not ended
+    errors = {}  # point -> its exception, or the stream's at the block's first point
+    changed = threading.Condition()
+    closed = False
 
-    def draw(points: range) -> None:
-        for i in points:
-            p = np.abs(amps[i]) ** 2
-            counts[i] = rngs[i].multinomial(shots, p / p.sum(axis=-1, keepdims=True))
+    def draw(point: int, amps: np.ndarray) -> None:
+        try:
+            p = np.abs(amps) ** 2
+            rng = np.random.default_rng(rngs[point])
+            counts[point] = rng.multinomial(shots, p / p.sum(axis=-1, keepdims=True))
+        except BaseException as exc:
+            errors[point] = exc
 
-    _on_every_core(draw, len(amps))
+    def draw_next(wait: bool) -> bool:
+        # draw the oldest queued point; with ``wait`` wait for one until the stream ends
+        with changed:
+            while wait and not queue and not closed:
+                changed.wait()
+            if not queue:
+                return False
+            block, point, amps = queue.popleft()
+        draw(point, amps)
+        del amps  # a block is freed once its last draw has ended
+        with changed:
+            left[block] -= 1
+            changed.notify_all()
+        return True
+
+    def drain() -> None:
+        while draw_next(wait=False):
+            pass
+
+    def settle(block: int) -> None:
+        # draw queued points until every draw of ``block`` has ended
+        while True:
+            with changed:
+                while left[block] and not queue:
+                    changed.wait()
+                if not left[block]:
+                    return
+            draw_next(wait=False)
+
+    def feed(alone: bool) -> None:
+        nonlocal counts, closed
+        stream, queued = iter(blocks), 0
+        try:
+            while not errors:
+                try:
+                    amps = next(stream, None)
+                    if amps is None:
+                        break
+                    shape = amps.shape[1:] if counts is None else counts.shape[1:]
+                    if amps.ndim != 3 or amps.shape[1:] != shape or queued + len(amps) > n:
+                        raise ValueError(
+                            f"expected (points, r, 2^d) amplitude blocks and one generator per "
+                            f"point, got a block of shape {amps.shape} after {queued} points "
+                            f"and {n} generators"
+                        )
+                    if counts is None:
+                        counts = np.empty((n,) + shape, dtype=np.int64)
+                except BaseException as exc:
+                    errors[queued] = exc
+                    break
+                if not alone:
+                    drain()  # what is left of the block before
+                with changed:
+                    left.append(len(amps))
+                    queue.extend((len(left) - 1, queued + i, a) for i, a in enumerate(amps))
+                    changed.notify_all()
+                queued += len(amps)
+                if alone:
+                    drain()
+                elif len(left) > 1:
+                    settle(len(left) - 2)
+            drain()
+            if not errors and (counts is None or queued != n):
+                errors[queued] = ValueError(
+                    f"expected (points, r, 2^d) amplitude blocks and one generator per point, "
+                    f"got {queued} points and {n} generators"
+                )
+        finally:
+            with changed:
+                closed = True
+                changed.notify_all()
+
+    def pool_draws() -> None:
+        while draw_next(wait=True):
+            pass
+
+    workers = _workers(n)
+    _on_threads([partial(feed, workers == 1)] + [pool_draws] * (workers - 1))
+    if errors:
+        raise errors[min(errors)]
     return counts

@@ -56,7 +56,8 @@ class Mutant:
 # the row that the feature-map angle overflow names, the table of the options
 # that only some runs read and the rule that rejects the options a run does not read,
 # and the checked parse's finite check in each feature cell, the fast parse's test for an
-# empty table, the component that a failed scoring names and the largest shot count.
+# empty table, the component that a failed scoring names and the largest shot count,
+# then the Born sampling stream's order and the score normalization the config echo names.
 MUTANTS = (
     Mutant(
         "kron-operands-swapped",
@@ -409,6 +410,42 @@ MUTANTS = (
         "src/qkad/kernel.py",
         "            if getattr(self, name) > _MAX_SHOTS:",
         "            if getattr(self, name) >= _MAX_SHOTS:",
+    ),
+    Mutant(
+        "stream-point-drawn-twice",
+        "src/qkad/statevec.py",
+        "        draw(point, amps)\n        del amps",
+        "        draw(point, amps)\n        draw(point, amps)\n        del amps",
+    ),
+    Mutant(
+        "stream-pool-threads-skip-their-points",
+        "src/qkad/statevec.py",
+        "        draw(point, amps)\n        del amps",
+        "        if not wait:\n            draw(point, amps)\n        del amps",
+    ),
+    Mutant(
+        "stream-queues-a-block-before-draining-the-last",
+        "src/qkad/statevec.py",
+        "                if not alone:\n                    drain()  # what is left of the block before\n"
+        "                with changed:\n                    left.append(len(amps))\n"
+        "                    queue.extend((len(left) - 1, queued + i, a) for i, a in enumerate(amps))\n"
+        "                    changed.notify_all()\n",
+        "                with changed:\n                    left.append(len(amps))\n"
+        "                    queue.extend((len(left) - 1, queued + i, a) for i, a in enumerate(amps))\n"
+        "                    changed.notify_all()\n"
+        "                if not alone:\n                    drain()  # what is left of the block before\n",
+    ),
+    Mutant(
+        "one-worker-rotates-the-whole-set-first",
+        "src/qkad/statevec.py",
+        "        stream, queued = iter(blocks), 0",
+        "        stream, queued = iter(list(blocks) if alone else blocks), 0",
+    ),
+    Mutant(
+        "every-model-echoes-train-zscore",
+        "src/qkad/cli.py",
+        'score_normalization="train-zscore" if cfg.vs else "none")',
+        'score_normalization="train-zscore")',
     ),
 )
 

@@ -490,6 +490,14 @@ def test_config_echo_lists_every_run_option_but_seeds_and_timing_ones(method):
     assert [config[name] for name in names] == [getattr(cfg, name) for name in echoed]
 
 
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_config_echo_names_the_score_normalization_the_method_applies(method):
+    # a VS ensemble z-scores its components' scores on their training rows; a
+    # single model scores with the raw decision function
+    config = cli._record_fields(RunConfig(method=method, dataset="synthetic"), 0)["config"]
+    assert config["score_normalization"] == ("train-zscore" if method.startswith("vs-") else "none")
+
+
 def test_an_option_added_to_run_config_is_echoed():
     @dataclasses.dataclass(frozen=True)
     class Extended(RunConfig):

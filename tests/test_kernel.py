@@ -3,6 +3,7 @@ import math
 import re
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -690,7 +691,8 @@ def test_rbf_grams_and_the_mirror_are_byte_identical_at_any_worker_count(n, monk
 def test_only_rbf_bands_are_filled_on_every_core(kind, monkeypatch):
     # unless numpy's OpenBLAS runs one thread, the GEMM bands stay on the
     # calling thread, which is what the name pins; at one BLAS thread every
-    # kind's bands are chunked; every training Gram's mirror is chunked
+    # kind's bands are chunked; every training Gram's mirror is chunked, and
+    # so is the randomized kind's frequency table, a division without BLAS
     monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
     monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", 100 * row_bytes(kind, 300, 2))
     on_every_core = qkad.kernel._on_every_core
@@ -703,7 +705,9 @@ def test_only_rbf_bands_are_filled_on_every_core(kind, monkeypatch):
     monkeypatch.setattr(qkad.kernel, "_on_every_core", noting)
     X = np.random.default_rng(22).uniform(-0.5, 0.5, size=(300, 2))
     only_rbf = ["fill", "copy"] if kind == "rbf" else ["copy"]
+    table = ["frequencies"] if kind == "randomized" else []
     for threads, expected in [(1, ["fill", "copy"]), (2, only_rbf), (None, only_rbf)]:
+        expected = table + expected
         monkeypatch.setattr(qkad.statevec, "_blas_threads", lambda t=threads: t)
         chunked = []
         build_gram_train(X, make_cfg(kind), np.random.default_rng(22))
@@ -730,6 +734,51 @@ def test_gemm_grams_are_byte_identical_at_any_worker_count(kind, monkeypatch):
         cross = build_gram_cross(T, train, rng)
         outputs.append([gram.entries.tobytes(), cross.entries.tobytes()])
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("d", [6, 10])
+def test_rm_counts_and_grams_are_byte_identical_at_any_worker_count_over_several_blocks(
+    d, monkeypatch
+):
+    # two-point measurement blocks: five of them for the training set, three for the test set
+    cfg = make_cfg("randomized", rm_settings=3, rm_shots=200, mitigate=False)
+    monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", 2 * 2 * 16 * 3 * 2**d)
+    monkeypatch.setattr(qkad.statevec, "_blas_threads", lambda: 1)
+    X, T = np.random.default_rng(d).uniform(-0.5, 0.5, size=(2, 9, d))
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(qkad.statevec, "_cores", lambda w=workers: w)
+        rng = np.random.default_rng(30)
+        gram, train = build_gram_train(X, cfg, rng)
+        cross = build_gram_cross(T[:5], train, rng)
+        outputs.append([a.tobytes() for a in (train.points.counts, gram.entries, cross.entries)])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_rm_measurement_holds_at_most_one_block_budget_of_rotated_amplitudes(
+    workers, monkeypatch
+):
+    # every rotation writes into its block's buffer; at each rotation the
+    # buffers still alive, the one written included, fit in _BLOCK_BYTES
+    cfg = make_cfg("randomized", rm_settings=3, rm_shots=100, mitigate=False)
+    budget = 2 * 3 * 16 * 3 * 2**6  # three-point blocks, two of them in the budget
+    monkeypatch.setattr(qkad.kernel, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: workers)
+    buffers, held = [], []
+    rotate = qkad.kernel.apply_local
+
+    def noting(state, factors, out=None):
+        if not any(b() is out.base for b in buffers):
+            buffers.append(weakref.ref(out.base))
+        held.append(sum(b().nbytes for b in buffers if b() is not None))
+        return rotate(state, factors, out=out)
+
+    monkeypatch.setattr(qkad.kernel, "apply_local", noting)
+    X = np.random.default_rng(31).uniform(-0.5, 0.5, size=(20, 6))
+    build_gram_train(X, cfg, np.random.default_rng(32))
+    assert len(buffers) == 7 and len(held) == 20 * 3
+    assert max(held) <= budget
 
 
 def test_the_functions_perfbench_traces_run_on_the_calling_thread(monkeypatch):

@@ -351,7 +351,7 @@ def test_apply_local_rejects_a_wrongly_shaped_out(rng):
 
 def born_one(state, shots, rng):
     """Counts of one state measured in one setting, through the block sampler."""
-    return born_counts(state[None, None], shots, [rng])[0, 0]
+    return born_counts([state[None, None]], shots, [rng])[0, 0]
 
 
 def test_measure_deterministic_state(rng):
@@ -396,10 +396,12 @@ def test_born_counts_shape(rng):
 
 def test_born_counts_rejects_a_generator_count_unlike_the_points(rng):
     amps = np.stack([random_state(2, rng) for _ in range(6)]).reshape(3, 2, 4)
-    with pytest.raises(ValueError, match="one generator per point"):
-        born_counts(amps, 10, [rng, rng])
-    with pytest.raises(ValueError, match="one generator per point"):
-        born_counts(amps[0], 10, [rng, rng])
+    # more points than generators, a block that is not (points, r, 2^d), fewer
+    # points than generators, and blocks of unlike settings
+    for blocks, generators in [([amps], 2), ([amps[0]], 2), ([amps[:1], amps[1:]], 4),
+                               ([amps[:1], amps[1:, :1]], 3)]:
+        with pytest.raises(ValueError, match="one generator per point"):
+            born_counts(blocks, 10, [rng] * generators)
 
 
 def random_block(points, settings, d, seed):
@@ -422,7 +424,7 @@ def test_born_counts_equal_the_rowwise_oracle_at_any_worker_count(
 ):
     monkeypatch.setattr(qkad.statevec, "_cores", lambda: workers)
     amps = random_block(points, 3, d, seed=d * 100 + points)
-    counts = born_counts(amps, 1009, spawn(points, seed=d))
+    counts = born_counts([amps], 1009, spawn(points, seed=d))
     assert counts.dtype == np.int64
     assert np.array_equal(counts, born_counts_rowwise(amps, 1009, spawn(points, seed=d)))
 
@@ -434,7 +436,7 @@ def test_born_counts_under_fast_thread_switching_with_more_workers_than_cores(mo
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        counts = born_counts(amps, 500, spawn(16, seed=6))
+        counts = born_counts([amps], 500, spawn(16, seed=6))
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(counts, born_counts_rowwise(amps, 500, spawn(16, seed=6)))
@@ -450,29 +452,121 @@ def test_cores_read_the_affinity_mask(monkeypatch):
         assert qkad.statevec._cores() == cores
 
 
-class _ThreadRecordingGenerator:
-    """A generator that notes the thread each of its draws ran on."""
+class _ThreadRecordingGenerator(np.random.Generator):
+    """A generator that notes the thread each of its draws ran on, and when it began."""
 
-    def __init__(self, seed, threads):
-        self._rng, self._threads = np.random.default_rng(seed), threads
+    def __init__(self, seed, threads, events=None):
+        super().__init__(np.random.PCG64(seed))
+        self.threads, self.events = threads, events
 
     def multinomial(self, n, pvals):
-        self._threads.append(threading.get_ident())
-        return self._rng.multinomial(n, pvals)
+        self.threads.append(threading.get_ident())
+        if self.events is not None:
+            self.events.append(("draw", self))
+        return super().multinomial(n, pvals)
 
 
-@pytest.mark.parametrize("workers, points, first", [(1, 5, 5), (2, 5, 2), (3, 7, 2), (3, 2, 1)])
-def test_born_counts_caller_draws_the_first_chunk_and_pool_threads_the_rest(
-    workers, points, first, monkeypatch
+def stream_of(amps, size, events=None, fail_at=None):
+    """``amps`` in blocks of ``size`` points, noting each block's thread in ``events``.
+
+    It raises instead of giving block ``fail_at``.
+    """
+    for k, start in enumerate(range(0, len(amps), size)):
+        if events is not None:
+            events.append(("take", threading.get_ident()))
+        if k == fail_at:
+            raise RuntimeError(f"stream failed at block {k}")
+        yield amps[start : start + size]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("points, size", [(1, 1), (5, 2), (7, 3), (7, 7)])
+def test_born_counts_stream_draws_each_point_once_and_is_advanced_on_the_caller(
+    workers, points, size, monkeypatch
 ):
     monkeypatch.setattr(qkad.statevec, "_cores", lambda: workers)
+    amps, threads, events = random_block(points, 2, 3, seed=1), [[] for _ in range(points)], []
+    rngs = [_ThreadRecordingGenerator(i, threads[i]) for i in range(points)]
+    counts = born_counts(stream_of(amps, size, events), 20, rngs)
+    assert all(len(t) == 1 for t in threads)  # one draw per point, covering its settings
+    caller = threading.get_ident()
+    assert [thread for _, thread in events] == [caller] * len(range(0, points, size))
+    if workers == 1:
+        assert all(t == [caller] for t in threads)
+    assert len({t[0] for t in threads}) <= min(workers, points)
+    expected = born_counts_rowwise(amps, 20, [np.random.default_rng(np.random.PCG64(i))
+                                              for i in range(points)])
+    assert np.array_equal(counts, expected)
+
+
+@pytest.mark.parametrize("points, size", [(6, 2), (7, 3)])
+def test_born_counts_with_one_worker_takes_a_block_and_then_draws_it(points, size, monkeypatch):
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 1)
+    events = []
+    rngs = [_ThreadRecordingGenerator(i, [], events) for i in range(points)]
+    born_counts(stream_of(random_block(points, 2, 3, seed=2), size, events), 20, rngs)
+    order = [rngs.index(e[1]) if e[0] == "draw" else "take" for e in events]
+    blocks = [list(range(points))[start : start + size] for start in range(0, points, size)]
+    assert order == [step for block in blocks for step in ["take", *block]]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_born_counts_pool_threads_draw_a_block_while_the_caller_takes_the_next(
+    workers, monkeypatch
+):
+    # the stream waits, as a slow rotation would, for the block it gave before
+    # to be drawn: only pool threads can draw it meanwhile, so every draw is theirs
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: workers)
+    points, size = 12, 4
     threads = [[] for _ in range(points)]
     rngs = [_ThreadRecordingGenerator(i, threads[i]) for i in range(points)]
-    born_counts(random_block(points, 2, 3, seed=1), 20, rngs)
-    assert all(len(t) == 1 for t in threads)  # one draw per point, covering its settings
-    caller = [t[0] == threading.get_ident() for t in threads]
-    assert caller == [True] * first + [False] * (points - first)
-    assert len({t[0] for t in threads}) <= min(workers, points)
+    amps = random_block(points, 2, 3, seed=4)
+
+    def stream():
+        for start in range(0, points + size, size):
+            deadline = time.monotonic() + 10
+            while not all(threads[max(0, start - size) : start]) and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            if start < points:
+                yield amps[start : start + size]
+
+    born_counts(stream(), 20, rngs)
+    assert all(len(t) == 1 for t in threads)
+    assert threading.get_ident() not in {t[0] for t in threads}
+
+
+def test_born_counts_take_seeds_or_generators_alike(monkeypatch):
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: 2)
+    amps, seeds = random_block(7, 3, 4, seed=8), list(range(100, 107))
+    counts = born_counts(stream_of(amps, 2), 300, seeds)
+    generators = [np.random.default_rng(s) for s in seeds]
+    assert np.array_equal(counts, born_counts([amps], 300, generators))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("nan_point, fail_at, raised", [
+    (7, None, ValueError),  # a later block's point
+    (None, 2, RuntimeError),  # the stream, at its third block
+    (3, 2, ValueError),  # a point before the stream's failure comes first
+    (8, 2, RuntimeError),  # a point of a block never taken is never drawn
+])
+def test_born_counts_raise_the_first_failure_of_a_stream_in_point_order(
+    workers, nan_point, fail_at, raised, monkeypatch
+):
+    amps = random_block(10, 2, 2, seed=5)
+    if nan_point is not None:
+        amps[nan_point, 1, 2] = np.nan
+    monkeypatch.setattr(qkad.statevec, "_cores", lambda: workers)
+    before = threading.active_count()
+    with pytest.raises(raised) as pooled:
+        born_counts(stream_of(amps, 3, fail_at=fail_at), 30, spawn(10, seed=0))
+    assert threading.active_count() == before
+    if raised is RuntimeError:
+        assert str(pooled.value) == "stream failed at block 2"
+    else:
+        with pytest.raises(ValueError) as serial:
+            born_counts_rowwise(amps, 30, spawn(10, seed=0))
+        assert str(pooled.value) == str(serial.value)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -486,10 +580,10 @@ def test_born_counts_raises_a_worker_error_in_the_caller_and_leaves_no_thread(
         born_counts_rowwise(amps, 30, spawn(6, seed=0))
     monkeypatch.setattr(qkad.statevec, "_cores", lambda: workers)
     before = threading.active_count()
-    born_counts(random_block(6, 2, 2, seed=3), 30, spawn(6, seed=0))
+    born_counts([random_block(6, 2, 2, seed=3)], 30, spawn(6, seed=0))
     assert threading.active_count() == before
     with pytest.raises(ValueError) as pooled:
-        born_counts(amps, 30, spawn(6, seed=0))
+        born_counts([amps], 30, spawn(6, seed=0))
     assert str(pooled.value) == str(serial.value)
     assert threading.active_count() == before
 
